@@ -778,85 +778,119 @@ def _gcd_inner(p: MPoly, q: MPoly) -> MPoly:
 # ---------------------------------------------------------------------------
 
 
-def bareiss_det(rows, divide):
-    """Fraction-free determinant; divide(a, b) must be an exact division."""
+def bareiss_det(rows):
+    """Fraction-free determinant of a square matrix of MPoly entries."""
     n = len(rows)
     if n == 0:
         raise AlgebraError("empty matrix")
     m = [list(r) for r in rows]
+    zero = MPoly.zero(m[0][0].vars)
     sign = 1
     prev = None
     for k in range(n - 1):
-        if _is_zero_entry(m[k][k]):
+        if m[k][k].is_zero():
             for i in range(k + 1, n):
-                if not _is_zero_entry(m[i][k]):
+                if not m[i][k].is_zero():
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
-                return _zero_like(m[0][0])
+                return zero
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num if prev is None else divide(num, prev)
-            m[i][k] = _zero_like(m[0][0])
+                m[i][j] = num if prev is None else num.divide_exact(prev)
+            m[i][k] = zero
         prev = m[k][k]
     det = m[n - 1][n - 1]
     return -det if sign < 0 else det
 
 
-def _is_zero_entry(x):
-    if isinstance(x, MPoly):
-        return x.is_zero()
-    if isinstance(x, Cyclo):
-        return x.is_zero()
-    return x == 0
-
-
-def _zero_like(x):
-    if isinstance(x, MPoly):
-        return MPoly.zero(x.vars)
-    if isinstance(x, Cyclo):
-        return C_ZERO
-    return type(x)(0)
-
-
 def det_cyclo(rows) -> Cyclo:
-    if all(c.is_rational() for r in rows for c in r):
-        return Cyclo(_det_rational(rows))
-    return bareiss_det(rows, lambda a, b: a / b)
+    """Determinant of a square matrix over Q(w), by fraction-free Bareiss.
 
-
-def _det_rational(rows) -> Fraction:
-    """Integer Bareiss after clearing row denominators (much faster than
-    Fraction arithmetic for the interpolation workloads)."""
-    scale = Fraction(1)
-    m = []
-    for r in rows:
-        lcm = 1
-        for c in r:
-            d = c.a.denominator
-            lcm = lcm * d // math.gcd(lcm, d)
-        scale /= lcm
-        m.append([int(c.a * lcm) for c in r])
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
+    Each row is scaled by the lcm of its denominators, so the entries lie
+    in Z[w] and the determinant is the Z[w] one over the product of the
+    scales.  Rational matrices run integer Bareiss; others run Bareiss on
+    pairs (a, b) = a + b*w, where the division by the previous pivot p is
+    exact in Z[w]: multiply by conj(p) and divide both parts by N(p).
+    """
+    n = len(rows)
+    if n == 0:
+        raise AlgebraError("empty matrix")
+    den = 1
+    if all(c.b == 0 for r in rows for c in r):
+        m = []
+        for r in rows:
+            lcm = math.lcm(*(c.a.denominator for c in r))
+            den *= lcm
+            m.append([c.a.numerator * (lcm // c.a.denominator) for c in r])
+        sign = 1
+        prev = 1
+        for k in range(n - 1):
+            if m[k][k] == 0:
+                for i in range(k + 1, n):
+                    if m[i][k]:
+                        m[k], m[i] = m[i], m[k]
+                        sign = -sign
+                        break
+                else:
+                    return C_ZERO
+            mk = m[k]
+            p = mk[k]
             for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
+                mi = m[i]
+                c = mi[k]
+                for j in range(k + 1, n):
+                    mi[j] = (p * mi[j] - c * mk[j]) // prev
+                mi[k] = 0
+            prev = p
+        return Cyclo(Fraction(sign * m[n - 1][n - 1], den))
+    A, B = [], []
+    for r in rows:
+        lcm = math.lcm(*(c.a.denominator for c in r), *(c.b.denominator for c in r))
+        den *= lcm
+        A.append([c.a.numerator * (lcm // c.a.denominator) for c in r])
+        B.append([c.b.numerator * (lcm // c.b.denominator) for c in r])
+    sign = 1
+    qa, qb = 1, 0  # the previous pivot
+    for k in range(n - 1):
+        if A[k][k] == 0 and B[k][k] == 0:
+            for i in range(k + 1, n):
+                if A[i][k] or B[i][k]:
+                    A[k], A[i] = A[i], A[k]
+                    B[k], B[i] = B[i], B[k]
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return C_ZERO
+        Ak, Bk = A[k], B[k]
+        pa, pb = Ak[k], Bk[k]
+        if k:
+            # conj(prev) = (qa - qb) - qb*w and N(prev) = qa^2 - qa*qb + qb^2
+            ra, rb = qa - qb, -qb
+            norm = qa * qa - qa * qb + qb * qb
         for i in range(k + 1, n):
+            Ai, Bi = A[i], B[i]
+            ca, cb = Ai[k], Bi[k]
             for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1] * scale
+                # (p * m[i][j] - c * m[k][j]), with w^2 = -1 - w
+                xa, xb, ya, yb = Ai[j], Bi[j], Ak[j], Bk[j]
+                t = pb * xb - cb * yb
+                na = pa * xa - ca * ya - t
+                nb = pa * xb + pb * xa - ca * yb - cb * ya - t
+                if k:
+                    t = nb * rb
+                    na, nb = na * ra - t, na * rb + nb * ra - t
+                    na, ea = divmod(na, norm)
+                    nb, eb = divmod(nb, norm)
+                    if ea or eb:
+                        raise AlgebraError("inexact Bareiss division in Z[w]")
+                Ai[j], Bi[j] = na, nb
+            Ai[k] = Bi[k] = 0
+        qa, qb = pa, pb
+    a, b = A[n - 1][n - 1], B[n - 1][n - 1]
+    return Cyclo(Fraction(sign * a, den), Fraction(sign * b, den))
 
 
 def sylvester_matrix(p: MPoly, q: MPoly, var):
@@ -979,7 +1013,7 @@ def resultant(p: MPoly, q: MPoly, var, degree_bound=None) -> MPoly:
                 terms[tuple(e)] = c
         return MPoly(rest, terms)
     # general case: fraction-free elimination over the polynomial ring
-    return bareiss_det(rows, lambda a, b: a.divide_exact(b))
+    return bareiss_det(rows)
 
 
 def _drop_var(variables, var):
@@ -1124,7 +1158,8 @@ def qomega_roots(p: UPoly):
         return [], 0
     # push into Q[t] via the norm: q = p * conj(p) has rational coefficients
     q = p * p.conjugate()
-    assert all(c.is_rational() for c in q.coeffs)
+    if not all(c.is_rational() for c in q.coeffs):
+        raise AlgebraError("p * conj(p) has a coefficient outside Q")
     t = sympy.Symbol("t")
     qq = sympy.Poly(
         [sympy.Rational(c.a.numerator, c.a.denominator) for c in reversed(q.coeffs)],

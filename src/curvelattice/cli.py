@@ -246,7 +246,7 @@ def _cmd_table1(args):
     k = args.k
     seed = args.seed if args.seed is not None else 0
     f, gp, F = torus.table1_construct(k, None, seed=seed)
-    point, curve = torus.table1_point(k, seed)
+    point, _curve = torus.table1_section(k, f, gp, F)
     ok, detail = torus.verify_decomposition(point)
     return {
         "k": k,

@@ -333,16 +333,18 @@ class ToricSearchResult:
         raise AttributeError("ToricSearchResult values are immutable")
 
 
-def _conic_through(points, variables):
-    """The conic through the points when they impose independent
-    conditions up to a one-dimensional kernel; None otherwise."""
+def _conic_row(point, variables):
+    """The degree-2 monomials, in _monomials3(2) order, at a point."""
+    return [MPoly.monomial(variables, e).eval(point.coords) for e in _monomials3(2)]
+
+
+def _conic_through(rows, variables):
+    """The conic through the points with the given conic rows when they
+    impose independent conditions up to a one-dimensional kernel; None
+    otherwise."""
     from .linalg import kernel_basis
 
     monos = _monomials3(2)
-    rows = [
-        [MPoly.monomial(variables, e).eval(p.coords) for e in monos]
-        for p in points
-    ]
     ker = kernel_basis(rows)
     if len(ker) != 1:
         return None
@@ -363,8 +365,8 @@ def _restrict_to_line(p: MPoly, alpha, beta):
     return UPoly(cs)
 
 
-def _formal_sylvester_det(pc, qc, dp, dq):
-    """Determinant of the Sylvester matrix with fixed formal degrees."""
+def _formal_sylvester(pc, qc, dp, dq):
+    """Sylvester matrix with fixed formal degrees (coefficients low -> high)."""
     n = dp + dq
     rows = []
     for i in range(dq):
@@ -377,38 +379,59 @@ def _formal_sylvester_det(pc, qc, dp, dq):
         for k in range(dq + 1):
             row[i + dq - k] = qc[k] if k < len(qc) else C_ZERO
         rows.append(row)
-    return det_cyclo(rows)
+    return rows
 
 
-def _lambda_cubed_candidates(g: MPoly, q0: MPoly, cusps):
-    """Squarefree univariate polynomial (in m = lambda^3) whose roots
-    contain every m with g - m q0^3 a perfect square.
+def _trial_line(trial):
+    """(alpha, beta) of the trial line (t, alpha + beta t, 1) number trial."""
+    return Fraction(trial % 7) - 3, Fraction(trial // 7) - 2
 
-    Per generic line, the discriminant of the restriction is a degree-11
-    polynomial in m (computed by evaluation and Newton interpolation of
-    the formal Sylvester determinant); intersecting several lines by gcd
-    removes line-specific double-contact roots.
+
+def _g_on_trial_line(g: MPoly, cusps, trial, g_lines):
+    """g restricted to trial line number trial, or None when the line's
+    direction (1 : beta : 0) lies on g or the line passes through a cusp.
+
+    None of this depends on the conic, so a search computes it once per
+    trial line and keeps it in g_lines (trial -> UPoly or None).
     """
-    q03 = q0 * q0 * q0
-    lines = []
-    trials = 0
-    while len(lines) < 3 and trials < 200:
-        alpha, beta = Fraction(trials % 7) - 3, Fraction(trials // 7) - 2
-        trials += 1
-        # leading behavior: direction (1 : beta : 0) off the curve/conic
-        if g.eval((C_ONE, Cyclo(beta), C_ZERO)).is_zero():
-            continue
-        if q0.eval((C_ONE, Cyclo(beta), C_ZERO)).is_zero():
-            continue
-        if any(
+    if trial not in g_lines:
+        alpha, beta = _trial_line(trial)
+        gl = None
+        if not g.eval((C_ONE, Cyclo(beta), C_ZERO)).is_zero() and not any(
             (
                 not c.coords[2].is_zero()
                 and (c.coords[1] - Cyclo(alpha) - Cyclo(beta) * c.coords[0]).is_zero()
             )
             for c in cusps
         ):
+            gl = _restrict_to_line(g, alpha, beta)
+        g_lines[trial] = gl
+    return g_lines[trial]
+
+
+def _lambda_cubed_candidates(g: MPoly, q0: MPoly, cusps, g_lines):
+    """Squarefree univariate polynomial (in m = lambda^3) whose roots
+    contain every m with g - m q0^3 a perfect square.
+
+    Per generic line, the discriminant of the restriction is a degree-11
+    polynomial in m (computed by evaluation and Newton interpolation of
+    the formal Sylvester determinant); intersecting several lines by gcd
+    removes line-specific double-contact roots.  g_lines is the search's
+    cache of _g_on_trial_line.
+    """
+    q03 = q0 * q0 * q0
+    lines = []
+    for trial in range(200):
+        if len(lines) == 3:
+            break
+        alpha, beta = _trial_line(trial)
+        # leading behavior: direction (1 : beta : 0) off the conic/curve,
+        # and no cusp on the line
+        if q0.eval((C_ONE, Cyclo(beta), C_ZERO)).is_zero():
             continue
-        gl = _restrict_to_line(g, alpha, beta)
+        gl = _g_on_trial_line(g, cusps, trial, g_lines)
+        if gl is None:
+            continue
         ql3 = _restrict_to_line(q03, alpha, beta)
         if gl.degree() != 6 or ql3.degree() != 6:
             continue
@@ -418,7 +441,7 @@ def _lambda_cubed_candidates(g: MPoly, q0: MPoly, cusps):
             u = gl - ql3 * Cyclo(mj)
             uc = list(u.coeffs) + [C_ZERO] * (7 - len(u.coeffs))
             du = [uc[i] * i for i in range(1, 7)]
-            dets.append(_formal_sylvester_det(uc, du, 6, 5))
+            dets.append(det_cyclo(_formal_sylvester(uc, du, 6, 5)))
         if all(d.is_zero() for d in dets):
             continue
         coeffs = _newton_interpolate(samples, dets)
@@ -451,8 +474,9 @@ def find_toric_sextic(profile: CurveProfile) -> ToricSearchResult:
     cusps = [p.point for p in profile.points if p.kind == "cusp"]
     conics = {}
     complete = True
+    rows = [_conic_row(p, variables) for p in cusps]
     if len(cusps) >= 6:
-        for sub in combinations(cusps, 6):
+        for sub in combinations(rows, 6):
             q0 = _conic_through(sub, variables)
             if q0 is not None:
                 conics[render(q0)] = q0
@@ -461,10 +485,6 @@ def find_toric_sextic(profile: CurveProfile) -> ToricSearchResult:
         from .linalg import kernel_basis
 
         monos = _monomials3(2)
-        rows = [
-            [MPoly.monomial(variables, e).eval(p.coords) for e in monos]
-            for p in cusps
-        ]
         ker = kernel_basis(rows)
         combos = []
         if len(ker) == 1:
@@ -490,8 +510,9 @@ def find_toric_sextic(profile: CurveProfile) -> ToricSearchResult:
     found = {}
     field_exhausted = False
     missing = 0
+    g_lines = {}
     for q0 in conics.values():
-        cand = _lambda_cubed_candidates(g, q0, cusps)
+        cand = _lambda_cubed_candidates(g, q0, cusps, g_lines)
         if cand is None or cand.degree() <= 0:
             continue
         roots, miss = qomega_roots(cand)
@@ -682,9 +703,14 @@ def table1_cusp_count(f: MPoly, gp: MPoly) -> int:
 
 
 def table1_point(k: int, seed: int):
-    """(point, curve) for a seeded Table-1 instance: the section
-    (X, Y, Z) = (f, g, y0) of the degree-6k curve -F, with n = 1."""
+    """(point, curve) for a seeded Table-1 instance (see table1_section)."""
     f, gp, F = table1_construct(k, None, seed=seed)
+    return table1_section(k, f, gp, F)
+
+
+def table1_section(k: int, f: MPoly, gp: MPoly, F: MPoly):
+    """(point, curve) from table1_construct's (f, g, F): the section
+    (X, Y, Z) = (f, g, y0) of the degree-6k curve -F, with n = 1."""
     curve = F.scale(-1)
     point = QuasiToricPoint(f, gp, MPoly.variable("y0", Y_VARS), curve, k)
     return point, curve

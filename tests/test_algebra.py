@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from curvelattice import torus
 from curvelattice.algebra import (
     C_ONE,
     C_ZERO,
@@ -18,6 +20,7 @@ from curvelattice.algebra import (
     ProjPoint,
     UPoly,
     cyclo_nth_roots,
+    det_cyclo,
     frac_nth_root,
     gcd,
     is_weighted_homogeneous,
@@ -35,6 +38,21 @@ rationals = st.builds(
     Fraction, st.integers(-30, 30), st.integers(1, 7)
 )
 cyclos = st.builds(Cyclo, rationals, rationals)
+
+W = sympy.Symbol("w")
+
+
+def to_sympy(c: Cyclo):
+    """c as a polynomial in the symbol w."""
+    a, b = c.a, c.b
+    return sympy.Rational(a.numerator, a.denominator) + sympy.Rational(
+        b.numerator, b.denominator
+    ) * W
+
+
+def reduce_omega(expr):
+    """The remainder of a polynomial in w modulo w^2 + w + 1."""
+    return sympy.rem(sympy.expand(expr), W**2 + W + 1, W)
 
 
 def rand_poly(rng, variables=XYZ, deg=3, terms=4, with_omega=True):
@@ -181,30 +199,98 @@ class TestResultant:
             assert resultant(a * c, b * c, "x").is_zero()
 
     def test_matches_sympy_on_random_bivariate(self):
-        import sympy
+        # odd trials draw coefficients with w parts, so the interpolation
+        # samples are genuine Q(w) determinants; sympy treats w as a symbol
+        # and the difference is reduced modulo w^2 + w + 1.  The oracle is
+        # sympy's Sylvester matrix, not sympy.resultant: for p = x*(3y^2 - 2y)
+        # and a cubic q the latter returns -det(Sylvester(p, q)).
+        from sympy.polys.subresultants_qq_zz import sylvester
 
         x, y = sympy.symbols("x y")
         rng = random.Random(5)
-        for _ in range(6):
-            p = rand_poly(rng, ("x", "y"), deg=3, terms=4, with_omega=False)
-            q = rand_poly(rng, ("x", "y"), deg=3, terms=4, with_omega=False)
+        checked = {False: 0, True: 0}
+        for trial in range(12):
+            with_omega = trial % 2 == 1
+            p = rand_poly(rng, ("x", "y"), deg=3, terms=4, with_omega=with_omega)
+            q = rand_poly(rng, ("x", "y"), deg=3, terms=4, with_omega=with_omega)
             if p.degree_in("x") <= 0 or q.degree_in("x") <= 0:
                 continue
-            sp = sum(
-                sympy.Rational(c.a.numerator, c.a.denominator) * x ** e[0] * y ** e[1]
-                for e, c in p.terms.items()
-            )
-            sq = sum(
-                sympy.Rational(c.a.numerator, c.a.denominator) * x ** e[0] * y ** e[1]
-                for e, c in q.terms.items()
-            )
-            expected = sympy.Poly(sympy.resultant(sp, sq, x), y)
+            sp = sum(to_sympy(c) * x ** e[0] * y ** e[1] for e, c in p.terms.items())
+            sq = sum(to_sympy(c) * x ** e[0] * y ** e[1] for e, c in q.terms.items())
+            expected = sylvester(sp, sq, x).det(method="domain-ge")
             got = resultant(p, q, "x")
-            ours = sum(
-                sympy.Rational(c.a.numerator, c.a.denominator) * y ** e[0]
-                for e, c in got.terms.items()
+            ours = sum(to_sympy(c) * y ** e[0] for e, c in got.terms.items())
+            assert reduce_omega(ours - expected) == 0
+            has_omega = any(
+                not c.is_rational() for f in (p, q) for c in f.terms.values()
             )
-            assert sympy.expand(ours - expected.as_expr()) == 0
+            checked[has_omega] += 1
+        assert checked[False] and checked[True]
+
+
+@st.composite
+def qomega_matrices(draw):
+    """Square matrices of size 1-7, rational or with w parts, some with
+    zero leading pivots (forcing row swaps) and some singular."""
+    n = draw(st.integers(1, 7))
+    entries = cyclos if draw(st.booleans()) else st.builds(Cyclo, rationals)
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["generic", "zero pivot", "singular"]))
+    if shape == "zero pivot":
+        # a vanishing leading (k+1)x(k+1) minor: Bareiss meets a zero pivot
+        # at step k (row k repeats a multiple of row 0 in columns 0..k)
+        k = draw(st.integers(0, n - 1))
+        c = draw(entries) if k else C_ZERO
+        rows[k][: k + 1] = [c * x for x in rows[0][: k + 1]]
+    elif shape == "singular":
+        # the last row is a multiple of the first (zero when n == 1)
+        c = draw(entries) if n > 1 else C_ZERO
+        rows[-1] = [c * x for x in rows[0]]
+    return rows
+
+
+def sympy_det(rows):
+    """det over Q[w] by sympy, reduced modulo w^2 + w + 1."""
+    m = sympy.Matrix([[to_sympy(c) for c in r] for r in rows])
+    return reduce_omega(m.det(method="domain-ge"))
+
+
+class TestDetCyclo:
+    @given(qomega_matrices())
+    @example([[C_ZERO, OMEGA], [C_ONE, C_ZERO]])
+    @example([[C_ZERO, C_ONE, C_ZERO], [C_ZERO, C_ZERO, OMEGA], [Cyclo(1, 2), C_ZERO, C_ZERO]])
+    @example([[OMEGA, C_ONE], [C_ONE, OMEGA * OMEGA]])
+    @settings(max_examples=120, deadline=None)
+    def test_matches_sympy(self, rows):
+        assert reduce_omega(to_sympy(det_cyclo(rows)) - sympy_det(rows)) == 0
+
+    def test_matches_sympy_on_nine_cusp_sylvester(self, monkeypatch):
+        # one 11x11 formal Sylvester matrix, as _lambda_cubed_candidates
+        # builds it for a conic with w coefficients through six of the nine
+        # cusps of x^6 - 2x^3y^3 - 2x^3z^3 + y^6 - 2y^3z^3 + z^6
+        g = parse_poly("x^6 - 2*x^3*y^3 - 2*x^3*z^3 + y^6 - 2*y^3*z^3 + z^6", XYZ)
+        cusps = [
+            ProjPoint(p)
+            for e in (C_ONE, OMEGA, OMEGA * OMEGA)
+            for p in ((C_ZERO, e, C_ONE), (e, C_ZERO, C_ONE), (e, C_ONE, C_ZERO))
+        ]
+        rows = [torus._conic_row(p, XYZ) for p in cusps]
+        q0 = next(
+            q
+            for q in (torus._conic_through(rows[i:i + 6], XYZ) for i in range(4))
+            if q is not None and any(not c.is_rational() for c in q.terms.values())
+        )
+        matrices = []
+
+        def record(m):
+            matrices.append(m)
+            return det_cyclo(m)
+
+        monkeypatch.setattr(torus, "det_cyclo", record)
+        torus._lambda_cubed_candidates(g, q0, cusps, {})
+        m = next(m for m in matrices if any(not c.is_rational() for r in m for c in r))
+        assert len(m) == 11 and all(len(r) == 11 for r in m)
+        assert reduce_omega(to_sympy(det_cyclo(m)) - sympy_det(m)) == 0
 
 
 class TestPolySqrt:
