@@ -811,41 +811,14 @@ def det_cyclo(rows) -> Cyclo:
 
     Each row is scaled by the lcm of its denominators, so the entries lie
     in Z[w] and the determinant is the Z[w] one over the product of the
-    scales.  Rational matrices run integer Bareiss; others run Bareiss on
-    pairs (a, b) = a + b*w, where the division by the previous pivot p is
-    exact in Z[w]: multiply by conj(p) and divide both parts by N(p).
+    scales.  Bareiss runs on pairs (a, b) = a + b*w; the division by the
+    previous pivot p is exact in Z[w]: multiply by conj(p) and divide both
+    parts by N(p).
     """
     n = len(rows)
     if n == 0:
         raise AlgebraError("empty matrix")
     den = 1
-    if all(c.b == 0 for r in rows for c in r):
-        m = []
-        for r in rows:
-            lcm = math.lcm(*(c.a.denominator for c in r))
-            den *= lcm
-            m.append([c.a.numerator * (lcm // c.a.denominator) for c in r])
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k]:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return C_ZERO
-            mk = m[k]
-            p = mk[k]
-            for i in range(k + 1, n):
-                mi = m[i]
-                c = mi[k]
-                for j in range(k + 1, n):
-                    mi[j] = (p * mi[j] - c * mk[j]) // prev
-                mi[k] = 0
-            prev = p
-        return Cyclo(Fraction(sign * m[n - 1][n - 1], den))
     A, B = [], []
     for r in rows:
         lcm = math.lcm(*(c.a.denominator for c in r), *(c.b.denominator for c in r))

@@ -365,8 +365,8 @@ def _restrict_to_line(p: MPoly, alpha, beta):
     return UPoly(cs)
 
 
-def _formal_sylvester(pc, qc, dp, dq):
-    """Sylvester matrix with fixed formal degrees (coefficients low -> high)."""
+def _formal_sylvester_det(pc, qc, dp, dq):
+    """Determinant of the Sylvester matrix with fixed formal degrees."""
     n = dp + dq
     rows = []
     for i in range(dq):
@@ -379,7 +379,7 @@ def _formal_sylvester(pc, qc, dp, dq):
         for k in range(dq + 1):
             row[i + dq - k] = qc[k] if k < len(qc) else C_ZERO
         rows.append(row)
-    return rows
+    return det_cyclo(rows)
 
 
 def _trial_line(trial):
@@ -441,7 +441,7 @@ def _lambda_cubed_candidates(g: MPoly, q0: MPoly, cusps, g_lines):
             u = gl - ql3 * Cyclo(mj)
             uc = list(u.coeffs) + [C_ZERO] * (7 - len(u.coeffs))
             du = [uc[i] * i for i in range(1, 7)]
-            dets.append(det_cyclo(_formal_sylvester(uc, du, 6, 5)))
+            dets.append(_formal_sylvester_det(uc, du, 6, 5))
         if all(d.is_zero() for d in dets):
             continue
         coeffs = _newton_interpolate(samples, dets)

@@ -199,33 +199,47 @@ class TestResultant:
             assert resultant(a * c, b * c, "x").is_zero()
 
     def test_matches_sympy_on_random_bivariate(self):
-        # odd trials draw coefficients with w parts, so the interpolation
-        # samples are genuine Q(w) determinants; sympy treats w as a symbol
-        # and the difference is reduced modulo w^2 + w + 1.  The oracle is
-        # sympy's Sylvester matrix, not sympy.resultant: for p = x*(3y^2 - 2y)
-        # and a cubic q the latter returns -det(Sylvester(p, q)).
         from sympy.polys.subresultants_qq_zz import sylvester
 
         x, y = sympy.symbols("x y")
-        rng = random.Random(5)
-        checked = {False: 0, True: 0}
-        for trial in range(12):
-            with_omega = trial % 2 == 1
-            p = rand_poly(rng, ("x", "y"), deg=3, terms=4, with_omega=with_omega)
-            q = rand_poly(rng, ("x", "y"), deg=3, terms=4, with_omega=with_omega)
-            if p.degree_in("x") <= 0 or q.degree_in("x") <= 0:
-                continue
+
+        def check(p, q, oracle):
             sp = sum(to_sympy(c) * x ** e[0] * y ** e[1] for e, c in p.terms.items())
             sq = sum(to_sympy(c) * x ** e[0] * y ** e[1] for e, c in q.terms.items())
-            expected = sylvester(sp, sq, x).det(method="domain-ge")
             got = resultant(p, q, "x")
             ours = sum(to_sympy(c) * y ** e[0] for e, c in got.terms.items())
-            assert reduce_omega(ours - expected) == 0
-            has_omega = any(
-                not c.is_rational() for f in (p, q) for c in f.terms.values()
-            )
-            checked[has_omega] += 1
-        assert checked[False] and checked[True]
+            assert reduce_omega(ours - oracle(sp, sq)) == 0
+
+        rng = random.Random(5)
+        for _ in range(6):
+            p = rand_poly(rng, ("x", "y"), deg=3, terms=4, with_omega=False)
+            q = rand_poly(rng, ("x", "y"), deg=3, terms=4, with_omega=False)
+            if p.degree_in("x") <= 0 or q.degree_in("x") <= 0:
+                continue
+            check(p, q, lambda sp, sq: sympy.resultant(sp, sq, x))
+        # Coefficients with w parts make the interpolation samples genuine
+        # Q(w) determinants; sympy treats w as a symbol and the difference
+        # is reduced modulo w^2 + w + 1.  The oracle is the determinant of
+        # sympy's Sylvester matrix: for p of degree 1 in x against a cubic,
+        # sympy.resultant returns -det(Sylvester(p, q)), as on the fixed
+        # pair below, whose resultant is (3y^2 - 2y)^3 * y.
+        def syl(sp, sq):
+            return sylvester(sp, sq, x).det(method="domain-ge")
+
+        p = parse_poly("3*x*y^2 - 2*x*y", ("x", "y"))
+        q = parse_poly("x^3 + y", ("x", "y"))
+        check(p, q, syl)
+        check(p, q, lambda sp, sq: y**4 * (3 * y - 2) ** 3)
+        rng = random.Random(6)
+        with_omega = 0
+        for _ in range(6):
+            p = rand_poly(rng, ("x", "y"), deg=3, terms=4, with_omega=True)
+            q = rand_poly(rng, ("x", "y"), deg=3, terms=4, with_omega=True)
+            if p.degree_in("x") <= 0 or q.degree_in("x") <= 0:
+                continue
+            check(p, q, syl)
+            with_omega += any(not c.is_rational() for f in (p, q) for c in f.terms.values())
+        assert with_omega
 
 
 @st.composite
