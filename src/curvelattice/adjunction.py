@@ -154,18 +154,6 @@ def _upoly_gcd_many(polys):
     return g
 
 
-def _to_upoly(p: MPoly, var) -> UPoly:
-    d = p.degree_in(var)
-    i = p.vars.index(var)
-    cs = [C_ZERO] * (d + 1) if d >= 0 else []
-    for e, c in p.terms.items():
-        if any(e[j] for j in range(len(p.vars)) if j != i):
-            raise ValueError("not univariate")
-        if e[i] <= d:
-            cs[e[i]] = c
-    return UPoly(cs)
-
-
 def singular_points(g: MPoly, classify=True):
     """All singular points of V(g) with coordinates in Q(w), classified.
 
@@ -195,12 +183,12 @@ def singular_points(g: MPoly, classify=True):
                 continue
             r = resultant(p, q, vx)
             if not r.is_zero():
-                res.append(_to_upoly(r, vy))
+                res.append(UPoly.from_mpoly(r, vy))
     cand = _upoly_gcd_many(res)
     if cand is None:
         # no x-dependence anywhere: the chart equations live in y alone,
         # so any common y root would give an infinite singular locus
-        nz = [_to_upoly(p, vy) for p in aff if not p.is_zero()]
+        nz = [UPoly.from_mpoly(p, vy) for p in aff if not p.is_zero()]
         g1 = _upoly_gcd_many(nz)
         if g1 is not None and g1.degree() > 0:
             raise IncompleteLocus(-1, [])
@@ -216,7 +204,7 @@ def singular_points(g: MPoly, classify=True):
                 if s.is_zero():
                     zero_slice = True
                     continue
-                upolys.append(_to_upoly(s, vx))
+                upolys.append(UPoly.from_mpoly(s, vx))
             if not upolys:
                 if zero_slice:
                     # gradient vanishes identically on a whole line
@@ -233,7 +221,7 @@ def singular_points(g: MPoly, classify=True):
 
     # line z = 0, chart y = 1
     at_inf = [p.subs({vz: 0, vy: 1}) for p in partials]
-    upolys = [_to_upoly(p, vx) for p in at_inf if not p.is_zero()]
+    upolys = [UPoly.from_mpoly(p, vx) for p in at_inf if not p.is_zero()]
     if upolys:
         u = _upoly_gcd_many(upolys)
         if u is not None and u.degree() > 0:
@@ -398,7 +386,7 @@ class CuspScheme:
             )
             if r1m.is_zero():
                 continue
-            r1 = _to_upoly(r1m, rest[0])
+            r1 = UPoly.from_mpoly(r1m, rest[0])
             total = r1.squarefree_part().degree() + (
                 1 if r1.degree() < formal else 0
             )
@@ -527,7 +515,7 @@ def _transpose(cols):
 
 def _binary_to_upoly(r: MPoly, rest) -> UPoly:
     """A binary form in rest = (v1, v2), dehomogenized with v2 = 1."""
-    return _to_upoly(r.subs({rest[1]: 1}), rest[0])
+    return UPoly.from_mpoly(r.subs({rest[1]: 1}), rest[0])
 
 
 def _root_at_infinity(r1: UPoly, r: MPoly) -> int:
@@ -613,7 +601,7 @@ def _squarefree_on_generic_line(g: MPoly) -> bool:
             rg = g.compose(images)
             if rg.degree_in("_t") != d:
                 continue
-            u = _to_upoly(rg, "_t")
+            u = UPoly.from_mpoly(rg, "_t")
             if u.gcd(u.derivative()).degree() == 0:
                 return True
     return False

@@ -6,8 +6,10 @@ Polynomials are sparse maps from exponent vectors to nonzero coefficients,
 ordered by graded lexicographic order on the declared variable list.
 
 Provides: parsing/rendering of polynomial expressions, subresultant gcd,
-Sylvester-determinant resultants, exact square roots of polynomials, and
-root extraction of univariate polynomials inside Q(w).
+the fraction-free Z[w] elimination behind every determinant, rank and
+kernel of a Q(w) matrix, Sylvester-determinant resultants, exact square
+roots of polynomials, and root extraction of univariate polynomials
+inside Q(w).
 """
 
 from __future__ import annotations
@@ -492,13 +494,6 @@ class MPoly:
                     rem[ke] = s
         return MPoly(self.vars, qterms)
 
-    def divides(self, other: "MPoly") -> bool:
-        try:
-            other.divide_exact(self)
-            return True
-        except NotDivisible:
-            return False
-
 
 # ---------------------------------------------------------------------------
 # Parser / renderer
@@ -806,47 +801,65 @@ def bareiss_det(rows):
     return -det if sign < 0 else det
 
 
-def det_cyclo(rows) -> Cyclo:
-    """Determinant of a square matrix over Q(w), by fraction-free Bareiss.
+def echelon_zw(rows, reduced=False):
+    """Fraction-free row echelon form over Z[w], exact on any shape and rank.
 
-    Each row is scaled by the lcm of its denominators, so the entries lie
-    in Z[w] and the determinant is the Z[w] one over the product of the
-    scales.  Bareiss runs on pairs (a, b) = a + b*w; the division by the
-    previous pivot p is exact in Z[w]: multiply by conj(p) and divide both
-    parts by N(p).
+    Entries may be Cyclo, int or Fraction.  Each row is scaled by the lcm
+    of its denominators, so the entries lie in Z[w]; they are kept as int
+    pairs (a, b) = a + b*w.  Columns are taken left to right and a column
+    with no nonzero entry at or below the current row is skipped.  Bareiss
+    elimination (Math. Comp. 22, 1968) makes every entry a minor of the
+    scaled matrix, so the division by the previous pivot p is exact in
+    Z[w]: multiply by conj(p) and divide both parts by N(p).  A remainder
+    raises AlgebraError.
+
+    With reduced=True the rows above each pivot are eliminated as well
+    (fraction-free Gauss-Jordan): each pivot column then holds the last
+    pivot d in its own row and 0 elsewhere, so the reduced row echelon
+    form is the first len(pivots) rows divided by d.
+
+    Returns (A, B, pivots, sign, den): the a and b parts of the eliminated
+    matrix, the pivot columns, the sign of the row permutation and the
+    product of the row scales.
     """
-    n = len(rows)
-    if n == 0:
-        raise AlgebraError("empty matrix")
     den = 1
     A, B = [], []
     for r in rows:
+        r = [c if isinstance(c, Cyclo) else Cyclo._coerce(c) for c in r]
         lcm = math.lcm(*(c.a.denominator for c in r), *(c.b.denominator for c in r))
         den *= lcm
         A.append([c.a.numerator * (lcm // c.a.denominator) for c in r])
         B.append([c.b.numerator * (lcm // c.b.denominator) for c in r])
+    nrows = len(A)
+    ncols = len(A[0]) if A else 0
+    pivots = []
     sign = 1
-    qa, qb = 1, 0  # the previous pivot
-    for k in range(n - 1):
-        if A[k][k] == 0 and B[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k] or B[i][k]:
+    k = 0  # the current row
+    for c in range(ncols):
+        if k == nrows:
+            break
+        if A[k][c] == 0 and B[k][c] == 0:
+            for i in range(k + 1, nrows):
+                if A[i][c] or B[i][c]:
                     A[k], A[i] = A[i], A[k]
                     B[k], B[i] = B[i], B[k]
                     sign = -sign
                     break
             else:
-                return C_ZERO
+                continue
         Ak, Bk = A[k], B[k]
-        pa, pb = Ak[k], Bk[k]
+        pa, pb = Ak[c], Bk[c]
         if k:
             # conj(prev) = (qa - qb) - qb*w and N(prev) = qa^2 - qa*qb + qb^2
             ra, rb = qa - qb, -qb
             norm = qa * qa - qa * qb + qb * qb
-        for i in range(k + 1, n):
+        for i in range(0 if reduced else k + 1, nrows):
+            if i == k:
+                continue
             Ai, Bi = A[i], B[i]
-            ca, cb = Ai[k], Bi[k]
-            for j in range(k + 1, n):
+            ca, cb = Ai[c], Bi[c]
+            # below row k every column left of c is already zero
+            for j in range(0 if i < k else c + 1, ncols):
                 # (p * m[i][j] - c * m[k][j]), with w^2 = -1 - w
                 xa, xb, ya, yb = Ai[j], Bi[j], Ak[j], Bk[j]
                 t = pb * xb - cb * yb
@@ -860,10 +873,31 @@ def det_cyclo(rows) -> Cyclo:
                     if ea or eb:
                         raise AlgebraError("inexact Bareiss division in Z[w]")
                 Ai[j], Bi[j] = na, nb
-            Ai[k] = Bi[k] = 0
-        qa, qb = pa, pb
-    a, b = A[n - 1][n - 1], B[n - 1][n - 1]
-    return Cyclo(Fraction(sign * a, den), Fraction(sign * b, den))
+            Ai[c] = Bi[c] = 0
+        pivots.append(c)
+        qa, qb = pa, pb  # the previous pivot
+        k += 1
+    return A, B, pivots, sign, den
+
+
+def echelon_det(rows) -> Cyclo:
+    """Determinant of a square matrix over Q(w) from echelon_zw: the sign
+    times the last pivot over the row scales, or 0 below full rank."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise AlgebraError("determinant of a non-square matrix")
+    A, B, pivots, sign, den = echelon_zw(rows)
+    if len(pivots) < n:
+        return C_ZERO
+    return Cyclo(Fraction(sign * A[-1][-1], den), Fraction(sign * B[-1][-1], den))
+
+
+def det_cyclo(rows) -> Cyclo:
+    """Determinant of a square matrix over Q(w), by fraction-free Bareiss
+    over Z[w] (echelon_zw)."""
+    if not rows:
+        raise AlgebraError("empty matrix")
+    return echelon_det(rows)
 
 
 def sylvester_matrix(p: MPoly, q: MPoly, var):

@@ -69,19 +69,35 @@ class _Parser(argparse.ArgumentParser):
 def _load_doc(value):
     """Inline JSON object or a path to a JSON file."""
     text = value.strip()
-    if text.startswith("{") or text.startswith("["):
-        return json.loads(text)
-    with open(value, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if text.startswith("{") or text.startswith("["):
+            return json.loads(text)
+        with open(value, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as err:
+        raise UsageError(f"cannot read {value}: {err.strerror}") from None
+    except json.JSONDecodeError as err:
+        raise UsageError(f"malformed JSON: {err}") from None
+
+
+def _require(doc, *keys):
+    """A usage error unless doc is a JSON object with every key."""
+    if not isinstance(doc, dict):
+        raise UsageError("expected a JSON object")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise UsageError("document has no " + ", ".join(f'"{k}"' for k in missing))
 
 
 def _curve_from_doc(doc) -> adjunction.CurveProfile:
+    _require(doc, "g")
     variables = tuple(doc.get("vars", ("x", "y", "z")))
     g = parse_poly(doc["g"], variables)
     return adjunction.CurveProfile(g, components=int(doc.get("components", 1)))
 
 
 def _point_from_doc(doc) -> torus.QuasiToricPoint:
+    _require(doc, "g", "X", "Y", "Z")
     variables = tuple(doc.get("vars", ("x", "y", "z")))
     g = parse_poly(doc["g"], variables)
     return torus.QuasiToricPoint(
@@ -315,6 +331,10 @@ def _cmd_lattice_qequiv(args):
 
 
 def _summary_from_doc(doc) -> lattice.CurveSummary:
+    _require(
+        doc, "degree", "inventory", "alexander_orders", "delta_one_sixth",
+        "rank_prediction", "gram",
+    )
     return lattice.CurveSummary(
         int(doc["degree"]),
         {str(k): int(v) for k, v in doc["inventory"].items()},
@@ -345,7 +365,6 @@ def build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--field", default="Q(w)", choices=["Q(w)"])
     parser.add_argument("--out", default=None)
-    parser.add_argument("--threads", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="spectrum of a weighted-homogeneous polynomial")
@@ -480,3 +499,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -457,9 +457,9 @@ def zariski_certificate(summary_a: CurveSummary, gram_a,
 
     Preconditions (PrereqFailed otherwise): equal degree divisible by 6,
     equal singularity inventory, equal Alexander orders, delta_(1/6) = 0
-    on both sides.  A certificate is emitted only when both sublattices
-    have the full predicted rank and their Q-spans are inequivalent;
-    otherwise the verdict is inconclusive.
+    on both sides, equal rank predictions.  A certificate is emitted only
+    when both sublattices have the full predicted rank and their Q-spans
+    are inequivalent; otherwise the verdict is inconclusive.
     """
     if summary_a.degree != summary_b.degree:
         raise PrereqFailed("degrees differ")
@@ -474,7 +474,10 @@ def zariski_certificate(summary_a: CurveSummary, gram_a,
     qa = gram_a if isinstance(gram_a, QuadForm) else QuadForm(gram_a)
     qb = gram_b if isinstance(gram_b, QuadForm) else QuadForm(gram_b)
     expected = summary_a.rank_prediction
-    assert expected == summary_b.rank_prediction
+    if expected != summary_b.rank_prediction:
+        raise PrereqFailed(
+            f"rank predictions differ: {expected} and {summary_b.rank_prediction}"
+        )
     doc = {
         "schema": "curvelattice/1",
         "degree": summary_a.degree,

@@ -1,136 +1,50 @@
 """Shared exact linear algebra over Q(w) (and plain rationals).
 
-Matrices are lists of rows of Cyclo values.  Everything here is plain
-Gaussian elimination in exact field arithmetic.
+Matrices are lists of rows of Cyclo, int or Fraction values.  Rank,
+determinant and kernel all read the one fraction-free elimination over
+Z[w], algebra.echelon_zw.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import C_ONE, C_ZERO, Cyclo
-
-
-def _coerce_matrix(rows):
-    return [[c if isinstance(c, Cyclo) else Cyclo._coerce(c) for c in row] for row in rows]
-
-
-def rref(rows):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    m = _coerce_matrix(rows)
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if not m[i][c].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+from .algebra import C_ONE, C_ZERO, AlgebraError, Cyclo, echelon_det, echelon_zw
 
 
 def rank(rows) -> int:
-    if not rows:
-        return 0
-    m = _coerce_matrix(rows)
-    if all(c.b == 0 for row in m for c in row):
-        return _rank_fraction([[c.a for c in row] for row in m])
-    return len(rref(m)[1])
-
-
-def _rank_fraction(m) -> int:
-    """Rank of a rational matrix by plain Gaussian elimination."""
-    ncols = len(m[0])
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(r + 1, len(m)):
-            if m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
+    return len(echelon_zw(rows)[2])
 
 
 def kernel_basis(rows):
-    """Basis of the right kernel, as lists of Cyclo."""
+    """Basis of the right kernel, as lists of Cyclo: one vector per free
+    column of the reduced row echelon form, 1 there and 0 at the other
+    free columns."""
     if not rows:
         return []
-    m, pivots = rref(rows)
-    ncols = len(rows[0])
-    free = [c for c in range(ncols) if c not in pivots]
+    A, B, pivots, _sign, _den = echelon_zw(rows, reduced=True)
+    ncols = len(A[0])
+    if pivots:
+        # the reduced form is the eliminated rows over the last pivot d
+        k = len(pivots) - 1
+        minus_inv = -Cyclo(A[k][pivots[k]], B[k][pivots[k]]).inverse()
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         v = [C_ZERO] * ncols
         v[fc] = C_ONE
         for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
+            v[pc] = Cyclo(A[r][fc], B[r][fc]) * minus_inv
         basis.append(v)
     return basis
 
 
-def solve(rows, rhs):
-    """One solution of A x = b over Q(w), or None when inconsistent."""
-    if not rows:
-        return None
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    m, pivots = rref(aug)
-    ncols = len(rows[0])
-    if ncols in pivots:
-        return None
-    x = [C_ZERO] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][ncols]
-    return x
-
-
 def det_fraction(rows) -> Fraction:
-    """Determinant of a rational matrix by fraction-free style elimination."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for k in range(n):
-        pivot = None
-        for i in range(k, n):
-            if m[i][k] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                f = m[i][k] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-    return det
+    """Determinant of a rational matrix; 1 for the empty matrix."""
+    if not rows:
+        return Fraction(1)
+    d = echelon_det(rows)
+    if d.b:
+        raise AlgebraError("determinant is not rational")
+    return d.a

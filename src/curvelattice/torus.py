@@ -20,7 +20,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from .adjunction import CurveProfile
+from .adjunction import CurveProfile, _monomials
 from .algebra import (
     C_ONE,
     C_ZERO,
@@ -38,6 +38,7 @@ from .algebra import (
     qomega_roots,
     render,
 )
+from .linalg import det_fraction, kernel_basis
 
 
 class DivisibilityFailure(ArithmeticError):
@@ -50,10 +51,6 @@ class ConventionMismatch(AssertionError):
 
 def _monomials2(d):
     return [(i, d - i) for i in range(d + 1)]
-
-
-def _monomials3(d):
-    return [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
 
 
 class QuasiToricPoint:
@@ -132,7 +129,7 @@ def _coprime(p: MPoly, q: MPoly) -> bool:
             ps, qs = p.subs(sub), q.subs(sub)
             if ps.degree_in(v0) != dp or qs.degree_in(v0) != dq:
                 continue
-            if _to_univariate(ps, v0).gcd(_to_univariate(qs, v0)).degree() == 0:
+            if UPoly.from_mpoly(ps, v0).gcd(UPoly.from_mpoly(qs, v0)).degree() == 0:
                 certified = True
             break
         if certified:
@@ -146,15 +143,6 @@ def _coprime(p: MPoly, q: MPoly) -> bool:
                 if common.degree() == 0:
                     return True
     return poly_gcd(p, q).degree() == 0
-
-
-def _to_univariate(p: MPoly, var) -> UPoly:
-    i = p.vars.index(var)
-    d = p.degree_in(var)
-    cs = [C_ZERO] * (d + 1) if d >= 0 else []
-    for e, c in p.terms.items():
-        cs[e[i]] = cs[e[i]] + c
-    return UPoly(cs)
 
 
 def verify_decomposition(point: QuasiToricPoint):
@@ -298,8 +286,6 @@ def gram(points) -> GramMatrix:
             raise ConventionMismatch("diagonal must be the even height")
         for j in range(i + 1, m):
             entries[i][j] = entries[j][i] = pairing(points[i], points[j])
-    from .linalg import det_fraction
-
     for t in range(1, m + 1):
         minor = det_fraction([row[:t] for row in entries[:t]])
         if minor < 0:
@@ -334,17 +320,15 @@ class ToricSearchResult:
 
 
 def _conic_row(point, variables):
-    """The degree-2 monomials, in _monomials3(2) order, at a point."""
-    return [MPoly.monomial(variables, e).eval(point.coords) for e in _monomials3(2)]
+    """The degree-2 monomials, in _monomials(2) order, at a point."""
+    return [MPoly.monomial(variables, e).eval(point.coords) for e in _monomials(2)]
 
 
 def _conic_through(rows, variables):
     """The conic through the points with the given conic rows when they
     impose independent conditions up to a one-dimensional kernel; None
     otherwise."""
-    from .linalg import kernel_basis
-
-    monos = _monomials3(2)
+    monos = _monomials(2)
     ker = kernel_basis(rows)
     if len(ker) != 1:
         return None
@@ -357,12 +341,7 @@ def _restrict_to_line(p: MPoly, alpha, beta):
     tv = ("t",)
     t = MPoly.variable("t", tv)
     images = [t, MPoly.const(tv, alpha) + t.scale(beta), MPoly.const(tv, 1)]
-    r = p.compose(images)
-    d = r.degree_in("t")
-    cs = [C_ZERO] * (d + 1) if d >= 0 else []
-    for e, c in r.terms.items():
-        cs[e[0]] = c
-    return UPoly(cs)
+    return UPoly.from_mpoly(p.compose(images), "t")
 
 
 def _formal_sylvester_det(pc, qc, dp, dq):
@@ -482,9 +461,7 @@ def find_toric_sextic(profile: CurveProfile) -> ToricSearchResult:
                 conics[render(q0)] = q0
     elif cusps:
         complete = False
-        from .linalg import kernel_basis
-
-        monos = _monomials3(2)
+        monos = _monomials(2)
         ker = kernel_basis(rows)
         combos = []
         if len(ker) == 1:
@@ -738,9 +715,7 @@ def seeded_torus_sextic(seed: int):
         v = ("x", "y", "z")
         q = MPoly.monomial(v, (1, 0, 1)) - MPoly.monomial(v, (0, 2, 0))
         # cubic through the six points: seeded kernel combination
-        from .linalg import kernel_basis
-
-        monos = _monomials3(3)
+        monos = _monomials(3)
         rows = [
             [MPoly.monomial(v, e).eval(p) for e in monos] for p in pts
         ]

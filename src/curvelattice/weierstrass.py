@@ -71,14 +71,7 @@ def _to_upoly_any(p) -> UPoly:
         var = active[0] if active else (p.vars[0] if p.vars else None)
         if var is None:
             return UPoly([p.constant_coeff()])
-        from .algebra import C_ZERO
-
-        d = p.degree_in(var)
-        idx = p.vars.index(var)
-        cs = [C_ZERO] * (d + 1)
-        for e, c in p.terms.items():
-            cs[e[idx]] = c
-        return UPoly(cs)
+        return UPoly.from_mpoly(p, var)
     return UPoly([p])
 
 

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -73,6 +76,49 @@ class TestPlumbing:
                 ["--field", "Q", "spectrum", "--f", "x^2+y^3", "--weights", "3,2"]
             )
         assert code == 1
+
+
+class TestExitContract:
+    def usage_error(self, argv, capsys):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error: ")
+        return lines[0]
+
+    def test_curve_without_g(self, capsys):
+        line = self.usage_error(["singular", "--curve", '{"h": "x^2"}'], capsys)
+        assert '"g"' in line
+
+    def test_missing_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.json")
+        line = self.usage_error(["defects", "--curve", missing], capsys)
+        assert missing in line
+
+    def test_malformed_json(self, tmp_path, capsys):
+        self.usage_error(["alexander", "--curve", '{"g": "x^2"'], capsys)
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json", encoding="utf-8")
+        self.usage_error(["singular", "--curve", str(bad)], capsys)
+
+    def test_threads_option_is_gone(self, capsys):
+        self.usage_error(
+            ["--threads", "2", "spectrum", "--f", "x^2+y^3", "--weights", "3,2"], capsys
+        )
+
+    def test_module_entry_point(self):
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvelattice.cli", "spectrum", "--f", "x^2+y^3",
+             "--weights", "3,2"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["spectrum"] == {"-1/6": 1, "1/6": 1}
 
 
 class TestCurveCommands:
@@ -220,3 +266,19 @@ class TestZariski:
             ]
         )
         assert code == 2
+
+    def test_unequal_rank_predictions_exit_2(self):
+        other = json.loads(self.summary([[4, -2], [-2, 4]]))
+        other["rank_prediction"] = 3
+        code, doc = invoke(
+            [
+                "zariski",
+                "--a",
+                self.summary([[6, -3], [-3, 6]]),
+                "--b",
+                json.dumps(other),
+            ]
+        )
+        assert code == 2
+        assert doc["error"] == "PrereqFailed"
+        assert "rank predictions differ" in doc["message"]

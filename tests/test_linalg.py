@@ -1,0 +1,123 @@
+"""Differential tests of linalg's rank, kernel and determinant against
+sympy's DomainMatrix over QQ and over QQ(sqrt(-3)), w = (-1 + sqrt(-3))/2."""
+
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
+
+from curvelattice.algebra import C_ONE, C_ZERO, OMEGA, AlgebraError, Cyclo, det_cyclo
+from curvelattice.linalg import det_fraction, kernel_basis, rank
+
+QW = QQ.algebraic_field(sympy.sqrt(-3))
+W = QW.from_sympy((-1 + sympy.sqrt(-3)) / 2)
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+def to_domain(c: Cyclo, domain):
+    a = QQ(c.a.numerator, c.a.denominator)
+    if domain == QQ:
+        assert c.b == 0
+        return a
+    return QW.convert(a) + QW.convert(QQ(c.b.numerator, c.b.denominator)) * W
+
+
+def domain_matrix(rows, domain):
+    ncols = len(rows[0]) if rows else 0
+    return DomainMatrix(
+        [[to_domain(c, domain) for c in r] for r in rows], (len(rows), ncols), domain
+    )
+
+
+@st.composite
+def matrices(draw):
+    """(rows, domain): tall, wide or square matrices of size up to 7 with
+    rational or w entries, some with a zero column, a dependent row or a
+    zero leading entry that forces a row swap."""
+    shape = draw(st.sampled_from(["tall", "wide", "square"]))
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(1, 7))
+    if shape == "square":
+        m = n
+    elif (shape == "tall") != (n > m):
+        n, m = m, n
+    omega = draw(st.booleans())
+    sparse = draw(st.booleans())
+    value = st.builds(Cyclo, rationals, rationals if omega else st.just(0))
+    entry = st.one_of(st.just(C_ZERO), value) if sparse else value
+    rows = [[draw(entry) for _ in range(m)] for _ in range(n)]
+    kind = draw(st.sampled_from(["generic", "zero column", "dependent row", "row swap"]))
+    if kind == "zero column":
+        j = draw(st.integers(0, m - 1))
+        for r in rows:
+            r[j] = C_ZERO
+    elif kind == "dependent row":
+        # the last row is a combination of the first two (zero for one row)
+        s, t = draw(value), draw(value)
+        second = rows[1] if n > 2 else [C_ZERO] * m
+        rows[-1] = [s * x + t * y for x, y in zip(rows[0], second)] if n > 1 else [C_ZERO] * m
+    elif kind == "row swap":
+        rows[0][0] = C_ZERO
+        if n > 1:
+            rows[1][0] = draw(value.filter(lambda c: not c.is_zero()))
+    return rows, QW if omega else QQ
+
+
+class TestAgainstDomainMatrix:
+    @given(matrices())
+    @example(([[C_ZERO, OMEGA], [C_ONE, C_ZERO]], QW))
+    @example(([[C_ZERO, C_ZERO, C_ONE], [C_ZERO, C_ZERO, Cyclo(2)]], QQ))
+    @settings(max_examples=150, deadline=None)
+    def test_rank(self, case):
+        rows, domain = case
+        assert rank(rows) == domain_matrix(rows, domain).rank()
+
+    @given(matrices())
+    @example(([[C_ZERO, OMEGA, C_ONE], [C_ZERO, C_ONE, OMEGA * OMEGA]], QW))
+    @example(([[Cyclo(0), Cyclo(Fraction(1, 2)), Cyclo(3)]], QQ))
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_basis(self, case):
+        rows, domain = case
+        ncols = len(rows[0])
+        rref, pivots = domain_matrix(rows, domain).rref()
+        rref = rref.to_list()
+        free = [c for c in range(ncols) if c not in pivots]
+        basis = kernel_basis(rows)
+        assert len(basis) == ncols - rank(rows) == len(free)
+        for fc, v in zip(free, basis):
+            for r in rows:
+                assert sum((a * x for a, x in zip(r, v)), C_ZERO) == C_ZERO
+            assert [v[c] for c in free] == [C_ONE if c == fc else C_ZERO for c in free]
+            # the reduced row echelon form's null-space vector, entry by entry
+            for i, pc in enumerate(pivots):
+                assert to_domain(v[pc], domain) == -rref[i][fc]
+
+    @given(matrices().filter(lambda case: len(case[0]) == len(case[0][0])))
+    @example(([[C_ZERO, C_ONE], [C_ONE, C_ZERO]], QQ))
+    @example(([[Cyclo(Fraction(1, 2)), C_ONE], [C_ONE, Cyclo(2)]], QQ))
+    @settings(max_examples=150, deadline=None)
+    def test_det_fraction(self, case):
+        rows, _domain = case
+        rational = [[c.a for c in r] for r in rows]
+        det = domain_matrix([[Cyclo(x) for x in r] for r in rational], QQ).det()
+        assert det_fraction(rational) == Fraction(int(det.numerator), int(det.denominator))
+
+
+class TestEdgeValues:
+    def test_empty(self):
+        assert det_fraction([]) == 1
+        assert rank([]) == rank([[]]) == 0
+        assert kernel_basis([]) == []
+        with pytest.raises(AlgebraError):
+            det_cyclo([])
+
+    def test_det_fraction_of_an_omega_matrix(self):
+        # det [[w, 0], [0, w^2]] = w^3 = 1, det [[w, 0], [0, 1]] = w
+        assert det_fraction([[OMEGA, C_ZERO], [C_ZERO, OMEGA * OMEGA]]) == 1
+        with pytest.raises(AlgebraError):
+            det_fraction([[OMEGA, C_ZERO], [C_ZERO, C_ONE]])
