@@ -162,7 +162,9 @@ def singular_points(g: MPoly, classify=True):
     extracted inside Q(w) and verified against the full gradient, then
     the line z=0 is handled chart by chart.  Raises IncompleteLocus when
     an unexplained elimination factor (or an x-level gcd factor) has
-    roots outside Q(w).
+    roots outside Q(w), and with unexplained = -1 when the elimination
+    cannot isolate the points (every chart resultant vanishes, or the
+    gradient vanishes on a whole line).
     """
     if len(g.vars) != 3:
         raise ValueError("expected a ternary form")
@@ -185,6 +187,11 @@ def singular_points(g: MPoly, classify=True):
             if not r.is_zero():
                 res.append(UPoly.from_mpoly(r, vy))
     cand = _upoly_gcd_many(res)
+    if cand is None and any(p.degree_in(vx) > 0 for p in aff):
+        # every chart resultant vanishes: the partials share factors, as
+        # on a curve with a multiple component, whose singular locus is
+        # infinite; elimination cannot isolate the points
+        raise IncompleteLocus(-1, [])
     if cand is None:
         # no x-dependence anywhere: the chart equations live in y alone,
         # so any common y root would give an infinite singular locus
@@ -358,7 +365,8 @@ class CuspScheme:
         rest = [v for v in a.vars if v != sv]
         # intersections on the saturation line project to the same
         # directions under every shear below
-        on_line = _common_binary(a.subs({sv: 0}), b.subs({sv: 0}), rest)
+        divisor, has_inf = self._line_divisor()
+        on_line = divisor.degree() + has_inf
         best = 0
         for shear in (0, 1, 2):
             if shear:
@@ -518,26 +526,6 @@ def _binary_to_upoly(r: MPoly, rest) -> UPoly:
     return UPoly.from_mpoly(r.subs({rest[1]: 1}), rest[0])
 
 
-def _root_at_infinity(r1: UPoly, r: MPoly) -> int:
-    return 1 if r1.degree() < r.degree() else 0
-
-
-def _common_binary(a0: MPoly, b0: MPoly, rest) -> int:
-    """Distinct common roots of two binary forms (counting (1:0))."""
-    if a0.is_zero() or b0.is_zero():
-        z = b0 if a0.is_zero() else a0
-        if z.is_zero():
-            raise ValueError("both restrictions vanish identically")
-        u = _binary_to_upoly(z, rest)
-        return u.squarefree_part().degree() + _root_at_infinity(u, z)
-    ua, ub = _binary_to_upoly(a0, rest), _binary_to_upoly(b0, rest)
-    g = ua.gcd(ub)
-    n = g.squarefree_part().degree()
-    if ua.degree() < a0.degree() and ub.degree() < b0.degree():
-        n += 1  # common root at (1:0)
-    return n
-
-
 # ---------------------------------------------------------------------------
 # Curve profiles and defects
 # ---------------------------------------------------------------------------
@@ -591,18 +579,20 @@ class CurveProfile:
         return inv
 
 
+def _restrict_to_line(p: MPoly, alpha, beta):
+    """Restriction to the line (t, alpha + beta t, 1) as a UPoly."""
+    tv = ("t",)
+    t = MPoly.variable("t", tv)
+    images = [t, MPoly.const(tv, alpha) + t.scale(beta), MPoly.const(tv, 1)]
+    return UPoly.from_mpoly(p.compose(images), "t")
+
+
 def _squarefree_on_generic_line(g: MPoly) -> bool:
     d = g.degree()
-    tvars = ("_t",)
-    t = MPoly.variable("_t", tvars)
-    for c1 in range(0, 5):
-        for c0 in range(0, 5):
-            images = [t, MPoly.const(tvars, c0) + t.scale(c1), MPoly.const(tvars, 1)]
-            rg = g.compose(images)
-            if rg.degree_in("_t") != d:
-                continue
-            u = UPoly.from_mpoly(rg, "_t")
-            if u.gcd(u.derivative()).degree() == 0:
+    for beta in range(0, 5):
+        for alpha in range(0, 5):
+            u = _restrict_to_line(g, alpha, beta)
+            if u.degree() == d and u.gcd(u.derivative()).degree() == 0:
                 return True
     return False
 

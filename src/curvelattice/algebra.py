@@ -900,28 +900,18 @@ def det_cyclo(rows) -> Cyclo:
     return echelon_det(rows)
 
 
-def sylvester_matrix(p: MPoly, q: MPoly, var):
-    """Sylvester matrix with the p-coefficient rows before the q rows."""
-    dp = p.degree_in(var)
-    dq = q.degree_in(var)
-    if dp <= 0 and dq <= 0:
-        raise AlgebraError("resultant needs positive degree in the variable")
-    cp, rest = p.coeffs_in(var)
-    cq, _ = q.coeffs_in(var)
-    zero = MPoly.zero(rest)
-    n = dp + dq
+def sylvester(pc, qc, zero):
+    """Sylvester matrix of two coefficient lists, low -> high, at the
+    formal degrees len - 1; the p rows come before the q rows."""
+    dp, dq = len(pc) - 1, len(qc) - 1
     rows = []
-    for i in range(dq):
-        row = [zero] * n
-        for k, c in cp.items():
-            row[i + dp - k] = c
-        rows.append(row)
-    for i in range(dp):
-        row = [zero] * n
-        for k, c in cq.items():
-            row[i + dq - k] = c
-        rows.append(row)
-    return rows, rest
+    for coeffs, d, shifts in ((pc, dp, dq), (qc, dq, dp)):
+        for i in range(shifts):
+            row = [zero] * (dp + dq)
+            for k, c in enumerate(coeffs):
+                row[i + d - k] = c
+            rows.append(row)
+    return rows
 
 
 def _interp_points(n):
@@ -961,71 +951,52 @@ def _newton_interpolate(xs, ys):
 def resultant(p: MPoly, q: MPoly, var, degree_bound=None) -> MPoly:
     """Resultant with respect to var; Sylvester determinant convention.
 
-    degree_bound, when given, caps the resultant's degree in the single
-    remaining active variable (fewer interpolation points).
+    Every branch reads one Sylvester matrix.  With a single remaining
+    active variable t it is evaluated at sample values of t and the
+    scalar determinants are interpolated (Collins, JACM 18, 1971);
+    degree_bound, when given, caps the resultant's degree in t (fewer
+    samples).  With more active variables the determinant is taken by
+    fraction-free elimination over the polynomial ring.
     """
     if p.is_zero() or q.is_zero():
         raise AlgebraError("resultant of the zero polynomial")
-    if p.degree_in(var) <= 0 or q.degree_in(var) <= 0:
-        if p.degree_in(var) <= 0 and q.degree_in(var) <= 0:
-            raise AlgebraError("resultant needs positive degree in the variable")
-        # deg 0 in var: Res(c, q) = c^{deg q}
-        if p.degree_in(var) <= 0:
-            c, rest = p.coeffs_in(var)
-            return (c[0] ** q.degree_in(var)).lift_vars(_drop_var(p.vars, var))
-        c, rest = q.coeffs_in(var)
-        return (c[0] ** p.degree_in(var)).lift_vars(_drop_var(p.vars, var))
-    rows, rest = sylvester_matrix(p, q, var)
-    active = [v for v in rest if any(r.degree_in(v) > 0 for row in rows for r in row)]
+    cp, rest = p.coeffs_in(var)
+    cq, _ = q.coeffs_in(var)
+    zero = MPoly.zero(rest)
+    pc = [cp.get(k, zero) for k in range(p.degree_in(var) + 1)]
+    qc = [cq.get(k, zero) for k in range(q.degree_in(var) + 1)]
+    dp, dq = len(pc) - 1, len(qc) - 1
+    if dp == 0 and dq == 0:
+        raise AlgebraError("resultant needs positive degree in the variable")
+    # deg 0 in var: Res(c, q) = c^{deg q}
+    if dp == 0:
+        return pc[0] ** dq
+    if dq == 0:
+        return qc[0] ** dp
+    active = [v for v in rest if any(c.degree_in(v) > 0 for c in pc + qc)]
     if not active:
-        val = det_cyclo([[r.constant_coeff() for r in row] for row in rows])
-        return MPoly.const(rest, val)
+        pv = [c.constant_coeff() for c in pc]
+        qv = [c.constant_coeff() for c in qc]
+        return MPoly.const(rest, det_cyclo(sylvester(pv, qv, C_ZERO)))
     if len(active) == 1:
         t = active[0]
-        bound = sum(max(r.degree_in(t) for r in row) for row in rows) + 1
+        bound = (
+            dq * max(c.degree_in(t) for c in pc)
+            + dp * max(c.degree_in(t) for c in qc)
+            + 1
+        )
         if degree_bound is not None:
             bound = min(bound, degree_bound + 1)
         xs = _interp_points(bound)
-        # dense coefficient lists in t per entry, then Horner per sample
-        ti = rows[0][0].vars.index(t) if rows[0][0].vars else 0
-        dense = []
-        for row in rows:
-            drow = []
-            for r in row:
-                cs = [C_ZERO] * (r.degree_in(t) + 1) if r.terms else [C_ZERO]
-                for e, c in r.terms.items():
-                    cs[e[ti]] = cs[e[ti]] + c
-                drow.append(cs)
-            dense.append(drow)
+        pu = [UPoly.from_mpoly(c, t) for c in pc]
+        qu = [UPoly.from_mpoly(c, t) for c in qc]
         ys = []
         for x in xs:
-            xc = Cyclo(x)
-            mat = []
-            for drow in dense:
-                out = []
-                for cs in drow:
-                    total = C_ZERO
-                    for c in reversed(cs):
-                        total = total * xc + c
-                    out.append(total)
-                mat.append(out)
-            ys.append(det_cyclo(mat))
-        coeffs = _newton_interpolate(xs, ys)
-        ti = rest.index(t)
-        terms = {}
-        for k, c in enumerate(coeffs):
-            if not c.is_zero():
-                e = [0] * len(rest)
-                e[ti] = k
-                terms[tuple(e)] = c
-        return MPoly(rest, terms)
-    # general case: fraction-free elimination over the polynomial ring
-    return bareiss_det(rows)
-
-
-def _drop_var(variables, var):
-    i = variables.index(var)
-    return variables[:i] + variables[i + 1 :]
+            pv = [c.eval(x) for c in pu]
+            qv = [c.eval(x) for c in qu]
+            ys.append(det_cyclo(sylvester(pv, qv, C_ZERO)))
+        return UPoly(_newton_interpolate(xs, ys)).to_mpoly(t, rest)
+    return bareiss_det(sylvester(pc, qc, zero))
 
 
 # ---------------------------------------------------------------------------
@@ -1129,9 +1100,11 @@ class UPoly:
         return UPoly([c * k for k, c in enumerate(self.coeffs)][1:])
 
     def eval(self, x) -> Cyclo:
+        if not self.coeffs:
+            return C_ZERO
         x = Cyclo._coerce(x)
-        total = C_ZERO
-        for c in reversed(self.coeffs):
+        total = self.coeffs[-1]
+        for c in reversed(self.coeffs[:-1]):
             total = total * x + c
         return total
 

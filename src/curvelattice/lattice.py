@@ -18,7 +18,11 @@ from fractions import Fraction
 
 import sympy
 
+from .adjunction import alexander, defect
+from .algebra import MPoly
 from .linalg import det_fraction
+from .mordellweil import mw_rank
+from .spectrum import WeightedPoly
 
 
 class NotPositiveDefinite(ValueError):
@@ -430,11 +434,6 @@ class CurveSummary:
     @classmethod
     def from_profile(cls, profile):
         """Summary for the elliptic model y^2 = x^3 + g (f = x^2 + y^3)."""
-        from .adjunction import alexander, defect
-        from .algebra import MPoly
-        from .mordellweil import mw_rank
-        from .spectrum import WeightedPoly
-
         xy = ("x", "y")
         f = WeightedPoly(
             MPoly.monomial(xy, (2, 0)) + MPoly.monomial(xy, (0, 3)), (3, 2)

@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 
 from .adjunction import CurveProfile, alexander, defect, ord_at
+from .algebra import MPoly
 from .spectrum import WeightedPoly, spectrum
 
 
@@ -146,8 +147,6 @@ def mw_rank_hyperelliptic(e: int, profile: CurveProfile) -> RankReport:
         ord_at(delta, Fraction(1, 2) + Fraction(i, e))
         for i in range(1, (e - 1) // 2 + 1)
     )
-    from .algebra import MPoly
-
     xy = ("x", "y")
     f = WeightedPoly(
         MPoly.monomial(xy, (2, 0)) + MPoly.monomial(xy, (0, e)), (e, 2)

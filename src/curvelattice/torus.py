@@ -11,7 +11,9 @@ pairing docstring).
 find_toric_sextic searches for the Z = constant decompositions of a
 sextic: every candidate conic through six cusps, scalar conditions
 lambda^3 = m with g - m q^3 a perfect square, all solved exactly over
-Q(w) with out-of-field solutions counted, never fabricated.
+Q(w) with out-of-field solutions counted, never fabricated.  The
+polynomial in m is the discriminant of g - m q^3 on trial lines, taken
+by algebra.resultant.
 """
 
 from __future__ import annotations
@@ -20,7 +22,14 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from .adjunction import CurveProfile, _monomials
+from .adjunction import (
+    CurveProfile,
+    CuspScheme,
+    IncompleteLocus,
+    _monomials,
+    _restrict_to_line,
+    singular_points,
+)
 from .algebra import (
     C_ONE,
     C_ZERO,
@@ -28,15 +37,14 @@ from .algebra import (
     MPoly,
     NOT_A_SQUARE,
     OMEGA,
+    NotDivisible,
     UPoly,
-    _interp_points,
-    _newton_interpolate,
     cyclo_nth_roots,
-    det_cyclo,
     gcd as poly_gcd,
     poly_sqrt,
     qomega_roots,
     render,
+    resultant,
 )
 from .linalg import det_fraction, kernel_basis
 
@@ -336,31 +344,6 @@ def _conic_through(rows, variables):
     return q.monic()
 
 
-def _restrict_to_line(p: MPoly, alpha, beta):
-    """Restriction to the line (t, alpha + beta t, 1) as a UPoly."""
-    tv = ("t",)
-    t = MPoly.variable("t", tv)
-    images = [t, MPoly.const(tv, alpha) + t.scale(beta), MPoly.const(tv, 1)]
-    return UPoly.from_mpoly(p.compose(images), "t")
-
-
-def _formal_sylvester_det(pc, qc, dp, dq):
-    """Determinant of the Sylvester matrix with fixed formal degrees."""
-    n = dp + dq
-    rows = []
-    for i in range(dq):
-        row = [C_ZERO] * n
-        for k in range(dp + 1):
-            row[i + dp - k] = pc[k] if k < len(pc) else C_ZERO
-        rows.append(row)
-    for i in range(dp):
-        row = [C_ZERO] * n
-        for k in range(dq + 1):
-            row[i + dq - k] = qc[k] if k < len(qc) else C_ZERO
-        rows.append(row)
-    return det_cyclo(rows)
-
-
 def _trial_line(trial):
     """(alpha, beta) of the trial line (t, alpha + beta t, 1) number trial."""
     return Fraction(trial % 7) - 3, Fraction(trial // 7) - 2
@@ -392,13 +375,15 @@ def _lambda_cubed_candidates(g: MPoly, q0: MPoly, cusps, g_lines):
     """Squarefree univariate polynomial (in m = lambda^3) whose roots
     contain every m with g - m q0^3 a perfect square.
 
-    Per generic line, the discriminant of the restriction is a degree-11
-    polynomial in m (computed by evaluation and Newton interpolation of
-    the formal Sylvester determinant); intersecting several lines by gcd
-    removes line-specific double-contact roots.  g_lines is the search's
-    cache of _g_on_trial_line.
+    Per generic line, with u = g - m q0^3 restricted to the line, the
+    discriminant resultant(u, du/dt, t) is a degree-11 polynomial in m;
+    intersecting several lines by gcd removes line-specific
+    double-contact roots.  g_lines is the search's cache of
+    _g_on_trial_line.
     """
     q03 = q0 * q0 * q0
+    tm = ("t", "m")
+    m = MPoly.variable("m", tm)
     lines = []
     for trial in range(200):
         if len(lines) == 3:
@@ -414,17 +399,11 @@ def _lambda_cubed_candidates(g: MPoly, q0: MPoly, cusps, g_lines):
         ql3 = _restrict_to_line(q03, alpha, beta)
         if gl.degree() != 6 or ql3.degree() != 6:
             continue
-        samples = _interp_points(12)
-        dets = []
-        for mj in samples:
-            u = gl - ql3 * Cyclo(mj)
-            uc = list(u.coeffs) + [C_ZERO] * (7 - len(u.coeffs))
-            du = [uc[i] * i for i in range(1, 7)]
-            dets.append(_formal_sylvester_det(uc, du, 6, 5))
-        if all(d.is_zero() for d in dets):
+        u = gl.to_mpoly("t", tm) - ql3.to_mpoly("t", tm) * m
+        disc = resultant(u, u.derivative("t"), "t")
+        if disc.is_zero():
             continue
-        coeffs = _newton_interpolate(samples, dets)
-        lines.append(UPoly(coeffs))
+        lines.append(UPoly.from_mpoly(disc, "m"))
     if not lines:
         return None
     g_m = lines[0]
@@ -662,7 +641,7 @@ def table1_construct(k: int, params, seed=None):
     y06 = MPoly.monomial(v, (6, 0, 0))
     try:
         F = diff.divide_exact(y06)
-    except Exception as err:
+    except NotDivisible as err:
         raise DivisibilityFailure(str(err)) from err
     return f, gp, F
 
@@ -674,8 +653,6 @@ def table1_cusp_count(f: MPoly, gp: MPoly) -> int:
     are counted by scheme elimination, and the construction places one
     more cusp at each distinct zero of both restrictions to y0 = 0
     (the roots of the shared binary form u)."""
-    from .adjunction import CuspScheme
-
     return CuspScheme(f, gp, "y0", include_line=True).count()
 
 
@@ -706,8 +683,6 @@ def seeded_torus_sextic(seed: int):
     resulting curve has exactly six cusps and nothing else.  The returned
     profile carries the classified cusps.
     """
-    from .adjunction import singular_points
-
     for attempt in range(64):
         rng = random.Random(f"torus-sextic:{seed}:{attempt}")
         ts = sorted(rng.sample(range(-6, 7), 6))
@@ -732,7 +707,7 @@ def seeded_torus_sextic(seed: int):
         g = q * q * q + c * c
         try:
             classified = singular_points(g)
-        except Exception:
+        except IncompleteLocus:
             continue
         if len(classified) == 6 and all(p.kind == "cusp" for p in classified):
             return CurveProfile(g, points=classified), q, c

@@ -90,6 +90,13 @@ class TestSingularPoints:
         with pytest.raises(IncompleteLocus):
             singular_points(g)
 
+    def test_multiple_component_raises(self):
+        # the double line x = y is singular everywhere: every chart
+        # resultant of the partials vanishes
+        with pytest.raises(IncompleteLocus) as err:
+            singular_points(poly("(x - y)^2*(x^4 + y^4 + z^4)"))
+        assert err.value.unexplained == -1 and err.value.found == []
+
     def test_node_at_infinity(self):
         # z^2 y = x^2 (x + y) has a singular point at (0 : 1 : 0)
         pts = singular_points(poly("z^2*y - x^3 - x^2*y"))

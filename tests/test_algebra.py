@@ -8,7 +8,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curvelattice import torus
+from curvelattice import algebra, torus
 from curvelattice.algebra import (
     C_ONE,
     C_ZERO,
@@ -241,6 +241,62 @@ class TestResultant:
             with_omega += any(not c.is_rational() for f in (p, q) for c in f.terms.values())
         assert with_omega
 
+    def test_leading_coefficient_vanishing_at_a_sample(self):
+        # the interpolation samples are 0, 1, -1, 2, ...; at y = 0 and at
+        # y = 1 the leading coefficients in x vanish, so those Sylvester
+        # matrices are taken at the formal degrees 3 and 2
+        x, y = sympy.symbols("x y")
+        p = parse_poly("y*x^3 + x + 1", ("x", "y"))
+        q = parse_poly("(y - 1)*x^2 + y*x + w", ("x", "y"))
+        got = resultant(p, q, "x")
+        ours = sum(to_sympy(c) * y ** e[0] for e, c in got.terms.items())
+        oracle = sympy.Matrix(
+            [
+                [y, 0, 1, 1, 0],
+                [0, y, 0, 1, 1],
+                [y - 1, y, W, 0, 0],
+                [0, y - 1, y, W, 0],
+                [0, 0, y - 1, y, W],
+            ]
+        ).det()
+        assert reduce_omega(ours - oracle) == 0
+
+    def test_matches_sympy_on_random_trivariate(self):
+        # two variables stay active after eliminating x: the resultant is
+        # the fraction-free determinant of the MPoly Sylvester matrix
+        from sympy.polys.subresultants_qq_zz import sylvester
+
+        x, y, z = sympy.symbols("x y z")
+
+        def to_sym(p):
+            return sum(
+                to_sympy(c) * x ** e[0] * y ** e[1] * z ** e[2]
+                for e, c in p.terms.items()
+            )
+
+        rng = random.Random(7)
+        checked = with_omega = 0
+        while checked < 6:
+            p = rand_poly(rng, XYZ, deg=3, terms=4, with_omega=checked % 2 == 1)
+            q = rand_poly(rng, XYZ, deg=3, terms=4, with_omega=checked % 2 == 1)
+            if p.degree_in("x") <= 0 or q.degree_in("x") <= 0:
+                continue
+            got = resultant(p, q, "x")
+            if got.degree_in("y") <= 0 or got.degree_in("z") <= 0:
+                continue
+            ours = sum(
+                to_sympy(c) * y ** e[0] * z ** e[1] for e, c in got.terms.items()
+            )
+            sp, sq = to_sym(p), to_sym(q)
+            if all(c.is_rational() for f in (p, q) for c in f.terms.values()):
+                oracle = sympy.resultant(sp, sq, x)
+            else:
+                oracle = sylvester(sp, sq, x).det(method="domain-ge")
+                with_omega += 1
+            assert reduce_omega(ours - oracle) == 0
+            checked += 1
+        assert with_omega
+
 
 @st.composite
 def qomega_matrices(draw):
@@ -279,8 +335,8 @@ class TestDetCyclo:
         assert reduce_omega(to_sympy(det_cyclo(rows)) - sympy_det(rows)) == 0
 
     def test_matches_sympy_on_nine_cusp_sylvester(self, monkeypatch):
-        # one 11x11 formal Sylvester matrix, as _lambda_cubed_candidates
-        # builds it for a conic with w coefficients through six of the nine
+        # one 11x11 formal Sylvester matrix, as the discriminant of
+        # _lambda_cubed_candidates reaches det_cyclo for a conic with w coefficients through six of the nine
         # cusps of x^6 - 2x^3y^3 - 2x^3z^3 + y^6 - 2y^3z^3 + z^6
         g = parse_poly("x^6 - 2*x^3*y^3 - 2*x^3*z^3 + y^6 - 2*y^3*z^3 + z^6", XYZ)
         cusps = [
@@ -300,7 +356,7 @@ class TestDetCyclo:
             matrices.append(m)
             return det_cyclo(m)
 
-        monkeypatch.setattr(torus, "det_cyclo", record)
+        monkeypatch.setattr(algebra, "det_cyclo", record)
         torus._lambda_cubed_candidates(g, q0, cusps, {})
         m = next(m for m in matrices if any(not c.is_rational() for r in m for c in r))
         assert len(m) == 11 and all(len(r) == 11 for r in m)

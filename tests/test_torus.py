@@ -1,9 +1,13 @@
 """Tests for quasi-toric decompositions, the orbit pairing, and Table 1."""
 
+from itertools import combinations
+
 import pytest
 
+from curvelattice import torus
 from curvelattice.adjunction import CurveProfile
-from curvelattice.algebra import MPoly, parse_poly
+from curvelattice.algebra import Cyclo, MPoly, parse_poly, render
+from curvelattice.linalg import rank
 from curvelattice.torus import (
     QuasiToricPoint,
     find_toric_sextic,
@@ -198,6 +202,94 @@ class TestFindToricSextic:
         r1 = find_toric_sextic(profile)
         r2 = find_toric_sextic(profile)
         assert r1.points == r2.points
+
+
+# _lambda_cubed_candidates per conic through six cusps, as rendered
+# polynomials in m; None where no trial line is usable for the conic (every
+# trial line meets xz and yz at infinity on z = 0)
+NINE_CUSP_CANDIDATES = {
+    "x*y": "m^2 + 113/8*m + 81/2",
+    "x*z": None,
+    "y*z": None,
+    "x^2 + (-1 - w)*x*y + (-1 - w)*x*z + w*y^2 + w*y*z + w*z^2":
+        "m^2 + (-13/3 - 2/3*w)*m + (4/3 + 8/3*w)",
+    "x^2 + (-1 - w)*x*y + w*x*z + w*y^2 + y*z + (-1 - w)*z^2":
+        "m^2 + (-13/3 - 2/3*w)*m + (4/3 + 8/3*w)",
+    "x^2 + (-1 - w)*x*y + x*z + w*y^2 + (-1 - w)*y*z + z^2":
+        "m^2 + (-13/3 - 2/3*w)*m + (4/3 + 8/3*w)",
+    "x^2 + w*x*y + (-1 - w)*x*z + (-1 - w)*y^2 + y*z + w*z^2":
+        "m^2 + (-11/3 + 2/3*w)*m + (-4/3 - 8/3*w)",
+    "x^2 + w*x*y + w*x*z + (-1 - w)*y^2 + (-1 - w)*y*z + (-1 - w)*z^2":
+        "m^2 + (-11/3 + 2/3*w)*m + (-4/3 - 8/3*w)",
+    "x^2 + w*x*y + x*z + (-1 - w)*y^2 + w*y*z + z^2":
+        "m^2 + (-11/3 + 2/3*w)*m + (-4/3 - 8/3*w)",
+    "x^2 + x*y + (-1 - w)*x*z + y^2 + (-1 - w)*y*z + w*z^2": "m^2 - 7*m + 12",
+    "x^2 + x*y + w*x*z + y^2 + w*y*z + (-1 - w)*z^2": "m^2 - 7*m + 12",
+    "x^2 + x*y + x*z + y^2 + y*z + z^2": "m^2 - 7*m + 12",
+}
+TORUS_0_CANDIDATES = {"x*z - y^2": "m^2 + 631801/90000*m - 721801/90000"}
+
+
+def lambda_cubed_candidates(profile):
+    """{rendered conic: (conic, candidate UPoly or None)} over the conics
+    through six of the profile's cusps."""
+    cusps = [p.point for p in profile.points if p.kind == "cusp"]
+    rows = [torus._conic_row(p, XYZ) for p in cusps]
+    conics = {}
+    for sub in combinations(rows, 6):
+        q0 = torus._conic_through(sub, XYZ)
+        if q0 is not None:
+            conics[render(q0)] = q0
+    g_lines = {}
+    return {
+        name: (q0, torus._lambda_cubed_candidates(profile.g, q0, cusps, g_lines))
+        for name, q0 in conics.items()
+    }
+
+
+def rendered(cand):
+    return None if cand is None else render(cand.to_mpoly("m", ("m",)))
+
+
+def is_line_pair(q0):
+    """A conic is a line pair when its symmetric matrix is singular."""
+    def c(*e):
+        return q0.terms.get(e, Cyclo(0))
+
+    m = [
+        [c(2, 0, 0) * 2, c(1, 1, 0), c(1, 0, 1)],
+        [c(1, 1, 0), c(0, 2, 0) * 2, c(0, 1, 1)],
+        [c(1, 0, 1), c(0, 1, 1), c(0, 0, 2) * 2],
+    ]
+    return rank(m) < 3
+
+
+class TestLambdaCubedCandidates:
+    def test_nine_cusp_pinned(self):
+        got = lambda_cubed_candidates(CurveProfile(NINE_CUSP))
+        assert {k: rendered(c) for k, (_q, c) in got.items()} == NINE_CUSP_CANDIDATES
+        # g - m q^3 is a square for m = -4 on the line pair xy and for
+        # m = 4 on the nine smooth conics
+        pairs = smooth = 0
+        for q0, cand in got.values():
+            if cand is None:
+                continue
+            if is_line_pair(q0):
+                assert cand.eval(-4).is_zero()
+                pairs += 1
+            else:
+                assert cand.eval(4).is_zero()
+                smooth += 1
+        assert (pairs, smooth) == (1, 9)
+
+    def test_torus_sextic_pinned(self):
+        profile, q, c = seeded_torus_sextic(0)
+        got = lambda_cubed_candidates(profile)
+        assert {k: rendered(c) for k, (_q, c) in got.items()} == TORUS_0_CANDIDATES
+        # g = q^3 + c^2 and q = s*q0, so g - s^3 q0^3 is the square c^2
+        (q0, cand), = got.values()
+        s = q.leading_coeff() / q0.leading_coeff()
+        assert cand.eval(s * s * s).is_zero()
 
 
 class TestSeededSextic:
