@@ -19,6 +19,7 @@ algebra instead of point coordinates.
 
 from __future__ import annotations
 
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from math import gcd as int_gcd
 
@@ -27,13 +28,10 @@ import sympy
 from .algebra import (
     C_ONE,
     C_ZERO,
-    Cyclo,
     MPoly,
     ProjPoint,
     UPoly,
-    gcd as poly_gcd,
     qomega_roots,
-    render,
     resultant,
 )
 from .linalg import kernel_basis, rank as matrix_rank
@@ -56,17 +54,12 @@ class UnclassifiedPoint(ValueError):
     """A singular point needs a user-supplied classification."""
 
 
+@dataclass(frozen=True, slots=True)
 class Functional:
     """A linear functional on forms: a derivative order evaluated at a point."""
 
-    __slots__ = ("point", "order")
-
-    def __init__(self, point: ProjPoint, order=(0, 0, 0)):
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "order", tuple(order))
-
-    def __setattr__(self, *args):
-        raise AttributeError("Functional values are immutable")
+    point: ProjPoint
+    order: tuple = (0, 0, 0)
 
     def row(self, monomials, variables):
         """Evaluation row of this functional against a monomial list."""
@@ -80,33 +73,25 @@ class Functional:
         return out
 
 
+@dataclass(frozen=True, slots=True)
 class ClassifiedPoint:
     """A singular point with its quasiadjunction data.
 
     kind is "node", "cusp", or "custom"; custom points carry an explicit
-    map alpha -> list of Functional and may declare themselves of ADE
-    type (nodes and cusps always are).
+    map from Fraction alpha to a list of Functional and may declare
+    themselves of ADE type (nodes and cusps always are).
     """
 
-    __slots__ = ("point", "kind", "custom", "ade")
+    point: ProjPoint
+    kind: str
+    custom: dict | None = None
+    ade: bool | None = None
 
-    def __init__(self, point: ProjPoint, kind: str, custom=None, ade=None):
-        kind = kind.lower()
-        if kind not in ("node", "cusp", "custom", "unclassified"):
-            raise ValueError(f"unknown singularity kind {kind!r}")
-        if ade is None:
-            ade = kind in ("node", "cusp")
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "ade", bool(ade))
-        object.__setattr__(
-            self,
-            "custom",
-            {Fraction(a): list(fs) for a, fs in (custom or {}).items()},
-        )
-
-    def __setattr__(self, *args):
-        raise AttributeError("ClassifiedPoint values are immutable")
+    def __post_init__(self):
+        if self.kind not in ("node", "cusp", "custom", "unclassified"):
+            raise ValueError(f"unknown singularity kind {self.kind!r}")
+        if self.ade is None:
+            object.__setattr__(self, "ade", self.kind in ("node", "cusp"))
 
     def conditions_at(self, alpha: Fraction):
         if self.kind == "unclassified":
@@ -117,18 +102,7 @@ class ClassifiedPoint:
             if alpha == Fraction(5, 6):
                 return [Functional(self.point)]
             return []
-        return list(self.custom.get(alpha, []))
-
-    def local_jacobian_length(self):
-        """Length of the local Jacobian scheme (used for completeness checks)."""
-        if self.kind == "node":
-            return 1
-        if self.kind == "cusp":
-            return 2
-        return None
-
-    def __repr__(self):
-        return f"ClassifiedPoint({self.point!r}, {self.kind!r})"
+        return list((self.custom or {}).get(alpha, []))
 
 
 def conditions_at(alpha, points):
@@ -304,6 +278,7 @@ def classify_point(g: MPoly, point: ProjPoint) -> ClassifiedPoint:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
 class CuspScheme:
     """A reduced set of cusps cut out by two forms, away from a line.
 
@@ -318,22 +293,20 @@ class CuspScheme:
     rational even when the roots themselves are not.
     """
 
-    __slots__ = (
-        "gen_a", "gen_b", "sat_var", "include_line", "_count", "_hilbert"
+    gen_a: MPoly
+    gen_b: MPoly
+    sat_var: str
+    include_line: bool = False
+    # memo of count() under "count" and of vanishing_dim(m) under m
+    _cache: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def __init__(self, gen_a: MPoly, gen_b: MPoly, sat_var: str,
-                 include_line=False):
-        if gen_a.vars != gen_b.vars or len(gen_a.vars) != 3:
+    def __post_init__(self):
+        if self.gen_a.vars != self.gen_b.vars or len(self.gen_a.vars) != 3:
             raise ValueError("cusp scheme needs two ternary forms")
-        if sat_var not in gen_a.vars:
+        if self.sat_var not in self.gen_a.vars:
             raise ValueError("unknown saturation variable")
-        object.__setattr__(self, "gen_a", gen_a)
-        object.__setattr__(self, "gen_b", gen_b)
-        object.__setattr__(self, "sat_var", sat_var)
-        object.__setattr__(self, "include_line", bool(include_line))
-        object.__setattr__(self, "_count", None)
-        object.__setattr__(self, "_hilbert", {})
 
     def _line_divisor(self):
         """(squarefree affine gcd of the restrictions, root-at-(1:0) flag)."""
@@ -352,14 +325,11 @@ class CuspScheme:
         has_inf = ua.degree() < a0.degree() and ub.degree() < b0.degree()
         return g, has_inf
 
-    def __setattr__(self, *args):
-        raise AttributeError("CuspScheme values are immutable")
-
     def count(self) -> int:
         """Number of cusps: distinct projected directions of the common
         zeros off the saturation line, maximized over projection centers."""
-        if self._count is not None:
-            return self._count
+        if "count" in self._cache:
+            return self._cache["count"]
         a, b = self.gen_a, self.gen_b
         sv = self.sat_var
         rest = [v for v in a.vars if v != sv]
@@ -405,13 +375,13 @@ class CuspScheme:
             best = max(best, count)
         if self.include_line:
             best += on_line
-        object.__setattr__(self, "_count", best)
+        self._cache["count"] = best
         return best
 
     def vanishing_dim(self, m: int) -> int:
         """Dimension of degree-m forms vanishing on the (saturated) scheme."""
-        if m in self._hilbert:
-            return self._hilbert[m]
+        if m in self._cache:
+            return self._cache[m]
         val = None
         stable = 0
         n = 1
@@ -422,7 +392,7 @@ class CuspScheme:
             else:
                 val, stable = cur, 0
             n += 1
-        self._hilbert[m] = val
+        self._cache[m] = val
         return val
 
     def _saturation_piece(self, m: int, n: int) -> int:
@@ -531,6 +501,7 @@ def _binary_to_upoly(r: MPoly, rest) -> UPoly:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
 class CurveProfile:
     """A squarefree plane curve with classified singularity data.
 
@@ -539,31 +510,32 @@ class CurveProfile:
     irreducible components, declared by the caller (default 1).
     """
 
-    __slots__ = ("g", "d", "points", "scheme", "components")
+    g: MPoly
+    points: list | None = None
+    scheme: CuspScheme | None = None
+    components: int = 1
+    check_squarefree: InitVar[bool] = True
 
-    def __init__(self, g: MPoly, points=None, scheme=None, components=1,
-                 check_squarefree=True):
+    def __post_init__(self, check_squarefree):
+        g, points = self.g, self.points
         if len(g.vars) != 3 or g.is_zero():
             raise ValueError("expected a nonzero ternary form")
         if not g.is_homogeneous():
             raise ValueError("curve polynomial must be homogeneous")
         if check_squarefree and not _squarefree_on_generic_line(g):
             raise ValueError("curve polynomial is not squarefree")
-        if points is None and scheme is None:
+        if points is None and self.scheme is None:
             points = singular_points(g)
+            object.__setattr__(self, "points", points)
         if points is not None:
             grads = [g.derivative(v) for v in g.vars]
             for cp in points:
                 if not all(p.eval(cp.point.coords).is_zero() for p in grads):
                     raise ValueError(f"{cp.point!r} is not singular on the curve")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "d", g.degree())
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "scheme", scheme)
-        object.__setattr__(self, "components", int(components))
 
-    def __setattr__(self, *args):
-        raise AttributeError("CurveProfile values are immutable")
+    @property
+    def d(self) -> int:
+        return self.g.degree()
 
     def cusp_count(self) -> int:
         if self.scheme is not None:
@@ -640,22 +612,13 @@ def defect_table(profile: CurveProfile):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
 class AlexanderPoly:
-    """Vanishing orders of the Alexander polynomial at zeta(alpha)."""
+    """Vanishing orders of the Alexander polynomial at zeta(alpha): a map
+    from Fraction alpha to its nonzero order, and the rendered product."""
 
-    __slots__ = ("orders", "rendered")
-
-    def __init__(self, orders, rendered):
-        object.__setattr__(
-            self, "orders", {Fraction(a): int(o) for a, o in orders.items() if o}
-        )
-        object.__setattr__(self, "rendered", rendered)
-
-    def __setattr__(self, *args):
-        raise AttributeError("AlexanderPoly values are immutable")
-
-    def __repr__(self):
-        return f"AlexanderPoly({self.rendered})"
+    orders: dict
+    rendered: str
 
 
 def ord_at(delta: AlexanderPoly, alpha) -> int:

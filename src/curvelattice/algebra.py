@@ -15,6 +15,7 @@ inside Q(w).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
@@ -75,17 +76,16 @@ def frac_nth_root(x: Fraction, n: int):
     return -r if neg else r
 
 
+@dataclass(frozen=True, slots=True)
 class Cyclo:
     """An element a + b*w of Q(w), with w^2 = -w - 1."""
 
-    __slots__ = ("a", "b")
+    a: Fraction
+    b: Fraction
 
     def __init__(self, a=0, b=0):
         object.__setattr__(self, "a", _as_fraction(a))
         object.__setattr__(self, "b", _as_fraction(b))
-
-    def __setattr__(self, *args):
-        raise AttributeError("Cyclo values are immutable")
 
     # -- predicates -------------------------------------------------------
     def is_zero(self) -> bool:
@@ -189,7 +189,6 @@ def render_coeff(c: Cyclo) -> str:
         if c.b == 1:
             return "w"
         return f"{c.b}*w"
-    bpart = "w" if c.b == 1 else f"{c.b}*w" if c.b > 0 else f"({c.b})*w"
     if c.b > 0:
         return f"({c.a} + {c.b}*w)" if c.b != 1 else f"({c.a} + w)"
     return f"({c.a} - {-c.b}*w)" if c.b != -1 else f"({c.a} - w)"
@@ -211,6 +210,7 @@ def _grlex_key(exps):
     return (sum(exps), exps)
 
 
+@dataclass(frozen=True, slots=True)
 class MPoly:
     """Sparse multivariate polynomial over Q(w).
 
@@ -218,7 +218,8 @@ class MPoly:
     are treated as immutable; all operations return new polynomials.
     """
 
-    __slots__ = ("vars", "terms")
+    vars: tuple
+    terms: dict
 
     def __init__(self, variables, terms=None):
         object.__setattr__(self, "vars", tuple(variables))
@@ -234,9 +235,6 @@ class MPoly:
                     raise AlgebraError("exponent vector length mismatch")
                 clean[exps] = c
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *args):
-        raise AttributeError("MPoly values are immutable")
 
     # -- constructors -----------------------------------------------------
     @staticmethod
@@ -361,11 +359,6 @@ class MPoly:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    def __eq__(self, other):
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))
@@ -1004,19 +997,18 @@ def resultant(p: MPoly, q: MPoly, var, degree_bound=None) -> MPoly:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
 class UPoly:
-    """Dense univariate polynomial over Q(w), coefficients low -> high."""
+    """Dense univariate polynomial over Q(w), coefficients low -> high;
+    equal coefficient tuples make equal polynomials."""
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple
 
     def __init__(self, coeffs):
         cs = [Cyclo._coerce(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *args):
-        raise AttributeError("UPoly values are immutable")
 
     @staticmethod
     def from_mpoly(p: MPoly, var) -> "UPoly":
@@ -1258,11 +1250,12 @@ def is_weighted_homogeneous(p: MPoly, weights) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
 class ProjPoint:
     """Point of P^2 over Q(w); canonical form scales the last nonzero
     coordinate to 1."""
 
-    __slots__ = ("coords",)
+    coords: tuple
 
     def __init__(self, coords):
         cs = [Cyclo._coerce(c) for c in coords]
@@ -1277,17 +1270,6 @@ class ProjPoint:
             raise AlgebraError("(0:0:0) is not a projective point")
         inv = cs[last].inverse()
         object.__setattr__(self, "coords", tuple(c * inv for c in cs))
-
-    def __setattr__(self, *args):
-        raise AttributeError("ProjPoint values are immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjPoint):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
 
     def __repr__(self):
         return "(" + " : ".join(str(c) for c in self.coords) + ")"

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import adjunction, lattice, mordellweil, spectrum, torus, weierstrass
-from .algebra import AlgebraError, MPoly, parse_poly, render
+from .algebra import AlgebraError, parse_poly, render
 
 SCHEMA = "curvelattice/1"
 

@@ -14,6 +14,7 @@ over i < j on the diagonalized form.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import sympy
@@ -37,13 +38,14 @@ class PrereqFailed(ValueError):
     """A Zariski-certificate precondition is violated."""
 
 
+@dataclass(frozen=True, slots=True)
 class QuadForm:
     """A symmetric rational matrix viewed as a quadratic form."""
 
-    __slots__ = ("m",)
+    m: list
 
-    def __init__(self, rows):
-        m = [[Fraction(x) for x in row] for row in rows]
+    def __post_init__(self):
+        m = [[Fraction(x) for x in row] for row in self.m]
         n = len(m)
         if any(len(row) != n for row in m):
             raise ValueError("matrix must be square")
@@ -52,9 +54,6 @@ class QuadForm:
                 if m[i][j] != m[j][i]:
                     raise ValueError("matrix must be symmetric")
         object.__setattr__(self, "m", m)
-
-    def __setattr__(self, *args):
-        raise AttributeError("QuadForm values are immutable")
 
     @property
     def n(self):
@@ -157,21 +156,13 @@ def shortest_vectors(gram):
 _NOTE = "identification by invariant matching, not an isometry proof"
 
 
+@dataclass(frozen=True, slots=True)
 class LatticeId:
     """Identification verdict with its evidence tuple."""
 
-    __slots__ = ("tag", "evidence", "note")
-
-    def __init__(self, tag, evidence):
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "evidence", tuple(evidence))
-        object.__setattr__(self, "note", _NOTE)
-
-    def __setattr__(self, *args):
-        raise AttributeError("LatticeId values are immutable")
-
-    def __repr__(self):
-        return f"LatticeId({self.tag}, evidence={self.evidence})"
+    tag: str
+    evidence: tuple
+    note: str = field(default=_NOTE, init=False)
 
 
 def _table():
@@ -405,31 +396,17 @@ INDEX_ASSUMPTION = (
 )
 
 
+@dataclass(frozen=True, slots=True)
 class CurveSummary:
-    """Deformation-invariant data of a curve used for certification."""
+    """Deformation-invariant data of a curve used for certification.
 
-    __slots__ = (
-        "degree",
-        "inventory",
-        "alexander_orders",
-        "delta_one_sixth",
-        "rank_prediction",
-    )
+    alexander_orders maps Fraction alpha to an int order."""
 
-    def __init__(self, degree, inventory, alexander_orders, delta_one_sixth,
-                 rank_prediction):
-        object.__setattr__(self, "degree", int(degree))
-        object.__setattr__(self, "inventory", dict(inventory))
-        object.__setattr__(
-            self,
-            "alexander_orders",
-            {Fraction(a): int(o) for a, o in alexander_orders.items()},
-        )
-        object.__setattr__(self, "delta_one_sixth", int(delta_one_sixth))
-        object.__setattr__(self, "rank_prediction", int(rank_prediction))
-
-    def __setattr__(self, *args):
-        raise AttributeError("CurveSummary values are immutable")
+    degree: int
+    inventory: dict
+    alexander_orders: dict
+    delta_one_sixth: int
+    rank_prediction: int
 
     @classmethod
     def from_profile(cls, profile):

@@ -14,6 +14,7 @@ d and sum over 0 <= alpha < 1 of nu(alpha) * delta_alpha vanishes
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
 
@@ -34,6 +35,7 @@ class DegreeParity(ValueError):
     """The hyperelliptic formula needs an even curve degree."""
 
 
+@dataclass(frozen=True, slots=True)
 class RankReport:
     """Outcome of a rank computation.
 
@@ -42,27 +44,17 @@ class RankReport:
     (nu(alpha)+nu(alpha-1)) * ord(alpha).
     """
 
-    __slots__ = ("applicable", "obstruction", "rank", "contributions")
+    applicable: bool
+    obstruction: dict
+    rank: int
+    contributions: dict
 
-    def __init__(self, applicable, obstruction, rank, contributions):
-        object.__setattr__(self, "applicable", bool(applicable))
-        object.__setattr__(self, "obstruction", dict(obstruction))
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(
-            self, "contributions", {Fraction(a): v for a, v in contributions.items()}
-        )
-        if applicable and rank != sum(contributions.values()):
+    def __post_init__(self):
+        if self.applicable and self.rank != sum(self.contributions.values()):
             raise ValueError(
-                f"rank {rank} is not the sum of the contributions {contributions}"
+                f"rank {self.rank} is not the sum of the contributions "
+                f"{self.contributions}"
             )
-
-    def __setattr__(self, *args):
-        raise AttributeError("RankReport values are immutable")
-
-    def __repr__(self):
-        if self.applicable:
-            return f"RankReport(rank={self.rank})"
-        return f"RankReport(not applicable, obstruction={self.obstruction})"
 
 
 def effective_wdeg(f: WeightedPoly) -> int:

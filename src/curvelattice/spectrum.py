@@ -10,12 +10,12 @@ mu = (d - w1)(d - w2)/(w1 w2).
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd as int_gcd
 
 from .algebra import (
     C_ZERO,
-    Cyclo,
     MPoly,
     UPoly,
     is_weighted_homogeneous,
@@ -28,27 +28,27 @@ class NotIsolated(ValueError):
     """The Jacobian ideal does not have finite colength."""
 
 
+@dataclass(frozen=True, slots=True)
 class WeightedPoly:
-    """A weighted-homogeneous polynomial in two variables with its weights."""
+    """A weighted-homogeneous polynomial in two variables with its integer
+    weights (w1, w2) and its weighted degree wdeg."""
 
-    __slots__ = ("f", "weights", "wdeg")
+    f: MPoly
+    weights: tuple
+    wdeg: int = field(init=False)
 
-    def __init__(self, f: MPoly, weights):
+    def __post_init__(self):
+        f = self.f
         if len(f.vars) != 2:
             raise ValueError("weighted polynomials live in two variables")
-        w1, w2 = weights
+        w1, w2 = self.weights
         if w1 <= 0 or w2 <= 0:
             raise ValueError("weights must be positive")
         if f.is_zero():
             raise ValueError("the zero polynomial has no spectrum")
         if not is_weighted_homogeneous(f, (w1, w2)):
             raise ValueError("polynomial is not weighted homogeneous")
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "weights", (int(w1), int(w2)))
         object.__setattr__(self, "wdeg", weighted_degree(f, (w1, w2)))
-
-    def __setattr__(self, *args):
-        raise AttributeError("WeightedPoly values are immutable")
 
     def scaled(self, target_wdeg: int) -> "WeightedPoly":
         """Same polynomial with weights scaled so wdeg equals target_wdeg."""

@@ -19,6 +19,7 @@ by algebra.resultant.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -61,28 +62,26 @@ def _monomials2(d):
     return [(i, d - i) for i in range(d + 1)]
 
 
+@dataclass(frozen=True, slots=True)
 class QuasiToricPoint:
     """A decomposition Y^2 = X^3 + Z^6 g, canonicalized so that the
     graded-lex leading coefficient of Z is 1 (scalar action
-    (X, Y, Z) ~ (mu^2 X, mu^3 Y, mu Z))."""
+    (X, Y, Z) ~ (mu^2 X, mu^3 Y, mu Z)).  Points compare by key():
+    curve and k are context, not part of the point."""
 
-    __slots__ = ("X", "Y", "Z", "curve", "k")
+    X: MPoly
+    Y: MPoly
+    Z: MPoly
+    curve: MPoly
+    k: int
 
-    def __init__(self, X: MPoly, Y: MPoly, Z: MPoly, curve: MPoly, k: int):
-        if Z.is_zero():
+    def __post_init__(self):
+        if self.Z.is_zero():
             raise ValueError("Z must be nonzero")
-        mu = Z.leading_coeff().inverse()
-        X = X.scale(mu * mu)
-        Y = Y.scale(mu * mu * mu)
-        Z = Z.scale(mu)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "Z", Z)
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "k", int(k))
-
-    def __setattr__(self, *args):
-        raise AttributeError("QuasiToricPoint values are immutable")
+        mu = self.Z.leading_coeff().inverse()
+        object.__setattr__(self, "X", self.X.scale(mu * mu))
+        object.__setattr__(self, "Y", self.Y.scale(mu * mu * mu))
+        object.__setattr__(self, "Z", self.Z.scale(mu))
 
     @property
     def n(self) -> int:
@@ -100,12 +99,6 @@ class QuasiToricPoint:
 
     def __hash__(self):
         return hash(self.key())
-
-    def __repr__(self):
-        return (
-            f"QuasiToricPoint(X={render(self.X)}, Y={render(self.Y)}, "
-            f"Z={render(self.Z)})"
-        )
 
 
 def _coprime(p: MPoly, q: MPoly) -> bool:
@@ -266,17 +259,12 @@ def _pairing_gcd(p, q):
     return p.k + p.n + q.n - max(shared.degree(), 0)
 
 
+@dataclass(frozen=True, slots=True)
 class GramMatrix:
     """Pairwise height pairings of a list of points."""
 
-    __slots__ = ("basis", "entries")
-
-    def __init__(self, basis, entries):
-        object.__setattr__(self, "basis", list(basis))
-        object.__setattr__(self, "entries", [list(r) for r in entries])
-
-    def __setattr__(self, *args):
-        raise AttributeError("GramMatrix values are immutable")
+    basis: list
+    entries: list
 
     @property
     def size(self):
@@ -306,6 +294,7 @@ def gram(points) -> GramMatrix:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
 class ToricSearchResult:
     """Outcome of find_toric_sextic.
 
@@ -315,16 +304,10 @@ class ToricSearchResult:
     enumeration covered every candidate (always within Q(w)).
     """
 
-    __slots__ = ("points", "field_exhausted", "missing", "complete")
-
-    def __init__(self, points, field_exhausted, missing, complete):
-        object.__setattr__(self, "points", list(points))
-        object.__setattr__(self, "field_exhausted", bool(field_exhausted))
-        object.__setattr__(self, "missing", int(missing))
-        object.__setattr__(self, "complete", bool(complete))
-
-    def __setattr__(self, *args):
-        raise AttributeError("ToricSearchResult values are immutable")
+    points: list
+    field_exhausted: bool
+    missing: int
+    complete: bool
 
 
 def _conic_row(point, variables):

@@ -13,6 +13,8 @@ The height formulas are <S,S> = 2*chi + 2*(S.Z) and
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .algebra import MPoly, UPoly
 
 
@@ -75,14 +77,18 @@ def _to_upoly_any(p) -> UPoly:
     return UPoly([p])
 
 
+@dataclass(frozen=True, slots=True)
 class WeierstrassData:
-    """Coefficients (A, B) of y^2 = x^3 + A x + B with the twist degree k."""
+    """Coefficients (A, B) of y^2 = x^3 + A x + B with the twist degree k.
 
-    __slots__ = ("A", "B", "k")
+    A and B may be given as UPoly, univariate MPoly or scalars."""
 
-    def __init__(self, A, B, k: int):
-        A, B = _to_upoly_any(A), _to_upoly_any(B)
-        k = int(k)
+    A: UPoly
+    B: UPoly
+    k: int
+
+    def __post_init__(self):
+        A, B, k = _to_upoly_any(self.A), _to_upoly_any(self.B), self.k
         if k <= 0:
             raise ValueError("k must be positive")
         if A.degree() > 4 * k or B.degree() > 6 * k:
@@ -91,10 +97,6 @@ class WeierstrassData:
             raise Degenerate("discriminant vanishes identically")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
-        object.__setattr__(self, "k", k)
-
-    def __setattr__(self, *args):
-        raise AttributeError("WeierstrassData values are immutable")
 
     def disc(self) -> UPoly:
         return self.A * self.A * self.A * 4 + self.B * self.B * 27

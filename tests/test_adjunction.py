@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from curvelattice import adjunction
 from curvelattice.algebra import C_ONE, C_ZERO, OMEGA, ProjPoint, parse_poly
 from curvelattice.adjunction import (
     AlexanderPoly,
@@ -195,6 +196,28 @@ class TestCuspScheme:
         c = poly("x^3 + y^3 + z^3")
         sch = CuspScheme(q, c, "z")
         assert sch.count() == 6
+
+    def test_count_and_vanishing_dim_memoised(self, monkeypatch):
+        calls = {"resultant": 0, "matrix_rank": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(adjunction, name),
+                        **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(adjunction, name, counted)
+        q = poly("x^2 + y*z")
+        c = poly("x^3 + y^3 + z^3")
+        sch = CuspScheme(q, c, "z")
+        count, dim = sch.count(), sch.vanishing_dim(2)
+        first = dict(calls)
+        assert first["resultant"] > 0 and first["matrix_rank"] > 0
+        assert (sch.count(), sch.vanishing_dim(2)) == (count, dim)
+        assert calls == first
+        # a scheme built from the same forms has its own, empty memo
+        twin = CuspScheme(q, c, "z")
+        assert twin == sch
+        assert twin.count() == count
+        assert calls["resultant"] > first["resultant"]
 
     def test_scheme_defect_matches_point_route(self):
         g, q, c = six_cusp_sextic()

@@ -438,6 +438,24 @@ class TestWeightedDegree:
         assert is_weighted_homogeneous(q, (1, 2))
 
 
+class TestUPolyValue:
+    def test_equal_after_normalisation(self):
+        a = UPoly([1, 2, 0])
+        b = UPoly([Fraction(1), Cyclo(2)])
+        assert a is not b
+        assert a == b
+        assert hash(a) == hash(b)
+
+    def test_unequal_coefficients(self):
+        assert UPoly([1]) != UPoly([2])
+        assert UPoly([1, 1]) != UPoly([1])
+
+    def test_dict_key(self):
+        table = {UPoly([1, 2]): "p", UPoly([0]): "zero"}
+        assert table[UPoly([Cyclo(1), Cyclo(2), C_ZERO])] == "p"
+        assert table[UPoly([])] == "zero"
+
+
 class TestProjPoint:
     def test_canonical_representative(self):
         p = ProjPoint([Cyclo(2), Cyclo(4), Cyclo(2)])

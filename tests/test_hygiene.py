@@ -1,0 +1,73 @@
+"""Source hygiene of src/curvelattice, checked on the syntax tree.
+
+Stdlib only: no module imports a name it never uses, and no module uses
+an `assert` statement, because asserts vanish under `python -O` and the
+package's runtime invariants must raise.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "curvelattice"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _imported(tree):
+    """Names bound by import statements, with their line numbers."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                out[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _used(tree):
+    """Names read anywhere, including inside string annotations."""
+    used = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for ann in annotations:
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            used |= {
+                n.id
+                for n in ast.walk(ast.parse(ann.value, mode="eval"))
+                if isinstance(n, ast.Name)
+            }
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = _tree(path)
+    used = _used(tree)
+    unused = {n: line for n, line in _imported(tree).items() if n not in used}
+    assert unused == {}, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    lines = [n.lineno for n in ast.walk(_tree(path)) if isinstance(n, ast.Assert)]
+    assert lines == [], f"{path.name} has assert statements at lines {lines}"
+
+
+def test_modules_found():
+    assert MODULES, f"no modules under {SRC}"

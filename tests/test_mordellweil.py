@@ -14,7 +14,6 @@ from curvelattice.algebra import ProjPoint, parse_poly
 from curvelattice.mordellweil import (
     DegreeParity,
     NotApplicable,
-    RankReport,
     applicability,
     effective_wdeg,
     mw_rank,
@@ -161,8 +160,3 @@ class TestRankReport:
     def test_rank_equals_contribution_sum(self):
         rep = mw_rank(CUSP, NINE_CUSP)
         assert rep.rank == sum(rep.contributions.values())
-
-    def test_immutable(self):
-        rep = RankReport(True, {}, 0, {})
-        with pytest.raises(AttributeError):
-            rep.rank = 5
