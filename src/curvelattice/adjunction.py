@@ -19,7 +19,7 @@ algebra instead of point coordinates.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd as int_gcd
 
@@ -31,6 +31,7 @@ from .algebra import (
     MPoly,
     ProjPoint,
     UPoly,
+    echelon_zw,
     qomega_roots,
     resultant,
 )
@@ -128,7 +129,7 @@ def _upoly_gcd_many(polys):
     return g
 
 
-def singular_points(g: MPoly, classify=True):
+def singular_points(g: MPoly):
     """All singular points of V(g) with coordinates in Q(w), classified.
 
     Elimination: pairwise resultants of the partial derivatives in the
@@ -221,8 +222,6 @@ def singular_points(g: MPoly, classify=True):
     points = list(dict.fromkeys(points))
     if unexplained:
         raise IncompleteLocus(unexplained, points)
-    if not classify:
-        return [ClassifiedPoint(p, "unclassified") for p in points]
     return [classify_point(g, p) for p in points]
 
 
@@ -440,9 +439,11 @@ class CuspScheme:
                 col + [row[i] for row in line_rows]
                 for i, col in enumerate(v_cols)
             ]
-        dim_w = matrix_rank(_transpose(w_cols))
-        dim_vw = matrix_rank(_transpose(v_cols + w_cols))
-        return len(v_cols) + dim_w - dim_vw
+        # one elimination over the columns [W | V]: the pivots among the
+        # first len(w_cols) columns give dim W, all pivots dim(V + W)
+        pivots = echelon_zw(_transpose(w_cols + v_cols))[2]
+        dim_w = sum(1 for c in pivots if c < len(w_cols))
+        return len(v_cols) + dim_w - len(pivots)
 
     def _line_condition_rows(self, m: int, h_monos):
         """Rows expressing: the binary form h|_{sat_var=0} is divisible by
@@ -514,15 +515,14 @@ class CurveProfile:
     points: list | None = None
     scheme: CuspScheme | None = None
     components: int = 1
-    check_squarefree: InitVar[bool] = True
 
-    def __post_init__(self, check_squarefree):
+    def __post_init__(self):
         g, points = self.g, self.points
         if len(g.vars) != 3 or g.is_zero():
             raise ValueError("expected a nonzero ternary form")
         if not g.is_homogeneous():
             raise ValueError("curve polynomial must be homogeneous")
-        if check_squarefree and not _squarefree_on_generic_line(g):
+        if not _squarefree_on_generic_line(g):
             raise ValueError("curve polynomial is not squarefree")
         if points is None and self.scheme is None:
             points = singular_points(g)

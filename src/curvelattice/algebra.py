@@ -5,11 +5,11 @@ so w^2 + w + 1 = 0.  Elements are stored as a + b*w with rational a, b.
 Polynomials are sparse maps from exponent vectors to nonzero coefficients,
 ordered by graded lexicographic order on the declared variable list.
 
-Provides: parsing/rendering of polynomial expressions, subresultant gcd,
+Provides: parsing/rendering of polynomial expressions, primitive PRS gcd,
 the fraction-free Z[w] elimination behind every determinant, rank and
-kernel of a Q(w) matrix, Sylvester-determinant resultants, exact square
-roots of polynomials, and root extraction of univariate polynomials
-inside Q(w).
+kernel of a Q(w) matrix, Sylvester-determinant resultants by evaluation
+and interpolation, exact square roots of polynomials, and root
+extraction of univariate polynomials inside Q(w).
 """
 
 from __future__ import annotations
@@ -393,13 +393,18 @@ class MPoly:
     def subs(self, assignment) -> "MPoly":
         """Partial substitution var name -> Cyclo value; keeps the var list."""
         idx = {self.vars.index(k): Cyclo._coerce(v) for k, v in assignment.items()}
+        pows = {i: [C_ONE, v] for i, v in idx.items()}  # shared by all terms
         terms = {}
         for e, c in self.terms.items():
             t = c
             ne = list(e)
             for i, v in idx.items():
-                if e[i]:
-                    t = t * v ** e[i]
+                k = e[i]
+                if k:
+                    vp = pows[i]
+                    while len(vp) <= k:
+                        vp.append(vp[-1] * v)
+                    t = t * vp[k]
                 ne[i] = 0
             if t.is_zero():
                 continue
@@ -673,7 +678,7 @@ def render(p: MPoly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Content / primitive-part gcd with subresultant pseudo-remainders
+# Content / primitive-part gcd: a primitive polynomial remainder sequence
 # ---------------------------------------------------------------------------
 
 
@@ -749,7 +754,8 @@ def _gcd_inner(p: MPoly, q: MPoly) -> MPoly:
     pp = p.divide_exact(cont_p)
     qq = q.divide_exact(cont_q)
     cont_g = _gcd_inner(cont_p, cont_q)
-    # subresultant polynomial remainder sequence on primitive parts
+    # primitive polynomial remainder sequence: each pseudo-remainder is
+    # divided by its content, with no subresultant beta/psi factors
     a, b = pp, qq
     while True:
         r = _prem(a, b, var)
@@ -764,34 +770,6 @@ def _gcd_inner(p: MPoly, q: MPoly) -> MPoly:
 # ---------------------------------------------------------------------------
 # Determinants and resultants
 # ---------------------------------------------------------------------------
-
-
-def bareiss_det(rows):
-    """Fraction-free determinant of a square matrix of MPoly entries."""
-    n = len(rows)
-    if n == 0:
-        raise AlgebraError("empty matrix")
-    m = [list(r) for r in rows]
-    zero = MPoly.zero(m[0][0].vars)
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return zero
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num if prev is None else num.divide_exact(prev)
-            m[i][k] = zero
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
 
 
 def echelon_zw(rows, reduced=False):
@@ -893,14 +871,14 @@ def det_cyclo(rows) -> Cyclo:
     return echelon_det(rows)
 
 
-def sylvester(pc, qc, zero):
-    """Sylvester matrix of two coefficient lists, low -> high, at the
+def sylvester(pc, qc):
+    """Sylvester matrix of two scalar coefficient lists, low -> high, at the
     formal degrees len - 1; the p rows come before the q rows."""
     dp, dq = len(pc) - 1, len(qc) - 1
     rows = []
     for coeffs, d, shifts in ((pc, dp, dq), (qc, dq, dp)):
         for i in range(shifts):
-            row = [zero] * (dp + dq)
+            row = [C_ZERO] * (dp + dq)
             for k, c in enumerate(coeffs):
                 row[i + d - k] = c
             rows.append(row)
@@ -908,48 +886,45 @@ def sylvester(pc, qc, zero):
 
 
 def _interp_points(n):
-    pts = [Fraction(0)]
+    pts = [0]
     k = 1
     while len(pts) < n:
-        pts.append(Fraction(k))
+        pts.append(k)
         if len(pts) < n:
-            pts.append(Fraction(-k))
+            pts.append(-k)
         k += 1
     return pts[:n]
 
 
 def _newton_interpolate(xs, ys):
-    """Newton-form interpolation with Cyclo values; returns low->high coeffs."""
+    """Newton-form interpolation of Cyclo values at integer nodes; returns
+    low->high coeffs."""
     n = len(xs)
     divided = list(ys)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            divided[i] = (divided[i] - divided[i - 1]) / Cyclo(xs[i] - xs[i - j])
+            d = divided[i] - divided[i - 1]
+            step = xs[i] - xs[i - j]
+            divided[i] = Cyclo(d.a / step, d.b / step)
     coeffs = [C_ZERO] * n
     # build sum divided[j] * prod_{i<j} (t - xs[i]) as coefficient list
-    acc = [C_ONE]  # current product polynomial, low->high
-    for j in range(n):
+    acc = [1]  # current product polynomial, integer coefficients low->high
+    for j, dj in enumerate(divided):
         for i, c in enumerate(acc):
-            coeffs[i] = coeffs[i] + divided[j] * c
-        if j < n - 1:
-            # acc *= (t - xs[j])
-            new = [C_ZERO] * (len(acc) + 1)
-            for i, c in enumerate(acc):
-                new[i + 1] = new[i + 1] + c
-                new[i] = new[i] - c * Cyclo(xs[j])
-            acc = new
+            coeffs[i] = coeffs[i] + Cyclo(dj.a * c, dj.b * c)
+        # acc *= (t - xs[j])
+        acc = [a - b * xs[j] for a, b in zip([0] + acc, acc + [0])]
     return coeffs
 
 
 def resultant(p: MPoly, q: MPoly, var, degree_bound=None) -> MPoly:
     """Resultant with respect to var; Sylvester determinant convention.
 
-    Every branch reads one Sylvester matrix.  With a single remaining
-    active variable t it is evaluated at sample values of t and the
-    scalar determinants are interpolated (Collins, JACM 18, 1971);
-    degree_bound, when given, caps the resultant's degree in t (fewer
-    samples).  With more active variables the determinant is taken by
-    fraction-free elimination over the polynomial ring.
+    The determinant of the Sylvester matrix at the formal degrees is taken
+    by evaluation and interpolation (Collins, JACM 18, 1971), one remaining
+    active variable at a time, down to scalar matrices for det_cyclo.
+    degree_bound, when given, caps the resultant's degree in each remaining
+    variable (fewer samples).
     """
     if p.is_zero() or q.is_zero():
         raise AlgebraError("resultant of the zero polynomial")
@@ -966,30 +941,43 @@ def resultant(p: MPoly, q: MPoly, var, degree_bound=None) -> MPoly:
         return pc[0] ** dq
     if dq == 0:
         return qc[0] ** dp
-    active = [v for v in rest if any(c.degree_in(v) > 0 for c in pc + qc)]
-    if not active:
+    return _sylvester_det(pc, qc, degree_bound)
+
+
+def _sylvester_det(pc, qc, degree_bound):
+    """det sylvester(pc, qc) for coefficient lists of MPoly over one
+    variable list.  The first active variable t is set to integer samples
+    in the dp+dq+2 coefficients (never in the matrix entries), each sample
+    recurses, and each monomial's values are interpolated in t."""
+    variables = pc[0].vars
+    coeffs = pc + qc
+    t = next((v for v in variables if any(c.degree_in(v) > 0 for c in coeffs)), None)
+    if t is None:
         pv = [c.constant_coeff() for c in pc]
         qv = [c.constant_coeff() for c in qc]
-        return MPoly.const(rest, det_cyclo(sylvester(pv, qv, C_ZERO)))
-    if len(active) == 1:
-        t = active[0]
-        bound = (
-            dq * max(c.degree_in(t) for c in pc)
-            + dp * max(c.degree_in(t) for c in qc)
-            + 1
+        return MPoly.const(variables, det_cyclo(sylvester(pv, qv)))
+    dp, dq = len(pc) - 1, len(qc) - 1
+    bound = (
+        dq * max(0, *(c.degree_in(t) for c in pc))
+        + dp * max(0, *(c.degree_in(t) for c in qc))
+        + 1
+    )
+    if degree_bound is not None:
+        bound = min(bound, degree_bound + 1)
+    xs = _interp_points(bound)
+    values = [
+        _sylvester_det(
+            [c.subs({t: x}) for c in pc], [c.subs({t: x}) for c in qc], degree_bound
         )
-        if degree_bound is not None:
-            bound = min(bound, degree_bound + 1)
-        xs = _interp_points(bound)
-        pu = [UPoly.from_mpoly(c, t) for c in pc]
-        qu = [UPoly.from_mpoly(c, t) for c in qc]
-        ys = []
-        for x in xs:
-            pv = [c.eval(x) for c in pu]
-            qv = [c.eval(x) for c in qu]
-            ys.append(det_cyclo(sylvester(pv, qv, C_ZERO)))
-        return UPoly(_newton_interpolate(xs, ys)).to_mpoly(t, rest)
-    return bareiss_det(sylvester(pc, qc, zero))
+        for x in xs
+    ]
+    ti = variables.index(t)
+    terms = {}
+    for e in dict.fromkeys(e for v in values for e in v.terms):
+        ys = [v.terms.get(e, C_ZERO) for v in values]
+        for k, c in enumerate(_newton_interpolate(xs, ys)):
+            terms[e[:ti] + (k,) + e[ti + 1 :]] = c
+    return MPoly(variables, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,7 @@ class TestCuspScheme:
         assert sch.count() == 6
 
     def test_count_and_vanishing_dim_memoised(self, monkeypatch):
-        calls = {"resultant": 0, "matrix_rank": 0}
+        calls = {"resultant": 0, "echelon_zw": 0}
         for name in calls:
             def counted(*args, _name=name, _real=getattr(adjunction, name),
                         **kwargs):
@@ -210,7 +210,7 @@ class TestCuspScheme:
         sch = CuspScheme(q, c, "z")
         count, dim = sch.count(), sch.vanishing_dim(2)
         first = dict(calls)
-        assert first["resultant"] > 0 and first["matrix_rank"] > 0
+        assert first["resultant"] > 0 and first["echelon_zw"] > 0
         assert (sch.count(), sch.vanishing_dim(2)) == (count, dim)
         assert calls == first
         # a scheme built from the same forms has its own, empty memo

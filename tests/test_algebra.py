@@ -261,9 +261,56 @@ class TestResultant:
         ).det()
         assert reduce_omega(ours - oracle) == 0
 
+    def test_degree_bound_at_the_true_degree(self, monkeypatch):
+        # the Sylvester bound in y is 2*1 + 2*1 = 4, but Res_x(p, p + w*x)
+        # = Res_x(p, w*x) has degree 1 in y: capped at 1 it takes 2 samples
+        from sympy.polys.subresultants_qq_zz import sylvester
+
+        x, y = sympy.symbols("x y")
+        p = parse_poly("x^2 + y*x - y", ("x", "y"))
+        q = parse_poly("x^2 + (y + w)*x - y", ("x", "y"))
+        calls = []
+
+        def counted(rows):
+            calls.append(len(rows))
+            return det_cyclo(rows)
+
+        monkeypatch.setattr(algebra, "det_cyclo", counted)
+        free = resultant(p, q, "x")
+        unbounded = len(calls)
+        assert free.degree_in("y") == 1
+        bounded = resultant(p, q, "x", degree_bound=1)
+        assert bounded == free
+        assert (unbounded, len(calls) - unbounded) == (5, 2)
+        sp = y * x - y + x**2
+        sq = x**2 + (y + W) * x - y
+        ours = sum(to_sympy(c) * y ** e[0] for e, c in bounded.terms.items())
+        oracle = sylvester(sp, sq, x).det(method="domain-ge")
+        assert reduce_omega(ours - oracle) == 0
+
+    def test_leading_coefficient_vanishing_at_an_inner_sample(self):
+        # eliminating x leaves y (sampled first) and z (sampled inside each
+        # y sample); the leading coefficients z and 2z - 2 vanish at the
+        # inner samples z = 0 and z = 1, where the Sylvester matrices are
+        # taken at the formal degrees 3 and 2 (at z = 0 the actual degrees
+        # would lose a factor (-2)^2)
+        from sympy.polys.subresultants_qq_zz import sylvester
+
+        x, y, z = sympy.symbols("x y z")
+        p = parse_poly("z*x^3 + y*x + w", XYZ)
+        q = parse_poly("(2*z - 2)*x^2 + y*z*x + 1 + w*y", XYZ)
+        got = resultant(p, q, "x")
+        assert got.degree_in("y") > 0 and got.degree_in("z") > 0
+        ours = sum(to_sympy(c) * y ** e[0] * z ** e[1] for e, c in got.terms.items())
+        sp = z * x**3 + y * x + W
+        sq = (2 * z - 2) * x**2 + y * z * x + 1 + W * y
+        oracle = sylvester(sp, sq, x).det(method="domain-ge")
+        assert reduce_omega(ours - oracle) == 0
+
     def test_matches_sympy_on_random_trivariate(self):
         # two variables stay active after eliminating x: the resultant is
-        # the fraction-free determinant of the MPoly Sylvester matrix
+        # interpolated in y from samples that are themselves interpolated
+        # in z
         from sympy.polys.subresultants_qq_zz import sylvester
 
         x, y, z = sympy.symbols("x y z")

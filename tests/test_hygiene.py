@@ -1,16 +1,21 @@
 """Source hygiene of src/curvelattice, checked on the syntax tree.
 
-Stdlib only: no module imports a name it never uses, and no module uses
-an `assert` statement, because asserts vanish under `python -O` and the
-package's runtime invariants must raise.
+No module imports a name it never uses, and no module uses an `assert`
+statement, because asserts vanish under `python -O` and the package's
+runtime invariants must raise.  Every function the benchmark tracer wraps
+(bench/tracer.py TARGETS, read as text) still exists in the package, so a
+deletion or rename cannot break `bench/run.py --trace 1` unnoticed.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "curvelattice"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "curvelattice"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -71,3 +76,33 @@ def test_no_assert_statements(path):
 
 def test_modules_found():
     assert MODULES, f"no modules under {SRC}"
+
+
+def _tracer_targets():
+    """(module, attribute path) of each TARGETS entry in bench/tracer.py."""
+    tree = _tree(ROOT / "bench" / "tracer.py")
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return [
+                (entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts
+            ]
+    raise AssertionError("bench/tracer.py has no TARGETS list")
+
+
+def test_tracer_targets_resolve():
+    targets = _tracer_targets()
+    assert targets
+    unresolved = []
+    for module, path in targets:
+        obj = importlib.import_module(f"curvelattice.{module}")
+        for name in path.split("."):
+            obj = getattr(obj, name, None)
+        obj = getattr(obj, "__func__", obj)  # a classmethod binds its function
+        if not (
+            inspect.isfunction(obj)
+            and Path(inspect.getsourcefile(obj)).resolve().parent == SRC.resolve()
+        ):
+            unresolved.append(f"{module}.{path}")
+    assert unresolved == [], f"tracer targets not found in src/: {unresolved}"
