@@ -32,6 +32,7 @@ from .algebra import (
     ProjPoint,
     UPoly,
     echelon_zw,
+    gcd as poly_gcd,
     qomega_roots,
     resultant,
 )
@@ -296,7 +297,8 @@ class CuspScheme:
     gen_b: MPoly
     sat_var: str
     include_line: bool = False
-    # memo of count() under "count" and of vanishing_dim(m) under m
+    # memo of count() under "count", of _line_divisor() under
+    # "line_divisor" and of vanishing_dim(m) under m
     _cache: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -309,6 +311,11 @@ class CuspScheme:
 
     def _line_divisor(self):
         """(squarefree affine gcd of the restrictions, root-at-(1:0) flag)."""
+        if "line_divisor" not in self._cache:
+            self._cache["line_divisor"] = self._compute_line_divisor()
+        return self._cache["line_divisor"]
+
+    def _compute_line_divisor(self):
         sv = self.sat_var
         rest = [v for v in self.gen_a.vars if v != sv]
         a0 = self.gen_a.subs({sv: 0})
@@ -560,13 +567,17 @@ def _restrict_to_line(p: MPoly, alpha, beta):
 
 
 def _squarefree_on_generic_line(g: MPoly) -> bool:
+    """Whether g is squarefree: some line meets it in d distinct points or,
+    exactly, its partials have a constant gcd (by Euler's relation their
+    common factors divide g, and a repeated factor divides all three)."""
     d = g.degree()
     for beta in range(0, 5):
         for alpha in range(0, 5):
             u = _restrict_to_line(g, alpha, beta)
             if u.degree() == d and u.gcd(u.derivative()).degree() == 0:
                 return True
-    return False
+    gx, gy, gz = (g.derivative(v) for v in g.vars)
+    return poly_gcd(poly_gcd(gx, gy), gz).degree() == 0
 
 
 def defect(profile: CurveProfile, alpha) -> tuple:

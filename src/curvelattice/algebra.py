@@ -8,12 +8,14 @@ ordered by graded lexicographic order on the declared variable list.
 Provides: parsing/rendering of polynomial expressions, primitive PRS gcd,
 the fraction-free Z[w] elimination behind every determinant, rank and
 kernel of a Q(w) matrix, Sylvester-determinant resultants by evaluation
-and interpolation, exact square roots of polynomials, and root
-extraction of univariate polynomials inside Q(w).
+and interpolation, the univariate subresultant gcd over Z[w], exact
+square roots of polynomials, and root extraction of univariate
+polynomials inside Q(w).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -772,6 +774,24 @@ def _gcd_inner(p: MPoly, q: MPoly) -> MPoly:
 # ---------------------------------------------------------------------------
 
 
+def _zw_lift(cs):
+    """Scale Q(w) entries (Cyclo, int or Fraction) by the lcm of their
+    denominators into Z[w]; returns (a parts, b parts, lcm) as ints."""
+    cs = [c if isinstance(c, Cyclo) else Cyclo._coerce(c) for c in cs]
+    lcm = math.lcm(*(c.a.denominator for c in cs), *(c.b.denominator for c in cs))
+    return (
+        [c.a.numerator * (lcm // c.a.denominator) for c in cs],
+        [c.b.numerator * (lcm // c.b.denominator) for c in cs],
+        lcm,
+    )
+
+
+def _zw_conj_norm(a, b):
+    """conj(p) = (a - b) - b*w and N(p) = a^2 - a*b + b^2 of p = a + b*w:
+    p divides x in Z[w] exactly when N(p) divides both parts of x*conj(p)."""
+    return a - b, -b, a * a - a * b + b * b
+
+
 def echelon_zw(rows, reduced=False):
     """Fraction-free row echelon form over Z[w], exact on any shape and rank.
 
@@ -796,11 +816,10 @@ def echelon_zw(rows, reduced=False):
     den = 1
     A, B = [], []
     for r in rows:
-        r = [c if isinstance(c, Cyclo) else Cyclo._coerce(c) for c in r]
-        lcm = math.lcm(*(c.a.denominator for c in r), *(c.b.denominator for c in r))
+        ra, rb, lcm = _zw_lift(r)
         den *= lcm
-        A.append([c.a.numerator * (lcm // c.a.denominator) for c in r])
-        B.append([c.b.numerator * (lcm // c.b.denominator) for c in r])
+        A.append(ra)
+        B.append(rb)
     nrows = len(A)
     ncols = len(A[0]) if A else 0
     pivots = []
@@ -821,9 +840,7 @@ def echelon_zw(rows, reduced=False):
         Ak, Bk = A[k], B[k]
         pa, pb = Ak[c], Bk[c]
         if k:
-            # conj(prev) = (qa - qb) - qb*w and N(prev) = qa^2 - qa*qb + qb^2
-            ra, rb = qa - qb, -qb
-            norm = qa * qa - qa * qb + qb * qb
+            ra, rb, norm = _zw_conj_norm(qa, qb)
         for i in range(0 if reduced else k + 1, nrows):
             if i == k:
                 continue
@@ -981,7 +998,8 @@ def _sylvester_det(pc, qc, degree_bound):
 
 
 # ---------------------------------------------------------------------------
-# Univariate polynomials over Q(w) (internal helper representation)
+# Univariate polynomials over Q(w) (internal helper representation); gcd
+# and squarefree part by the fraction-free subresultant PRS over Z[w]
 # ---------------------------------------------------------------------------
 
 
@@ -1092,10 +1110,53 @@ class UPoly:
         return UPoly([c.conjugate() for c in self.coeffs])
 
     def gcd(self, other) -> "UPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        return a.monic()
+        """Monic gcd by the subresultant PRS (Collins, JACM 14, 1967;
+        Brown-Traub, JACM 18, 1971).  Each input is scaled by the lcm of
+        its denominators into Z[w] int pairs (a, b) = a + b*w.  Each
+        pseudo-remainder lc(g)^(delta+1) * f mod g is divided by
+        s * h^delta, exactly (AlgebraError otherwise); then s = lc(g) and
+        h = s^delta / h^(delta-1).  Only the result becomes Cyclo."""
+        f, g = (self, other) if self.degree() >= other.degree() else (other, self)
+        if g.is_zero():
+            return f.monic()
+
+        def mul(x, y):
+            t = x[1] * y[1]
+            return x[0] * y[0] - t, x[0] * y[1] + x[1] * y[0] - t
+
+        def power(x, e):
+            return functools.reduce(mul, [x] * e, (1, 0))
+
+        def divide(xs, d):
+            ca, cb, norm = _zw_conj_norm(*d)
+            out = []
+            for x in xs:
+                (qa, ea), (qb, eb) = (divmod(v, norm) for v in mul(x, (ca, cb)))
+                if ea or eb:
+                    raise AlgebraError("inexact subresultant division in Z[w]")
+                out.append((qa, qb))
+            return out
+
+        f, g = (list(zip(*_zw_lift(u.coeffs)[:2])) for u in (f, g))
+        s = h = (1, 0)
+        while len(g) > 1:
+            n, delta = len(g) - 1, len(f) - len(g)
+            # pseudo-remainder: f <- lc(g) * f - f[k] * x^(k-n) * g, k = deg f..n
+            for k in range(len(f) - 1, n - 1, -1):
+                c = f.pop()
+                f = [mul(g[-1], x) for x in f]
+                for j, y in enumerate(g[:-1], k - n):
+                    cy = mul(c, y)
+                    f[j] = f[j][0] - cy[0], f[j][1] - cy[1]
+            while f and f[-1] == (0, 0):
+                f.pop()
+            if not f:
+                break
+            f, g = g, divide(f, mul(s, power(h, delta)))
+            s = f[-1]
+            if delta:
+                h = divide([power(s, delta)], power(h, delta - 1))[0]
+        return UPoly([Cyclo(a, b) for a, b in g]).monic()
 
     def squarefree_part(self) -> "UPoly":
         if self.degree() <= 0:

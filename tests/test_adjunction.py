@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 from curvelattice import adjunction
-from curvelattice.algebra import C_ONE, C_ZERO, OMEGA, ProjPoint, parse_poly
+from curvelattice.algebra import C_ONE, C_ZERO, OMEGA, ProjPoint, UPoly, parse_poly
 from curvelattice.adjunction import (
     AlexanderPoly,
     ClassifiedPoint,
@@ -218,6 +218,18 @@ class TestCuspScheme:
         assert twin == sch
         assert twin.count() == count
         assert calls["resultant"] > first["resultant"]
+        # count() and every saturation piece of vanishing_dim(m) read the
+        # line divisor; it is computed once per scheme
+        divisors = []
+        real = CuspScheme._compute_line_divisor
+        monkeypatch.setattr(
+            CuspScheme,
+            "_compute_line_divisor",
+            lambda self: divisors.append(self) or real(self),
+        )
+        full = CuspScheme(q, c, "z", include_line=True)
+        full.count(), full.vanishing_dim(2), full.vanishing_dim(3)
+        assert divisors == [full]
 
     def test_scheme_defect_matches_point_route(self):
         g, q, c = six_cusp_sextic()
@@ -319,6 +331,17 @@ class TestProfileValidation:
     def test_rejects_non_squarefree(self):
         with pytest.raises(ValueError):
             CurveProfile(poly("(x + y)^2*z"))
+
+    def test_squarefree_exact_when_every_line_fails(self, monkeypatch):
+        # every trial line loses degree, so the answer comes from the
+        # exact test on the gcd of the partials
+        monkeypatch.setattr(
+            adjunction, "_restrict_to_line", lambda p, alpha, beta: UPoly([])
+        )
+        assert adjunction._squarefree_on_generic_line(NINE_CUSP)
+        assert not adjunction._squarefree_on_generic_line(
+            poly("(x^2 + y*z)^2*(x + y + z)")
+        )
 
     def test_rejects_non_homogeneous(self):
         with pytest.raises(ValueError):

@@ -433,6 +433,150 @@ class TestPolySqrt:
         assert poly_sqrt(parse_poly("2*x^2", XYZ)) is NOT_A_SQUARE
 
 
+SQRT_M3 = sympy.sqrt(-3)
+QQ_OMEGA = sympy.QQ.algebraic_field(SQRT_M3)
+T = sympy.Symbol("t")
+
+
+def to_sympy_upoly(u: UPoly, domain):
+    """u as a sympy Poly in t over domain, with w = (-1 + sqrt(-3))/2."""
+    coeffs = [to_sympy(c).subs(W, (SQRT_M3 - 1) / 2) for c in reversed(u.coeffs)]
+    return sympy.Poly.from_list(coeffs, T, domain=domain)
+
+
+@st.composite
+def upoly_factors(draw, count):
+    """(domain, count polynomials of degree <= 4) over QQ or QQ(w); zero
+    coefficients are drawn often, so remainder degrees skip (abnormal PRS)."""
+    omega = draw(st.booleans())
+    coeff = cyclos if omega else st.builds(Cyclo, rationals)
+    polys = st.lists(st.one_of(st.just(C_ZERO), coeff), max_size=5).map(UPoly)
+    return (QQ_OMEGA if omega else sympy.QQ), [draw(polys) for _ in range(count)]
+
+
+def upoly_from_roots(roots, lead=C_ONE):
+    out = UPoly([lead])
+    for r in roots:
+        out = out * UPoly([-Cyclo._coerce(r), C_ONE])
+    return out
+
+
+# Knuth, TAOCP vol. 2, 4.6.1: a coprime pair whose PRS has degrees
+# 8, 6, 4, 2, 1, 0, so the subresultant divisors s * h^delta use delta = 2
+KNUTH_F = UPoly([-5, 2, 8, -3, -3, 0, 1, 0, 1])
+KNUTH_G = UPoly([21, -9, -4, 0, 5, 0, 3])
+
+
+class TestUPolyGcd:
+    """UPoly.gcd and squarefree_part against sympy over QQ and QQ(sqrt(-3)),
+    compared on the monic results."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(upoly_factors(3))
+    def test_gcd_matches_sympy(self, drawn):
+        dom, (a, b, c) = drawn
+        p, q = a * c, b * c * c
+        want = to_sympy_upoly(p, dom).gcd(to_sympy_upoly(q, dom))
+        assert to_sympy_upoly(p.gcd(q), dom) == want
+        assert q.gcd(p) == p.gcd(q)
+
+    @settings(max_examples=30, deadline=None)
+    @given(upoly_factors(2))
+    def test_squarefree_part_matches_sympy(self, drawn):
+        dom, (a, b) = drawn
+        p = a * a * b
+        want = to_sympy_upoly(p, dom).sqf_part()
+        assert to_sympy_upoly(p.squarefree_part(), dom) == want
+
+    @pytest.mark.parametrize(
+        "p, q, want",
+        [
+            (UPoly([]), UPoly([]), UPoly([])),
+            (UPoly([]), UPoly([Fraction(-3, 4)]), UPoly([1])),
+            (UPoly([OMEGA]), UPoly([Fraction(2, 3)]), UPoly([1])),
+            (UPoly([2, OMEGA * 6]), UPoly([]), UPoly([Fraction(1, 3) * OMEGA**2, 1])),
+            (UPoly([1, 1, 1]), UPoly([5]), UPoly([1])),
+        ],
+    )
+    def test_zero_and_constant_edge_cases(self, p, q, want):
+        assert p.gcd(q) == want
+        assert q.gcd(p) == want
+
+    def test_squarefree_part_edge_cases(self):
+        assert UPoly([]).squarefree_part() == UPoly([])
+        assert UPoly([Fraction(7, 2)]).squarefree_part() == UPoly([1])
+
+    def test_non_monic_with_denominators(self):
+        shared = upoly_from_roots([Fraction(1, 2), OMEGA], lead=Cyclo(Fraction(3, 7), 2))
+        p = shared * upoly_from_roots([Fraction(-5, 3)], lead=Fraction(9, 4))
+        q = shared * upoly_from_roots([4, Cyclo(1, Fraction(1, 5))], lead=OMEGA)
+        assert p.gcd(q) == upoly_from_roots([Fraction(1, 2), OMEGA])
+
+    def test_coprime_pairs(self):
+        p = upoly_from_roots([1, 2, OMEGA], lead=Fraction(2, 3))
+        q = upoly_from_roots([3, -OMEGA, Fraction(1, 2)], lead=Cyclo(0, 5))
+        assert p.gcd(q) == UPoly([1])
+        assert KNUTH_F.gcd(KNUTH_G) == UPoly([1])
+
+    def test_knuth_last_subresultant(self, monkeypatch):
+        # the remainder made monic at the end is the subresultant itself,
+        # 260708 in Knuth's table: a divisor s * h^delta that is too small
+        # leaves a multiple of it, one that is too large raises
+        seen = []
+        real = UPoly.monic
+        monkeypatch.setattr(UPoly, "monic", lambda self: seen.append(self) or real(self))
+        assert KNUTH_F.gcd(KNUTH_G) == UPoly([1])
+        assert seen == [UPoly([260708])]
+
+    def test_abnormal_prs_with_omega_factor(self):
+        shared = upoly_from_roots([OMEGA, Cyclo(Fraction(2, 3), -1)], lead=Cyclo(3, 1))
+        p, q = KNUTH_F * shared, KNUTH_G * shared * Cyclo(Fraction(1, 2), 4)
+        want = upoly_from_roots([OMEGA, Cyclo(Fraction(2, 3), -1)])
+        assert p.gcd(q) == want and q.gcd(p) == want
+        assert (KNUTH_F * shared * shared).squarefree_part() == (KNUTH_F * shared).monic()
+
+    def test_degree_56_omega_squarefree_part(self):
+        # the a^2 * b shape of a degree-56 squarefree part over Q(w)
+        rng = random.Random(56)
+
+        def rand_monic(d):
+            return UPoly(
+                [
+                    Cyclo(
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                    )
+                    for _ in range(d)
+                ]
+                + [C_ONE]
+            )
+
+        a, b = rand_monic(18), rand_monic(20)
+        p = a * a * b
+        assert p.degree() == 56
+        got = p.squarefree_part()
+        assert to_sympy_upoly(got, QQ_OMEGA) == to_sympy_upoly(p, QQ_OMEGA).sqf_part()
+        assert got == (a * b).monic()
+
+    def test_one_inverse_per_gcd(self, monkeypatch):
+        # no field Euclid: the only Q(w) inversion is the final monic
+        calls = []
+        real = Cyclo.inverse
+
+        def counted(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(Cyclo, "inverse", counted)
+        shared = upoly_from_roots([OMEGA, 2, Fraction(1, 3)], lead=Cyclo(2, 1))
+        p = shared * upoly_from_roots(range(4, 12), lead=Fraction(3, 5))
+        q = shared * upoly_from_roots([-OMEGA * k for k in range(1, 9)], lead=OMEGA)
+        assert p.degree() >= 10 and q.degree() >= 10
+        calls.clear()
+        assert p.gcd(q) == upoly_from_roots([OMEGA, 2, Fraction(1, 3)])
+        assert len(calls) <= 1
+
+
 class TestRoots:
     def test_rational_roots(self):
         p = UPoly([Cyclo(-6), Cyclo(11), Cyclo(-6), C_ONE])  # (t-1)(t-2)(t-3)
