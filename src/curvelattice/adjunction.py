@@ -28,11 +28,13 @@ import sympy
 from .algebra import (
     C_ONE,
     C_ZERO,
+    AlgebraError,
+    Cyclo,
     MPoly,
     ProjPoint,
     UPoly,
+    _zw_lift,
     echelon_zw,
-    gcd as poly_gcd,
     qomega_roots,
     resultant,
 )
@@ -362,12 +364,7 @@ class CuspScheme:
             # advance, so the missing root at (1:0) is a degree deficit
             m, n = aa.degree_in(sv), bb.degree_in(sv)
             formal = n * (aa.degree() - m) + m * (bb.degree() - n) + m * n
-            r1m = resultant(
-                aa.subs({rest[1]: 1}),
-                bb.subs({rest[1]: 1}),
-                sv,
-                degree_bound=formal,
-            )
+            r1m = resultant(aa.subs({rest[1]: 1}), bb.subs({rest[1]: 1}), sv)
             if r1m.is_zero():
                 continue
             r1 = UPoly.from_mpoly(r1m, rest[0])
@@ -529,7 +526,7 @@ class CurveProfile:
             raise ValueError("expected a nonzero ternary form")
         if not g.is_homogeneous():
             raise ValueError("curve polynomial must be homogeneous")
-        if not _squarefree_on_generic_line(g):
+        if not _squarefree(g):
             raise ValueError("curve polynomial is not squarefree")
         if points is None and self.scheme is None:
             points = singular_points(g)
@@ -558,26 +555,91 @@ class CurveProfile:
         return inv
 
 
-def _restrict_to_line(p: MPoly, alpha, beta):
-    """Restriction to the line (t, alpha + beta t, 1) as a UPoly."""
-    tv = ("t",)
-    t = MPoly.variable("t", tv)
-    images = [t, MPoly.const(tv, alpha) + t.scale(beta), MPoly.const(tv, 1)]
-    return UPoly.from_mpoly(p.compose(images), "t")
+def _convolve(f, g):
+    """Product of two coefficient lists, low -> high."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
 
 
-def _squarefree_on_generic_line(g: MPoly) -> bool:
-    """Whether g is squarefree: some line meets it in d distinct points or,
-    exactly, its partials have a constant gcd (by Euler's relation their
-    common factors divide g, and a repeated factor divides all three)."""
-    d = g.degree()
-    for beta in range(0, 5):
-        for alpha in range(0, 5):
-            u = _restrict_to_line(g, alpha, beta)
-            if u.degree() == d and u.gcd(u.derivative()).degree() == 0:
-                return True
-    gx, gy, gz = (g.derivative(v) for v in g.vars)
-    return poly_gcd(poly_gcd(gx, gy), gz).degree() == 0
+def _restrict_to_line(p: MPoly, alpha, beta, gamma):
+    """Restriction of a ternary p to the line (t, alpha + beta t, 1 + gamma t)
+    as a UPoly.  The line's rational parameters never meet a Q(w) product:
+    on the Z[w] lift of p's coefficients (algebra._zw_lift), each term
+    c x^i y^j z^k adds c times the rational coefficients of
+    t^i (alpha + beta t)^j (1 + gamma t)^k."""
+    ca, cb, den = _zw_lift(p.terms.values())
+    a = [0] * (p.degree() + 1)
+    b = [0] * (p.degree() + 1)
+    ys, zs = [[1]], [[1]]  # powers of alpha + beta t and of 1 + gamma t
+    for (i, j, k), xa, xb in zip(p.terms, ca, cb):
+        while len(ys) <= j:
+            ys.append(_convolve(ys[-1], (alpha, beta)))
+        while len(zs) <= k:
+            zs.append(_convolve(zs[-1], (1, gamma)))
+        for s, v in enumerate(_convolve(ys[j], zs[k]), i):
+            a[s] += xa * v
+            b[s] += xb * v
+    return UPoly([Cyclo(Fraction(x, den), Fraction(y, den)) for x, y in zip(a, b)])
+
+
+def _centre(forms):
+    """(beta, gamma) of the first grid point (1 : beta : gamma), beta and
+    gamma in 0..D with D the degree of the product, on none of the forms.
+    One exists: on x = 1 the product is a nonzero polynomial of degree at
+    most D in y and in z, so it cannot vanish on the whole grid.  In each
+    row beta the first point off a form lies in 0..its degree, so a larger
+    D finds the same point."""
+    bound = sum(f.degree() for f in forms)
+    return next(
+        (beta, gamma)
+        for beta in range(bound + 1)
+        for gamma in range(bound + 1)
+        if all(not f.eval((1, beta, gamma)).is_zero() for f in forms)
+    )
+
+
+def gcd_degree(p: MPoly, q: MPoly) -> int:
+    """Exact degree of gcd(p, q) for two nonzero ternary forms.
+
+    With p = g p', q = g q' and g = gcd(p, q), the restricted gcd on a line
+    has degree deg g plus the common roots of p' and q' on it.  The lines
+    run through a centre P on neither curve (so no degree is lost at
+    t = oo) and (0 : alpha : 1), alpha = 0..m*n: distinct lines, each
+    point other than P on exactly one of them.  By Bezout at most m*n
+    points lie on both V(p') and V(q'), so one of the m*n + 1 lines gives
+    deg g, and the least restricted degree is exact.
+    """
+    for f in (p, q):
+        if len(f.vars) != 3 or f.is_zero() or not f.is_homogeneous():
+            raise AlgebraError("gcd_degree needs two nonzero ternary forms")
+    beta, gamma = _centre((p, q))
+    best = min(p.degree(), q.degree())
+    for alpha in range(p.degree() * q.degree() + 1):
+        if best == 0:
+            break
+        u = _restrict_to_line(p, alpha, beta, gamma)
+        v = _restrict_to_line(q, alpha, beta, gamma)
+        best = min(best, u.gcd(v).degree())
+    return best
+
+
+def _squarefree(g: MPoly) -> bool:
+    """Whether the form g is squarefree: gcd(g, D_P g) is constant, with
+    D_P g = sum P_i dg/dx_i at a point P off g.  A repeated factor divides
+    both; a simple factor C divides D_P g only if D_P C = 0, and Euler's
+    relation then gives C(P) = 0.  (D_P g)(P) = d g(P) != 0, so gcd_degree
+    takes the same P as its centre."""
+    if g.degree() == 0:
+        return True
+    point = (1, *_centre((g,)))
+    dg = sum(
+        (g.derivative(v).scale(c) for v, c in zip(g.vars, point) if c),
+        MPoly.zero(g.vars),
+    )
+    return gcd_degree(g, dg) == 0
 
 
 def defect(profile: CurveProfile, alpha) -> tuple:

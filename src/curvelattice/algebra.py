@@ -5,12 +5,13 @@ so w^2 + w + 1 = 0.  Elements are stored as a + b*w with rational a, b.
 Polynomials are sparse maps from exponent vectors to nonzero coefficients,
 ordered by graded lexicographic order on the declared variable list.
 
-Provides: parsing/rendering of polynomial expressions, primitive PRS gcd,
-the fraction-free Z[w] elimination behind every determinant, rank and
-kernel of a Q(w) matrix, Sylvester-determinant resultants by evaluation
-and interpolation, the univariate subresultant gcd over Z[w], exact
-square roots of polynomials, and root extraction of univariate
-polynomials inside Q(w).
+Provides: parsing/rendering of polynomial expressions, the fraction-free
+Z[w] elimination behind every determinant, rank and kernel of a Q(w)
+matrix, Sylvester-determinant resultants by evaluation and
+interpolation, the univariate subresultant gcd over Z[w] (the one gcd:
+multivariate gcd degrees are read from it on lines, see
+adjunction.gcd_degree), exact square roots of polynomials, and root
+extraction of univariate polynomials inside Q(w).
 """
 
 from __future__ import annotations
@@ -382,15 +383,7 @@ class MPoly:
 
     def eval(self, values) -> Cyclo:
         """Full evaluation at a point (sequence of Cyclo/rational values)."""
-        vals = [Cyclo._coerce(v) for v in values]
-        total = C_ZERO
-        for e, c in self.terms.items():
-            t = c
-            for v, k in zip(vals, e):
-                if k:
-                    t = t * v**k
-            total = total + t
-        return total
+        return self.subs(dict(zip(self.vars, values))).constant_coeff()
 
     def subs(self, assignment) -> "MPoly":
         """Partial substitution var name -> Cyclo value; keeps the var list."""
@@ -455,18 +448,6 @@ class MPoly:
             d = out.setdefault(k, {})
             d[re] = c
         return {k: MPoly(rest, d) for k, d in out.items()}, rest
-
-    def lift_vars(self, variables) -> "MPoly":
-        """Reinterpret over a larger variable list (new vars get exponent 0)."""
-        variables = tuple(variables)
-        pos = [variables.index(v) for v in self.vars]
-        terms = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(variables)
-            for p, k in zip(pos, e):
-                ne[p] = k
-            terms[tuple(ne)] = c
-        return MPoly(variables, terms)
 
     def divide_exact(self, d: "MPoly") -> "MPoly":
         """Exact division; raises NotDivisible when a remainder survives."""
@@ -680,96 +661,6 @@ def render(p: MPoly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Content / primitive-part gcd: a primitive polynomial remainder sequence
-# ---------------------------------------------------------------------------
-
-
-def _active_var(p: MPoly, q: MPoly):
-    for v in p.vars:
-        if p.degree_in(v) > 0 or q.degree_in(v) > 0:
-            return v
-    return None
-
-
-def _prem(p, q, var):
-    """Pseudo-remainder of p by q with respect to var (both MPoly)."""
-    dp = p.degree_in(var)
-    dq = q.degree_in(var)
-    if dp < dq:
-        return p
-    cp, rest = p.coeffs_in(var)
-    cq, _ = q.coeffs_in(var)
-    lq = cq[dq].lift_vars(p.vars)
-    xv = MPoly.variable(var, p.vars)
-    r = p
-    while not r.is_zero() and r.degree_in(var) >= dq:
-        dr = r.degree_in(var)
-        cr, _ = r.coeffs_in(var)
-        lr = cr[dr].lift_vars(p.vars)
-        r = r * lq - q * lr * xv ** (dr - dq)
-        if not r.is_zero() and r.degree_in(var) >= dr:
-            raise AlgebraError("pseudo-remainder failed to reduce degree")
-    return r
-
-
-def gcd(p: MPoly, q: MPoly) -> MPoly:
-    """GCD normalized with graded-lex leading coefficient 1."""
-    if p.is_zero() and q.is_zero():
-        return MPoly.zero(p.vars)
-    if p.is_zero():
-        return q.monic()
-    if q.is_zero():
-        return p.monic()
-    g = _gcd_inner(p, q)
-    return g.monic()
-
-
-def _content(p: MPoly, var):
-    """GCD of the coefficients of p as a polynomial in var."""
-    coeffs, rest = p.coeffs_in(var)
-    items = list(coeffs.values())
-    g = items[0]
-    for c in items[1:]:
-        g = _gcd_inner(g, c)
-        if g.degree() == 0:
-            break
-    return g.lift_vars(p.vars)
-
-
-def _gcd_inner(p: MPoly, q: MPoly) -> MPoly:
-    if p.is_zero():
-        return q
-    if q.is_zero():
-        return p
-    var = _active_var(p, q)
-    if var is None:
-        return MPoly.const(p.vars, 1)
-    if p.degree_in(var) == 0 or q.degree_in(var) == 0:
-        # one argument is free of the main variable: gcd divides its content
-        if p.degree_in(var) == 0:
-            return _gcd_inner(p, _content(q, var))
-        return _gcd_inner(q, _content(p, var))
-    if p.degree_in(var) < q.degree_in(var):
-        p, q = q, p
-    cont_p = _content(p, var)
-    cont_q = _content(q, var)
-    pp = p.divide_exact(cont_p)
-    qq = q.divide_exact(cont_q)
-    cont_g = _gcd_inner(cont_p, cont_q)
-    # primitive polynomial remainder sequence: each pseudo-remainder is
-    # divided by its content, with no subresultant beta/psi factors
-    a, b = pp, qq
-    while True:
-        r = _prem(a, b, var)
-        if r.is_zero():
-            break
-        if r.degree_in(var) == 0:
-            return cont_g
-        a, b = b, r.divide_exact(_content(r, var))
-    return cont_g * b.divide_exact(_content(b, var))
-
-
-# ---------------------------------------------------------------------------
 # Determinants and resultants
 # ---------------------------------------------------------------------------
 
@@ -934,14 +825,12 @@ def _newton_interpolate(xs, ys):
     return coeffs
 
 
-def resultant(p: MPoly, q: MPoly, var, degree_bound=None) -> MPoly:
+def resultant(p: MPoly, q: MPoly, var) -> MPoly:
     """Resultant with respect to var; Sylvester determinant convention.
 
     The determinant of the Sylvester matrix at the formal degrees is taken
     by evaluation and interpolation (Collins, JACM 18, 1971), one remaining
     active variable at a time, down to scalar matrices for det_cyclo.
-    degree_bound, when given, caps the resultant's degree in each remaining
-    variable (fewer samples).
     """
     if p.is_zero() or q.is_zero():
         raise AlgebraError("resultant of the zero polynomial")
@@ -958,14 +847,21 @@ def resultant(p: MPoly, q: MPoly, var, degree_bound=None) -> MPoly:
         return pc[0] ** dq
     if dq == 0:
         return qc[0] ** dp
-    return _sylvester_det(pc, qc, degree_bound)
+    return _sylvester_det(pc, qc)
 
 
-def _sylvester_det(pc, qc, degree_bound):
+def _sylvester_det(pc, qc):
     """det sylvester(pc, qc) for coefficient lists of MPoly over one
     variable list.  The first active variable t is set to integer samples
     in the dp+dq+2 coefficients (never in the matrix entries), each sample
-    recurses, and each monomial's values are interpolated in t."""
+    recurses, and each monomial's values are interpolated in t.
+
+    The number of samples is one more than the smaller of two bounds on
+    the degree in t: the column bound dq*max deg_t(pc) + dp*max deg_t(qc),
+    and the total-degree bound Dp*dq + Dq*dp - dp*dq, where D is the total
+    degree of the polynomial whose coefficients are listed (scaling every
+    remaining variable by s makes the k-th coefficient s^k * pc[k] of
+    degree at most Dp in s, and the determinant gains s^(dp*dq))."""
     variables = pc[0].vars
     coeffs = pc + qc
     t = next((v for v in variables if any(c.degree_in(v) > 0 for c in coeffs)), None)
@@ -974,18 +870,21 @@ def _sylvester_det(pc, qc, degree_bound):
         qv = [c.constant_coeff() for c in qc]
         return MPoly.const(variables, det_cyclo(sylvester(pv, qv)))
     dp, dq = len(pc) - 1, len(qc) - 1
-    bound = (
-        dq * max(0, *(c.degree_in(t) for c in pc))
-        + dp * max(0, *(c.degree_in(t) for c in qc))
-        + 1
+    # total degrees Dp, Dq; None when a sample zeroed every coefficient of
+    # one side, whose Sylvester rows are then all zero
+    tp, tq = (
+        max((k + c.degree() for k, c in enumerate(cs) if c.terms), default=None)
+        for cs in (pc, qc)
     )
-    if degree_bound is not None:
-        bound = min(bound, degree_bound + 1)
-    xs = _interp_points(bound)
+    if tp is None or tq is None:
+        return MPoly.zero(variables)
+    bound = min(
+        dq * max(c.degree_in(t) for c in pc) + dp * max(c.degree_in(t) for c in qc),
+        tp * dq + tq * dp - dp * dq,
+    )
+    xs = _interp_points(bound + 1)
     values = [
-        _sylvester_det(
-            [c.subs({t: x}) for c in pc], [c.subs({t: x}) for c in qc], degree_bound
-        )
+        _sylvester_det([c.subs({t: x}) for c in pc], [c.subs({t: x}) for c in qc])
         for x in xs
     ]
     ti = variables.index(t)

@@ -29,6 +29,8 @@ from .adjunction import (
     IncompleteLocus,
     _monomials,
     _restrict_to_line,
+    _upoly_gcd_many,
+    gcd_degree,
     singular_points,
 )
 from .algebra import (
@@ -41,7 +43,6 @@ from .algebra import (
     NotDivisible,
     UPoly,
     cyclo_nth_roots,
-    gcd as poly_gcd,
     poly_sqrt,
     qomega_roots,
     render,
@@ -102,48 +103,8 @@ class QuasiToricPoint:
 
 
 def _coprime(p: MPoly, q: MPoly) -> bool:
-    """Exact coprimality over Q(w)[x,y,z], with fast certificates first.
-
-    A common factor either has positive degree in some shared variable v0
-    (excluded by a constant univariate gcd at a v0-degree-preserving
-    specialization of the other variables) or is v0-free (excluded when
-    the joint gcd of all v0-coefficients of p and q is constant).
-    """
-    if p.is_zero() or q.is_zero():
-        return False
-    if p.degree() == 0 or q.degree() == 0:
-        return True
-    v0 = next(
-        (
-            v
-            for i, v in enumerate(p.vars)
-            if any(e[i] for e in p.terms) and any(e[i] for e in q.terms)
-        ),
-        None,
-    )
-    if v0 is not None:
-        others = [v for v in p.vars if v != v0]
-        dp, dq = p.degree_in(v0), q.degree_in(v0)
-        certified = False
-        for trial in range(8):
-            sub = {v: Fraction(1 + ((trial + i) % 7)) for i, v in enumerate(others)}
-            ps, qs = p.subs(sub), q.subs(sub)
-            if ps.degree_in(v0) != dp or qs.degree_in(v0) != dq:
-                continue
-            if UPoly.from_mpoly(ps, v0).gcd(UPoly.from_mpoly(qs, v0)).degree() == 0:
-                certified = True
-            break
-        if certified:
-            pc, _rest = p.coeffs_in(v0)
-            qc, _rest = q.coeffs_in(v0)
-            common = None
-            for piece in list(pc.values()) + list(qc.values()):
-                if piece.is_zero():
-                    continue
-                common = piece if common is None else poly_gcd(common, piece)
-                if common.degree() == 0:
-                    return True
-    return poly_gcd(p, q).degree() == 0
+    """Whether p and q are nonzero forms with no common factor over Q(w)."""
+    return not p.is_zero() and not q.is_zero() and gcd_degree(p, q) == 0
 
 
 def verify_decomposition(point: QuasiToricPoint):
@@ -255,8 +216,7 @@ def _pairing_gcd(p, q):
     b = (q.Z * q.Z) * p.X - (p.Z * p.Z) * q.X
     if a.is_zero() or b.is_zero():
         raise ConventionMismatch("degenerate gcd arguments off-orbit")
-    shared = poly_gcd(a, b)
-    return p.k + p.n + q.n - max(shared.degree(), 0)
+    return p.k + p.n + q.n - gcd_degree(a, b)
 
 
 @dataclass(frozen=True, slots=True)
@@ -349,7 +309,7 @@ def _g_on_trial_line(g: MPoly, cusps, trial, g_lines):
             )
             for c in cusps
         ):
-            gl = _restrict_to_line(g, alpha, beta)
+            gl = _restrict_to_line(g, alpha, beta, 0)
         g_lines[trial] = gl
     return g_lines[trial]
 
@@ -379,7 +339,7 @@ def _lambda_cubed_candidates(g: MPoly, q0: MPoly, cusps, g_lines):
         gl = _g_on_trial_line(g, cusps, trial, g_lines)
         if gl is None:
             continue
-        ql3 = _restrict_to_line(q03, alpha, beta)
+        ql3 = _restrict_to_line(q03, alpha, beta, 0)
         if gl.degree() != 6 or ql3.degree() != 6:
             continue
         u = gl.to_mpoly("t", tm) - ql3.to_mpoly("t", tm) * m
@@ -389,9 +349,7 @@ def _lambda_cubed_candidates(g: MPoly, q0: MPoly, cusps, g_lines):
         lines.append(UPoly.from_mpoly(disc, "m"))
     if not lines:
         return None
-    g_m = lines[0]
-    for nxt in lines[1:]:
-        g_m = g_m.gcd(nxt)
+    g_m = _upoly_gcd_many(lines)
     if g_m.degree() <= 0:
         return g_m
     return g_m.squarefree_part()

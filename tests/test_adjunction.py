@@ -6,7 +6,15 @@ import pytest
 import sympy
 
 from curvelattice import adjunction
-from curvelattice.algebra import C_ONE, C_ZERO, OMEGA, ProjPoint, UPoly, parse_poly
+from curvelattice.algebra import (
+    C_ONE,
+    C_ZERO,
+    OMEGA,
+    MPoly,
+    ProjPoint,
+    UPoly,
+    parse_poly,
+)
 from curvelattice.adjunction import (
     AlexanderPoly,
     ClassifiedPoint,
@@ -332,16 +340,21 @@ class TestProfileValidation:
         with pytest.raises(ValueError):
             CurveProfile(poly("(x + y)^2*z"))
 
-    def test_squarefree_exact_when_every_line_fails(self, monkeypatch):
-        # every trial line loses degree, so the answer comes from the
-        # exact test on the gcd of the partials
-        monkeypatch.setattr(
-            adjunction, "_restrict_to_line", lambda p, alpha, beta: UPoly([])
-        )
-        assert adjunction._squarefree_on_generic_line(NINE_CUSP)
-        assert not adjunction._squarefree_on_generic_line(
-            poly("(x^2 + y*z)^2*(x + y + z)")
-        )
+    def test_squarefree_exact_on_a_pencil(self, monkeypatch):
+        # the centre is (1 : 0 : 0); the lines y = 0 and y = z of its
+        # pencil pass through cusps of the nine-cusp sextic, so only the
+        # third line, y = 2z, certifies it squarefree
+        lines = []
+        restrict = adjunction._restrict_to_line
+
+        def recorded(p, alpha, beta, gamma):
+            lines.append((alpha, beta, gamma))
+            return restrict(p, alpha, beta, gamma)
+
+        monkeypatch.setattr(adjunction, "_restrict_to_line", recorded)
+        assert adjunction._squarefree(NINE_CUSP)
+        assert sorted(set(lines)) == [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
+        assert not adjunction._squarefree(poly("(x^2 + y*z)^2*(x + y + z)"))
 
     def test_rejects_non_homogeneous(self):
         with pytest.raises(ValueError):
@@ -356,3 +369,20 @@ class TestProfileValidation:
         prof = CurveProfile(NINE_CUSP)
         assert prof.singularity_inventory() == {"cusp": 9}
         assert prof.cusp_count() == 9
+
+
+class TestRestrictToLine:
+    def test_restriction_matches_composition(self):
+        # reference: substitute the line's parametrisation with MPoly.compose
+        tv = ("t",)
+        t = MPoly.variable("t", tv)
+        forms = [NINE_CUSP, poly("(w*x - 2/3*y + z)^3*(x*z - y^2)"), poly("5/7")]
+        for p in forms:
+            for alpha, beta, gamma in ((0, 0, 0), (2, -1, 3), (Fraction(1, 2), 3, -2)):
+                images = [
+                    t,
+                    MPoly.const(tv, alpha) + t.scale(beta),
+                    MPoly.const(tv, 1) + t.scale(gamma),
+                ]
+                want = UPoly.from_mpoly(p.compose(images), "t")
+                assert adjunction._restrict_to_line(p, alpha, beta, gamma) == want

@@ -9,11 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvelattice import algebra, torus
+from curvelattice.adjunction import gcd_degree
 from curvelattice.algebra import (
     C_ONE,
     C_ZERO,
     NOT_A_SQUARE,
     OMEGA,
+    AlgebraError,
     Cyclo,
     MPoly,
     ParseError,
@@ -22,7 +24,6 @@ from curvelattice.algebra import (
     cyclo_nth_roots,
     det_cyclo,
     frac_nth_root,
-    gcd,
     is_weighted_homogeneous,
     parse_poly,
     poly_sqrt,
@@ -129,54 +130,119 @@ class TestParser:
             assert parse_poly(render(p), XYZ) == p
 
 
-class TestGcd:
-    def test_gcd_with_zero_is_normalized(self):
-        p = parse_poly("2*x^2 + 2*y^2", XYZ)
-        g = gcd(p, MPoly.zero(XYZ))
-        assert g == parse_poly("x^2 + y^2", XYZ)
+MONOMIALS = {
+    d: [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
+    for d in range(3)
+}
 
-    def test_shared_factor(self):
-        # oracle: built from factors, checked by exact division
-        xpy = parse_poly("x + y", XYZ)
-        p = xpy * xpy * parse_poly("x - z", XYZ)
-        q = xpy * parse_poly("z^2", XYZ)
-        g = gcd(p, q)
-        assert g == xpy
-        p.divide_exact(g)
-        q.divide_exact(g)
 
-    def test_coprime_cubics(self):
-        rng = random.Random(2024)
-        p = rand_poly(rng, deg=3)
-        q = rand_poly(rng, deg=3)
-        # oracle: resultant in x is nonzero, so no common factor involving x
-        assert not resultant(p, q, "x").is_zero()
-        assert gcd(p, q).degree() == 0
+@st.composite
+def forms(draw, coeff, degree, x_free=False):
+    """A nonzero ternary form of the given degree with 1 to 4 terms."""
+    monos = [e for e in MONOMIALS[degree] if not (x_free and e[0])]
+    terms = draw(
+        st.dictionaries(
+            st.sampled_from(monos),
+            coeff.filter(lambda c: not c.is_zero()),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return MPoly(XYZ, terms)
 
-    @settings(max_examples=15, deadline=None)
-    @given(st.integers(0, 10**6))
-    def test_gcd_divides_both(self, seed):
-        rng = random.Random(seed)
-        a = rand_poly(rng, deg=2, terms=3)
-        b = rand_poly(rng, deg=2, terms=3)
-        c = rand_poly(rng, deg=2, terms=2)
+
+@st.composite
+def gcd_triples(draw):
+    """(a, b, c) over Q or Q(w); the shared c is sometimes divisible by z,
+    free of x or a square."""
+    coeff = cyclos if draw(st.booleans()) else st.builds(Cyclo, rationals)
+    a = draw(forms(coeff, draw(st.integers(1, 2))))
+    b = draw(forms(coeff, draw(st.integers(1, 2))))
+    shape = draw(st.sampled_from(["plain", "z", "x-free", "square"]))
+    c = draw(forms(coeff, draw(st.integers(0, 2)), x_free=shape == "x-free"))
+    if shape == "z":
+        c = c * MPoly.variable("z", XYZ)
+    elif shape == "square":
+        c = c * c
+    return a, b, c
+
+
+def sympy_gcd_degree(p: MPoly, q: MPoly) -> int:
+    """Total degree of sympy's gcd over QQ(sqrt(-3)), w = (-1 + sqrt(-3))/2."""
+    field = QQ_OMEGA
+    w = field.from_sympy((SQRT_M3 - 1) / 2)
+
+    def conv(f):
+        def elt(x):
+            return field.convert(sympy.Rational(x.numerator, x.denominator))
+
+        coeffs = {e: elt(c.a) + elt(c.b) * w for e, c in f.terms.items()}
+        return sympy.Poly.from_dict(coeffs, *sympy.symbols("x y z"), domain=field)
+
+    return conv(p).gcd(conv(q)).total_degree()
+
+
+class TestGcdDegree:
+    """adjunction.gcd_degree: the least gcd degree on a pencil of lines."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(gcd_triples())
+    # a and b share z, so the gcd is z*c, one degree above c
+    @example(
+        tuple(
+            parse_poly(t, XYZ)
+            for t in (
+                "(-1 - 2*w)*z",
+                "(-2 + w)*x*z + (-8 + w)*z^2",
+                "(-3 - w)*y + (2 + w)*z",
+            )
+        )
+    )
+    def test_matches_sympy(self, triple):
+        a, b, c = triple
         p, q = a * c, b * c
-        if p.is_zero() and q.is_zero():
-            return
-        g = gcd(p, q)
-        if not p.is_zero():
-            p.divide_exact(g)
-        if not q.is_zero():
-            q.divide_exact(g)
-        if not c.is_zero():
-            c.monic().divide_exact(g)  # gcd contains c
+        got = gcd_degree(p, q)
+        assert got >= c.degree()
+        assert got == sympy_gcd_degree(p, q)
+        assert gcd_degree(q, p) == got
+
+    def test_bound_tight_pencil(self):
+        # the centre is (1 : 1 : 0), and the lines through (0 : a : 1) for
+        # a = 0, 1, 2 meet x = 0 where q does: only the fourth and last
+        # line, m*n + 1 = 4, certifies the coprime pair
+        p = parse_poly("x", XYZ)
+        q = parse_poly("y*(y - z)*(y - 2*z)", XYZ)
+        assert gcd_degree(p, q) == 0
+
+    def test_common_factor_z(self):
+        p = parse_poly("z*(x + y)", XYZ)
+        q = parse_poly("z*(x - y)^2", XYZ)
+        assert gcd_degree(p, q) == 1
+        assert gcd_degree(p * p, q * parse_poly("x + y", XYZ)) == 2
+
+    def test_constants(self):
+        one, two = MPoly.const(XYZ, 1), MPoly.const(XYZ, OMEGA)
+        assert gcd_degree(one, two) == 0
+        assert gcd_degree(two, parse_poly("x^2 + y*z", XYZ)) == 0
+
+    def test_domain(self):
+        form = parse_poly("x*y", XYZ)
+        for bad in (
+            parse_poly("x^2 + y", XYZ),
+            MPoly.zero(XYZ),
+            parse_poly("x", ("x", "y")),
+        ):
+            with pytest.raises(AlgebraError):
+                gcd_degree(form, bad)
+            with pytest.raises(AlgebraError):
+                gcd_degree(bad, form)
 
 
 class TestResultant:
     def test_linear_convention(self):
         # Sylvester matrix [[1, -1], [1, 1]] has determinant 2 -> 2y
         r = resultant(parse_poly("x - y", XYZ), parse_poly("x + y", XYZ), "x")
-        assert r == parse_poly("2*y", XYZ).coeffs_in("x")[0][0].lift_vars(("y", "z"))
+        assert r == parse_poly("2*y", ("y", "z"))
 
     def test_self_resultant_zero(self):
         p = parse_poly("x^2 + y*x + z", XYZ)
@@ -262,13 +328,15 @@ class TestResultant:
         assert reduce_omega(ours - oracle) == 0
 
     def test_degree_bound_at_the_true_degree(self, monkeypatch):
-        # the Sylvester bound in y is 2*1 + 2*1 = 4, but Res_x(p, p + w*x)
-        # = Res_x(p, w*x) has degree 1 in y: capped at 1 it takes 2 samples
-        from sympy.polys.subresultants_qq_zz import sylvester
-
+        # the affine partials of the nine-cusp sextic x^6 - 2x^3y^3 - 2x^3
+        # + y^6 - 2y^3 + 1 have x-degrees 5 and 3 and total degree 5: the
+        # total-degree bound 5*3 + 5*5 - 5*3 = 25 on the degree in y takes
+        # 26 samples where the column bound 3*3 + 5*5 = 34 would take 35
         x, y = sympy.symbols("x y")
-        p = parse_poly("x^2 + y*x - y", ("x", "y"))
-        q = parse_poly("x^2 + (y + w)*x - y", ("x", "y"))
+        sp = 6 * x**5 - 6 * x**2 * y**3 - 6 * x**2
+        sq = -6 * x**3 * y**2 + 6 * y**5 - 6 * y**2
+        p = parse_poly(str(sp).replace("**", "^"), ("x", "y"))
+        q = parse_poly(str(sq).replace("**", "^"), ("x", "y"))
         calls = []
 
         def counted(rows):
@@ -276,17 +344,10 @@ class TestResultant:
             return det_cyclo(rows)
 
         monkeypatch.setattr(algebra, "det_cyclo", counted)
-        free = resultant(p, q, "x")
-        unbounded = len(calls)
-        assert free.degree_in("y") == 1
-        bounded = resultant(p, q, "x", degree_bound=1)
-        assert bounded == free
-        assert (unbounded, len(calls) - unbounded) == (5, 2)
-        sp = y * x - y + x**2
-        sq = x**2 + (y + W) * x - y
-        ours = sum(to_sympy(c) * y ** e[0] for e, c in bounded.terms.items())
-        oracle = sylvester(sp, sq, x).det(method="domain-ge")
-        assert reduce_omega(ours - oracle) == 0
+        got = resultant(p, q, "x")
+        assert calls == [8] * 26
+        ours = sum(to_sympy(c) * y ** e[0] for e, c in got.terms.items())
+        assert sympy.expand(ours - sympy.resultant(sp, sq, x)) == 0
 
     def test_leading_coefficient_vanishing_at_an_inner_sample(self):
         # eliminating x leaves y (sampled first) and z (sampled inside each
