@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd as int_gcd
 
-import sympy
-
 from .algebra import (
     C_ONE,
     C_ZERO,
@@ -335,7 +333,9 @@ class CuspScheme:
 
     def count(self) -> int:
         """Number of cusps: distinct projected directions of the common
-        zeros off the saturation line, maximized over projection centers."""
+        zeros off the saturation line, maximized over projection centers.
+        Raises IncompleteLocus (unexplained = -1) when every projection
+        center's resultant vanishes."""
         if "count" in self._cache:
             return self._cache["count"]
         a, b = self.gen_a, self.gen_b
@@ -345,7 +345,7 @@ class CuspScheme:
         # directions under every shear below
         divisor, has_inf = self._line_divisor()
         on_line = divisor.degree() + has_inf
-        best = 0
+        best = None
         for shear in (0, 1, 2):
             if shear:
                 # move the projection center: rest[0] -> rest[0] + shear*sv
@@ -375,7 +375,11 @@ class CuspScheme:
             if count == best and shear:
                 # two agreeing projection centers: collisions ruled out
                 break
-            best = max(best, count)
+            best = count if best is None else max(best, count)
+        if best is None:
+            # every shear's resultant vanishes: the generators share a
+            # curve, so the common zeros are not a finite set of cusps
+            raise IncompleteLocus(-1, [])
         if self.include_line:
             best += on_line
         self._cache["count"] = best
@@ -719,10 +723,38 @@ def alexander(profile: CurveProfile) -> AlexanderPoly:
     return AlexanderPoly(orders, _render_alexander(orders))
 
 
+def _cyclotomic_coeffs(n: int) -> list:
+    """Integer coefficients of the n-th cyclotomic polynomial, low -> high:
+    (t^n - 1) divided by the product of Phi_d over the divisors d < n."""
+    out = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            den = _cyclotomic_coeffs(d)
+            q = [0] * (len(out) - len(den) + 1)
+            for i in range(len(q) - 1, -1, -1):  # den is monic
+                q[i] = c = out.pop()
+                for j, y in enumerate(den[:-1], i):
+                    out[j] -= c * y
+            out = q
+    return out
+
+
+def _render_cyclotomic(n: int) -> str:
+    """Phi_n in t, highest degree first, as in '2*t^3 - t + 1'."""
+    text = ""
+    for k, c in reversed(list(enumerate(_cyclotomic_coeffs(n)))):
+        if not c:
+            continue
+        mono = "t" if k == 1 else f"t^{k}"
+        term = str(abs(c)) if k == 0 else (mono if abs(c) == 1 else f"{abs(c)}*{mono}")
+        sign = "-" if c < 0 else "+"
+        text = f"{text} {sign} {term}" if text else term  # Phi_n is monic
+    return text
+
+
 def _render_alexander(orders) -> str:
     rem = {a: o for a, o in orders.items() if a != 0}
     factors = []
-    t = sympy.Symbol("t")
     denominators = sorted({a.denominator for a in rem})
     for n in denominators:
         prim = [Fraction(k, n) for k in range(1, n) if int_gcd(k, n) == 1]
@@ -730,8 +762,7 @@ def _render_alexander(orders) -> str:
             continue
         o = min(rem.get(a, 0) for a in prim)
         if o > 0:
-            phi = sympy.cyclotomic_poly(n, t)
-            base = str(phi).replace("**", "^")
+            base = _render_cyclotomic(n)
             factors.append(f"({base})^{o}" if o > 1 else f"({base})")
             for a in prim:
                 rem[a] -= o

@@ -11,17 +11,18 @@ matrix, Sylvester-determinant resultants by evaluation and
 interpolation, the univariate subresultant gcd over Z[w] (the one gcd:
 multivariate gcd degrees are read from it on lines, see
 adjunction.gcd_degree), exact square roots of polynomials, and root
-extraction of univariate polynomials inside Q(w).
+extraction of univariate polynomials inside Q(w) (a p-adic root finder
+whose every answer is verified exactly).  Only the standard library is
+used.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import sympy
 
 
 class AlgebraError(ValueError):
@@ -62,6 +63,56 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
+def integer_nthroot(x: int, n: int) -> int:
+    """floor(x^(1/n)) for x >= 0 and n >= 1: math.isqrt for n = 2, else
+    integer Newton from the power of two above the root, which decreases
+    to the floor."""
+    if x < 0 or n < 1:
+        raise ValueError("need x >= 0 and n >= 1")
+    if x < 2 or n == 1:
+        return x
+    if n == 2:
+        return math.isqrt(x)
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
+
+
+def isprime(n: int) -> bool:
+    """Deterministic Miller-Rabin.  The prime bases up to 41 decide every
+    n < 3317044064679887385961981 (Sorenson-Webster, Math. Comp. 86,
+    2017); above that, every base below 2 ln(n)^2 is tried, which decides
+    n under the generalized Riemann hypothesis (Bach, Math. Comp. 55,
+    1990)."""
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2:
+        return False
+    for q in small:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    if n < 3317044064679887385961981:
+        bases = small
+    else:
+        bases = range(2, int(2 * math.log(n) ** 2) + 1)
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def frac_nth_root(x: Fraction, n: int):
     """Return the rational n-th root of x, or None if there is none."""
     x = _as_fraction(x)
@@ -71,11 +122,11 @@ def frac_nth_root(x: Fraction, n: int):
     if neg and n % 2 == 0:
         return None
     ax = -x if neg else x
-    rn, okn = sympy.integer_nthroot(ax.numerator, n)
-    rd, okd = sympy.integer_nthroot(ax.denominator, n)
-    if not (okn and okd):
+    rn = integer_nthroot(ax.numerator, n)
+    rd = integer_nthroot(ax.denominator, n)
+    if rn**n != ax.numerator or rd**n != ax.denominator:
         return None
-    r = Fraction(int(rn), int(rd))
+    r = Fraction(rn, rd)
     return -r if neg else r
 
 
@@ -683,6 +734,36 @@ def _zw_conj_norm(a, b):
     return a - b, -b, a * a - a * b + b * b
 
 
+def _zw_mul(x, y):
+    """Product of two Z[w] int pairs."""
+    t = x[1] * y[1]
+    return x[0] * y[0] - t, x[0] * y[1] + x[1] * y[0] - t
+
+
+def _zw_divide(xs, d):
+    """Each Z[w] pair of xs divided exactly by the pair d; AlgebraError
+    on a remainder."""
+    ca, cb, norm = _zw_conj_norm(*d)
+    out = []
+    for x in xs:
+        (qa, ea), (qb, eb) = (divmod(v, norm) for v in _zw_mul(x, (ca, cb)))
+        if ea or eb:
+            raise AlgebraError("inexact division in Z[w]")
+        out.append((qa, qb))
+    return out
+
+
+def _zw_gcd(x, y):
+    """A gcd of two Z[w] pairs by Euclid's algorithm: Z[w] is
+    norm-Euclidean, rounding both parts of x/y to the nearest integer."""
+    while y != (0, 0):
+        ca, cb, norm = _zw_conj_norm(*y)
+        q = tuple((2 * v + norm) // (2 * norm) for v in _zw_mul(x, (ca, cb)))
+        m = _zw_mul(q, y)
+        x, y = y, (x[0] - m[0], x[1] - m[1])
+    return x
+
+
 def echelon_zw(rows, reduced=False):
     """Fraction-free row echelon form over Z[w], exact on any shape and rank.
 
@@ -1019,22 +1100,8 @@ class UPoly:
         if g.is_zero():
             return f.monic()
 
-        def mul(x, y):
-            t = x[1] * y[1]
-            return x[0] * y[0] - t, x[0] * y[1] + x[1] * y[0] - t
-
         def power(x, e):
-            return functools.reduce(mul, [x] * e, (1, 0))
-
-        def divide(xs, d):
-            ca, cb, norm = _zw_conj_norm(*d)
-            out = []
-            for x in xs:
-                (qa, ea), (qb, eb) = (divmod(v, norm) for v in mul(x, (ca, cb)))
-                if ea or eb:
-                    raise AlgebraError("inexact subresultant division in Z[w]")
-                out.append((qa, qb))
-            return out
+            return functools.reduce(_zw_mul, [x] * e, (1, 0))
 
         f, g = (list(zip(*_zw_lift(u.coeffs)[:2])) for u in (f, g))
         s = h = (1, 0)
@@ -1043,25 +1110,179 @@ class UPoly:
             # pseudo-remainder: f <- lc(g) * f - f[k] * x^(k-n) * g, k = deg f..n
             for k in range(len(f) - 1, n - 1, -1):
                 c = f.pop()
-                f = [mul(g[-1], x) for x in f]
+                f = [_zw_mul(g[-1], x) for x in f]
                 for j, y in enumerate(g[:-1], k - n):
-                    cy = mul(c, y)
+                    cy = _zw_mul(c, y)
                     f[j] = f[j][0] - cy[0], f[j][1] - cy[1]
             while f and f[-1] == (0, 0):
                 f.pop()
             if not f:
                 break
-            f, g = g, divide(f, mul(s, power(h, delta)))
+            f, g = g, _zw_divide(f, _zw_mul(s, power(h, delta)))
             s = f[-1]
             if delta:
-                h = divide([power(s, delta)], power(h, delta - 1))[0]
+                h = _zw_divide([power(s, delta)], power(h, delta - 1))[0]
         return UPoly([Cyclo(a, b) for a, b in g]).monic()
 
     def squarefree_part(self) -> "UPoly":
+        """Monic self / gcd(self, self'), divided on Z[w] int pairs: the gcd
+        is made primitive (its Z[w] content divided out), so by Gauss's
+        lemma each quotient coefficient is an exact Z[w] division by its
+        leading coefficient; a remainder raises AlgebraError."""
         if self.degree() <= 0:
             return self.monic()
-        g = self.gcd(self.derivative())
-        return self.divmod(g)[0].monic()
+        g = list(zip(*_zw_lift(self.gcd(self.derivative()).coeffs)[:2]))
+        g = _zw_divide(g, functools.reduce(_zw_gcd, g))
+        r = list(zip(*_zw_lift(self.coeffs)[:2]))
+        q = [None] * (len(r) - len(g) + 1)
+        for i in range(len(q) - 1, -1, -1):
+            q[i] = c = _zw_divide([r.pop()], g[-1])[0]
+            for j, y in enumerate(g[:-1], i):
+                cy = _zw_mul(c, y)
+                r[j] = r[j][0] - cy[0], r[j][1] - cy[1]
+        if any(x != (0, 0) for x in r):
+            raise AlgebraError("squarefree part: the gcd does not divide")
+        return UPoly([Cyclo(a, b) for a, b in q]).monic()
+
+
+# ---------------------------------------------------------------------------
+# Roots inside Q(w): p-adic lifting, every root checked exactly
+# ---------------------------------------------------------------------------
+
+
+def _fp_trim(f):
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _fp_sub(f, g, p):
+    n = max(len(f), len(g))
+    f, g = f + [0] * (n - len(f)), g + [0] * (n - len(g))
+    return _fp_trim([(x - y) % p for x, y in zip(f, g)])
+
+
+def _fp_mul(f, g, p):
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, x in enumerate(f):
+        for j, y in enumerate(g, i):
+            out[j] += x * y
+    return [c % p for c in out]
+
+
+def _fp_divmod(f, g, p):
+    """Quotient and remainder of f by g != 0 over F_p, lists low -> high."""
+    r = list(f)
+    inv = pow(g[-1], -1, p)
+    q = [0] * max(len(r) - len(g) + 1, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = r.pop() * inv % p
+        for j, y in enumerate(g[:-1], i):
+            r[j] = (r[j] - c * y) % p
+    return _fp_trim(q), _fp_trim(r)
+
+
+def _fp_gcd(f, g, p):
+    """Monic gcd over F_p of f != 0 and g."""
+    while g:
+        f, g = g, _fp_divmod(f, g, p)[1]
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _fp_powmod(f, e, m, p):
+    """f^e mod m over F_p, by repeated squaring."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _fp_divmod(_fp_mul(out, f, p), m, p)[1]
+        f = _fp_divmod(_fp_mul(f, f, p), m, p)[1]
+        e >>= 1
+    return out
+
+
+def _fp_roots(f, p):
+    """The roots in F_p of f, squarefree over F_p (odd p).  g = gcd(f,
+    t^p - t) is the product of t - x over them; g is split by its gcd with
+    (t + delta)^((p-1)/2) - 1 for delta = 0, 1, 2, ... (Cantor-Zassenhaus,
+    Math. Comp. 36, 1981, with the shifts taken in turn: among any p
+    consecutive shifts one separates two given roots)."""
+    x = [0, 1]
+    todo = [_fp_gcd(f, _fp_sub(_fp_powmod(x, p, f, p), x, p), p)]
+    roots, shifts = [], itertools.count()
+    while todo:
+        g = todo.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % p)
+        elif len(g) > 2:
+            h = g
+            while not 1 < len(h) < len(g):
+                t = _fp_powmod([next(shifts) % p, 1], (p - 1) // 2, g, p)
+                h = _fp_gcd(g, _fp_sub(t, [1], p), p)
+            todo += [h, _fp_divmod(g, h, p)[0]]
+    return roots
+
+
+def _hensel(cs, x, p, modulus):
+    """Lift a simple root x mod p of the integer polynomial cs (low ->
+    high) to a root mod modulus, a power of p, by Newton steps that double
+    the precision."""
+    m = p
+    while m < modulus:
+        m = min(m * m, modulus)
+        fx = dfx = 0
+        for c in reversed(cs):
+            dfx = (dfx * x + fx) % m
+            fx = (fx * x + c) % m
+        x = (x - fx * pow(dfx, -1, m)) % m
+    return x
+
+
+def _zw_shortest(y, r, modulus):
+    """A pair (a, b) with a + b*r = y mod modulus, of least norm
+    |a + b*w|^2 = a^2 - a*b + b^2 whenever the class holds a pair shorter
+    than half the minimum of the lattice {(a, b) : a + b*r = 0 mod
+    modulus}.  Such a pair is unique, and its coordinates in a
+    Gauss-reduced basis (u, v) are below 1/sqrt(3) in size, so it is
+    (y, 0) minus one of the four lattice points whose coordinates are
+    floors or ceilings of (y, 0)'s; the shortest of the four is returned."""
+
+    def dot(s, t):  # twice the bilinear form of the norm
+        return 2 * s[0] * t[0] - s[0] * t[1] - s[1] * t[0] + 2 * s[1] * t[1]
+
+    u, v = (modulus, 0), (-r, 1)
+    if dot(u, u) > dot(v, v):
+        u, v = v, u
+    while True:
+        k = (2 * dot(u, v) + dot(u, u)) // (2 * dot(u, u))
+        v = (v[0] - k * u[0], v[1] - k * u[1])
+        if dot(v, v) >= dot(u, u):
+            break
+        u, v = v, u
+    det = u[0] * v[1] - u[1] * v[0]
+    c1, c2 = y * v[1], -y * u[1]
+    return min(
+        (
+            (y - k1 * u[0] - k2 * v[0], -k1 * u[1] - k2 * v[1])
+            for k1 in (c1 // det, -(-c1 // det))
+            for k2 in (c2 // det, -(-c2 // det))
+        ),
+        key=lambda w: dot(w, w),
+    )
+
+
+def _root_order_key(root, mults):
+    """Sort key of a root: its minimal polynomial over Q by degree, by that
+    factor's multiplicity in p * conj(p), then by its primitive integer
+    coefficients from the leading one down; of a conjugate pair the root
+    with positive w part first."""
+    a, b = root.a, root.b
+    if b == 0:
+        return 1, 2 * mults[root], [a.denominator, -a.numerator], 0
+    trace, norm = 2 * a - b, a * a - a * b + b * b
+    den = math.lcm(trace.denominator, norm.denominator)
+    mult = mults[root] + mults.get(root.conjugate(), 0)
+    return 2, mult, [den, int(-trace * den), int(norm * den)], 0 if b > 0 else 1
 
 
 def qomega_roots(p: UPoly):
@@ -1070,58 +1291,55 @@ def qomega_roots(p: UPoly):
     Returns (roots, missing) where roots is a list of (Cyclo, multiplicity)
     and missing counts the remaining distinct roots that lie outside Q(w)
     (degree of the squarefree part not accounted for by found roots).
+
+    The squarefree part f is lifted to Z[w], with leading coefficient lc.
+    Take the first prime q = 1 mod 3, with w -> r a cube root of unity
+    mod q, at which lc does not vanish and f is squarefree (gcd(f, f') = 1
+    over F_q).  Every root alpha of f in Q(w) then reduces to a distinct
+    simple root mod q, and lc*alpha lies in Z[w].  Each root mod q is
+    Hensel-lifted mod q^k > 16 max N(f_i) >= 2 (|lc| + max |f_i|)^2, which
+    exceeds 4 |lc*alpha|^2 by Cauchy's bound, and lc*alpha is read off as the
+    shortest element of its class (_zw_shortest): the class's differences
+    form the ideal (q, w - r)^k, whose nonzero elements have norm >= q^k.
+    Every candidate is checked by exact division, so missing is exact.
+
+    Roots are ordered by _root_order_key.
     """
     if p.is_zero():
         raise AlgebraError("root-finding on the zero polynomial")
-    sf_deg = p.squarefree_part().degree()
-    if sf_deg == 0:
+    sf = p.squarefree_part()
+    if sf.degree() == 0:
         return [], 0
-    # push into Q[t] via the norm: q = p * conj(p) has rational coefficients
-    q = p * p.conjugate()
-    if not all(c.is_rational() for c in q.coeffs):
-        raise AlgebraError("p * conj(p) has a coefficient outside Q")
-    t = sympy.Symbol("t")
-    qq = sympy.Poly(
-        [sympy.Rational(c.a.numerator, c.a.denominator) for c in reversed(q.coeffs)],
-        t,
-        domain="QQ",
-    )
-    candidates = []
-    for fac, _mult in qq.factor_list()[1]:
-        d = fac.degree()
-        cs = [Fraction(int(c.numerator), int(c.denominator)) for c in fac.all_coeffs()]
-        if d == 1:
-            candidates.append(Cyclo(-cs[1] / cs[0]))
-        elif d == 2:
-            u = cs[1] / cs[0]
-            v = cs[2] / cs[0]
-            disc = u * u - 4 * v
-            if disc < 0 and Fraction(-disc, 3) >= 0:
-                s = frac_nth_root(Fraction(-disc, 3), 2)
-                if s is not None:
-                    # roots (-u +/- s*sqrt(-3))/2 with sqrt(-3) = 1 + 2w
-                    candidates.append(Cyclo((-u + s) / 2, s))
-                    candidates.append(Cyclo((-u - s) / 2, -s))
-    roots = []
-    seen = set()
-    for r in candidates:
-        if r in seen:
+    f = list(zip(*_zw_lift(sf.coeffs)[:2]))
+    for q in itertools.count(7, 6):
+        if not isprime(q):
             continue
-        seen.add(r)
-        if not p.eval(r).is_zero():
-            continue
-        mult = 0
-        cur = p
-        lin = UPoly([-r, C_ONE])
+        r = next(x for x in (pow(c, (q - 1) // 3, q) for c in itertools.count(2)) if x != 1)
+        fq = _fp_trim([(a + b * r) % q for a, b in f])
+        df = _fp_trim([k * c % q for k, c in enumerate(fq)][1:])
+        if len(fq) == len(f) and len(_fp_gcd(fq, df, q)) == 1:
+            break
+    bound = 16 * max(a * a - a * b + b * b for a, b in f)
+    modulus = q
+    while modulus <= bound:
+        modulus *= q
+    r = _hensel([1, 1, 1], r, q, modulus)
+    lifted = [(a + b * r) % modulus for a, b in f]
+    lc = Cyclo(*f[-1])
+    mults = {}
+    for x in _fp_roots(fq, q):
+        x = _hensel(lifted, x, q, modulus)
+        root = Cyclo(*_zw_shortest(lifted[-1] * x % modulus, r, modulus)) / lc
+        m, cur, lin = 0, p, UPoly([-root, C_ONE])
         while True:
             quo, rem = cur.divmod(lin)
             if not rem.is_zero():
                 break
-            mult += 1
-            cur = quo
-        roots.append((r, mult))
-    missing = sf_deg - len(roots)
-    return roots, missing
+            m, cur = m + 1, quo
+        if m:
+            mults[root] = m
+    roots = sorted(mults.items(), key=lambda item: _root_order_key(item[0], mults))
+    return roots, sf.degree() - len(roots)
 
 
 def cyclo_nth_roots(c: Cyclo, n: int):

@@ -17,10 +17,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import sympy
-
 from .adjunction import alexander, defect
-from .algebra import MPoly
+from .algebra import MPoly, isprime
 from .linalg import det_fraction
 from .mordellweil import mw_rank
 from .spectrum import WeightedPoly
@@ -272,6 +270,40 @@ def diagonalize(q: QuadForm):
     return [_square_reduce(m[i][i]) for i in range(n)]
 
 
+def factorint(n: int) -> dict:
+    """{prime: exponent} of n >= 1, by trial division while the cofactor
+    is composite; a prime cofactor is the last factor."""
+    out = {}
+    d = 2
+    while n > 1 and not isprime(n):
+        while n % d:
+            d += 1 if d == 2 else 2
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def jacobi_symbol(a: int, n: int) -> int:
+    """The Jacobi symbol (a / n) for odd n > 0, by quadratic reciprocity."""
+    if n <= 0 or n % 2 == 0:
+        raise ValueError("the Jacobi symbol needs an odd positive modulus")
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
 def _square_reduce(x: Fraction) -> int:
     """The square class representative of a nonzero rational: the signed
     squarefree part of numerator * denominator."""
@@ -280,7 +312,7 @@ def _square_reduce(x: Fraction) -> int:
     n = x.numerator * x.denominator
     sign = -1 if n < 0 else 1
     out = 1
-    for p, e in sympy.factorint(abs(n)).items():
+    for p, e in factorint(abs(n)).items():
         if e % 2:
             out *= p
     return sign * out
@@ -307,7 +339,7 @@ def hilbert_symbol(a, b, p) -> int:
     if p in ("inf", "infinity", math.inf):
         return -1 if a < 0 and b < 0 else 1
     p = int(p)
-    if not sympy.isprime(p):
+    if not isprime(p):
         raise ValueError(f"{p} is not prime")
     alpha, u = _split_valuation(a, p)
     beta, v = _split_valuation(b, p)
@@ -318,8 +350,8 @@ def hilbert_symbol(a, b, p) -> int:
         om_u, om_v = (um * um - 1) // 8 % 2, (vm * vm - 1) // 8 % 2
         exp = eps_u * eps_v + alpha * om_v + beta * om_u
         return -1 if exp % 2 else 1
-    leg_u = sympy.jacobi_symbol((u.numerator * pow(u.denominator, -1, p)) % p, p)
-    leg_v = sympy.jacobi_symbol((v.numerator * pow(v.denominator, -1, p)) % p, p)
+    leg_u = jacobi_symbol((u.numerator * pow(u.denominator, -1, p)) % p, p)
+    leg_v = jacobi_symbol((v.numerator * pow(v.denominator, -1, p)) % p, p)
     sign = (-1) ** (alpha * beta * ((p - 1) // 2))
     return int(sign * leg_u**beta * leg_v**alpha)
 
@@ -336,7 +368,7 @@ def hasse_invariant(diag, p) -> int:
 def _relevant_primes(diag_a, diag_b):
     primes = {2}
     for d in list(diag_a) + list(diag_b):
-        primes |= set(sympy.factorint(abs(int(d))).keys())
+        primes |= set(factorint(abs(int(d))))
     return sorted(primes)
 
 

@@ -1,5 +1,6 @@
 """Tests for singular-point detection, defects, and Alexander polynomials."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -239,6 +240,16 @@ class TestCuspScheme:
         full.count(), full.vanishing_dim(2), full.vanishing_dim(3)
         assert divisors == [full]
 
+    def test_count_raises_when_every_resultant_vanishes(self, monkeypatch):
+        # all three projection centers eliminate to 0: no count is certified
+        monkeypatch.setattr(
+            adjunction, "resultant", lambda p, q, var: MPoly.zero(p.vars)
+        )
+        sch = CuspScheme(poly("x^2 + y*z"), poly("x^3 + y^3 + z^3"), "z")
+        with pytest.raises(IncompleteLocus) as err:
+            sch.count()
+        assert err.value.unexplained == -1
+
     def test_scheme_defect_matches_point_route(self):
         g, q, c = six_cusp_sextic()
         point_prof = CurveProfile(g)
@@ -328,6 +339,17 @@ class TestAlexander:
         delta = alexander(prof)
         assert ord_at(delta, 0) == 2
         assert delta.rendered == "(t - 1)^2"
+
+    def test_cyclotomic_text_matches_sympy(self):
+        # Phi_105 is the first with a coefficient -2
+        t = sympy.Symbol("t")
+        for n in range(1, 211):
+            want = str(sympy.cyclotomic_poly(n, t)).replace("**", "^")
+            assert adjunction._render_cyclotomic(n) == want, n
+            if n > 1:
+                orders = {Fraction(k, n): 2 for k in range(1, n) if math.gcd(k, n) == 1}
+                assert adjunction._render_alexander(orders) == f"({want})^2"
+        assert "- 2*t^41" in adjunction._render_cyclotomic(105)
 
     def test_ord_at_domain(self):
         delta = AlexanderPoly({}, "1")

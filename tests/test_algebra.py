@@ -563,6 +563,25 @@ class TestUPolyGcd:
         assert p.gcd(q) == want
         assert q.gcd(p) == want
 
+    @settings(max_examples=40, deadline=None)
+    @given(upoly_factors(2))
+    def test_squarefree_part_equals_field_quotient(self, drawn):
+        # the Z[w] division gives the Q(w) quotient p / gcd(p, p'), made monic
+        _dom, (a, b) = drawn
+        p = a * a * b
+        if p.degree() > 0:
+            want = p.divmod(p.gcd(p.derivative()))[0].monic()
+            assert p.squarefree_part() == want
+
+    def test_squarefree_part_divides_out_omega_content(self):
+        # pi = 3 + w has norm 7; the lift of gcd = t + 1/conj(pi) is
+        # 7t + pi = pi * (conj(pi) t + 1), whose Z[w] content pi must be
+        # divided out before the lift of p is divisible by it
+        pi = Cyclo(3, 1)
+        g = UPoly([pi.conjugate().inverse(), 1])
+        p = g * g * UPoly([(pi * pi).inverse(), 1])
+        assert p.squarefree_part() == p.divmod(g)[0].monic()
+
     def test_squarefree_part_edge_cases(self):
         assert UPoly([]).squarefree_part() == UPoly([])
         assert UPoly([Fraction(7, 2)]).squarefree_part() == UPoly([1])
@@ -636,6 +655,140 @@ class TestUPolyGcd:
         calls.clear()
         assert p.gcd(q) == upoly_from_roots([OMEGA, 2, Fraction(1, 3)])
         assert len(calls) <= 1
+
+
+def sympy_qomega_roots(p: UPoly):
+    """The sympy-based qomega_roots that the p-adic root finder replaced,
+    kept as the oracle of root order: candidates come from sympy's
+    factor_list of p * conj(p) over QQ, in sympy's factor order."""
+    sf_deg = p.squarefree_part().degree()
+    if sf_deg == 0:
+        return [], 0
+    q = p * p.conjugate()
+    qq = sympy.Poly(
+        [sympy.Rational(c.a.numerator, c.a.denominator) for c in reversed(q.coeffs)],
+        T,
+        domain="QQ",
+    )
+    candidates = []
+    for fac, _mult in qq.factor_list()[1]:
+        cs = [Fraction(int(c.numerator), int(c.denominator)) for c in fac.all_coeffs()]
+        if len(cs) == 2:
+            candidates.append(Cyclo(-cs[1] / cs[0]))
+        elif len(cs) == 3:
+            u, v = cs[1] / cs[0], cs[2] / cs[0]
+            disc = u * u - 4 * v
+            if disc < 0:
+                s = frac_nth_root(Fraction(-disc, 3), 2)
+                if s is not None:
+                    candidates.append(Cyclo((-u + s) / 2, s))
+                    candidates.append(Cyclo((-u - s) / 2, -s))
+    roots = []
+    for r in dict.fromkeys(candidates):
+        mult, cur, lin = 0, p, UPoly([-r, C_ONE])
+        while True:
+            quo, rem = cur.divmod(lin)
+            if not rem.is_zero():
+                break
+            mult, cur = mult + 1, quo
+        if mult:
+            roots.append((r, mult))
+    return roots, sf_deg - len(roots)
+
+
+def sympy_field_roots(p: UPoly):
+    """{root: multiplicity} and the number of distinct roots outside Q(w),
+    from sympy's factorisation of p over QQ(sqrt(-3))."""
+    poly = to_sympy_upoly(p, QQ_OMEGA)
+    roots = {}
+    for fac, mult in poly.factor_list()[1]:
+        if fac.degree() == 1:
+            c1, c0 = fac.all_coeffs()
+            e = sympy.expand(-c0 / c1)
+            b = sympy.Rational(sympy.simplify(2 * sympy.im(e) / sympy.sqrt(3)))
+            a = sympy.Rational(sympy.re(e)) + b / 2
+            roots[Cyclo(Fraction(a.p, a.q), Fraction(b.p, b.q))] = mult
+    return roots, poly.sqf_part().degree() - len(roots)
+
+
+# polynomials without a root in Q(w): sqrt(2), i, 2^(1/3), sqrt(3),
+# (1 + sqrt(-7))/2, sqrt(1 + w) = sqrt(-w^2) (i*w) and 9th roots of unity
+ROOTLESS = [
+    UPoly([]),
+    UPoly([-2, 0, 1]),
+    UPoly([1, 0, 1]),
+    UPoly([-2, 0, 0, 1]),
+    UPoly([-3, 0, 1]),
+    UPoly([2, -1, 1]),
+    UPoly([-(C_ONE + OMEGA), 0, 1]),
+    UPoly([-OMEGA, 0, 0, 1]),
+]
+
+
+@st.composite
+def root_products(draw, max_roots=4, max_mult=3):
+    """lead * prod (t - r)^m * rest, with roots in Q or Q(w) of small or
+    large height and with denominators, repeated roots, conjugate pairs
+    and a rest without roots in Q(w)."""
+    small = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+    big = st.builds(Fraction, st.integers(-(10**15), 10**15), st.integers(1, 10**6))
+    part = st.one_of(small, small, big)
+    root = st.one_of(st.builds(Cyclo, part), st.builds(Cyclo, part, part))
+    roots = draw(st.lists(root, max_size=max_roots))
+    if roots and draw(st.booleans()):
+        roots.append(roots[0].conjugate())
+    p = UPoly([draw(cyclos.filter(lambda c: not c.is_zero()))])
+    for r in roots:
+        for _ in range(draw(st.integers(1, max_mult))):
+            p = p * UPoly([-r, C_ONE])
+    rest = draw(st.sampled_from(ROOTLESS))
+    if not rest.is_zero():
+        p = p * rest
+    if p.degree() < 1:
+        p = p * UPoly([-3, 0, 1])
+    return p
+
+
+class TestRootsDifferential:
+    """qomega_roots against sympy: the roots and multiplicities of sympy's
+    factorisation over QQ(sqrt(-3)), and the roots in order of the sympy
+    factor_list route it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(root_products())
+    def test_matches_old_route_in_order(self, p):
+        assert qomega_roots(p) == sympy_qomega_roots(p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(root_products(max_roots=3, max_mult=2))
+    def test_matches_field_factorisation(self, p):
+        roots, missing = qomega_roots(p)
+        assert (dict(roots), missing) == sympy_field_roots(p)
+
+    @pytest.mark.parametrize(
+        "roots, lead, skipped",
+        [
+            # lc: the lift of t - 1/91 has leading coefficient 91 = 7 * 13
+            ([Fraction(1, 91)], C_ONE, (7, 13)),
+            # discriminant: 0 and 91 meet modulo 7 and 13
+            ([0, 91, OMEGA], Cyclo(2, 3), (7, 13)),
+            # 0 and 7 * 13 * 19 meet modulo 7, 13 and 19
+            ([0, 7 * 13 * 19, Cyclo(Fraction(1, 5), 2)], C_ONE, (7, 13, 19)),
+        ],
+    )
+    def test_prime_search_skips_bad_primes(self, roots, lead, skipped, monkeypatch):
+        used = []
+        real = algebra._fp_roots
+        monkeypatch.setattr(algebra, "_fp_roots", lambda f, q: used.append(q) or real(f, q))
+        p = upoly_from_roots(roots * 2, lead=lead) * UPoly([-2, 0, 1])
+        got = qomega_roots(p)
+        assert used and used[0] > max(skipped)
+        assert got == sympy_qomega_roots(p)
+        assert (dict(got[0]), got[1]) == sympy_field_roots(p)
+
+    def test_conjugate_pair_order(self):
+        # t^2 + t + 1: w (positive w part) before w^2 = -1 - w
+        assert qomega_roots(UPoly([1, 1, 1]))[0] == [(OMEGA, 1), (-1 - OMEGA, 1)]
 
 
 class TestRoots:
@@ -722,6 +875,25 @@ class TestProjPoint:
     def test_zero_rejected(self):
         with pytest.raises(Exception):
             ProjPoint([C_ZERO, C_ZERO, C_ZERO])
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_integer_nthroot_matches_sympy(n):
+    rng = random.Random(n)
+    xs = list(range(300)) + [rng.randrange(10**60) for _ in range(100)]
+    xs += [k**n + d for k in (10**9, 3**40) for d in (-1, 0, 1)]
+    for x in xs:
+        assert algebra.integer_nthroot(x, n) == sympy.integer_nthroot(x, n)[0]
+
+
+def test_isprime_matches_sympy():
+    rng = random.Random(7)
+    ns = list(range(-3, 5000)) + [rng.randrange(10**30) for _ in range(200)]
+    # strong pseudoprimes to several small bases, Carmichael numbers and
+    # a prime above the bound where the bases up to 41 stop being proven
+    ns += [3215031751, 3825123056546413051, 561, 41041, 2**89 - 1, 10**25 + 13]
+    for n in ns:
+        assert algebra.isprime(n) == sympy.isprime(n), n
 
 
 def test_frac_nth_root():

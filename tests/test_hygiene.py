@@ -2,17 +2,25 @@
 
 No module imports a name it never uses, and no module uses an `assert`
 statement, because asserts vanish under `python -O` and the package's
-runtime invariants must raise.  Every function the benchmark tracer wraps
-(bench/tracer.py TARGETS, read as text) still exists in the package, so a
-deletion or rename cannot break `bench/run.py --trace 1` unnoticed.
+runtime invariants must raise.  The runtime is the standard library alone:
+no module imports sympy, and every golden CLI case gives its recorded
+bytes in a process where sympy cannot be imported.  Every function the
+benchmark tracer wraps (bench/tracer.py TARGETS, read as text) still
+exists in the package, so a deletion or rename cannot break
+`bench/run.py --trace 1` unnoticed.
 """
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from test_golden import CASES, GOLDEN
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "curvelattice"
@@ -72,6 +80,31 @@ def test_no_unused_imports(path):
 def test_no_assert_statements(path):
     lines = [n.lineno for n in ast.walk(_tree(path)) if isinstance(n, ast.Assert)]
     assert lines == [], f"{path.name} has assert statements at lines {lines}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_sympy_import(path):
+    imported = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+    assert not {n for n in imported if n.split(".")[0] == "sympy"}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_case_without_sympy(name):
+    # sys.modules["sympy"] = None makes every `import sympy` raise
+    code = "import sys; sys.modules['sympy'] = None; from curvelattice.cli import main; main()"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *CASES[name]],
+        capture_output=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / f"{name}.json").read_bytes()
 
 
 def test_modules_found():

@@ -16,10 +16,12 @@ from curvelattice.lattice import (
     QuadForm,
     diagonalize,
     evidence_tuple,
+    factorint,
     hasse_invariant,
     hilbert_symbol,
     identify,
     identify_saturation,
+    jacobi_symbol,
     q_compare,
     q_equivalent,
     shortest_vectors,
@@ -290,3 +292,21 @@ class TestZariskiCertificate:
         )
         with pytest.raises(PrereqFailed):
             zariski_certificate(summary(), A2_3, bad_delta, A2_2)
+
+
+class TestNumberTheory:
+    """The stdlib factorint and jacobi_symbol against sympy's."""
+
+    def test_factorint_matches_sympy(self):
+        rng = random.Random(11)
+        ns = list(range(1, 3000)) + [rng.randrange(1, 10**12) for _ in range(200)]
+        ns += [2**40 * 3**5, 97**4 * 101, 999983 * 1000003, 2**61 - 1]
+        for n in ns:
+            assert factorint(n) == sympy.factorint(n), n
+
+    def test_jacobi_symbol_matches_sympy(self):
+        for n in range(1, 400, 2):
+            for a in range(-40, 80):
+                assert jacobi_symbol(a, n) == sympy.jacobi_symbol(a, n), (a, n)
+        with pytest.raises(ValueError):
+            jacobi_symbol(3, 10)
