@@ -12,8 +12,11 @@ interpolation, the univariate subresultant gcd over Z[w] (the one gcd:
 multivariate gcd degrees are read from it on lines, see
 adjunction.gcd_degree), exact square roots of polynomials, and root
 extraction of univariate polynomials inside Q(w) (a p-adic root finder
-whose every answer is verified exactly).  Only the standard library is
-used.
+whose every answer is verified exactly).  The elimination, the
+resultant from its inputs to its output, the gcd and the root finder's
+multiplicities work on Z[w] int pairs (a, b) = a + b*w, lifted once
+from Q(w) by the lcm of the denominators (_zw_lift).  Only the standard
+library is used.
 """
 
 from __future__ import annotations
@@ -63,24 +66,6 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
-def integer_nthroot(x: int, n: int) -> int:
-    """floor(x^(1/n)) for x >= 0 and n >= 1: math.isqrt for n = 2, else
-    integer Newton from the power of two above the root, which decreases
-    to the floor."""
-    if x < 0 or n < 1:
-        raise ValueError("need x >= 0 and n >= 1")
-    if x < 2 or n == 1:
-        return x
-    if n == 2:
-        return math.isqrt(x)
-    r = 1 << -(-x.bit_length() // n)
-    while True:
-        s = ((n - 1) * r + x // r ** (n - 1)) // n
-        if s >= r:
-            return r
-        r = s
-
-
 def isprime(n: int) -> bool:
     """Deterministic Miller-Rabin.  The prime bases up to 41 decide every
     n < 3317044064679887385961981 (Sorenson-Webster, Math. Comp. 86,
@@ -111,23 +96,6 @@ def isprime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def frac_nth_root(x: Fraction, n: int):
-    """Return the rational n-th root of x, or None if there is none."""
-    x = _as_fraction(x)
-    if x == 0:
-        return Fraction(0)
-    neg = x < 0
-    if neg and n % 2 == 0:
-        return None
-    ax = -x if neg else x
-    rn = integer_nthroot(ax.numerator, n)
-    rd = integer_nthroot(ax.denominator, n)
-    if rn**n != ax.numerator or rd**n != ax.denominator:
-        return None
-    r = Fraction(rn, rd)
-    return -r if neg else r
 
 
 @dataclass(frozen=True, slots=True)
@@ -764,34 +732,25 @@ def _zw_gcd(x, y):
     return x
 
 
-def echelon_zw(rows, reduced=False):
+def echelon_zw_pairs(A, B, reduced=False):
     """Fraction-free row echelon form over Z[w], exact on any shape and rank.
 
-    Entries may be Cyclo, int or Fraction.  Each row is scaled by the lcm
-    of its denominators, so the entries lie in Z[w]; they are kept as int
-    pairs (a, b) = a + b*w.  Columns are taken left to right and a column
-    with no nonzero entry at or below the current row is skipped.  Bareiss
-    elimination (Math. Comp. 22, 1968) makes every entry a minor of the
-    scaled matrix, so the division by the previous pivot p is exact in
-    Z[w]: multiply by conj(p) and divide both parts by N(p).  A remainder
-    raises AlgebraError.
+    The matrix has the entries A[i][j] + B[i][j]*w, held as int rows A
+    and B, which are eliminated in place.  Columns are taken left to right
+    and a column with no nonzero entry at or below the current row is
+    skipped.  Bareiss elimination (Math. Comp. 22, 1968) makes every entry
+    a minor of the matrix, so the division by the previous pivot p is
+    exact in Z[w]: multiply by conj(p) and divide both parts by N(p).  A
+    remainder raises AlgebraError.
 
     With reduced=True the rows above each pivot are eliminated as well
     (fraction-free Gauss-Jordan): each pivot column then holds the last
     pivot d in its own row and 0 elsewhere, so the reduced row echelon
     form is the first len(pivots) rows divided by d.
 
-    Returns (A, B, pivots, sign, den): the a and b parts of the eliminated
-    matrix, the pivot columns, the sign of the row permutation and the
-    product of the row scales.
+    Returns (A, B, pivots, sign): the a and b parts of the eliminated
+    matrix, the pivot columns and the sign of the row permutation.
     """
-    den = 1
-    A, B = [], []
-    for r in rows:
-        ra, rb, lcm = _zw_lift(r)
-        den *= lcm
-        A.append(ra)
-        B.append(rb)
     nrows = len(A)
     ncols = len(A[0]) if A else 0
     pivots = []
@@ -837,7 +796,23 @@ def echelon_zw(rows, reduced=False):
         pivots.append(c)
         qa, qb = pa, pb  # the previous pivot
         k += 1
-    return A, B, pivots, sign, den
+    return A, B, pivots, sign
+
+
+def echelon_zw(rows, reduced=False):
+    """echelon_zw_pairs of a matrix over Q(w) with entries Cyclo, int or
+    Fraction: each row is scaled by the lcm of its denominators, so the
+    entries lie in Z[w].  Returns (A, B, pivots, sign, den), den the
+    product of the row scales.
+    """
+    den = 1
+    A, B = [], []
+    for r in rows:
+        ra, rb, lcm = _zw_lift(r)
+        den *= lcm
+        A.append(ra)
+        B.append(rb)
+    return (*echelon_zw_pairs(A, B, reduced), den)
 
 
 def echelon_det(rows) -> Cyclo:
@@ -860,20 +835,6 @@ def det_cyclo(rows) -> Cyclo:
     return echelon_det(rows)
 
 
-def sylvester(pc, qc):
-    """Sylvester matrix of two scalar coefficient lists, low -> high, at the
-    formal degrees len - 1; the p rows come before the q rows."""
-    dp, dq = len(pc) - 1, len(qc) - 1
-    rows = []
-    for coeffs, d, shifts in ((pc, dp, dq), (qc, dq, dp)):
-        for i in range(shifts):
-            row = [C_ZERO] * (dp + dq)
-            for k, c in enumerate(coeffs):
-                row[i + d - k] = c
-            rows.append(row)
-    return rows
-
-
 def _interp_points(n):
     pts = [0]
     k = 1
@@ -885,57 +846,83 @@ def _interp_points(n):
     return pts[:n]
 
 
-def _newton_interpolate(xs, ys):
-    """Newton-form interpolation of Cyclo values at integer nodes; returns
-    low->high coeffs."""
+def _interpolate(xs, columns):
+    """Coefficients, low -> high, of the polynomials taking the integer
+    values of each column at the integer nodes xs, by Newton's divided
+    differences.  The divided differences of t^n at integer nodes are
+    complete homogeneous symmetric polynomials in the nodes, so those of a
+    polynomial over Z are integers and every division is exact; a
+    remainder raises AlgebraError."""
     n = len(xs)
-    divided = list(ys)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            d = divided[i] - divided[i - 1]
-            step = xs[i] - xs[i - j]
-            divided[i] = Cyclo(d.a / step, d.b / step)
-    coeffs = [C_ZERO] * n
-    # build sum divided[j] * prod_{i<j} (t - xs[i]) as coefficient list
-    acc = [1]  # current product polynomial, integer coefficients low->high
-    for j, dj in enumerate(divided):
-        for i, c in enumerate(acc):
-            coeffs[i] = coeffs[i] + Cyclo(dj.a * c, dj.b * c)
-        # acc *= (t - xs[j])
-        acc = [a - b * xs[j] for a, b in zip([0] + acc, acc + [0])]
-    return coeffs
+    basis = [[1]]  # prod_{i<j} (t - xs[i]), integer coefficients low -> high
+    for x in xs[:-1]:
+        b = basis[-1]
+        basis.append([u - v * x for u, v in zip([0] + b, b + [0])])
+    out = []
+    for ys in columns:
+        d = list(ys)
+        for j in range(1, n):
+            for i in range(n - 1, j - 1, -1):
+                d[i], r = divmod(d[i] - d[i - 1], xs[i] - xs[i - j])
+                if r:
+                    raise AlgebraError("inexact divided difference in Z[w]")
+        coeffs = [0] * n
+        for dj, b in zip(d, basis):
+            if dj:
+                for i, c in enumerate(b):
+                    coeffs[i] += dj * c
+        out.append(coeffs)
+    return out
 
 
 def resultant(p: MPoly, q: MPoly, var) -> MPoly:
     """Resultant with respect to var; Sylvester determinant convention.
 
-    The determinant of the Sylvester matrix at the formal degrees is taken
-    by evaluation and interpolation (Collins, JACM 18, 1971), one remaining
-    active variable at a time, down to scalar matrices for det_cyclo.
+    p and q are lifted once each into Z[w] int pairs (a, b) = a + b*w,
+    scaled by the lcm Lp, Lq of their denominators; the determinant of the
+    Sylvester matrix of the lifted pair at the formal degrees dp, dq is
+    Lp^dq * Lq^dp times the resultant.  It is taken on the pairs by
+    evaluation and interpolation (Collins, JACM 18, 1971), one remaining
+    active variable at a time, down to scalar matrices for
+    echelon_zw_pairs, and the scale is divided out once at the end.
     """
     if p.is_zero() or q.is_zero():
         raise AlgebraError("resultant of the zero polynomial")
-    cp, rest = p.coeffs_in(var)
-    cq, _ = q.coeffs_in(var)
-    zero = MPoly.zero(rest)
-    pc = [cp.get(k, zero) for k in range(p.degree_in(var) + 1)]
-    qc = [cq.get(k, zero) for k in range(q.degree_in(var) + 1)]
-    dp, dq = len(pc) - 1, len(qc) - 1
+    p._check_same_vars(q)
+    dp, dq = p.degree_in(var), q.degree_in(var)
     if dp == 0 and dq == 0:
         raise AlgebraError("resultant needs positive degree in the variable")
     # deg 0 in var: Res(c, q) = c^{deg q}
     if dp == 0:
-        return pc[0] ** dq
+        return p.coeffs_in(var)[0][0] ** dq
     if dq == 0:
-        return qc[0] ** dp
-    return _sylvester_det(pc, qc)
+        return q.coeffs_in(var)[0][0] ** dp
+    i = p.vars.index(var)
+    sides = []
+    for f, d in ((p, dp), (q, dq)):
+        A, B, lcm = _zw_lift(list(f.terms.values()))
+        cs = [{} for _ in range(d + 1)]
+        for e, a, b in zip(f.terms, A, B):
+            cs[e[i]][e[:i] + e[i + 1 :]] = a, b
+        sides.append((cs, lcm))
+    (pc, lp), (qc, lq) = sides
+    scale = lp**dq * lq**dp
+    det = _sylvester_det_zw(pc, qc)
+    return MPoly(
+        p.vars[:i] + p.vars[i + 1 :],
+        {e: Cyclo(Fraction(a, scale), Fraction(b, scale)) for e, (a, b) in det.items()},
+    )
 
 
-def _sylvester_det(pc, qc):
-    """det sylvester(pc, qc) for coefficient lists of MPoly over one
-    variable list.  The first active variable t is set to integer samples
-    in the dp+dq+2 coefficients (never in the matrix entries), each sample
-    recurses, and each monomial's values are interpolated in t.
+def _sylvester_det_zw(pc, qc):
+    """The determinant of the Sylvester matrix of the coefficient lists pc
+    and qc (low -> high, at the formal degrees len - 1, the p rows before
+    the q rows).  Each coefficient is a polynomial over Z[w] held as a
+    dict exps -> (a, b) without zero pairs, all over one variable list;
+    the determinant is returned in the same form.  The first active
+    variable t is set to integer samples in the dp+dq+2 coefficients
+    (never in the matrix entries), each sample recurses, and each
+    monomial's values are interpolated in t.
 
     The number of samples is one more than the smaller of two bounds on
     the degree in t: the column bound dq*max deg_t(pc) + dp*max deg_t(qc),
@@ -943,38 +930,64 @@ def _sylvester_det(pc, qc):
     degree of the polynomial whose coefficients are listed (scaling every
     remaining variable by s makes the k-th coefficient s^k * pc[k] of
     degree at most Dp in s, and the determinant gains s^(dp*dq))."""
-    variables = pc[0].vars
-    coeffs = pc + qc
-    t = next((v for v in variables if any(c.degree_in(v) > 0 for c in coeffs)), None)
-    if t is None:
-        pv = [c.constant_coeff() for c in pc]
-        qv = [c.constant_coeff() for c in qc]
-        return MPoly.const(variables, det_cyclo(sylvester(pv, qv)))
     dp, dq = len(pc) - 1, len(qc) - 1
+    coeffs = pc + qc
+    t = min((j for c in coeffs for e in c for j, k in enumerate(e) if k), default=None)
+    if t is None:
+        zero = next((e for c in coeffs for e in c), None)
+        n = dp + dq
+        A, B = [], []
+        for cs, d, shifts in ((pc, dp, dq), (qc, dq, dp)):
+            vals = [c.get(zero, (0, 0)) for c in cs]
+            for s in range(shifts):
+                ra, rb = [0] * n, [0] * n
+                for k, (a, b) in enumerate(vals):
+                    ra[s + d - k], rb[s + d - k] = a, b
+                A.append(ra)
+                B.append(rb)
+        A, B, pivots, sign = echelon_zw_pairs(A, B)
+        if len(pivots) < n:
+            return {}
+        return {zero: (sign * A[-1][-1], sign * B[-1][-1])}
     # total degrees Dp, Dq; None when a sample zeroed every coefficient of
     # one side, whose Sylvester rows are then all zero
     tp, tq = (
-        max((k + c.degree() for k, c in enumerate(cs) if c.terms), default=None)
+        max((k + max(map(sum, c)) for k, c in enumerate(cs) if c), default=None)
         for cs in (pc, qc)
     )
     if tp is None or tq is None:
-        return MPoly.zero(variables)
-    bound = min(
-        dq * max(c.degree_in(t) for c in pc) + dp * max(c.degree_in(t) for c in qc),
-        tp * dq + tq * dp - dp * dq,
-    )
+        return {}
+
+    def deg_t(cs):
+        return max((e[t] for c in cs for e in c), default=0)
+
+    bound = min(dq * deg_t(pc) + dp * deg_t(qc), tp * dq + tq * dp - dp * dq)
     xs = _interp_points(bound + 1)
-    values = [
-        _sylvester_det([c.subs({t: x}) for c in pc], [c.subs({t: x}) for c in qc])
-        for x in xs
-    ]
-    ti = variables.index(t)
+    top = max(deg_t(pc), deg_t(qc))
+    values = []
+    for x in xs:
+        pows = [x**k for k in range(top + 1)]
+        at_x = []
+        for c in coeffs:
+            sub = {}
+            for e, (a, b) in c.items():
+                k = e[t]
+                if k:
+                    a, b = a * pows[k], b * pows[k]
+                    e = e[:t] + (0,) + e[t + 1 :]
+                old = sub.get(e)
+                sub[e] = (a, b) if old is None else (old[0] + a, old[1] + b)
+            at_x.append({e: v for e, v in sub.items() if v != (0, 0)})
+        values.append(_sylvester_det_zw(at_x[: dp + 1], at_x[dp + 1 :]))
+    keys = list(dict.fromkeys(e for v in values for e in v))
+    columns = [[v.get(e, (0, 0))[part] for v in values] for e in keys for part in (0, 1)]
+    coeffs_t = _interpolate(xs, columns)
     terms = {}
-    for e in dict.fromkeys(e for v in values for e in v.terms):
-        ys = [v.terms.get(e, C_ZERO) for v in values]
-        for k, c in enumerate(_newton_interpolate(xs, ys)):
-            terms[e[:ti] + (k,) + e[ti + 1 :]] = c
-    return MPoly(variables, terms)
+    for j, e in enumerate(keys):
+        for k, ab in enumerate(zip(coeffs_t[2 * j], coeffs_t[2 * j + 1])):
+            if ab != (0, 0):
+                terms[e[:t] + (k,) + e[t + 1 :]] = ab
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -1325,19 +1338,32 @@ def qomega_roots(p: UPoly):
         modulus *= q
     r = _hensel([1, 1, 1], r, q, modulus)
     lifted = [(a + b * r) % modulus for a, b in f]
-    lc = Cyclo(*f[-1])
+    lc = f[-1]
+    # S(s) = lc^n * P(s / lc), P = p lifted to Z[w] and n = deg P: beta is
+    # a root of S of multiplicity m exactly when beta / lc is one of p
+    P = list(zip(*_zw_lift(p.coeffs)[:2]))
+    S, lc_k = [], (1, 0)
+    for c in reversed(P):
+        S.append(_zw_mul(c, lc_k))
+        lc_k = _zw_mul(lc_k, lc)
+    S.reverse()
     mults = {}
     for x in _fp_roots(fq, q):
         x = _hensel(lifted, x, q, modulus)
-        root = Cyclo(*_zw_shortest(lifted[-1] * x % modulus, r, modulus)) / lc
-        m, cur, lin = 0, p, UPoly([-root, C_ONE])
-        while True:
-            quo, rem = cur.divmod(lin)
-            if not rem.is_zero():
+        beta = _zw_shortest(lifted[-1] * x % modulus, r, modulus)
+        m, cur = 0, S
+        while len(cur) > 1:
+            # synthetic division by s - beta: the quotient high -> low,
+            # then the remainder S(beta)
+            acc = [cur[-1]]
+            for c in reversed(cur[:-1]):
+                y = _zw_mul(acc[-1], beta)
+                acc.append((c[0] + y[0], c[1] + y[1]))
+            if acc[-1] != (0, 0):
                 break
-            m, cur = m + 1, quo
+            m, cur = m + 1, acc[-2::-1]
         if m:
-            mults[root] = m
+            mults[Cyclo(*beta) / Cyclo(*lc)] = m
     roots = sorted(mults.items(), key=lambda item: _root_order_key(item[0], mults))
     return roots, sf.degree() - len(roots)
 

@@ -1,11 +1,12 @@
 """Tests for exact Q(w) arithmetic, polynomials, gcd/resultants, sqrt."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from curvelattice import algebra, torus
@@ -23,7 +24,6 @@ from curvelattice.algebra import (
     UPoly,
     cyclo_nth_roots,
     det_cyclo,
-    frac_nth_root,
     is_weighted_homogeneous,
     parse_poly,
     poly_sqrt,
@@ -238,6 +238,32 @@ class TestGcdDegree:
                 gcd_degree(bad, form)
 
 
+def mpoly_to_sympy(p: MPoly):
+    x, y, z = sympy.symbols("x y z")
+    return sum(
+        to_sympy(c) * x ** e[0] * y ** e[1] * z ** e[2] for e, c in p.terms.items()
+    )
+
+
+@st.composite
+def trivariate_pairs(draw):
+    """Two polynomials in x, y, z of degree 1-3 in x, with Q(w)
+    coefficients that have denominators; each coefficient of x^k is a
+    polynomial in y and z of degree at most 2, so leading coefficients
+    often vanish at the interpolation samples."""
+    polys = []
+    for _ in range(2):
+        terms = {}
+        for k in range(draw(st.integers(1, 3)) + 1):
+            for _ in range(draw(st.integers(0, 2))):
+                j = draw(st.integers(0, 2))
+                terms[(k, j, draw(st.integers(0, 2 - j)))] = draw(cyclos)
+        f = MPoly(XYZ, terms)
+        assume(f.degree_in("x") > 0)
+        polys.append(f)
+    return tuple(polys)
+
+
 class TestResultant:
     def test_linear_convention(self):
         # Sylvester matrix [[1, -1], [1, 1]] has determinant 2 -> 2y
@@ -338,12 +364,13 @@ class TestResultant:
         p = parse_poly(str(sp).replace("**", "^"), ("x", "y"))
         q = parse_poly(str(sq).replace("**", "^"), ("x", "y"))
         calls = []
+        real = algebra.echelon_zw_pairs
 
-        def counted(rows):
-            calls.append(len(rows))
-            return det_cyclo(rows)
+        def counted(A, B, reduced=False):
+            calls.append(len(A))
+            return real(A, B, reduced)
 
-        monkeypatch.setattr(algebra, "det_cyclo", counted)
+        monkeypatch.setattr(algebra, "echelon_zw_pairs", counted)
         got = resultant(p, q, "x")
         assert calls == [8] * 26
         ours = sum(to_sympy(c) * y ** e[0] for e, c in got.terms.items())
@@ -405,6 +432,85 @@ class TestResultant:
             checked += 1
         assert with_omega
 
+    @given(trivariate_pairs())
+    @example(
+        (
+            parse_poly("z*x^3 + y*x + 1/2*w", XYZ),
+            parse_poly("(2*z - 2)*x^2 + 1/3*y*z*x + 1 + w*y", XYZ),
+        )
+    )
+    @example(
+        (
+            parse_poly("(y - 1)*x^2 + (3/4 + w)*z*x + y", XYZ),
+            parse_poly("y*z*x^3 - 2/5*x + w*z^2", XYZ),
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_sympy_sylvester_det(self, pair):
+        # over Q(sqrt(-3)) = Q(w): the oracle is the determinant of sympy's
+        # Sylvester matrix with w a symbol, reduced modulo w^2 + w + 1; the
+        # examples have leading coefficients in x that vanish at the
+        # samples y = 0, z = 0 or y = 1, where the matrices are taken at
+        # the formal degrees
+        from sympy.polys.subresultants_qq_zz import sylvester
+
+        p, q = pair
+        x, y, z = sympy.symbols("x y z")
+        got = resultant(p, q, "x")
+        ours = sum(to_sympy(c) * y ** e[0] * z ** e[1] for e, c in got.terms.items())
+        oracle = sylvester(mpoly_to_sympy(p), mpoly_to_sympy(q), x).det(method="domain-ge")
+        assert reduce_omega(ours - oracle) == 0
+
+    def test_one_cyclo_per_output_term(self, monkeypatch):
+        # the resultant runs on Z[w] int pairs from its inputs to its
+        # output: the only Q(w) scalars it makes are the output's
+        # coefficients, one each
+        p = parse_poly("w*x^2*y + (1 - 2*w)*x*z + 1/3*y^2 + w*z", XYZ)
+        q = parse_poly("x^2 + w*y*z*x - 5/2*w*y + z^2", XYZ)
+        calls = []
+        init, mul = Cyclo.__init__, Cyclo.__mul__
+
+        def counted_init(self, a=0, b=0):
+            calls.append("init")
+            init(self, a, b)
+
+        def counted_mul(self, other):
+            calls.append("mul")
+            return mul(self, other)
+
+        monkeypatch.setattr(Cyclo, "__init__", counted_init)
+        monkeypatch.setattr(Cyclo, "__mul__", counted_mul)
+        got = resultant(p, q, "x")
+        monkeypatch.undo()
+        assert got.degree_in("y") > 0 and got.degree_in("z") > 0
+        assert any(not c.is_rational() for c in got.terms.values())
+        assert len(calls) <= len(got.terms)
+
+    def test_inexact_divided_difference_raises(self, monkeypatch):
+        # every divided difference of a Z[w] polynomial at integer nodes is
+        # in Z[w]; a determinant off by one at the node y = 2 (the fourth
+        # of 0, 1, -1, 2, ...) is no such value, and the interpolation
+        # raises instead of returning a wrong resultant
+        assert algebra._interpolate([0, 1, -1, 2], [[1, 3, 1, 19]]) == [[1, -1, 1, 2]]
+        with pytest.raises(AlgebraError, match="divided difference"):
+            algebra._interpolate([0, 1, -1, 2], [[1, 3, 1, 20]])
+        p = parse_poly("6*x^5 - 6*x^2*y^3 - 6*x^2", ("x", "y"))
+        q = parse_poly("-6*x^3*y^2 + 6*y^5 - 6*y^2", ("x", "y"))
+        real = algebra.echelon_zw_pairs
+        calls = []
+
+        def corrupted(A, B, reduced=False):
+            A, B, pivots, sign = real(A, B, reduced)
+            calls.append(len(pivots))
+            if len(calls) == 4:
+                A[-1][-1] += 1
+            return A, B, pivots, sign
+
+        monkeypatch.setattr(algebra, "echelon_zw_pairs", corrupted)
+        with pytest.raises(AlgebraError, match="divided difference"):
+            resultant(p, q, "x")
+        assert calls[3] == 8
+
 
 @st.composite
 def qomega_matrices(draw):
@@ -443,9 +549,10 @@ class TestDetCyclo:
         assert reduce_omega(to_sympy(det_cyclo(rows)) - sympy_det(rows)) == 0
 
     def test_matches_sympy_on_nine_cusp_sylvester(self, monkeypatch):
-        # one 11x11 formal Sylvester matrix, as the discriminant of
-        # _lambda_cubed_candidates reaches det_cyclo for a conic with w coefficients through six of the nine
-        # cusps of x^6 - 2x^3y^3 - 2x^3z^3 + y^6 - 2y^3z^3 + z^6
+        # one 11x11 formal Sylvester matrix over Z[w], as the discriminant
+        # of _lambda_cubed_candidates hands it to the elimination for a
+        # conic with w coefficients through six of the nine cusps of
+        # x^6 - 2x^3y^3 - 2x^3z^3 + y^6 - 2y^3z^3 + z^6
         g = parse_poly("x^6 - 2*x^3*y^3 - 2*x^3*z^3 + y^6 - 2*y^3*z^3 + z^6", XYZ)
         cusps = [
             ProjPoint(p)
@@ -459,13 +566,15 @@ class TestDetCyclo:
             if q is not None and any(not c.is_rational() for c in q.terms.values())
         )
         matrices = []
+        real = algebra.echelon_zw_pairs
 
-        def record(m):
-            matrices.append(m)
-            return det_cyclo(m)
+        def record(A, B, reduced=False):
+            matrices.append([[Cyclo(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
+            return real(A, B, reduced)
 
-        monkeypatch.setattr(algebra, "det_cyclo", record)
+        monkeypatch.setattr(algebra, "echelon_zw_pairs", record)
         torus._lambda_cubed_candidates(g, q0, cusps, {})
+        monkeypatch.undo()
         m = next(m for m in matrices if any(not c.is_rational() for r in m for c in r))
         assert len(m) == 11 and all(len(r) == 11 for r in m)
         assert reduce_omega(to_sympy(det_cyclo(m)) - sympy_det(m)) == 0
@@ -679,8 +788,11 @@ def sympy_qomega_roots(p: UPoly):
             u, v = cs[1] / cs[0], cs[2] / cs[0]
             disc = u * u - 4 * v
             if disc < 0:
-                s = frac_nth_root(Fraction(-disc, 3), 2)
-                if s is not None:
+                # a root in Q(w) needs -disc/3 to be a rational square s^2
+                x = -disc / 3
+                rn, rd = math.isqrt(x.numerator), math.isqrt(x.denominator)
+                if rn * rn == x.numerator and rd * rd == x.denominator:
+                    s = Fraction(rn, rd)
                     candidates.append(Cyclo((-u + s) / 2, s))
                     candidates.append(Cyclo((-u - s) / 2, -s))
     roots = []
@@ -877,15 +989,6 @@ class TestProjPoint:
             ProjPoint([C_ZERO, C_ZERO, C_ZERO])
 
 
-@pytest.mark.parametrize("n", range(1, 8))
-def test_integer_nthroot_matches_sympy(n):
-    rng = random.Random(n)
-    xs = list(range(300)) + [rng.randrange(10**60) for _ in range(100)]
-    xs += [k**n + d for k in (10**9, 3**40) for d in (-1, 0, 1)]
-    for x in xs:
-        assert algebra.integer_nthroot(x, n) == sympy.integer_nthroot(x, n)[0]
-
-
 def test_isprime_matches_sympy():
     rng = random.Random(7)
     ns = list(range(-3, 5000)) + [rng.randrange(10**30) for _ in range(200)]
@@ -895,9 +998,3 @@ def test_isprime_matches_sympy():
     for n in ns:
         assert algebra.isprime(n) == sympy.isprime(n), n
 
-
-def test_frac_nth_root():
-    assert frac_nth_root(Fraction(4, 9), 2) == Fraction(2, 3)
-    assert frac_nth_root(Fraction(-8, 27), 3) == Fraction(-2, 3)
-    assert frac_nth_root(Fraction(2), 2) is None
-    assert frac_nth_root(Fraction(-4), 2) is None
