@@ -32,7 +32,6 @@ from .algebra import (
     ProjPoint,
     UPoly,
     _zw_lift,
-    echelon_zw,
     qomega_roots,
     resultant,
 )
@@ -297,8 +296,8 @@ class CuspScheme:
     gen_b: MPoly
     sat_var: str
     include_line: bool = False
-    # memo of count() under "count", of _line_divisor() under
-    # "line_divisor" and of vanishing_dim(m) under m
+    # memo of count() under "count" (and its chain end under "n0"), of
+    # _line_divisor() under "line_divisor" and of vanishing_dim(m) under m
     _cache: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -334,8 +333,9 @@ class CuspScheme:
     def count(self) -> int:
         """Number of cusps: distinct projected directions of the common
         zeros off the saturation line, maximized over projection centers.
-        Raises IncompleteLocus (unexplained = -1) when every projection
-        center's resultant vanishes."""
+        Also records n0 for vanishing_dim.  Raises IncompleteLocus
+        (unexplained = -1) when no projection center off V(a) meet V(b)
+        gives a nonzero resultant."""
         if "count" in self._cache:
             return self._cache["count"]
         a, b = self.gen_a, self.gen_b
@@ -345,6 +345,7 @@ class CuspScheme:
         # directions under every shear below
         divisor, has_inf = self._line_divisor()
         on_line = divisor.degree() + has_inf
+        formal = a.degree() * b.degree()
         best = None
         for shear in (0, 1, 2):
             if shear:
@@ -359,11 +360,15 @@ class CuspScheme:
                 aa, bb = a.compose(images), b.compose(images)
             else:
                 aa, bb = a, b
-            # dehomogenize before eliminating: the resultant of the
-            # homogeneous pair is a binary form whose degree is known in
-            # advance, so the missing root at (1:0) is a degree deficit
-            m, n = aa.degree_in(sv), bb.degree_in(sv)
-            formal = n * (aa.degree() - m) + m * (bb.degree() - n) + m * n
+            if all(f.degree_in(sv) < f.degree() for f in (aa, bb)):
+                # the center (sv = 1, rest = 0) lies on both curves
+                continue
+            # from a center off V(aa) meet V(bb), the binary resultant of
+            # the forms is the product over the common zeros of their
+            # directions, each to its intersection multiplicity, so a
+            # nonzero one certifies a finite intersection; it is
+            # dehomogenized first, so a root at (1:0) is a degree deficit
+            # against Bezout's degree
             r1m = resultant(aa.subs({rest[1]: 1}), bb.subs({rest[1]: 1}), sv)
             if r1m.is_zero():
                 continue
@@ -372,7 +377,12 @@ class CuspScheme:
                 1 if r1.degree() < formal else 0
             )
             count = total - on_line
-            if count == best and shear:
+            if best is None:
+                self._cache["n0"] = max(
+                    _largest_multiplicity(r1, divisor),
+                    formal - r1.degree() if has_inf else 0,
+                )
+            elif count == best:
                 # two agreeing projection centers: collisions ruled out
                 break
             best = count if best is None else max(best, count)
@@ -386,72 +396,63 @@ class CuspScheme:
         return best
 
     def vanishing_dim(self, m: int) -> int:
-        """Dimension of degree-m forms vanishing on the (saturated) scheme."""
-        if m in self._cache:
-            return self._cache[m]
-        val = None
-        stable = 0
-        n = 1
-        while stable < 2 and n <= m + 24:
-            cur = self._saturation_piece(m, n)
-            if cur == val:
-                stable += 1
-            else:
-                val, stable = cur, 0
-            n += 1
-        self._cache[m] = val
-        return val
+        """Dimension of degree-m forms vanishing on the (saturated) scheme:
+        _saturation_piece(m, n0), the degree-m part of the saturation
+        (gen_a, gen_b) : sat_var^oo.
+
+        count() certifies that the generators cut a finite set, so they are
+        a complete intersection: its ideal has no embedded component, and
+        its local component at a point P on the line has length
+        i_P(gen_a, gen_b), which sat_var^(i_P) kills.  The piece is
+        therefore final from n = max i_P on; n0 bounds every i_P.  It is
+        the largest multiplicity in count()'s resultant of a root of the
+        line divisor, or the resultant's degree deficit when (1:0) is a
+        common root, since a root's multiplicity sums the intersection
+        multiplicities on its line through the projection center."""
+        if m not in self._cache:
+            self.count()
+            self._cache[m] = self._saturation_piece(m, self._cache["n0"])
+        return self._cache[m]
 
     def _saturation_piece(self, m: int, n: int) -> int:
-        """dim { h of degree m : sat_var^n * h in (gen_a, gen_b) }."""
+        """dim { h of degree m : sat_var^n * h in (gen_a, gen_b) }, with
+        include_line only of the h that vanish on the points on the line.
+
+        In degree N = m + n this is dim(V meet W) = dim V + dim W - dim(V + W),
+        V the sat_var^n multiples of the degree-m monomials and W the
+        degree-N part of the ideal.  The generators are a regular sequence
+        (count() certifies it), so the Koszul complex gives dim W without
+        elimination (_ideal_dim); dim(V + W) is one linalg.rank."""
         a, b, sv = self.gen_a, self.gen_b, self.sat_var
-        variables = a.vars
-        da, db = a.degree(), b.degree()
         big = m + n
-        cols = []
-        big_monos = _monomials(big)
-        index = {e: i for i, e in enumerate(big_monos)}
-
-        def col_of(p: MPoly):
-            col = [C_ZERO] * len(big_monos)
-            for e, c in p.terms.items():
-                col[index[e]] = c
-            return col
-
-        w_cols = []
-        for gen, dg in ((a, da), (b, db)):
-            if big - dg < 0:
-                continue
-            for e in _monomials(big - dg):
-                w_cols.append(col_of(gen * MPoly.monomial(variables, e)))
-        si = variables.index(sv)
+        index = {e: i for i, e in enumerate(_monomials(big))}
         h_monos = _monomials(m)
-        v_cols = []
-        for e in h_monos:
-            ne = list(e)
-            ne[si] += n
-            col = [C_ZERO] * len(big_monos)
-            col[index[tuple(ne)]] = C_ONE
-            v_cols.append(col)
-        if not w_cols:
-            return 0
-        if self.include_line:
-            # intersect with the linear conditions "h restricted to the
-            # line vanishes on the shared binary factor": append the
-            # condition rows to the unit columns and zero-pad the
-            # generator columns, then reuse the same rank bookkeeping
-            line_rows = self._line_condition_rows(m, h_monos)
-            pad = [C_ZERO] * len(line_rows)
-            w_cols = [col + pad for col in w_cols]
-            v_cols = [
-                col + [row[i] for row in line_rows]
-                for i, col in enumerate(v_cols)
+        line_rows = (
+            self._line_condition_rows(m, h_monos) if self.include_line else []
+        )
+        # the columns span W (each generator, lifted once into Z[w], times
+        # each monomial of the complementary degree) and V; with
+        # include_line the condition rows "h restricted to the line
+        # vanishes on the shared binary factor" are appended under V
+        w_cols = []
+        for gen in (a, b):
+            ca, cb, _den = _zw_lift(gen.terms.values())
+            terms = [
+                (t, Cyclo(x, y) if y else x)
+                for t, x, y in zip(gen.terms, ca, cb)
             ]
-        # one elimination over the columns [W | V]: the pivots among the
-        # first len(w_cols) columns give dim W, all pivots dim(V + W)
-        pivots = echelon_zw(_transpose(w_cols + v_cols))[2]
-        dim_w = sum(1 for c in pivots if c < len(w_cols))
-        return len(v_cols) + dim_w - len(pivots)
+            w_cols += [(e, terms) for e in _monomials(big - gen.degree())]
+        ncols = len(w_cols) + len(h_monos)
+        rows = [[0] * ncols for _ in range(len(index))]
+        for j, (e, terms) in enumerate(w_cols):
+            for t, c in terms:
+                rows[index[tuple(x + y for x, y in zip(t, e))]][j] = c
+        si = a.vars.index(sv)
+        for j, e in enumerate(h_monos, len(w_cols)):
+            rows[index[e[:si] + (e[si] + n,) + e[si + 1:]]][j] = 1
+        rows += [[0] * len(w_cols) + row for row in line_rows]
+        dim_w = _ideal_dim(a.degree(), b.degree(), big)
+        return len(h_monos) + dim_w - matrix_rank(rows)
 
     def _line_condition_rows(self, m: int, h_monos):
         """Rows expressing: the binary form h|_{sat_var=0} is divisible by
@@ -496,8 +497,28 @@ def _monomials(d: int):
     ]
 
 
-def _transpose(cols):
-    return [list(row) for row in zip(*cols)]
+def _ideal_dim(da: int, db: int, big: int) -> int:
+    """dim of the degree-big part of (a, b) for a regular sequence of forms
+    of degrees da and db: exact by the Koszul complex, whose one syzygy
+    (b, -a) is the kernel of (f, g) -> f*a + g*b."""
+    return (
+        len(_monomials(big - da))
+        + len(_monomials(big - db))
+        - len(_monomials(big - da - db))
+    )
+
+
+def _largest_multiplicity(r: UPoly, divisor: UPoly) -> int:
+    """Largest multiplicity in r != 0 of a root of the squarefree divisor:
+    the roots of multiplicity > k are the common roots of the divisor and
+    r, r', ..., r^(k)."""
+    k = 0
+    while True:
+        divisor = divisor.gcd(r)
+        if divisor.degree() <= 0:
+            return k
+        r = r.derivative()
+        k += 1
 
 
 def _binary_to_upoly(r: MPoly, rest) -> UPoly:
@@ -606,20 +627,25 @@ def _centre(forms):
 
 
 def gcd_degree(p: MPoly, q: MPoly) -> int:
-    """Exact degree of gcd(p, q) for two nonzero ternary forms.
-
-    With p = g p', q = g q' and g = gcd(p, q), the restricted gcd on a line
-    has degree deg g plus the common roots of p' and q' on it.  The lines
-    run through a centre P on neither curve (so no degree is lost at
-    t = oo) and (0 : alpha : 1), alpha = 0..m*n: distinct lines, each
-    point other than P on exactly one of them.  By Bezout at most m*n
-    points lie on both V(p') and V(q'), so one of the m*n + 1 lines gives
-    deg g, and the least restricted degree is exact.
-    """
+    """Exact degree of gcd(p, q) for two nonzero ternary forms."""
     for f in (p, q):
         if len(f.vars) != 3 or f.is_zero() or not f.is_homogeneous():
             raise AlgebraError("gcd_degree needs two nonzero ternary forms")
-    beta, gamma = _centre((p, q))
+    return _gcd_degree_through(p, q, *_centre((p, q)))
+
+
+def _gcd_degree_through(p: MPoly, q: MPoly, beta, gamma) -> int:
+    """gcd_degree(p, q) from lines through the centre P = (1 : beta : gamma),
+    on neither curve.
+
+    With p = g p', q = g q' and g = gcd(p, q), the restricted gcd on a line
+    has degree deg g plus the common roots of p' and q' on it.  The lines
+    run through P (so no degree is lost at t = oo) and (0 : alpha : 1),
+    alpha = 0..m*n: distinct lines, each point other than P on exactly one
+    of them.  By Bezout at most m*n points lie on both V(p') and V(q'), so
+    one of the m*n + 1 lines gives deg g, and the least restricted degree
+    is exact.
+    """
     best = min(p.degree(), q.degree())
     for alpha in range(p.degree() * q.degree() + 1):
         if best == 0:
@@ -634,16 +660,17 @@ def _squarefree(g: MPoly) -> bool:
     """Whether the form g is squarefree: gcd(g, D_P g) is constant, with
     D_P g = sum P_i dg/dx_i at a point P off g.  A repeated factor divides
     both; a simple factor C divides D_P g only if D_P C = 0, and Euler's
-    relation then gives C(P) = 0.  (D_P g)(P) = d g(P) != 0, so gcd_degree
-    takes the same P as its centre."""
+    relation then gives C(P) = 0.  (D_P g)(P) = d g(P) != 0, so P is off
+    both forms and serves as the centre of the gcd degree's lines."""
     if g.degree() == 0:
         return True
-    point = (1, *_centre((g,)))
+    beta, gamma = _centre((g,))
+    point = (1, beta, gamma)
     dg = sum(
         (g.derivative(v).scale(c) for v, c in zip(g.vars, point) if c),
         MPoly.zero(g.vars),
     )
-    return gcd_degree(g, dg) == 0
+    return _gcd_degree_through(g, dg, beta, gamma) == 0
 
 
 def defect(profile: CurveProfile, alpha) -> tuple:

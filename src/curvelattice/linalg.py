@@ -1,19 +1,136 @@
 """Shared exact linear algebra over Q(w) (and plain rationals).
 
-Matrices are lists of rows of Cyclo, int or Fraction values.  Rank,
-determinant and kernel all read the one fraction-free elimination over
-Z[w], algebra.echelon_zw.
+Matrices are lists of rows of Cyclo, int or Fraction values.  Determinant
+and kernel read the one fraction-free elimination over Z[w],
+algebra.echelon_zw.  Rank is one Gauss-Jordan elimination modulo the prime
+p = 2^61 - 1 on the integer rows, certified exactly by the kernel it
+reconstructs; where the certificate fails it is echelon_zw's pivot count.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .algebra import C_ONE, C_ZERO, AlgebraError, Cyclo, echelon_det, echelon_zw
+from .algebra import (
+    C_ONE,
+    C_ZERO,
+    AlgebraError,
+    Cyclo,
+    _zw_lift,
+    echelon_det,
+    echelon_zw,
+)
+
+_P = (1 << 61) - 1
+# Wang's bound: a residue has at most one preimage n/d with |n|, d below it
+_HALF = math.isqrt(_P // 2)
 
 
 def rank(rows) -> int:
+    """Rank over Q(w), certified exactly.
+
+    Each row is scaled into Z[w], which keeps the rank.  A matrix with w
+    parts becomes the rational matrix with 2x2 blocks [[a, -b], [b, a - b]]
+    (multiplication by a + b*w on Q^2 in the basis 1, w), of twice the rank.
+    Gauss-Jordan mod p gives r pivots, so the rank is at least r: a minor
+    nonzero mod p is a nonzero integer.  For each free column the kernel
+    vector of the reduced form mod p is lifted to Q by rational
+    reconstruction (Wang, SYMSAC 1981) and checked exactly on the integer
+    rows; with 1 at its own free column and 0 at the others, these are
+    independent, so the rank is at most r.  If a reconstruction or a check
+    fails, the rank is len(echelon_zw(rows)[2]).
+    """
+    ints, blocks = _integer_rows(rows)
+    if not ints or not ints[0]:
+        return 0
+    sparse = [{j: x for j, x in enumerate(r) if x} for r in ints]
+    pivots = _rref_mod_p(sparse)
+    if _kernel_checks(sparse, pivots, len(ints[0])):
+        return len(pivots) // blocks
     return len(echelon_zw(rows)[2])
+
+
+def _integer_rows(rows):
+    """(integer rows, k): rows scaled into Z[w], whose rank over Q is k
+    times the rank of rows over Q(w); k = 2 when a w part is nonzero."""
+    lifted = [
+        (r, None) if all(type(x) is int for x in r) else _zw_lift(r)[:2]
+        for r in rows
+    ]
+    if not any(b and any(b) for _a, b in lifted):
+        return [a for a, _b in lifted], 1
+    out = []
+    for a, b in lifted:
+        b = b or [0] * len(a)
+        out.append([x for s, t in zip(a, b) for x in (s, -t)])
+        out.append([x for s, t in zip(a, b) for x in (t, s - t)])
+    return out, 2
+
+
+def _rref_mod_p(rows):
+    """Reduced row echelon form mod p of sparse integer rows ({column: value}):
+    {pivot column: row}, each row a {column: residue} map holding 1 at its
+    pivot and nothing at the other pivot columns."""
+    pivots = {}
+    for row in rows:
+        r = {j: x % _P for j, x in row.items() if x % _P}
+        # a reduced pivot row changes no other pivot column of r
+        for c in [c for c in r if c in pivots]:
+            _subtract(r, r[c], pivots[c])
+        if not r:
+            continue
+        c = min(r)
+        inv = pow(r[c], -1, _P)
+        r = {j: x * inv % _P for j, x in r.items()}
+        for other in pivots.values():
+            if c in other:
+                _subtract(other, other[c], r)
+        pivots[c] = r
+    return pivots
+
+
+def _subtract(r, f, row):
+    """r -= f * row mod p, in place, keeping only nonzero residues."""
+    for j, y in row.items():
+        x = (r.get(j, 0) - f * y) % _P
+        if x:
+            r[j] = x
+        else:
+            r.pop(j, None)
+
+
+def _kernel_checks(rows, pivots, ncols) -> bool:
+    """Whether every free column's kernel vector of the reduced form mod p
+    reconstructs to a rational vector that the integer rows annihilate."""
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = {f: Fraction(1)}
+        for c, prow in pivots.items():
+            if f in prow:
+                q = _reconstruct(-prow[f] % _P)
+                if q is None:
+                    return False
+                v[c] = q
+        den = math.lcm(*(q.denominator for q in v.values()))
+        v = {j: q.numerator * (den // q.denominator) for j, q in v.items()}
+        for row in rows:
+            if sum(x * v[j] for j, x in row.items() if j in v):
+                return False
+    return True
+
+
+def _reconstruct(x):
+    """The fraction n/d = x mod p with |n|, d <= sqrt(p/2), by the extended
+    Euclidean algorithm stopped halfway (Wang), or None."""
+    r0, r1, t0, t1 = _P, x, 0, 1
+    while r1 > _HALF:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > _HALF:
+        return None
+    return Fraction(r1, t1)
 
 
 def kernel_basis(rows):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from curvelattice import adjunction
+from curvelattice import adjunction, linalg
 from curvelattice.algebra import (
     C_ONE,
     C_ZERO,
@@ -14,6 +14,7 @@ from curvelattice.algebra import (
     MPoly,
     ProjPoint,
     UPoly,
+    echelon_zw,
     parse_poly,
 )
 from curvelattice.adjunction import (
@@ -52,6 +53,17 @@ def six_cusp_sextic():
     q = poly("x*z - y^2")
     c = poly("(z - x)*(z - 4*x)*(z - 9*x)")
     return q * q * q + c * c, q, c
+
+
+def vanishing_on_points(points, m):
+    """Oracle: dimension of the degree-m forms vanishing on a set of
+    rational points, by sympy's rank of the evaluation matrix."""
+    monos = adjunction._monomials(m)
+    rows = [
+        [p[0] ** e[0] * p[1] ** e[1] * p[2] ** e[2] for e in monos]
+        for p in points
+    ]
+    return len(monos) - sympy.Matrix(rows).rank()
 
 
 class TestSingularPoints:
@@ -207,7 +219,7 @@ class TestCuspScheme:
         assert sch.count() == 6
 
     def test_count_and_vanishing_dim_memoised(self, monkeypatch):
-        calls = {"resultant": 0, "echelon_zw": 0}
+        calls = {"resultant": 0, "matrix_rank": 0}
         for name in calls:
             def counted(*args, _name=name, _real=getattr(adjunction, name),
                         **kwargs):
@@ -219,7 +231,7 @@ class TestCuspScheme:
         sch = CuspScheme(q, c, "z")
         count, dim = sch.count(), sch.vanishing_dim(2)
         first = dict(calls)
-        assert first["resultant"] > 0 and first["echelon_zw"] > 0
+        assert first["resultant"] > 0 and first["matrix_rank"] > 0
         assert (sch.count(), sch.vanishing_dim(2)) == (count, dim)
         assert calls == first
         # a scheme built from the same forms has its own, empty memo
@@ -280,28 +292,110 @@ class TestCuspScheme:
         assert CuspScheme(q, c, "z", include_line=True).count() == 6
 
     def test_include_line_vanishing_dim(self):
-        # oracle: forms of degree m vanishing on a set of rational
-        # points, by sympy's rank of the evaluation matrix
-
         q, c, pts = self.line_crossing_scheme()
-
-        def expected(points, m):
-            monos = [
-                (i, j, m - i - j)
-                for i in range(m + 1)
-                for j in range(m + 1 - i)
-            ]
-            rows = [
-                [p[0] ** e[0] * p[1] ** e[1] * p[2] ** e[2] for e in monos]
-                for p in points
-            ]
-            return len(monos) - sympy.Matrix(rows).rank()
-
         off = CuspScheme(q, c, "z")
         full = CuspScheme(q, c, "z", include_line=True)
         for m in (1, 2, 3):
-            assert off.vanishing_dim(m) == expected(pts[1:], m)
-            assert full.vanishing_dim(m) == expected(pts, m)
+            assert off.vanishing_dim(m) == vanishing_on_points(pts[1:], m)
+            assert full.vanishing_dim(m) == vanishing_on_points(pts, m)
+
+    def test_vanishing_dim_takes_one_piece_at_the_chain_end(self, monkeypatch):
+        pieces = []
+        real = CuspScheme._saturation_piece
+        monkeypatch.setattr(
+            CuspScheme,
+            "_saturation_piece",
+            lambda self, m, n: pieces.append((m, n)) or real(self, m, n),
+        )
+        q, c, _pts = self.line_crossing_scheme()
+        sch = CuspScheme(q, c, "z", include_line=True)
+        sch.vanishing_dim(3)
+        # (1:0:0) is the one intersection on z = 0, and it is transversal
+        assert pieces == [(3, 1)]
+
+    def test_koszul_dim_matches_elimination(self):
+        # dim of the degree-N part of (a, b): the formula against the rank
+        # of the products a*x^e, b*x^e eliminated by echelon_zw
+        q, c, _pts = self.line_crossing_scheme()
+        schemes = [(q, c), (poly("x^2 + y*z"), poly("x^3 + y^3 + z^3"))]
+        schemes.append(six_cusp_sextic()[1:])
+        for a, b in schemes:
+            CuspScheme(a, b, "z").count()  # certifies a regular sequence
+            for big in range(0, 10):  # N = m + n, m <= 4, n <= 5
+                index = {e: i for i, e in enumerate(adjunction._monomials(big))}
+                rows = []
+                for gen in (a, b):
+                    for e in adjunction._monomials(big - gen.degree()):
+                        row = [C_ZERO] * len(index)
+                        prod = gen * MPoly.monomial(XYZ, e)
+                        for t, coeff in prod.terms.items():
+                            row[index[t]] = coeff
+                        rows.append(row)
+                eliminated = len(echelon_zw(rows)[2]) if rows else 0
+                assert adjunction._ideal_dim(a.degree(), b.degree(), big) == eliminated
+
+    def test_chain_end_without_points_on_the_line(self):
+        # x^2 = 0 and x^3 + y^3 = 0 have no common root on z = 0: the
+        # ideal is already saturated and the chain ends at n0 = 0
+        sch = CuspScheme(poly("x^2 + y*z"), poly("x^3 + y^3 + z^3"), "z")
+        assert sch.count() == 6
+        assert sch._cache["n0"] == 0
+        for m in range(5):
+            assert sch.vanishing_dim(m) == sch._saturation_piece(m, 3)
+
+    def test_chain_end_at_infinity(self):
+        # the conic x*z = y^2, (1 : t : t^2), meets b where
+        # t^2 (t - 1)(t - 2) = 0: tangent at (1:0:0), the root (1:0) of
+        # both restrictions to z = 0, so n0 is the resultant's degree deficit
+        a = poly("x*z - y^2")
+        b = poly("z^2 - 3*y*z + 3*x*z - y^2")
+        off = CuspScheme(a, b, "z")
+        full = CuspScheme(a, b, "z", include_line=True)
+        assert off._line_divisor()[1]
+        assert (off.count(), full.count()) == (2, 3)
+        assert off._cache["n0"] == full._cache["n0"] == 2
+        pts = [(1, 1, 1), (1, 2, 4), (1, 0, 0)]
+        for m in range(1, 5):
+            assert off.vanishing_dim(m) == vanishing_on_points(pts[:2], m)
+            assert full.vanishing_dim(m) == vanishing_on_points(pts, m)
+
+    def test_projection_centre_off_both_curves(self, monkeypatch):
+        # both forms pass through the first centre (0:0:1), so count()
+        # takes its resultants at the sheared centres only, where a form
+        # has full degree in z
+        pairs = []
+        real = adjunction.resultant
+        monkeypatch.setattr(
+            adjunction,
+            "resultant",
+            lambda p, q, var: pairs.append((p, q)) or real(p, q, var),
+        )
+        a = poly("x*z - y^2")
+        b = poly("y*z - 2*x*z - x*y + 2*x^2")  # t = 1, 2, -1 and (0:0:1)
+        sch = CuspScheme(a, b, "z")
+        assert sch.count() == 4
+        assert pairs and all(2 in (p.degree_in("z"), q.degree_in("z")) for p, q in pairs)
+        pts = [(1, 1, 1), (1, 2, 4), (1, -1, 1), (0, 0, 1)]
+        for m in range(4):
+            assert sch.vanishing_dim(m) == vanishing_on_points(pts, m)
+
+    def test_criterion_9_scheme_chain_end(self, monkeypatch):
+        # the degree-12 Table-1 curve's cusp scheme: the chain n = 1..7 at
+        # m = 7 reads 3, 4, 6, 6, 7, 7, 7, below its end at n0 = 9; every
+        # piece from n = 5 on is 7, each rank certified mod p
+        from curvelattice.torus import table1_construct
+
+        fallbacks = []
+        real = linalg.echelon_zw
+        monkeypatch.setattr(
+            linalg, "echelon_zw", lambda rows: fallbacks.append(rows) or real(rows)
+        )
+        f, g, _F = table1_construct(2, None, seed=0)
+        sch = CuspScheme(f, g, "y0", include_line=True)
+        assert sch.vanishing_dim(7) == 7
+        assert sch._cache["n0"] == 9
+        assert [sch._saturation_piece(7, n) for n in range(3, 11)] == [6, 6] + [7] * 6
+        assert fallbacks == []
 
     def test_irrational_scheme_defect(self):
         q = poly("x^2 + y*z")
@@ -374,8 +468,15 @@ class TestProfileValidation:
             return restrict(p, alpha, beta, gamma)
 
         monkeypatch.setattr(adjunction, "_restrict_to_line", recorded)
+        centres = []
+        centre = adjunction._centre
+        monkeypatch.setattr(
+            adjunction, "_centre", lambda forms: centres.append(forms) or centre(forms)
+        )
         assert adjunction._squarefree(NINE_CUSP)
         assert sorted(set(lines)) == [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
+        # the gcd degree's lines run through the centre found for g alone
+        assert centres == [(NINE_CUSP,)]
         assert not adjunction._squarefree(poly("(x^2 + y*z)^2*(x + y + z)"))
 
     def test_rejects_non_homogeneous(self):

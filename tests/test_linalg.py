@@ -1,5 +1,6 @@
 """Differential tests of linalg's rank, kernel and determinant against
-sympy's DomainMatrix over QQ and over QQ(sqrt(-3)), w = (-1 + sqrt(-3))/2."""
+sympy's DomainMatrix over QQ and over QQ(sqrt(-3)), w = (-1 + sqrt(-3))/2,
+and of the certified modular rank against echelon_zw."""
 
 from fractions import Fraction
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from curvelattice.algebra import C_ONE, C_ZERO, OMEGA, AlgebraError, Cyclo, det_cyclo
+from curvelattice import linalg
+from curvelattice.algebra import C_ONE, C_ZERO, OMEGA, AlgebraError, Cyclo, det_cyclo, echelon_zw
 from curvelattice.linalg import det_fraction, kernel_basis, rank
 
 QW = QQ.algebraic_field(sympy.sqrt(-3))
@@ -37,8 +39,9 @@ def domain_matrix(rows, domain):
 @st.composite
 def matrices(draw):
     """(rows, domain): tall, wide or square matrices of size up to 7 with
-    rational or w entries, some with a zero column, a dependent row or a
-    zero leading entry that forces a row swap."""
+    rational or w entries, some with a zero row or column, a dependent
+    row, a rank of at most 2 or a zero leading entry that forces a row
+    swap."""
     shape = draw(st.sampled_from(["tall", "wide", "square"]))
     n = draw(st.integers(1, 7))
     m = draw(st.integers(1, 7))
@@ -51,11 +54,23 @@ def matrices(draw):
     value = st.builds(Cyclo, rationals, rationals if omega else st.just(0))
     entry = st.one_of(st.just(C_ZERO), value) if sparse else value
     rows = [[draw(entry) for _ in range(m)] for _ in range(n)]
-    kind = draw(st.sampled_from(["generic", "zero column", "dependent row", "row swap"]))
-    if kind == "zero column":
+    kind = draw(
+        st.sampled_from(
+            ["generic", "zero row", "zero column", "dependent row", "low rank", "row swap"]
+        )
+    )
+    if kind == "zero row":
+        rows[draw(st.integers(0, n - 1))] = [C_ZERO] * m
+    elif kind == "zero column":
         j = draw(st.integers(0, m - 1))
         for r in rows:
             r[j] = C_ZERO
+    elif kind == "low rank":
+        # every row a combination of the first two
+        rows = rows[:2] + [
+            [draw(value) * x + draw(value) * y for x, y in zip(rows[0], rows[1])]
+            for _ in range(n - 2)
+        ]
     elif kind == "dependent row":
         # the last row is a combination of the first two (zero for one row)
         s, t = draw(value), draw(value)
@@ -75,7 +90,7 @@ class TestAgainstDomainMatrix:
     @settings(max_examples=150, deadline=None)
     def test_rank(self, case):
         rows, domain = case
-        assert rank(rows) == domain_matrix(rows, domain).rank()
+        assert rank(rows) == domain_matrix(rows, domain).rank() == len(echelon_zw(rows)[2])
 
     @given(matrices())
     @example(([[C_ZERO, OMEGA, C_ONE], [C_ZERO, C_ONE, OMEGA * OMEGA]], QW))
@@ -121,3 +136,38 @@ class TestEdgeValues:
         assert det_fraction([[OMEGA, C_ZERO], [C_ZERO, OMEGA * OMEGA]]) == 1
         with pytest.raises(AlgebraError):
             det_fraction([[OMEGA, C_ZERO], [C_ZERO, C_ONE]])
+
+
+class TestCertifiedRank:
+    """Matrices on which the mod-p certificate fails, so linalg.rank must
+    reach the exact elimination (counted through linalg.echelon_zw)."""
+
+    def counted(self, monkeypatch):
+        calls = []
+        real = linalg.echelon_zw
+        monkeypatch.setattr(linalg, "echelon_zw", lambda rows: calls.append(rows) or real(rows))
+        return calls
+
+    def test_prime_divides_a_minor(self, monkeypatch):
+        # rank 1 mod p = 2^61 - 1 with kernel vector (-1, 1), but the
+        # determinant is p: the exact check of (-1, 1) fails
+        calls = self.counted(monkeypatch)
+        rows = [[1, 1], [1, 1 + (2**61 - 1)]]
+        assert rank(rows) == 2
+        assert calls == [rows]
+
+    def test_kernel_entry_beyond_the_reconstruction_bound(self, monkeypatch):
+        # the kernel vector (3^30, 1) has an entry above sqrt(p/2), and its
+        # residue has no fraction with numerator and denominator below it
+        calls = self.counted(monkeypatch)
+        rows = [[1, -(3**30)]]
+        assert linalg._reconstruct(3**30) is None
+        assert rank(rows) == 1
+        assert calls == [rows]
+
+    def test_certified_without_fallback(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        rows = [[OMEGA, C_ONE, C_ZERO], [C_ONE, OMEGA * OMEGA, C_ZERO], [Fraction(1, 3), 2, 5]]
+        # row 2 is w^2 times row 1, so the rank over Q(w) is 2 (4 on Q^6)
+        assert rank(rows) == 2
+        assert calls == []
