@@ -31,7 +31,6 @@ from .algebra import (
     MPoly,
     ProjPoint,
     UPoly,
-    _zw_lift,
     qomega_roots,
     resultant,
 )
@@ -330,12 +329,30 @@ class CuspScheme:
         has_inf = ua.degree() < a0.degree() and ub.degree() < b0.degree()
         return g, has_inf
 
+    def _axis_count(self) -> int:
+        """Distinct common zeros on the line rest[1] = 0 off the saturation
+        line: the roots of the gcd of the two forms restricted to it (with
+        sat_var = 1).  Every shear in count() keeps this line, so it
+        projects all of them to the one direction (1:0)."""
+        sv = self.sat_var
+        rest = [v for v in self.gen_a.vars if v != sv]
+        g = _upoly_gcd_many(
+            UPoly.from_mpoly(f.subs({rest[1]: 0, sv: 1}), rest[0])
+            for f in (self.gen_a, self.gen_b)
+        )
+        if g is None:
+            # both forms contain the line: the common zeros are not finite
+            raise IncompleteLocus(-1, [])
+        return g.squarefree_part().degree()
+
     def count(self) -> int:
         """Number of cusps: distinct projected directions of the common
-        zeros off the saturation line, maximized over projection centers.
-        Also records n0 for vanishing_dim.  Raises IncompleteLocus
-        (unexplained = -1) when no projection center off V(a) meet V(b)
-        gives a nonzero resultant."""
+        zeros off the saturation line, maximized over projection centers,
+        with the zeros on rest[1] = 0, which every center projects to the
+        direction (1:0), counted apart (_axis_count).  Also records n0
+        for vanishing_dim.  Raises IncompleteLocus (unexplained = -1)
+        when no projection center off V(a) meet V(b) gives a nonzero
+        resultant."""
         if "count" in self._cache:
             return self._cache["count"]
         a, b = self.gen_a, self.gen_b
@@ -346,6 +363,7 @@ class CuspScheme:
         divisor, has_inf = self._line_divisor()
         on_line = divisor.degree() + has_inf
         formal = a.degree() * b.degree()
+        axis = None
         best = None
         for shear in (0, 1, 2):
             if shear:
@@ -373,10 +391,14 @@ class CuspScheme:
             if r1m.is_zero():
                 continue
             r1 = UPoly.from_mpoly(r1m, rest[0])
-            total = r1.squarefree_part().degree() + (
-                1 if r1.degree() < formal else 0
-            )
-            count = total - on_line
+            # the roots of r1 are the directions (t:1) of the zeros off
+            # rest[1] = 0, those of the divisor among them; a degree
+            # deficit is the direction (1:0) of the zeros on rest[1] = 0
+            count = r1.squarefree_part().degree() - divisor.degree()
+            if r1.degree() < formal:
+                if axis is None:
+                    axis = self._axis_count()
+                count += axis
             if best is None:
                 self._cache["n0"] = max(
                     _largest_multiplicity(r1, divisor),
@@ -436,10 +458,9 @@ class CuspScheme:
         # vanishes on the shared binary factor" are appended under V
         w_cols = []
         for gen in (a, b):
-            ca, cb, _den = _zw_lift(gen.terms.values())
             terms = [
                 (t, Cyclo(x, y) if y else x)
-                for t, x, y in zip(gen.terms, ca, cb)
+                for t, (x, y) in gen._zw()[0].items()
             ]
             w_cols += [(e, terms) for e in _monomials(big - gen.degree())]
         ncols = len(w_cols) + len(h_monos)
@@ -592,14 +613,14 @@ def _convolve(f, g):
 def _restrict_to_line(p: MPoly, alpha, beta, gamma):
     """Restriction of a ternary p to the line (t, alpha + beta t, 1 + gamma t)
     as a UPoly.  The line's rational parameters never meet a Q(w) product:
-    on the Z[w] lift of p's coefficients (algebra._zw_lift), each term
+    on the Z[w] lift of p's coefficients (MPoly._zw), each term
     c x^i y^j z^k adds c times the rational coefficients of
     t^i (alpha + beta t)^j (1 + gamma t)^k."""
-    ca, cb, den = _zw_lift(p.terms.values())
+    terms, den = p._zw()
     a = [0] * (p.degree() + 1)
     b = [0] * (p.degree() + 1)
     ys, zs = [[1]], [[1]]  # powers of alpha + beta t and of 1 + gamma t
-    for (i, j, k), xa, xb in zip(p.terms, ca, cb):
+    for (i, j, k), (xa, xb) in terms.items():
         while len(ys) <= j:
             ys.append(_convolve(ys[-1], (alpha, beta)))
         while len(zs) <= k:

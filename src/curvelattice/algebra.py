@@ -13,10 +13,11 @@ multivariate gcd degrees are read from it on lines, see
 adjunction.gcd_degree), exact square roots of polynomials, and root
 extraction of univariate polynomials inside Q(w) (a p-adic root finder
 whose every answer is verified exactly).  The elimination, the
-resultant from its inputs to its output, the gcd and the root finder's
-multiplicities work on Z[w] int pairs (a, b) = a + b*w, lifted once
-from Q(w) by the lcm of the denominators (_zw_lift).  Only the standard
-library is used.
+resultant from its inputs to its output, the gcd, the root finder's
+multiplicities and MPoly multiply, substitution (so evaluation) and
+composition work on Z[w] int pairs (a, b) = a + b*w, lifted once from
+Q(w) by the lcm of the denominators (_zw_lift; for an MPoly, the seam
+MPoly._zw / MPoly._from_zw).  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -314,6 +315,31 @@ class MPoly:
         inv = self.leading_coeff().inverse()
         return self.scale(inv)
 
+    # -- Z[w] int pairs ---------------------------------------------------
+    def _zw(self):
+        """The lift onto Z[w] int pairs: ({exps: (a, b)}, L) with each
+        coefficient (a + b*w) / L, L the lcm of the denominators."""
+        A, B, lcm = _zw_lift(self.terms.values())
+        return dict(zip(self.terms, zip(A, B))), lcm
+
+    @staticmethod
+    def _from_zw(variables, terms, den) -> "MPoly":
+        """The polynomial sum (a + b*w) / den * x^exps over terms, a dict
+        exps -> (a, b) of ints; zero pairs are dropped and each other term
+        makes one Cyclo."""
+        p = object.__new__(MPoly)
+        object.__setattr__(p, "vars", tuple(variables))
+        object.__setattr__(
+            p,
+            "terms",
+            {
+                e: Cyclo(Fraction(a, den), Fraction(b, den))
+                for e, (a, b) in terms.items()
+                if a or b
+            },
+        )
+        return p
+
     # -- arithmetic -------------------------------------------------------
     def _check_same_vars(self, other):
         if self.vars != other.vars:
@@ -355,18 +381,8 @@ class MPoly:
         if isinstance(other, (int, Fraction, Cyclo)):
             return self.scale(other)
         self._check_same_vars(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                p = c1 * c2
-                s = terms.get(e)
-                s = p if s is None else s + p
-                if s.is_zero():
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return MPoly(self.vars, terms)
+        (f, lf), (g, lg) = self._zw(), other._zw()
+        return MPoly._from_zw(self.vars, _zw_convolve(f, g), lf * lg)
 
     __rmul__ = __mul__
 
@@ -405,53 +421,69 @@ class MPoly:
         return self.subs(dict(zip(self.vars, values))).constant_coeff()
 
     def subs(self, assignment) -> "MPoly":
-        """Partial substitution var name -> Cyclo value; keeps the var list."""
-        idx = {self.vars.index(k): Cyclo._coerce(v) for k, v in assignment.items()}
-        pows = {i: [C_ONE, v] for i, v in idx.items()}  # shared by all terms
-        terms = {}
-        for e, c in self.terms.items():
-            t = c
+        """Partial substitution var name -> Cyclo value; keeps the var list.
+
+        On the Z[w] lift, coefficients (a, b) / L: a value (va + vb*w) / dv
+        for a variable of top degree D gives the row v^k * dv^(D - k),
+        k = 0..D, of Z[w] pairs, so every term's product lies over the one
+        denominator L * prod dv^D."""
+        terms, den = self._zw()
+        rows = []
+        for name, v in assignment.items():
+            i = self.vars.index(name)
+            (va,), (vb,), dv = _zw_lift([v])
+            top = max((e[i] for e in terms), default=0)
+            row = [(dv**top, 0)]  # row[k] = v^k * dv^(top - k), exact in Z[w]
+            for _ in range(top):
+                x, y = _zw_mul(row[-1], (va, vb))
+                row.append((x // dv, y // dv))
+            rows.append((i, row))
+            den *= dv**top
+        out = {}
+        for e, ab in terms.items():
             ne = list(e)
-            for i, v in idx.items():
-                k = e[i]
-                if k:
-                    vp = pows[i]
-                    while len(vp) <= k:
-                        vp.append(vp[-1] * v)
-                    t = t * vp[k]
+            for i, row in rows:
+                ab = _zw_mul(ab, row[e[i]])
                 ne[i] = 0
-            if t.is_zero():
-                continue
-            key = tuple(ne)
-            s = terms.get(key, C_ZERO) + t
-            if s.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-        return MPoly(self.vars, terms)
+            ne = tuple(ne)
+            old = out.get(ne)
+            out[ne] = ab if old is None else (old[0] + ab[0], old[1] + ab[1])
+        return MPoly._from_zw(self.vars, out, den)
 
     def compose(self, images) -> "MPoly":
-        """Substitute images[i] (MPoly over a common var list) for vars[i]."""
+        """Substitute images[i] (MPoly over a common var list) for vars[i].
+
+        On the Z[w] lifts, self's coefficients (a, b) / L and image i as
+        P_i / d_i: with E_i the top exponent of vars[i], a term
+        (a, b) / L * prod (P_i / d_i)^k_i is (a, b) * prod d_i^(E_i - k_i)
+        * P_i^k_i over the one denominator L * prod d_i^E_i.  The powers
+        P_i^k are cached and the terms summed in one dict of pairs."""
         if len(images) != len(self.vars):
             raise AlgebraError("compose needs one image per variable")
         target_vars = images[0].vars
-        # cache powers of each image
-        pows = [{0: MPoly.const(target_vars, 1)} for _ in images]
-
-        def power(i, k):
-            cache = pows[i]
-            if k not in cache:
-                cache[k] = power(i, k - 1) * images[i]
-            return cache[k]
-
-        total = MPoly.zero(target_vars)
-        for e, c in self.terms.items():
-            t = MPoly.const(target_vars, c)
+        for img in images:
+            img._check_same_vars(images[0])
+        terms, den = self._zw()
+        lifted = [img._zw() for img in images]
+        tops = [max((e[i] for e in terms), default=0) for i in range(len(images))]
+        for (_f, d), top in zip(lifted, tops):
+            den *= d**top
+        zero = (0,) * len(target_vars)
+        pows = [[{zero: (1, 0)}] for _ in images]  # pows[i][k] = P_i^k
+        total = {}
+        for e, (a, b) in terms.items():
+            s = math.prod(d ** (top - k) for (_f, d), top, k in zip(lifted, tops, e))
+            t = {zero: (a * s, b * s)}
             for i, k in enumerate(e):
                 if k:
-                    t = t * power(i, k)
-            total = total + t
-        return total
+                    cache = pows[i]
+                    while len(cache) <= k:
+                        cache.append(_zw_convolve(cache[-1], lifted[i][0]))
+                    t = _zw_convolve(t, cache[k])
+            for key, (x, y) in t.items():
+                old = total.get(key)
+                total[key] = (x, y) if old is None else (old[0] + x, old[1] + y)
+        return MPoly._from_zw(target_vars, total, den)
 
     def coeffs_in(self, var):
         """Coefficients of powers of var, as polynomials with var removed.
@@ -506,6 +538,19 @@ class ParseError(AlgebraError):
         self.pos = pos
 
 
+# Fixed limits on what one expression may expand to, checked before each
+# product and power is formed, so that a short input such as a huge power
+# of a sum fails at once.  The reach of an expression is its degree with
+# every number and w counted as a variable too, so it bounds the size of
+# the coefficients as well; the term count of a product or power is
+# bounded by the product of the factors' term counts (the multinomial
+# count for a power) and by the monomials of degree at most its reach.
+MAX_PARSE_DEGREE = 100
+MAX_PARSE_TERMS = 10_000
+MAX_PARSE_DEPTH = 100  # nested parentheses
+MAX_PARSE_DIGITS = 1000  # of a numerator or denominator
+
+
 class _Parser:
     """Recursive-descent parser for the polynomial expression grammar.
 
@@ -513,11 +558,14 @@ class _Parser:
     term   := factor ('*' factor)*
     factor := base ('^' natural)?
     base   := rational | 'w' | variable | '(' expr ')'
+
+    expr, term, factor and base return (polynomial, reach).
     """
 
     def __init__(self, text, variables):
         self.text = text
         self.pos = 0
+        self.depth = 0
         self.variables = tuple(variables)
 
     def skip_ws(self):
@@ -528,14 +576,23 @@ class _Parser:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
+    def bound(self, reach, terms):
+        """ParseError unless a product or power of this reach and at most
+        terms terms stays within the fixed limits."""
+        if reach > MAX_PARSE_DEGREE:
+            raise ParseError(f"degree above {MAX_PARSE_DEGREE}", self.pos)
+        monomials = math.comb(reach + len(self.variables), reach)
+        if min(terms, monomials) > MAX_PARSE_TERMS:
+            raise ParseError(f"more than {MAX_PARSE_TERMS} terms", self.pos)
+
     def parse(self) -> MPoly:
-        p = self.expr()
+        p, _reach = self.expr()
         self.skip_ws()
         if self.pos != len(self.text):
             raise ParseError(f"unexpected {self.text[self.pos]!r}", self.pos)
         return p
 
-    def expr(self) -> MPoly:
+    def expr(self):
         # allow a leading sign on the first term
         sign = 1
         if self.peek() == "-":
@@ -543,30 +600,34 @@ class _Parser:
             sign = -1
         elif self.peek() == "+":
             self.pos += 1
-        p = self.term()
+        p, reach = self.term()
         if sign < 0:
             p = -p
         while self.peek() in ("+", "-"):
             op = self.peek()
             self.pos += 1
-            q = self.term()
+            q, r = self.term()
             p = p + q if op == "+" else p - q
-        return p
+            reach = max(reach, r)
+        return p, reach
 
-    def term(self) -> MPoly:
-        p = self.factor()
+    def term(self):
+        p, reach = self.factor()
         while self.peek() == "*":
             self.pos += 1
-            p = p * self.factor()
-        return p
+            q, r = self.factor()
+            self.bound(reach + r, len(p.terms) * len(q.terms))
+            p, reach = p * q, reach + r
+        return p, reach
 
-    def factor(self) -> MPoly:
-        p = self.base()
+    def factor(self):
+        p, reach = self.base()
         if self.peek() == "^":
             self.pos += 1
             n = self.natural()
-            p = p**n
-        return p
+            self.bound(reach * n, math.comb(n + max(len(p.terms), 1) - 1, n))
+            p, reach = p**n, reach * n
+        return p, reach
 
     def natural(self) -> int:
         self.skip_ws()
@@ -575,26 +636,33 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected exponent", self.pos)
-        return int(self.text[start : self.pos])
+        digits = self.text[start : self.pos].lstrip("0")
+        if len(digits) > len(str(MAX_PARSE_DEGREE)) or int(digits or 0) > MAX_PARSE_DEGREE:
+            raise ParseError(f"exponent above {MAX_PARSE_DEGREE}", start)
+        return int(digits or 0)
 
-    def base(self) -> MPoly:
+    def base(self):
         ch = self.peek()
         if ch == "(":
+            self.depth += 1
+            if self.depth > MAX_PARSE_DEPTH:
+                raise ParseError(f"more than {MAX_PARSE_DEPTH} nested parentheses", self.pos)
             self.pos += 1
             p = self.expr()
             if self.peek() != ")":
                 raise ParseError("expected ')'", self.pos)
             self.pos += 1
+            self.depth -= 1
             return p
         if ch.isdigit() or ch == "-":
-            return MPoly.const(self.variables, self.rational())
+            return MPoly.const(self.variables, self.rational()), 1
         if ch.isalpha() or ch == "_":
             name = self.identifier()
             if name == "w":
-                return MPoly.const(self.variables, OMEGA)
+                return MPoly.const(self.variables, OMEGA), 1
             if name not in self.variables:
                 raise ParseError(f"unknown variable {name!r}", self.pos)
-            return MPoly.variable(name, self.variables)
+            return MPoly.variable(name, self.variables), 1
         raise ParseError("expected a value", self.pos)
 
     def identifier(self) -> str:
@@ -606,6 +674,13 @@ class _Parser:
             self.pos += 1
         return self.text[start : self.pos]
 
+    def digits(self, start) -> int:
+        """The integer written from start to pos, of at most
+        MAX_PARSE_DIGITS digits."""
+        if self.pos - start > MAX_PARSE_DIGITS:
+            raise ParseError(f"number above {MAX_PARSE_DIGITS} digits", start)
+        return int(self.text[start : self.pos])
+
     def rational(self) -> Fraction:
         self.skip_ws()
         start = self.pos
@@ -615,7 +690,7 @@ class _Parser:
             self.pos += 1
         if self.pos == start or self.text[start:self.pos] == "-":
             raise ParseError("expected integer", start)
-        num = int(self.text[start : self.pos])
+        num = self.digits(start)
         if self.peek() == "/":
             save = self.pos
             self.pos += 1
@@ -625,7 +700,7 @@ class _Parser:
             if self.pos == dstart:
                 self.pos = save
                 return Fraction(num)
-            den = int(self.text[dstart : self.pos])
+            den = self.digits(dstart)
             if den == 0:
                 raise ParseError("zero denominator", dstart)
             return Fraction(num, den)
@@ -706,6 +781,39 @@ def _zw_mul(x, y):
     """Product of two Z[w] int pairs."""
     t = x[1] * y[1]
     return x[0] * y[0] - t, x[0] * y[1] + x[1] * y[0] - t
+
+
+def _zw_convolve(f, g):
+    """Product of two polynomials over Z[w] held as dicts exps -> (a, b) of
+    ints on one variable list.  Each exponent vector is packed into one int
+    with a slot per variable wide enough for the product's largest
+    exponent (Kronecker substitution), so the double loop adds ints; each
+    output key is unpacked once and zero pairs are dropped."""
+    if not f or not g:
+        return {}
+    top = max(max(e, default=0) for e in f) + max(max(e, default=0) for e in g)
+    width = max(top.bit_length(), 1)
+    shifts = range(0, width * len(next(iter(f))), width)
+
+    def pack(e):
+        return sum(k << s for k, s in zip(e, shifts))
+
+    gs = [(pack(e), a, b) for e, (a, b) in g.items()]
+    out = {}
+    for e, (a1, b1) in f.items():
+        k1 = pack(e)
+        for k2, a2, b2 in gs:
+            k = k1 + k2
+            t = b1 * b2
+            a, b = a1 * a2 - t, a1 * b2 + b1 * a2 - t
+            old = out.get(k)
+            out[k] = (a, b) if old is None else (old[0] + a, old[1] + b)
+    mask = (1 << width) - 1
+    return {
+        tuple(k >> s & mask for s in shifts): ab
+        for k, ab in out.items()
+        if ab != (0, 0)
+    }
 
 
 def _zw_divide(xs, d):
@@ -900,18 +1008,15 @@ def resultant(p: MPoly, q: MPoly, var) -> MPoly:
     i = p.vars.index(var)
     sides = []
     for f, d in ((p, dp), (q, dq)):
-        A, B, lcm = _zw_lift(list(f.terms.values()))
+        terms, lcm = f._zw()
         cs = [{} for _ in range(d + 1)]
-        for e, a, b in zip(f.terms, A, B):
-            cs[e[i]][e[:i] + e[i + 1 :]] = a, b
+        for e, ab in terms.items():
+            cs[e[i]][e[:i] + e[i + 1 :]] = ab
         sides.append((cs, lcm))
     (pc, lp), (qc, lq) = sides
     scale = lp**dq * lq**dp
     det = _sylvester_det_zw(pc, qc)
-    return MPoly(
-        p.vars[:i] + p.vars[i + 1 :],
-        {e: Cyclo(Fraction(a, scale), Fraction(b, scale)) for e, (a, b) in det.items()},
-    )
+    return MPoly._from_zw(p.vars[:i] + p.vars[i + 1 :], det, scale)
 
 
 def _sylvester_det_zw(pc, qc):

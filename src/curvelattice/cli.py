@@ -89,23 +89,41 @@ def _require(doc, *keys):
         raise UsageError("document has no " + ", ".join(f'"{k}"' for k in missing))
 
 
+def _variables(doc):
+    """The document's variable names, x, y, z unless it lists them."""
+    variables = doc.get("vars", ["x", "y", "z"])
+    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+        raise UsageError('"vars" must be a list of names')
+    return tuple(variables)
+
+
+def _poly(doc, key, variables):
+    if not isinstance(doc[key], str):
+        raise UsageError(f'"{key}" must be a polynomial string')
+    return parse_poly(doc[key], variables)
+
+
+def _integer(doc, key, default):
+    try:
+        return int(doc.get(key, default))
+    except (TypeError, ValueError):
+        raise UsageError(f'"{key}" must be an integer') from None
+
+
 def _curve_from_doc(doc) -> adjunction.CurveProfile:
     _require(doc, "g")
-    variables = tuple(doc.get("vars", ("x", "y", "z")))
-    g = parse_poly(doc["g"], variables)
-    return adjunction.CurveProfile(g, components=int(doc.get("components", 1)))
+    g = _poly(doc, "g", _variables(doc))
+    return adjunction.CurveProfile(g, components=_integer(doc, "components", 1))
 
 
 def _point_from_doc(doc) -> torus.QuasiToricPoint:
     _require(doc, "g", "X", "Y", "Z")
-    variables = tuple(doc.get("vars", ("x", "y", "z")))
-    g = parse_poly(doc["g"], variables)
+    variables = _variables(doc)
+    g = _poly(doc, "g", variables)
     return torus.QuasiToricPoint(
-        parse_poly(doc["X"], variables),
-        parse_poly(doc["Y"], variables),
-        parse_poly(doc["Z"], variables),
+        *(_poly(doc, key, variables) for key in ("X", "Y", "Z")),
         g,
-        int(doc.get("k", g.degree() // 6)),
+        _integer(doc, "k", g.degree() // 6),
     )
 
 

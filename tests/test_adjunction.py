@@ -379,6 +379,37 @@ class TestCuspScheme:
         for m in range(4):
             assert sch.vanishing_dim(m) == vanishing_on_points(pts, m)
 
+    def test_zeros_on_the_projection_axis(self):
+        # every shear x -> x + s*z keeps the line y = 0, so count() projects
+        # all common zeros on it to the direction (1:0); they are counted
+        # apart, by the gcd of the forms restricted to y = 0
+        m_range = range(1, 5)
+        # b contains the line z = 0, which a meets at (1:0:0), the root (1:0)
+        # of both restrictions; off z = 0 the zeros are (0:0:1) on y = 0
+        # and (1:1:1)
+        a, b = poly("x*z - y^2"), poly("z*(x - y)")
+        off = CuspScheme(a, b, "z")
+        full = CuspScheme(a, b, "z", include_line=True)
+        assert off._line_divisor()[1]
+        assert (off.count(), full.count()) == (2, 3)
+        pts = [(0, 0, 1), (1, 1, 1), (1, 0, 0)]
+        for m in m_range:
+            assert off.vanishing_dim(m) == vanishing_on_points(pts[:2], m)
+            assert full.vanishing_dim(m) == vanishing_on_points(pts, m)
+        # no common zero at (1:0:0), two transversal ones on y = 0 off z = 0
+        a = poly("y*z + (x - z)*(x - 2*z)")
+        b = poly("3*x*y + (x - z)*(x - 2*z)")
+        off = CuspScheme(a, b, "z")
+        full = CuspScheme(a, b, "z", include_line=True)
+        assert not off._line_divisor()[1]
+        assert (off.count(), full.count()) == (3, 4)
+        pts = [(1, 0, 1), (2, 0, 1), (3, -10, 9), (0, 1, 0)]
+        for p in pts:
+            assert a.eval(p).is_zero() and b.eval(p).is_zero()
+        for m in m_range:
+            assert off.vanishing_dim(m) == vanishing_on_points(pts[:3], m)
+            assert full.vanishing_dim(m) == vanishing_on_points(pts, m)
+
     def test_criterion_9_scheme_chain_end(self, monkeypatch):
         # the degree-12 Table-1 curve's cusp scheme: the chain n = 1..7 at
         # m = 7 reads 3, 4, 6, 6, 7, 7, 7, below its end at n0 = 9; every

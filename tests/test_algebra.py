@@ -1,7 +1,12 @@
 """Tests for exact Q(w) arithmetic, polynomials, gcd/resultants, sqrt."""
 
+import contextlib
+import io
+import json
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,7 +14,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from curvelattice import algebra, torus
+from curvelattice import algebra, cli, torus
 from curvelattice.adjunction import gcd_degree
 from curvelattice.algebra import (
     C_ONE,
@@ -128,6 +133,54 @@ class TestParser:
         for text in ["0", "-x", "w*x - y", "(1/2 - 3*w)*z^2", "-3/4"]:
             p = parse_poly(text, XYZ)
             assert parse_poly(render(p), XYZ) == p
+
+
+RUNAWAY = [
+    "(x + y + z)^1000000000",
+    "(1/2)^" + "9" * 5000,
+    "((2^100)^100)^100",
+    "((x + y + z)^10)^10",
+    "x" + "*x" * 200,
+    "(" * 100_000 + "x" + ")" * 100_000,
+    "1" * 100_000 + "*x",
+    "1/" + "7" * 5000,
+]
+
+
+class TestParserLimits:
+    @pytest.mark.parametrize("text", RUNAWAY, ids=lambda text: text[:24])
+    def test_runaway_input_fails_at_once(self, text):
+        # the limits are checked before a product or power is formed: the
+        # error comes at once, with no large allocation
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ParseError, match="above|more than"):
+                parse_poly(text, XYZ)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1
+        assert peak < 1_000_000
+
+    def test_limits_are_inclusive(self):
+        assert parse_poly("(x + y)^100", XYZ).degree() == 100
+        assert parse_poly("(" * 100 + "x" + ")" * 100, XYZ) == MPoly.variable("x", XYZ)
+        with pytest.raises(ParseError, match="degree above 100"):
+            parse_poly("(x + y)^100*x", XYZ)
+        with pytest.raises(ParseError, match="exponent above 100"):
+            parse_poly("x^101", XYZ)
+        assert parse_poly("9" * 1000, XYZ).constant_coeff() == Cyclo(10**1000 - 1)
+        with pytest.raises(ParseError, match="above 1000 digits"):
+            parse_poly("9" * 1001, XYZ)
+
+    def test_cli_reports_the_limit_as_a_domain_error(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.run(["singular", "--curve", '{"g": "(x + y + z)^1000000000"}'])
+        assert code == 2
+        assert json.loads(out.getvalue())["error"] == "ParseError"
 
 
 MONOMIALS = {
@@ -510,6 +563,132 @@ class TestResultant:
         with pytest.raises(AlgebraError, match="divided difference"):
             resultant(p, q, "x")
         assert calls[3] == 8
+
+
+# The Q(w) loops that MPoly multiply, substitution and composition ran on
+# Cyclo coefficients before they moved onto Z[w] int pairs: the reference
+# of the differential tests below.
+
+
+def cyclo_mul(p: MPoly, q: MPoly) -> MPoly:
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = terms.get(e, C_ZERO) + c1 * c2
+            if s.is_zero():
+                terms.pop(e, None)
+            else:
+                terms[e] = s
+    return MPoly(p.vars, terms)
+
+
+def cyclo_subs(p: MPoly, assignment) -> MPoly:
+    idx = {p.vars.index(k): Cyclo._coerce(v) for k, v in assignment.items()}
+    terms = {}
+    for e, c in p.terms.items():
+        t = c
+        ne = list(e)
+        for i, v in idx.items():
+            for _ in range(e[i]):
+                t = t * v
+            ne[i] = 0
+        key = tuple(ne)
+        s = terms.get(key, C_ZERO) + t
+        if s.is_zero():
+            terms.pop(key, None)
+        else:
+            terms[key] = s
+    return MPoly(p.vars, terms)
+
+
+def cyclo_compose(p: MPoly, images) -> MPoly:
+    target = images[0].vars
+    total = MPoly.zero(target)
+    for e, c in p.terms.items():
+        t = MPoly.const(target, c)
+        for img, k in zip(images, e):
+            for _ in range(k):
+                t = cyclo_mul(t, img)
+        total = total + t
+    return total
+
+
+@st.composite
+def mpolys(draw, variables=XYZ, max_terms=4, max_exp=2):
+    """Polynomials with Q(w) coefficients and denominators; sometimes zero
+    (no term drawn, or every drawn coefficient zero)."""
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(variables))
+    return MPoly(variables, draw(st.dictionaries(exps, cyclos, max_size=max_terms)))
+
+
+UV = ("u", "v")
+
+
+class TestIntPairKernels:
+    """MPoly multiply, subs/eval and compose on Z[w] int pairs against the
+    Cyclo loops they replace."""
+
+    @given(mpolys(), mpolys(), mpolys(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_mul(self, f, u, v, cancel):
+        # with cancel, (f*(u + v)) * (u - v): the cross terms f*u*v cancel
+        p, q = (cyclo_mul(f, u + v), u - v) if cancel else (f, u)
+        assert p * q == cyclo_mul(p, q)
+        assert q * p == cyclo_mul(p, q)
+
+    @given(mpolys(), st.dictionaries(st.sampled_from(XYZ), cyclos), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_subs_and_eval(self, p, assignment, cancel):
+        if cancel and assignment:
+            # a factor that vanishes at the assignment: the result is 0
+            name, value = next(iter(assignment.items()))
+            p = cyclo_mul(p, MPoly.variable(name, XYZ) - value)
+        got = p.subs(assignment)
+        assert got == cyclo_subs(p, assignment)
+        if cancel and assignment:
+            assert got.is_zero()
+        point = [assignment.get(name, Fraction(1, 2)) for name in XYZ]
+        assert p.eval(point) == cyclo_subs(p, dict(zip(XYZ, point))).constant_coeff()
+
+    @given(mpolys(max_terms=3), st.lists(mpolys(UV, max_terms=3), min_size=3, max_size=3), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_compose(self, p, images, cancel):
+        if cancel:
+            # x - y with equal images for x and y composes to 0
+            p, images = cyclo_mul(p, MPoly.variable("x", XYZ) - MPoly.variable("y", XYZ)), [images[0]] + images[:2]
+        got = p.compose(images)
+        assert got == cyclo_compose(p, images)
+        if cancel:
+            assert got.is_zero()
+
+    def test_one_cyclo_per_output_term(self, monkeypatch):
+        # multiply, substitute and compose lift their operands to Z[w] int
+        # pairs once: the only Q(w) scalars they make are the output's
+        # coefficients, one each
+        p = parse_poly("w*x^2*y + (1 - 2*w)*x*z + 1/3*y^2 + w*z", XYZ)
+        q = parse_poly("x^2 + w*y*z*x - 5/2*w*y + z^2", XYZ)
+        images = [parse_poly(t, UV) for t in ("1/2*u + w*v", "u - 1/3", "(2 + w)*v^2")]
+        at = {"x": Cyclo(Fraction(1, 2), 1), "z": Cyclo(-3, Fraction(2, 5))}
+        calls = []
+        init, mul = Cyclo.__init__, Cyclo.__mul__
+
+        def counted_init(self, a=0, b=0):
+            calls.append("init")
+            init(self, a, b)
+
+        def counted_mul(self, other):
+            calls.append("mul")
+            return mul(self, other)
+
+        for run in (lambda: p * q, lambda: p.compose(images), lambda: p.subs(at)):
+            calls.clear()
+            monkeypatch.setattr(Cyclo, "__init__", counted_init)
+            monkeypatch.setattr(Cyclo, "__mul__", counted_mul)
+            got = run()
+            monkeypatch.undo()
+            assert any(not c.is_rational() for c in got.terms.values())
+            assert len(calls) <= len(got.terms)
 
 
 @st.composite

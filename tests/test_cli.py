@@ -8,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from curvelattice.cli import run
 
@@ -282,3 +284,80 @@ class TestZariski:
         assert code == 2
         assert doc["error"] == "PrereqFailed"
         assert "rank predictions differ" in doc["message"]
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the curve document
+# ---------------------------------------------------------------------------
+
+
+HUGE_EXPONENTS = st.sampled_from(["101", "1000000000", "9" * 40, "0" * 5 + "123"])
+JUNK = st.sampled_from(list("^*/+-()) (w_.,;é\u0000\t") + ["^^", "1/0", "--", "((", "9" * 30])
+
+
+@st.composite
+def polynomial_texts(draw, depth=0):
+    """A string shaped by the polynomial grammar, of degree at most 4,
+    sometimes with an exponent far above the parser's limit."""
+    kind = draw(st.sampled_from(["atom", "atom", "sum", "product"] if depth < 2 else ["atom"]))
+    if kind == "atom":
+        text = draw(
+            st.one_of(
+                st.sampled_from(["x", "y", "z", "w"]),
+                st.integers(-50, 50).map(str),
+                st.tuples(st.integers(-9, 9), st.integers(0, 9)).map(lambda t: f"{t[0]}/{t[1]}"),
+            )
+        )
+        degree = 1 if text in ("x", "y", "z") else 0
+    else:
+        parts = draw(st.lists(polynomial_texts(depth + 1), min_size=2, max_size=3))
+        if kind == "sum":
+            ops = draw(st.lists(st.sampled_from(["+", "-"]), min_size=len(parts), max_size=len(parts)))
+            text = "".join(f" {op} {t}" for op, (t, _d) in zip(ops, parts)).lstrip(" +")
+            degree = max(d for _t, d in parts)
+        else:
+            text = "*".join(f"({t})" for t, _d in parts)
+            degree = sum(d for _t, d in parts)
+    if draw(st.integers(0, 3)) == 0:
+        n = draw(st.one_of(st.integers(0, 2).map(str), HUGE_EXPONENTS))
+        text, degree = f"({text})^{n}", degree * int(n)
+    assume(degree <= 4)
+    return text, degree
+
+
+@st.composite
+def curve_texts(draw):
+    text, _degree = draw(polynomial_texts())
+    if draw(st.booleans()):
+        text = f"({text})^{draw(HUGE_EXPONENTS)}"
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(JUNK) + text[i:]
+    return text
+
+
+JSON_JUNK = st.one_of(st.none(), st.integers(), st.lists(st.sampled_from(["x", "y", 1]), max_size=3))
+
+
+@st.composite
+def curve_documents(draw):
+    """A --curve document: mostly a grammar-shaped g, sometimes a g or a
+    variable list of the wrong JSON type."""
+    doc = {"g": draw(st.one_of(curve_texts(), curve_texts(), curve_texts(), JSON_JUNK))}
+    if draw(st.integers(0, 4)) == 0:
+        doc["vars"] = draw(st.one_of(JSON_JUNK, st.just(["x", "y", "z"])))
+    return doc
+
+
+class TestCurveFuzz:
+    @given(curve_documents())
+    @example({"g": "(x + y + z)^1000000000"})
+    @example({"g": "(" * 400 + "x" + ")" * 400})
+    @example({"g": 5})
+    @settings(max_examples=40, deadline=10_000)
+    def test_exit_code_without_traceback(self, doc):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["singular", "--curve", json.dumps(doc)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()

@@ -15,6 +15,7 @@ import sys
 
 import pytest
 
+from curvelattice.algebra import parse_poly
 from curvelattice.cli import run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -101,6 +102,38 @@ def test_report_matches_golden(name):
     code, out = report(CASES[name])
     assert code == 0
     assert out == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def _polynomials(doc):
+    """(text, variables) of every polynomial a report holds: the g, X, Y
+    and Z strings of each object that names its variables."""
+    if isinstance(doc, dict):
+        if "vars" in doc:
+            yield from ((doc[k], tuple(doc["vars"])) for k in ("g", "X", "Y", "Z") if k in doc)
+        for v in doc.values():
+            yield from _polynomials(v)
+    elif isinstance(doc, list):
+        for v in doc:
+            yield from _polynomials(v)
+
+
+def test_every_polynomial_parses_within_the_limits():
+    # the parser's fixed degree and size limits admit each polynomial the
+    # corpus feeds the CLI and each one its reports render
+    texts = []
+    for argv in CASES.values():
+        for flag, value in zip(argv, argv[1:]):
+            if flag == "--curve":
+                texts.append((json.loads(value)["g"], ("x", "y", "z")))
+            elif flag == "--f":
+                texts.append((value, ("x", "y")))
+            elif flag in ("--A", "--B"):
+                texts.append((value, ("t",)))
+    for path in sorted(GOLDEN.glob("*.json")):
+        texts += _polynomials(json.loads(path.read_text(encoding="utf-8")))
+    assert len(texts) > 20
+    for text, variables in texts:
+        parse_poly(text, variables)
 
 
 if __name__ == "__main__":
