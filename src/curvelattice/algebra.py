@@ -8,16 +8,18 @@ ordered by graded lexicographic order on the declared variable list.
 Provides: parsing/rendering of polynomial expressions, the fraction-free
 Z[w] elimination behind every determinant, rank and kernel of a Q(w)
 matrix, Sylvester-determinant resultants by evaluation and
-interpolation, the univariate subresultant gcd over Z[w] (the one gcd:
-multivariate gcd degrees are read from it on lines, see
-adjunction.gcd_degree), exact square roots of polynomials, and root
+interpolation, one subresultant PRS over Z[w] (_zw_prs) that gives both
+the univariate gcd (the one gcd: multivariate gcd degrees are read from
+it on lines, see adjunction.gcd_degree) and the scalar resultant at each
+leaf of that interpolation, exact square roots of polynomials, and root
 extraction of univariate polynomials inside Q(w) (a p-adic root finder
 whose every answer is verified exactly).  The elimination, the
 resultant from its inputs to its output, the gcd, the root finder's
-multiplicities and MPoly multiply, substitution (so evaluation) and
-composition work on Z[w] int pairs (a, b) = a + b*w, lifted once from
-Q(w) by the lcm of the denominators (_zw_lift; for an MPoly, the seam
-MPoly._zw / MPoly._from_zw).  Only the standard library is used.
+multiplicities and MPoly multiply, scaling, differentiation,
+substitution (so evaluation) and composition work on Z[w] int pairs
+(a, b) = a + b*w, lifted once from Q(w) by the lcm of the denominators
+(_zw_lift; for an MPoly, the seam MPoly._zw / MPoly._from_zw).  Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -35,6 +37,13 @@ class AlgebraError(ValueError):
 
 class NotDivisible(AlgebraError):
     """Raised when an exact polynomial division leaves a remainder."""
+
+
+class InvariantError(RuntimeError):
+    """An exact kernel broke its own invariant: a division that the
+    mathematics makes exact left a remainder.  This is a fault in the
+    program, not in its input, so it is neither a ValueError nor an
+    ArithmeticError and no domain-error handler catches it."""
 
 
 class NotASquare:
@@ -375,7 +384,11 @@ class MPoly:
         c = Cyclo._coerce(c)
         if c.is_zero():
             return MPoly.zero(self.vars)
-        return MPoly(self.vars, {e: v * c for e, v in self.terms.items()})
+        (ca,), (cb,), lc = _zw_lift([c])
+        terms, lcm = self._zw()
+        return MPoly._from_zw(
+            self.vars, {e: _zw_mul(ab, (ca, cb)) for e, ab in terms.items()}, lcm * lc
+        )
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclo)):
@@ -407,14 +420,13 @@ class MPoly:
     # -- calculus / substitution -----------------------------------------
     def derivative(self, var) -> "MPoly":
         i = self.vars.index(var)
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = list(e)
-            ne[i] -= 1
-            terms[tuple(ne)] = c * e[i]
-        return MPoly(self.vars, terms)
+        terms, lcm = self._zw()
+        out = {}
+        for e, (a, b) in terms.items():
+            k = e[i]
+            if k:
+                out[e[:i] + (k - 1,) + e[i + 1 :]] = (a * k, b * k)
+        return MPoly._from_zw(self.vars, out, lcm)
 
     def eval(self, values) -> Cyclo:
         """Full evaluation at a point (sequence of Cyclo/rational values)."""
@@ -817,14 +829,14 @@ def _zw_convolve(f, g):
 
 
 def _zw_divide(xs, d):
-    """Each Z[w] pair of xs divided exactly by the pair d; AlgebraError
+    """Each Z[w] pair of xs divided exactly by the pair d; InvariantError
     on a remainder."""
     ca, cb, norm = _zw_conj_norm(*d)
     out = []
     for x in xs:
         (qa, ea), (qb, eb) = (divmod(v, norm) for v in _zw_mul(x, (ca, cb)))
         if ea or eb:
-            raise AlgebraError("inexact division in Z[w]")
+            raise InvariantError("inexact division in Z[w]")
         out.append((qa, qb))
     return out
 
@@ -840,6 +852,88 @@ def _zw_gcd(x, y):
     return x
 
 
+def _zw_pow(x, e):
+    """The Z[w] pair x to the power e >= 0."""
+    return functools.reduce(_zw_mul, [x] * e, (1, 0))
+
+
+def _zw_prs(f, g):
+    """The subresultant PRS (Collins, JACM 14, 1967; Brown-Traub, JACM 18,
+    1971) of f and g, polynomials over Z[w] held as lists of int pairs
+    low -> high without zero leading pairs, deg f >= deg g >= 0.  While
+    deg g > 0, each pseudo-remainder lc(g)^(delta+1) * f mod g, delta =
+    deg f - deg g, is divided by s * h^delta, exactly (InvariantError
+    otherwise), and replaces (f, g) by (g, quotient); then s = lc(g) and
+    h = s^delta / h^(delta-1).  A zero pseudo-remainder ends the sequence.
+
+    Returns (f, g, h, sign): the last pair, whose g is then a gcd of the
+    inputs (when deg g > 0, g divides f), the last h, and the product of
+    (-1)^(deg f * deg g) over the steps taken."""
+    s = h = (1, 0)
+    sign = 1
+    while len(g) > 1:
+        m, n = len(f) - 1, len(g) - 1
+        delta = m - n
+        if m * n % 2:
+            sign = -sign
+        # pseudo-remainder: r <- lc(g) * r - r[k] * x^(k-n) * g, k = m..n
+        r = f
+        for k in range(m, n - 1, -1):
+            c = r[-1]
+            r = [_zw_mul(g[-1], x) for x in r[:-1]]
+            for j, y in enumerate(g[:-1], k - n):
+                cy = _zw_mul(c, y)
+                r[j] = r[j][0] - cy[0], r[j][1] - cy[1]
+        while r and r[-1] == (0, 0):
+            r.pop()
+        if not r:
+            break
+        f, g = g, _zw_divide(r, _zw_mul(s, _zw_pow(h, delta)))
+        s = f[-1]
+        if delta:
+            h = _zw_divide([_zw_pow(s, delta)], _zw_pow(h, delta - 1))[0]
+    return f, g, h, sign
+
+
+def _zw_res(pv, qv):
+    """The resultant of two polynomials over Z[w], lists of int pairs
+    low -> high at the formal degrees m = len(pv) - 1 >= 1 and
+    n = len(qv) - 1 >= 1, in the Sylvester convention (p rows first), as
+    an int pair.
+
+    Zero leading pairs are dropped first: if both sides drop, the first
+    Sylvester column is zero and so is the result; if p drops by k the
+    result gains (-1)^(n*k) * lc(q)^k, if q drops by k it gains lc(p)^k.
+    At the actual degrees the inputs are ordered deg A >= deg B (swapping
+    them gives (-1)^(deg p * deg q)) and run through _zw_prs, each step
+    giving (-1)^(deg A * deg B).  A zero remainder (a common factor)
+    makes the result 0; otherwise the sequence ends at a constant B and
+    the result is lc(B)^(deg A) / h^(deg A - 1) (c^(deg A) when the input
+    B already has degree 0)."""
+    m, n = len(pv) - 1, len(qv) - 1
+    p, q = list(pv), list(qv)
+    for u in (p, q):
+        while u and u[-1] == (0, 0):
+            u.pop()
+    kp, kq = m + 1 - len(p), n + 1 - len(q)
+    if not p or not q or kp and kq:
+        return (0, 0)
+    scale, sign = (1, 0), 1
+    if kp:
+        scale, sign = _zw_pow(q[-1], kp), (-1) ** (n * kp)
+    elif kq:
+        scale = _zw_pow(p[-1], kq)
+    if len(p) < len(q):
+        p, q = q, p
+        sign *= (-1) ** ((len(p) - 1) * (len(q) - 1))
+    f, g, h, s = _zw_prs(p, q)
+    if len(g) > 1:
+        return (0, 0)
+    d = len(f) - 1
+    res = _zw_divide([_zw_mul(scale, _zw_pow(g[0], d))], _zw_pow(h, d - 1))[0]
+    return res if sign * s > 0 else (-res[0], -res[1])
+
+
 def echelon_zw_pairs(A, B, reduced=False):
     """Fraction-free row echelon form over Z[w], exact on any shape and rank.
 
@@ -849,7 +943,7 @@ def echelon_zw_pairs(A, B, reduced=False):
     skipped.  Bareiss elimination (Math. Comp. 22, 1968) makes every entry
     a minor of the matrix, so the division by the previous pivot p is
     exact in Z[w]: multiply by conj(p) and divide both parts by N(p).  A
-    remainder raises AlgebraError.
+    remainder raises InvariantError.
 
     With reduced=True the rows above each pivot are eliminated as well
     (fraction-free Gauss-Jordan): each pivot column then holds the last
@@ -898,7 +992,7 @@ def echelon_zw_pairs(A, B, reduced=False):
                     na, ea = divmod(na, norm)
                     nb, eb = divmod(nb, norm)
                     if ea or eb:
-                        raise AlgebraError("inexact Bareiss division in Z[w]")
+                        raise InvariantError("inexact Bareiss division in Z[w]")
                 Ai[j], Bi[j] = na, nb
             Ai[c] = Bi[c] = 0
         pivots.append(c)
@@ -960,7 +1054,7 @@ def _interpolate(xs, columns):
     differences.  The divided differences of t^n at integer nodes are
     complete homogeneous symmetric polynomials in the nodes, so those of a
     polynomial over Z are integers and every division is exact; a
-    remainder raises AlgebraError."""
+    remainder raises InvariantError."""
     n = len(xs)
     basis = [[1]]  # prod_{i<j} (t - xs[i]), integer coefficients low -> high
     for x in xs[:-1]:
@@ -973,7 +1067,7 @@ def _interpolate(xs, columns):
             for i in range(n - 1, j - 1, -1):
                 d[i], r = divmod(d[i] - d[i - 1], xs[i] - xs[i - j])
                 if r:
-                    raise AlgebraError("inexact divided difference in Z[w]")
+                    raise InvariantError("inexact divided difference in Z[w]")
         coeffs = [0] * n
         for dj, b in zip(d, basis):
             if dj:
@@ -991,8 +1085,9 @@ def resultant(p: MPoly, q: MPoly, var) -> MPoly:
     Sylvester matrix of the lifted pair at the formal degrees dp, dq is
     Lp^dq * Lq^dp times the resultant.  It is taken on the pairs by
     evaluation and interpolation (Collins, JACM 18, 1971), one remaining
-    active variable at a time, down to scalar matrices for
-    echelon_zw_pairs, and the scale is divided out once at the end.
+    active variable at a time, down to scalar leaves, each the last
+    subresultant of the PRS that UPoly.gcd runs (_zw_res); no Sylvester
+    matrix is built.  The scale is divided out once at the end.
     """
     if p.is_zero() or q.is_zero():
         raise AlgebraError("resultant of the zero polynomial")
@@ -1024,10 +1119,11 @@ def _sylvester_det_zw(pc, qc):
     and qc (low -> high, at the formal degrees len - 1, the p rows before
     the q rows).  Each coefficient is a polynomial over Z[w] held as a
     dict exps -> (a, b) without zero pairs, all over one variable list;
-    the determinant is returned in the same form.  The first active
-    variable t is set to integer samples in the dp+dq+2 coefficients
-    (never in the matrix entries), each sample recurses, and each
-    monomial's values are interpolated in t.
+    the determinant is returned in the same form.  With no active
+    variable left it is _zw_res of the scalar coefficients.  Otherwise
+    the first active variable t is set to integer samples in the dp+dq+2
+    coefficients, each sample recurses, and each monomial's values are
+    interpolated in t.
 
     The number of samples is one more than the smaller of two bounds on
     the degree in t: the column bound dq*max deg_t(pc) + dp*max deg_t(qc),
@@ -1040,20 +1136,8 @@ def _sylvester_det_zw(pc, qc):
     t = min((j for c in coeffs for e in c for j, k in enumerate(e) if k), default=None)
     if t is None:
         zero = next((e for c in coeffs for e in c), None)
-        n = dp + dq
-        A, B = [], []
-        for cs, d, shifts in ((pc, dp, dq), (qc, dq, dp)):
-            vals = [c.get(zero, (0, 0)) for c in cs]
-            for s in range(shifts):
-                ra, rb = [0] * n, [0] * n
-                for k, (a, b) in enumerate(vals):
-                    ra[s + d - k], rb[s + d - k] = a, b
-                A.append(ra)
-                B.append(rb)
-        A, B, pivots, sign = echelon_zw_pairs(A, B)
-        if len(pivots) < n:
-            return {}
-        return {zero: (sign * A[-1][-1], sign * B[-1][-1])}
+        res = _zw_res(*([c.get(zero, (0, 0)) for c in cs] for cs in (pc, qc)))
+        return {zero: res} if res != (0, 0) else {}
     # total degrees Dp, Dq; None when a sample zeroed every coefficient of
     # one side, whose Sylvester rows are then all zero
     tp, tq = (
@@ -1098,6 +1182,7 @@ def _sylvester_det_zw(pc, qc):
 # ---------------------------------------------------------------------------
 # Univariate polynomials over Q(w) (internal helper representation); gcd
 # and squarefree part by the fraction-free subresultant PRS over Z[w]
+# (_zw_prs, shared with the resultant's leaves)
 # ---------------------------------------------------------------------------
 
 
@@ -1208,45 +1293,22 @@ class UPoly:
         return UPoly([c.conjugate() for c in self.coeffs])
 
     def gcd(self, other) -> "UPoly":
-        """Monic gcd by the subresultant PRS (Collins, JACM 14, 1967;
-        Brown-Traub, JACM 18, 1971).  Each input is scaled by the lcm of
-        its denominators into Z[w] int pairs (a, b) = a + b*w.  Each
-        pseudo-remainder lc(g)^(delta+1) * f mod g is divided by
-        s * h^delta, exactly (AlgebraError otherwise); then s = lc(g) and
-        h = s^delta / h^(delta-1).  Only the result becomes Cyclo."""
+        """Monic gcd: the last nonzero remainder of the subresultant PRS
+        (_zw_prs, the one the resultant's leaves run) of the inputs, each
+        scaled by the lcm of its denominators into Z[w] int pairs
+        (a, b) = a + b*w.  Only the result becomes Cyclo."""
         f, g = (self, other) if self.degree() >= other.degree() else (other, self)
         if g.is_zero():
             return f.monic()
-
-        def power(x, e):
-            return functools.reduce(_zw_mul, [x] * e, (1, 0))
-
         f, g = (list(zip(*_zw_lift(u.coeffs)[:2])) for u in (f, g))
-        s = h = (1, 0)
-        while len(g) > 1:
-            n, delta = len(g) - 1, len(f) - len(g)
-            # pseudo-remainder: f <- lc(g) * f - f[k] * x^(k-n) * g, k = deg f..n
-            for k in range(len(f) - 1, n - 1, -1):
-                c = f.pop()
-                f = [_zw_mul(g[-1], x) for x in f]
-                for j, y in enumerate(g[:-1], k - n):
-                    cy = _zw_mul(c, y)
-                    f[j] = f[j][0] - cy[0], f[j][1] - cy[1]
-            while f and f[-1] == (0, 0):
-                f.pop()
-            if not f:
-                break
-            f, g = g, _zw_divide(f, _zw_mul(s, power(h, delta)))
-            s = f[-1]
-            if delta:
-                h = _zw_divide([power(s, delta)], power(h, delta - 1))[0]
+        g = _zw_prs(f, g)[1]
         return UPoly([Cyclo(a, b) for a, b in g]).monic()
 
     def squarefree_part(self) -> "UPoly":
         """Monic self / gcd(self, self'), divided on Z[w] int pairs: the gcd
         is made primitive (its Z[w] content divided out), so by Gauss's
         lemma each quotient coefficient is an exact Z[w] division by its
-        leading coefficient; a remainder raises AlgebraError."""
+        leading coefficient; a remainder raises InvariantError."""
         if self.degree() <= 0:
             return self.monic()
         g = list(zip(*_zw_lift(self.gcd(self.derivative()).coeffs)[:2]))
@@ -1259,7 +1321,7 @@ class UPoly:
                 cy = _zw_mul(c, y)
                 r[j] = r[j][0] - cy[0], r[j][1] - cy[1]
         if any(x != (0, 0) for x in r):
-            raise AlgebraError("squarefree part: the gcd does not divide")
+            raise InvariantError("squarefree part: the gcd does not divide")
         return UPoly([Cyclo(a, b) for a, b in q]).monic()
 
 

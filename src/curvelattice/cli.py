@@ -6,7 +6,9 @@ computation relied on (empty means none were needed).  Polynomials are
 rendered as grammar strings, never as coefficient arrays.
 
 Exit codes: 0 success, 2 domain errors (inapplicable rank formula,
-incomplete singular locus, degenerate input, ...), 1 usage errors.
+incomplete singular locus, degenerate input, ...), 1 usage errors, 3 a
+broken internal invariant (algebra.InvariantError: an exact division in a
+kernel left a remainder), which is a fault in the program, not in its input.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import adjunction, lattice, mordellweil, spectrum, torus, weierstrass
-from .algebra import AlgebraError, parse_poly, render
+from .algebra import AlgebraError, InvariantError, parse_poly, render
 
 SCHEMA = "curvelattice/1"
 
@@ -50,6 +52,8 @@ DOMAIN_ERRORS = (
     ValueError,
     ArithmeticError,
 )
+
+INVARIANT_EXIT = 3
 
 
 class UsageError(Exception):
@@ -500,7 +504,7 @@ def run(argv) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    except DOMAIN_ERRORS as err:
+    except (InvariantError, *DOMAIN_ERRORS) as err:
         _emit(
             {
                 "error": type(err).__name__,
@@ -509,7 +513,7 @@ def run(argv) -> int:
             },
             args.out,
         )
-        return 2
+        return INVARIANT_EXIT if isinstance(err, InvariantError) else 2
     code = doc.pop("exit", 0)
     _emit(doc, args.out)
     return code

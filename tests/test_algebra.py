@@ -23,6 +23,7 @@ from curvelattice.algebra import (
     OMEGA,
     AlgebraError,
     Cyclo,
+    InvariantError,
     MPoly,
     ParseError,
     ProjPoint,
@@ -317,6 +318,128 @@ def trivariate_pairs(draw):
     return tuple(polys)
 
 
+def sylvester_rows(pv, qv):
+    """The Sylvester matrix over Q(w) of two Z[w] int-pair lists, low ->
+    high at the formal degrees len - 1, the p rows before the q rows."""
+    m, n = len(pv) - 1, len(qv) - 1
+    rows = []
+    for cs, d, shifts in ((pv, m, n), (qv, n, m)):
+        for s in range(shifts):
+            row = [C_ZERO] * (m + n)
+            for k, (a, b) in enumerate(cs):
+                row[s + d - k] = Cyclo(a, b)
+            rows.append(row)
+    return rows
+
+
+def zw_times(u, v):
+    """Product of two Z[w] int-pair lists, low -> high."""
+    out = [(0, 0)] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            a, b = algebra._zw_mul(x, y)
+            out[i + j] = out[i + j][0] + a, out[i + j][1] + b
+    return out
+
+
+@st.composite
+def leaf_pairs(draw):
+    """Two Z[w] int-pair lists at formal degrees 1-7, small or large
+    heights, with or without w parts, shaped to reach every branch of the
+    resultant leaf: leading pairs vanishing on one side or both, a side
+    that drops to degree 0, a common factor, and a remainder whose degree
+    falls by two or more (a PRS step with delta >= 2)."""
+    height = draw(st.sampled_from([3, 10**6, 10**30]))
+    omega = draw(st.booleans())
+
+    def pairs(d):
+        return [
+            (
+                draw(st.integers(-height, height)),
+                draw(st.integers(-height, height)) if omega else 0,
+            )
+            for _ in range(d + 1)
+        ]
+
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    shape = draw(
+        st.sampled_from(["generic", "p drops", "q drops", "both drop", "to degree 0", "common factor", "gap"])
+    )
+    if shape == "gap":
+        # p = u * q + r with deg r = deg q - 2 (a gap inside the sequence)
+        # or deg r = 0 (the sequence ends in a gap)
+        n = max(n, 3)
+        q = pairs(n)
+        u, r = pairs(max(m - n, 0)), pairs(draw(st.sampled_from([0, n - 2])))
+        p = zw_times(u, q)
+        p[: len(r)] = [(a + c, b + d) for (a, b), (c, d) in zip(p, r)]
+        return p, q
+    p, q = pairs(m), pairs(n)
+    if shape == "common factor":
+        c = pairs(draw(st.integers(1, 2)))
+        assume(c[-1] != (0, 0))
+        return zw_times(p, c), zw_times(q, c)
+    for side, name in ((p, "p drops"), (q, "q drops")):
+        if shape in (name, "both drop"):
+            k = draw(st.integers(1, len(side) - 1))
+            side[-k:] = [(0, 0)] * k
+    if shape == "to degree 0":
+        side = (p, q)[draw(st.integers(0, 1))]
+        side[1:] = [(0, 0)] * (len(side) - 1)
+    return p, q
+
+
+class TestResultantLeaf:
+    @given(leaf_pairs())
+    @example(([(1, 0), (0, 0), (2, 1), (-1, 3)], [(4, 0), (0, 1), (0, 0), (5, 0), (1, 0), (2, 2)]))
+    @example(([(2, 0), (3, 1), (0, 0), (0, 0)], [(1, 0), (1, 0)]))
+    @example(([(5, 1), (2, 0)], [(1, 0), (2, 0), (0, 0)]))
+    @example(([(7, 0)] + [(0, 0)] * 4, [(1, 1), (0, 0), (3, 0), (1, 0)]))
+    @example(([(6, 0), (2, 0), (1, 0), (2, 0), (2, 0)], [(1, 0), (1, 0), (0, 0), (2, 0)]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sylvester_det(self, pair):
+        # the leaf is the determinant of the Sylvester matrix at the formal
+        # degrees: the examples have both degrees odd, p dropping by two,
+        # q dropping by one, p dropping to degree 0, and a PRS ending in a
+        # gap, (x + 1) * q + 5 against q = 2x^3 + x + 1, whose resultant
+        # 2000 = 20^3 / h^2 reads the end exponent of h
+        pv, qv = pair
+        got = algebra._zw_res(pv, qv)
+        assert Cyclo(*got) == det_cyclo(sylvester_rows(pv, qv))
+
+    def test_common_factor_and_gap_shapes(self):
+        # Knuth's pair has a remainder of degree 2 after q of degree 6
+        # (delta = 2 at the next step); times a common factor it vanishes
+        f = [(c, 0) for c in (-5, 2, 8, -3, -3, 0, 1, 0, 1)]
+        g = [(c, 0) for c in (21, -9, -4, 0, 5, 0, 3)]
+        assert Cyclo(*algebra._zw_res(f, g)) == det_cyclo(sylvester_rows(f, g))
+        shared = [(1, 2), (0, -1), (3, 0)]
+        assert algebra._zw_res(zw_times(f, shared), zw_times(g, shared)) == (0, 0)
+
+    def test_one_prs_for_gcd_and_resultant(self, monkeypatch):
+        # UPoly.gcd and the resultant's leaves run the one PRS core; the
+        # resultant builds no Sylvester matrix and calls no traced gcd
+        prs, calls = algebra._zw_prs, []
+
+        def counted(f, g):
+            calls.append(len(f) + len(g))
+            return prs(f, g)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the resultant eliminated a Sylvester matrix")
+
+        monkeypatch.setattr(algebra, "_zw_prs", counted)
+        assert KNUTH_F.gcd(KNUTH_G) == UPoly([1])
+        assert len(calls) == 1
+        calls.clear()
+        monkeypatch.setattr(algebra, "echelon_zw_pairs", forbidden)
+        monkeypatch.setattr(UPoly, "gcd", forbidden)
+        p = parse_poly("w*x^3*y + (1 - 2*w)*x*z + 1/3*y^2 + w*z", XYZ)
+        q = parse_poly("x^2 + w*y*z*x - 5/2*w*y + z^2", XYZ)
+        got = resultant(p, q, "x")
+        assert calls and not got.is_zero()
+
+
 class TestResultant:
     def test_linear_convention(self):
         # Sylvester matrix [[1, -1], [1, 1]] has determinant 2 -> 2y
@@ -417,13 +540,13 @@ class TestResultant:
         p = parse_poly(str(sp).replace("**", "^"), ("x", "y"))
         q = parse_poly(str(sq).replace("**", "^"), ("x", "y"))
         calls = []
-        real = algebra.echelon_zw_pairs
+        real = algebra._zw_res
 
-        def counted(A, B, reduced=False):
-            calls.append(len(A))
-            return real(A, B, reduced)
+        def counted(pv, qv):
+            calls.append(len(pv) - 1 + len(qv) - 1)
+            return real(pv, qv)
 
-        monkeypatch.setattr(algebra, "echelon_zw_pairs", counted)
+        monkeypatch.setattr(algebra, "_zw_res", counted)
         got = resultant(p, q, "x")
         assert calls == [8] * 26
         ours = sum(to_sympy(c) * y ** e[0] for e, c in got.terms.items())
@@ -545,22 +668,20 @@ class TestResultant:
         # of 0, 1, -1, 2, ...) is no such value, and the interpolation
         # raises instead of returning a wrong resultant
         assert algebra._interpolate([0, 1, -1, 2], [[1, 3, 1, 19]]) == [[1, -1, 1, 2]]
-        with pytest.raises(AlgebraError, match="divided difference"):
+        with pytest.raises(InvariantError, match="divided difference"):
             algebra._interpolate([0, 1, -1, 2], [[1, 3, 1, 20]])
         p = parse_poly("6*x^5 - 6*x^2*y^3 - 6*x^2", ("x", "y"))
         q = parse_poly("-6*x^3*y^2 + 6*y^5 - 6*y^2", ("x", "y"))
-        real = algebra.echelon_zw_pairs
+        real = algebra._zw_res
         calls = []
 
-        def corrupted(A, B, reduced=False):
-            A, B, pivots, sign = real(A, B, reduced)
-            calls.append(len(pivots))
-            if len(calls) == 4:
-                A[-1][-1] += 1
-            return A, B, pivots, sign
+        def corrupted(pv, qv):
+            a, b = real(pv, qv)
+            calls.append(len(pv) - 1 + len(qv) - 1)
+            return (a + 1, b) if len(calls) == 4 else (a, b)
 
-        monkeypatch.setattr(algebra, "echelon_zw_pairs", corrupted)
-        with pytest.raises(AlgebraError, match="divided difference"):
+        monkeypatch.setattr(algebra, "_zw_res", corrupted)
+        with pytest.raises(InvariantError, match="divided difference"):
             resultant(p, q, "x")
         assert calls[3] == 8
 
@@ -744,19 +865,24 @@ class TestDetCyclo:
             for q in (torus._conic_through(rows[i:i + 6], XYZ) for i in range(4))
             if q is not None and any(not c.is_rational() for c in q.terms.values())
         )
-        matrices = []
-        real = algebra.echelon_zw_pairs
+        leaves = []
+        real = algebra._zw_res
 
-        def record(A, B, reduced=False):
-            matrices.append([[Cyclo(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
-            return real(A, B, reduced)
+        def record(pv, qv):
+            value = real(pv, qv)
+            leaves.append((pv, qv, Cyclo(*value)))
+            return value
 
-        monkeypatch.setattr(algebra, "echelon_zw_pairs", record)
+        monkeypatch.setattr(algebra, "_zw_res", record)
         torus._lambda_cubed_candidates(g, q0, cusps, {})
         monkeypatch.undo()
-        m = next(m for m in matrices if any(not c.is_rational() for r in m for c in r))
+        pv, qv, value = next(
+            leaf for leaf in leaves if any(b for a, b in leaf[0] + leaf[1])
+        )
+        m = sylvester_rows(pv, qv)
         assert len(m) == 11 and all(len(r) == 11 for r in m)
-        assert reduce_omega(to_sympy(det_cyclo(m)) - sympy_det(m)) == 0
+        assert reduce_omega(to_sympy(value) - sympy_det(m)) == 0
+        assert value == det_cyclo(m)
 
 
 class TestPolySqrt:

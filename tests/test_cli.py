@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from curvelattice.cli import run
+from curvelattice import algebra
+from curvelattice.cli import DOMAIN_ERRORS, INVARIANT_EXIT, run
 
 NINE_CUSP_DOC = (
     '{"g": "x^6 - 2*x^3*y^3 - 2*x^3*z^3 + y^6 - 2*y^3*z^3 + z^6"}'
@@ -52,6 +53,24 @@ class TestPlumbing:
         code, doc = invoke(["spectrum", "--f", "x^2+y^3", "--weights", "2,2"])
         assert code == 2
         assert "error" in doc
+
+    def test_invariant_failure_exit_3(self, monkeypatch):
+        # an exact kernel whose division leaves a remainder is a fault in
+        # the program, not a domain error: one resultant leaf off by one
+        # makes the interpolation's divided difference inexact
+        real, calls = algebra._zw_res, []
+
+        def corrupted(pv, qv):
+            a, b = real(pv, qv)
+            calls.append(len(pv))
+            return (a + 1, b) if len(calls) == 4 else (a, b)
+
+        monkeypatch.setattr(algebra, "_zw_res", corrupted)
+        assert not issubclass(algebra.InvariantError, DOMAIN_ERRORS)
+        code, doc = invoke(["singular", "--curve", NINE_CUSP_DOC])
+        assert code == INVARIANT_EXIT == 3
+        assert doc["error"] == "InvariantError"
+        assert "divided difference" in doc["message"]
 
     def test_byte_identical_reports(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
