@@ -8,12 +8,14 @@ ordered by graded lexicographic order on the declared variable list.
 Provides: parsing/rendering of polynomial expressions, the fraction-free
 Z[w] elimination behind every determinant, rank and kernel of a Q(w)
 matrix, Sylvester-determinant resultants by evaluation and
-interpolation, one subresultant PRS over Z[w] (_zw_prs) that gives both
-the univariate gcd (the one gcd: multivariate gcd degrees are read from
-it on lines, see adjunction.gcd_degree) and the scalar resultant at each
-leaf of that interpolation, exact square roots of polynomials, and root
-extraction of univariate polynomials inside Q(w) (a p-adic root finder
-whose every answer is verified exactly).  The elimination, the
+interpolation, the univariate gcd (the one gcd: multivariate gcd degrees
+are read from it on lines, see adjunction.gcd_degree) from one image
+modulo the prime P = 2^61 - 1 that linalg.rank shares, certified by
+exact division, one subresultant PRS over Z[w] (_zw_prs) that is both
+that gcd's fallback and the scalar resultant at each leaf of the
+interpolation, exact square roots of polynomials, and root extraction of
+univariate polynomials inside Q(w) (a p-adic root finder whose every
+answer is verified exactly).  The elimination, the
 resultant from its inputs to its output, the gcd, the root finder's
 multiplicities and MPoly multiply, scaling, differentiation,
 substitution (so evaluation) and composition work on Z[w] int pairs
@@ -833,8 +835,10 @@ def _zw_divide(xs, d):
     on a remainder."""
     ca, cb, norm = _zw_conj_norm(*d)
     out = []
-    for x in xs:
-        (qa, ea), (qb, eb) = (divmod(v, norm) for v in _zw_mul(x, (ca, cb)))
+    for xa, xb in xs:
+        t = xb * cb
+        qa, ea = divmod(xa * ca - t, norm)
+        qb, eb = divmod(xa * cb + xb * ca - t, norm)
         if ea or eb:
             raise InvariantError("inexact division in Z[w]")
         out.append((qa, qb))
@@ -876,14 +880,18 @@ def _zw_prs(f, g):
         delta = m - n
         if m * n % 2:
             sign = -sign
-        # pseudo-remainder: r <- lc(g) * r - r[k] * x^(k-n) * g, k = m..n
+        # pseudo-remainder: r <- lc(g) * r - r[k] * x^(k-n) * g, k = m..n,
+        # with the pair products written out (w^2 = -1 - w)
+        la, lb = g[-1]
+        low = g[:-1]
         r = f
         for k in range(m, n - 1, -1):
-            c = r[-1]
-            r = [_zw_mul(g[-1], x) for x in r[:-1]]
-            for j, y in enumerate(g[:-1], k - n):
-                cy = _zw_mul(c, y)
-                r[j] = r[j][0] - cy[0], r[j][1] - cy[1]
+            ca, cb = r[-1]
+            r = [(la * xa - (t := lb * xb), la * xb + lb * xa - t) for xa, xb in r[:-1]]
+            for j, (ya, yb) in enumerate(low, k - n):
+                t = cb * yb
+                xa, xb = r[j]
+                r[j] = xa - ca * ya + t, xb - ca * yb - cb * ya + t
         while r and r[-1] == (0, 0):
             r.pop()
         if not r:
@@ -1181,9 +1189,83 @@ def _sylvester_det_zw(pc, qc):
 
 # ---------------------------------------------------------------------------
 # Univariate polynomials over Q(w) (internal helper representation); gcd
-# and squarefree part by the fraction-free subresultant PRS over Z[w]
-# (_zw_prs, shared with the resultant's leaves)
+# from one image mod P, certified by exact division, else by the
+# fraction-free subresultant PRS over Z[w] (_zw_prs, shared with the
+# resultant's leaves)
 # ---------------------------------------------------------------------------
+
+# The one prime of the modular images (UPoly.gcd here, linalg.rank's
+# elimination); P = 1 mod 3, so w has an image in F_P.
+_P = (1 << 61) - 1
+
+
+@functools.cache
+def _p_image():
+    """(r, basis): w -> r, a primitive cube root of 1 mod P, and the
+    Gauss-reduced basis of the pairs that map to 0 mod P (_gauss_basis)."""
+    r = _cube_root_of_unity(_P)
+    return r, _gauss_basis(r, _P)
+
+
+def _zw_quotient(f, d):
+    """f / d for polynomials over Z[w] (int-pair lists low -> high, d with
+    a nonzero leading pair) when d divides f over Z[w], else None: long
+    division whose every quotient coefficient is an exact Z[w] division by
+    lc(d), stopped at the first remainder."""
+    ca, cb, norm = _zw_conj_norm(*d[-1])
+    low = d[:-1]
+    r = list(f)
+    q = [None] * (len(r) - len(d) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        xa, xb = r.pop()
+        t = xb * cb
+        qa, ea = divmod(xa * ca - t, norm)
+        qb, eb = divmod(xa * cb + xb * ca - t, norm)
+        if ea or eb:
+            return None
+        q[i] = qa, qb
+        for j, (ya, yb) in enumerate(low, i):
+            t = qb * yb
+            xa, xb = r[j]
+            r[j] = xa - qa * ya + t, xb - qa * yb - qb * ya + t
+    if any(x != (0, 0) for x in r):
+        return None
+    return q
+
+
+def _modular_gcd(f, g):
+    """A gcd of f and g (int-pair lists, nonzero leading pairs) read from
+    their images mod P, w -> r, or None where it is not certified.
+
+    When neither leading coefficient vanishes mod P, the images keep their
+    degrees and the image of the true gcd divides the image gcd h, so deg h
+    bounds the true degree: h = 1 certifies 1.  Otherwise each coefficient
+    of h, then of h times gamma = gcd(lc f, lc g) (a multiple of the true
+    gcd's leading coefficient), is read as its shortest Z[w]
+    representative (_zw_shortest).  A candidate of degree deg h that
+    divides both f and g exactly is a gcd.
+    """
+    r, basis = _p_image()
+    fp, gp = ([(a + b * r) % _P for a, b in u] for u in (f, g))
+    if not (fp[-1] and gp[-1]):
+        return None
+    h = _fp_gcd(fp, gp, _P)
+    if len(h) == 1:
+        return [(1, 0)]
+
+    def divides_both(d):
+        return _zw_quotient(f, d) is not None and _zw_quotient(g, d) is not None
+
+    cand = [_zw_shortest(c, basis) for c in h]
+    if divides_both(cand):
+        return cand
+    gamma = _zw_gcd(f[-1], g[-1])
+    if _zw_conj_norm(*gamma)[2] == 1:  # a unit: the same candidate again
+        return None
+    s = (gamma[0] + gamma[1] * r) % _P
+    cand = [_zw_shortest(c * s % _P, basis) for c in h]
+    cand = _zw_divide(cand, functools.reduce(_zw_gcd, cand))
+    return cand if divides_both(cand) else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -1272,7 +1354,7 @@ class UPoly:
         return UPoly(q), UPoly(r)
 
     def monic(self) -> "UPoly":
-        if self.is_zero():
+        if self.is_zero() or self.coeffs[-1] == C_ONE:
             return self
         inv = self.coeffs[-1].inverse()
         return self * inv
@@ -1293,16 +1375,18 @@ class UPoly:
         return UPoly([c.conjugate() for c in self.coeffs])
 
     def gcd(self, other) -> "UPoly":
-        """Monic gcd: the last nonzero remainder of the subresultant PRS
-        (_zw_prs, the one the resultant's leaves run) of the inputs, each
-        scaled by the lcm of its denominators into Z[w] int pairs
-        (a, b) = a + b*w.  Only the result becomes Cyclo."""
+        """Monic gcd of the inputs, each scaled by the lcm of its
+        denominators into Z[w] int pairs (a, b) = a + b*w.  The gcd is read
+        from one image mod P and certified by exact division
+        (_modular_gcd); where that declines it is the last nonzero
+        remainder of the subresultant PRS (_zw_prs, the one the resultant's
+        leaves run).  Only the result becomes Cyclo."""
         f, g = (self, other) if self.degree() >= other.degree() else (other, self)
         if g.is_zero():
             return f.monic()
         f, g = (list(zip(*_zw_lift(u.coeffs)[:2])) for u in (f, g))
-        g = _zw_prs(f, g)[1]
-        return UPoly([Cyclo(a, b) for a, b in g]).monic()
+        d = _modular_gcd(f, g) or _zw_prs(f, g)[1]
+        return UPoly([Cyclo(a, b) for a, b in d]).monic()
 
     def squarefree_part(self) -> "UPoly":
         """Monic self / gcd(self, self'), divided on Z[w] int pairs: the gcd
@@ -1313,14 +1397,8 @@ class UPoly:
             return self.monic()
         g = list(zip(*_zw_lift(self.gcd(self.derivative()).coeffs)[:2]))
         g = _zw_divide(g, functools.reduce(_zw_gcd, g))
-        r = list(zip(*_zw_lift(self.coeffs)[:2]))
-        q = [None] * (len(r) - len(g) + 1)
-        for i in range(len(q) - 1, -1, -1):
-            q[i] = c = _zw_divide([r.pop()], g[-1])[0]
-            for j, y in enumerate(g[:-1], i):
-                cy = _zw_mul(c, y)
-                r[j] = r[j][0] - cy[0], r[j][1] - cy[1]
-        if any(x != (0, 0) for x in r):
+        q = _zw_quotient(list(zip(*_zw_lift(self.coeffs)[:2])), g)
+        if q is None:
             raise InvariantError("squarefree part: the gcd does not divide")
         return UPoly([Cyclo(a, b) for a, b in q]).monic()
 
@@ -1403,6 +1481,11 @@ def _fp_roots(f, p):
     return roots
 
 
+def _cube_root_of_unity(q):
+    """A primitive cube root of 1 mod the prime q = 1 mod 3."""
+    return next(x for x in (pow(c, (q - 1) // 3, q) for c in itertools.count(2)) if x != 1)
+
+
 def _hensel(cs, x, p, modulus):
     """Lift a simple root x mod p of the integer polynomial cs (low ->
     high) to a root mod modulus, a power of p, by Newton steps that double
@@ -1418,27 +1501,35 @@ def _hensel(cs, x, p, modulus):
     return x
 
 
-def _zw_shortest(y, r, modulus):
-    """A pair (a, b) with a + b*r = y mod modulus, of least norm
-    |a + b*w|^2 = a^2 - a*b + b^2 whenever the class holds a pair shorter
-    than half the minimum of the lattice {(a, b) : a + b*r = 0 mod
-    modulus}.  Such a pair is unique, and its coordinates in a
-    Gauss-reduced basis (u, v) are below 1/sqrt(3) in size, so it is
-    (y, 0) minus one of the four lattice points whose coordinates are
-    floors or ceilings of (y, 0)'s; the shortest of the four is returned."""
+def _zw_dot(s, t):
+    """Twice the bilinear form of the norm |a + b*w|^2 = a^2 - a*b + b^2."""
+    return 2 * s[0] * t[0] - s[0] * t[1] - s[1] * t[0] + 2 * s[1] * t[1]
 
-    def dot(s, t):  # twice the bilinear form of the norm
-        return 2 * s[0] * t[0] - s[0] * t[1] - s[1] * t[0] + 2 * s[1] * t[1]
 
+def _gauss_basis(r, modulus):
+    """A Gauss-reduced basis (u, v), |u| <= |v|, of the lattice {(a, b) :
+    a + b*r = 0 mod modulus} under the norm of Z[w]: the pairs that map to
+    0 when w -> r."""
     u, v = (modulus, 0), (-r, 1)
-    if dot(u, u) > dot(v, v):
+    if _zw_dot(u, u) > _zw_dot(v, v):
         u, v = v, u
     while True:
-        k = (2 * dot(u, v) + dot(u, u)) // (2 * dot(u, u))
+        k = (2 * _zw_dot(u, v) + _zw_dot(u, u)) // (2 * _zw_dot(u, u))
         v = (v[0] - k * u[0], v[1] - k * u[1])
-        if dot(v, v) >= dot(u, u):
-            break
+        if _zw_dot(v, v) >= _zw_dot(u, u):
+            return u, v
         u, v = v, u
+
+
+def _zw_shortest(y, basis):
+    """A pair (a, b) with a + b*r = y mod modulus, basis = _gauss_basis(r,
+    modulus), of least norm whenever the class holds a pair shorter than
+    half the minimum of the lattice.  Such a pair is unique, and its
+    coordinates in the Gauss-reduced basis (u, v) are below 1/sqrt(3) in
+    size, so it is (y, 0) minus one of the four lattice points whose
+    coordinates are floors or ceilings of (y, 0)'s; the shortest of the
+    four is returned."""
+    u, v = basis
     det = u[0] * v[1] - u[1] * v[0]
     c1, c2 = y * v[1], -y * u[1]
     return min(
@@ -1447,7 +1538,7 @@ def _zw_shortest(y, r, modulus):
             for k1 in (c1 // det, -(-c1 // det))
             for k2 in (c2 // det, -(-c2 // det))
         ),
-        key=lambda w: dot(w, w),
+        key=lambda w: _zw_dot(w, w),
     )
 
 
@@ -1494,7 +1585,7 @@ def qomega_roots(p: UPoly):
     for q in itertools.count(7, 6):
         if not isprime(q):
             continue
-        r = next(x for x in (pow(c, (q - 1) // 3, q) for c in itertools.count(2)) if x != 1)
+        r = _cube_root_of_unity(q)
         fq = _fp_trim([(a + b * r) % q for a, b in f])
         df = _fp_trim([k * c % q for k, c in enumerate(fq)][1:])
         if len(fq) == len(f) and len(_fp_gcd(fq, df, q)) == 1:
@@ -1504,6 +1595,7 @@ def qomega_roots(p: UPoly):
     while modulus <= bound:
         modulus *= q
     r = _hensel([1, 1, 1], r, q, modulus)
+    basis = _gauss_basis(r, modulus)
     lifted = [(a + b * r) % modulus for a, b in f]
     lc = f[-1]
     # S(s) = lc^n * P(s / lc), P = p lifted to Z[w] and n = deg P: beta is
@@ -1517,7 +1609,7 @@ def qomega_roots(p: UPoly):
     mults = {}
     for x in _fp_roots(fq, q):
         x = _hensel(lifted, x, q, modulus)
-        beta = _zw_shortest(lifted[-1] * x % modulus, r, modulus)
+        beta = _zw_shortest(lifted[-1] * x % modulus, basis)
         m, cur = 0, S
         while len(cur) > 1:
             # synthetic division by s - beta: the quotient high -> low,
@@ -1567,16 +1659,16 @@ def poly_sqrt(p: MPoly):
     s = MPoly.monomial(p.vars, half, lc_roots[0])
     lead_key = _grlex_key(half)
     twice_lc = s.leading_coeff() * 2
-    while True:
-        rem = p - s * s
-        if rem.is_zero():
-            break
+    rem = p - s * s
+    while not rem.is_zero():
         e = max(rem.terms, key=_grlex_key)
         ne = tuple(a - b for a, b in zip(e, half))
         if any(k < 0 for k in ne) or _grlex_key(ne) >= lead_key:
             return NOT_A_SQUARE
-        c = rem.terms[e] / twice_lc
-        s = s + MPoly.monomial(p.vars, ne, c)
+        t = MPoly.monomial(p.vars, ne, rem.terms[e] / twice_lc)
+        # p - (s + t)^2 = (p - s^2) - (2s + t) * t
+        rem = rem - (s + s + t) * t
+        s = s + t
     lc = s.leading_coeff()
     if not cyclo_conj_sign_canonical(lc):
         s = -s

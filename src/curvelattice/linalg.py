@@ -3,8 +3,9 @@
 Matrices are lists of rows of Cyclo, int or Fraction values.  Determinant
 and kernel read the one fraction-free elimination over Z[w],
 algebra.echelon_zw.  Rank is one Gauss-Jordan elimination modulo the prime
-p = 2^61 - 1 on the integer rows, certified exactly by the kernel it
-reconstructs; where the certificate fails it is echelon_zw's pivot count.
+p = 2^61 - 1 (algebra._P, also the prime of UPoly.gcd's image) on the
+integer rows, certified exactly by the kernel it reconstructs; where the
+certificate fails it is echelon_zw's pivot count.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from .algebra import (
     C_ZERO,
     AlgebraError,
     Cyclo,
+    _P,
     _zw_lift,
     echelon_det,
     echelon_zw,
 )
 
-_P = (1 << 61) - 1
 # Wang's bound: a residue has at most one preimage n/d with |n|, d below it
 _HALF = math.isqrt(_P // 2)
 

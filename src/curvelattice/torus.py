@@ -288,8 +288,9 @@ def _conic_through(rows, variables):
 
 
 def _trial_line(trial):
-    """(alpha, beta) of the trial line (t, alpha + beta t, 1) number trial."""
-    return Fraction(trial % 7) - 3, Fraction(trial // 7) - 2
+    """(alpha, beta) of the trial line (t, alpha + beta t, 1) number trial,
+    as ints."""
+    return trial % 7 - 3, trial // 7 - 2
 
 
 def _g_on_trial_line(g: MPoly, cusps, trial, g_lines):

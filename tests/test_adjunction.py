@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from curvelattice import adjunction, linalg
+from curvelattice import adjunction, algebra, linalg
 from curvelattice.algebra import (
     C_ONE,
     C_ZERO,
@@ -251,6 +251,33 @@ class TestCuspScheme:
         full = CuspScheme(q, c, "z", include_line=True)
         full.count(), full.vanishing_dim(2), full.vanishing_dim(3)
         assert divisors == [full]
+
+    def test_degree_54_gcds_certified_without_prs(self, monkeypatch):
+        # criterion 9's count takes gcd(r1, r1') of its degree-54 resultant
+        # twice (squarefree part, largest multiplicity); both come from the
+        # image mod P, certified by exact division, and run no PRS
+        from curvelattice.torus import table1_construct
+
+        calls, inside = [], []
+        real_gcd, real_prs = UPoly.gcd, algebra._zw_prs
+
+        def gcd(self, other):
+            inside.append([self.degree(), other.degree(), 0])
+            try:
+                return real_gcd(self, other)
+            finally:
+                calls.append(inside.pop())
+
+        def prs(f, g):
+            if inside:
+                inside[-1][2] += 1
+            return real_prs(f, g)
+
+        monkeypatch.setattr(UPoly, "gcd", gcd)
+        monkeypatch.setattr(algebra, "_zw_prs", prs)
+        f, g, _F = table1_construct(2, None, seed=0)
+        assert CuspScheme(f, g, "y0", include_line=True).count() == 30
+        assert [c for c in calls if c[0] == 54] == [[54, 53, 0], [54, 53, 0]]
 
     def test_count_raises_when_every_resultant_vanishes(self, monkeypatch):
         # all three projection centers eliminate to 0: no count is certified

@@ -417,8 +417,9 @@ class TestResultantLeaf:
         assert algebra._zw_res(zw_times(f, shared), zw_times(g, shared)) == (0, 0)
 
     def test_one_prs_for_gcd_and_resultant(self, monkeypatch):
-        # UPoly.gcd and the resultant's leaves run the one PRS core; the
-        # resultant builds no Sylvester matrix and calls no traced gcd
+        # UPoly.gcd's fallback (the modular image declined) and the
+        # resultant's leaves run the one PRS core; the resultant builds no
+        # Sylvester matrix and calls no traced gcd
         prs, calls = algebra._zw_prs, []
 
         def counted(f, g):
@@ -429,6 +430,7 @@ class TestResultantLeaf:
             raise AssertionError("the resultant eliminated a Sylvester matrix")
 
         monkeypatch.setattr(algebra, "_zw_prs", counted)
+        monkeypatch.setattr(algebra, "_modular_gcd", lambda f, g: None)
         assert KNUTH_F.gcd(KNUTH_G) == UPoly([1])
         assert len(calls) == 1
         calls.clear()
@@ -919,6 +921,17 @@ def to_sympy_upoly(u: UPoly, domain):
     return sympy.Poly.from_list(coeffs, T, domain=domain)
 
 
+def field_upoly(u: UPoly):
+    """u as a sympy Poly in t over QQ(sqrt(-3)) built from field elements,
+    a + b*w = (a - b/2) + (b/2)*sqrt(-3), with no symbolic conversion."""
+
+    def element(c):
+        a, b = (sympy.QQ(x.numerator, x.denominator) for x in (c.a, c.b))
+        return QQ_OMEGA([b / 2, a - b / 2])
+
+    return sympy.Poly.from_list([element(c) for c in reversed(u.coeffs)], T, domain=QQ_OMEGA)
+
+
 @st.composite
 def upoly_factors(draw, count):
     """(domain, count polynomials of degree <= 4) over QQ or QQ(w); zero
@@ -927,6 +940,11 @@ def upoly_factors(draw, count):
     coeff = cyclos if omega else st.builds(Cyclo, rationals)
     polys = st.lists(st.one_of(st.just(C_ZERO), coeff), max_size=5).map(UPoly)
     return (QQ_OMEGA if omega else sympy.QQ), [draw(polys) for _ in range(count)]
+
+
+def lift_pairs(u: UPoly):
+    """u scaled into Z[w] as a list of int pairs low -> high."""
+    return list(zip(*algebra._zw_lift(u.coeffs)[:2]))
 
 
 def upoly_from_roots(roots, lead=C_ONE):
@@ -1012,15 +1030,14 @@ class TestUPolyGcd:
         assert p.gcd(q) == UPoly([1])
         assert KNUTH_F.gcd(KNUTH_G) == UPoly([1])
 
-    def test_knuth_last_subresultant(self, monkeypatch):
-        # the remainder made monic at the end is the subresultant itself,
-        # 260708 in Knuth's table: a divisor s * h^delta that is too small
-        # leaves a multiple of it, one that is too large raises
-        seen = []
-        real = UPoly.monic
-        monkeypatch.setattr(UPoly, "monic", lambda self: seen.append(self) or real(self))
-        assert KNUTH_F.gcd(KNUTH_G) == UPoly([1])
-        assert seen == [UPoly([260708])]
+    def test_knuth_last_subresultant(self):
+        # the PRS's last remainder is the subresultant itself, 260708 in
+        # Knuth's table: a divisor s * h^delta that is too small leaves a
+        # multiple of it, one that is too large raises
+        f, g = (lift_pairs(u) for u in (KNUTH_F, KNUTH_G))
+        last = UPoly([Cyclo(a, b) for a, b in algebra._zw_prs(f, g)[1]])
+        assert last == UPoly([260708])
+        assert last.monic() == UPoly([1])
 
     def test_abnormal_prs_with_omega_factor(self):
         shared = upoly_from_roots([OMEGA, Cyclo(Fraction(2, 3), -1)], lead=Cyclo(3, 1))
@@ -1069,6 +1086,83 @@ class TestUPolyGcd:
         calls.clear()
         assert p.gcd(q) == upoly_from_roots([OMEGA, 2, Fraction(1, 3)])
         assert len(calls) <= 1
+
+
+@st.composite
+def shared_factor_pairs(draw):
+    """(a, b, c): cofactors a, b of degree <= 3 and a shared factor c of
+    degree 1..3 over Q(w), with w parts and denominators; c's leading
+    coefficient is drawn nonzero, so its Z[w] lift is rarely a unit."""
+    poly = st.lists(cyclos, max_size=4).map(UPoly)
+    lead = cyclos.filter(lambda x: not x.is_zero())
+    c = UPoly(draw(st.lists(cyclos, min_size=1, max_size=3)) + [draw(lead)])
+    return draw(poly), draw(poly), c
+
+
+class TestModularGcd:
+    """UPoly.gcd's image mod P: certified by exact division, or the PRS."""
+
+    @staticmethod
+    def count_prs(monkeypatch):
+        calls, real = [], algebra._zw_prs
+        monkeypatch.setattr(
+            algebra, "_zw_prs", lambda f, g: calls.append((f, g)) or real(f, g)
+        )
+        return calls
+
+    @settings(max_examples=100, deadline=None)
+    @given(shared_factor_pairs())
+    def test_matches_sympy_and_the_prs(self, drawn):
+        a, b, c = drawn
+        p, q = a * c, b * c * c
+        got = p.gcd(q)
+        assert field_upoly(got) == field_upoly(p).gcd(field_upoly(q))
+        assert q.gcd(p) == got
+        # the same gcd with the modular step declined, so from the PRS
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(algebra, "_modular_gcd", lambda f, g: None)
+            assert p.gcd(q) == got
+
+    def test_non_unit_leading_coefficient_certified(self, monkeypatch):
+        # lc(shared) = 3 + w is no unit of Z[w]: the monic image has no
+        # short lift, gamma times it does
+        calls = self.count_prs(monkeypatch)
+        shared = UPoly([Cyclo(2, -1), Cyclo(0, 5), Cyclo(3, 1)])
+        p = shared * upoly_from_roots([1, Fraction(-2, 3)], lead=Fraction(5, 4))
+        q = shared * upoly_from_roots([OMEGA], lead=Cyclo(6, 2))
+        assert p.gcd(q) == shared.monic() and q.gcd(p) == shared.monic()
+        assert calls == []
+
+    def test_image_of_degree_0_certifies_1(self, monkeypatch):
+        calls = self.count_prs(monkeypatch)
+        assert KNUTH_F.gcd(KNUTH_G) == UPoly([1])
+        assert calls == []
+
+    def test_leading_coefficient_vanishing_mod_p_falls_back(self, monkeypatch):
+        # lc(p) = P maps to 0: the image loses a degree and certifies
+        # nothing
+        calls = self.count_prs(monkeypatch)
+        p = UPoly([-1, 1]) * UPoly([1, algebra._P])
+        q = UPoly([-1, 1]) * UPoly([2, 1])
+        assert p.gcd(q) == UPoly([-1, 1])
+        assert len(calls) == 1
+
+    def test_coefficients_beyond_reconstruction_fall_back(self, monkeypatch):
+        # N(2^40) = 2^80 > P: the image's lift is some shorter pair, which
+        # divides neither input
+        calls = self.count_prs(monkeypatch)
+        shared = UPoly([Cyclo(1 << 40, 3), 1])
+        p = shared * UPoly([1, 1])
+        q = shared * UPoly([-1, OMEGA])
+        assert p.gcd(q) == shared
+        assert len(calls) == 1
+
+    def test_unlucky_image_falls_back(self, monkeypatch):
+        # t - 1 and t - 1 - P are coprime but have one image mod P; its lift
+        # t - 1 does not divide the second
+        calls = self.count_prs(monkeypatch)
+        assert UPoly([-1, 1]).gcd(UPoly([-1 - algebra._P, 1])) == UPoly([1])
+        assert len(calls) == 1
 
 
 def sympy_qomega_roots(p: UPoly):
