@@ -31,6 +31,7 @@ from .algebra import (
     MPoly,
     ProjPoint,
     UPoly,
+    _zw_yun,
     qomega_roots,
     resultant,
 )
@@ -394,16 +395,20 @@ class CuspScheme:
             # the roots of r1 are the directions (t:1) of the zeros off
             # rest[1] = 0, those of the divisor among them; a degree
             # deficit is the direction (1:0) of the zeros on rest[1] = 0
-            count = r1.squarefree_part().degree() - divisor.degree()
+            parts = _zw_yun(r1._zw())[1]
+            count = sum(len(u) - 1 for u in parts.values()) - divisor.degree()
             if r1.degree() < formal:
                 if axis is None:
                     axis = self._axis_count()
                 count += axis
             if best is None:
-                self._cache["n0"] = max(
-                    _largest_multiplicity(r1, divisor),
-                    formal - r1.degree() if has_inf else 0,
-                )
+                # the largest Yun index whose factor shares a root with the
+                # divisor, or the degree deficit of a common root at (1:0)
+                held = [
+                    i for i, u in parts.items()
+                    if divisor.gcd(UPoly._monic_from_zw(u)).degree() > 0
+                ]
+                self._cache["n0"] = max(held + [formal - r1.degree() if has_inf else 0])
             elif count == best:
                 # two agreeing projection centers: collisions ruled out
                 break
@@ -527,19 +532,6 @@ def _ideal_dim(da: int, db: int, big: int) -> int:
         + len(_monomials(big - db))
         - len(_monomials(big - da - db))
     )
-
-
-def _largest_multiplicity(r: UPoly, divisor: UPoly) -> int:
-    """Largest multiplicity in r != 0 of a root of the squarefree divisor:
-    the roots of multiplicity > k are the common roots of the divisor and
-    r, r', ..., r^(k)."""
-    k = 0
-    while True:
-        divisor = divisor.gcd(r)
-        if divisor.degree() <= 0:
-            return k
-        r = r.derivative()
-        k += 1
 
 
 def _binary_to_upoly(r: MPoly, rest) -> UPoly:

@@ -13,15 +13,16 @@ are read from it on lines, see adjunction.gcd_degree) from one image
 modulo the prime P = 2^61 - 1 that linalg.rank shares, certified by
 exact division, one subresultant PRS over Z[w] (_zw_prs) that is both
 that gcd's fallback and the scalar resultant at each leaf of the
-interpolation, exact square roots of polynomials, and root extraction of
-univariate polynomials inside Q(w) (a p-adic root finder whose every
-answer is verified exactly).  The elimination, the
-resultant from its inputs to its output, the gcd, the root finder's
-multiplicities and MPoly multiply, scaling, differentiation,
-substitution (so evaluation) and composition work on Z[w] int pairs
-(a, b) = a + b*w, lifted once from Q(w) by the lcm of the denominators
-(_zw_lift; for an MPoly, the seam MPoly._zw / MPoly._from_zw).  Only the
-standard library is used.
+interpolation, one squarefree decomposition (_zw_yun, Yun's algorithm
+with that gcd) behind every squarefree part and multiplicity, exact
+square roots of polynomials, and root extraction of univariate
+polynomials inside Q(w) (a p-adic root finder whose every answer is
+verified exactly).  The elimination, the resultant from its inputs to
+its output, the gcd, the squarefree decomposition and MPoly multiply,
+scaling, differentiation, substitution (so evaluation) and composition
+work on Z[w] int pairs (a, b) = a + b*w, lifted once from Q(w) by the
+lcm of the denominators (_zw_lift; for an MPoly, the seam MPoly._zw /
+MPoly._from_zw).  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -1263,9 +1264,56 @@ def _modular_gcd(f, g):
     if _zw_conj_norm(*gamma)[2] == 1:  # a unit: the same candidate again
         return None
     s = (gamma[0] + gamma[1] * r) % _P
-    cand = [_zw_shortest(c * s % _P, basis) for c in h]
-    cand = _zw_divide(cand, functools.reduce(_zw_gcd, cand))
+    cand = _zw_primitive([_zw_shortest(c * s % _P, basis) for c in h])
     return cand if divides_both(cand) else None
+
+
+def _zw_primitive(f):
+    """f (int pairs) divided by its Z[w] content, a gcd of its pairs."""
+    return _zw_divide(f, functools.reduce(_zw_gcd, f))
+
+
+def _zw_poly_gcd(f, g):
+    """A primitive gcd of f and g, int-pair lists with nonzero leading pairs
+    and deg f >= deg g: the image mod P certified by exact division
+    (_modular_gcd), else the last remainder of the subresultant PRS."""
+    return _zw_primitive(_modular_gcd(f, g) or _zw_prs(f, g)[1])
+
+
+def _zw_yun(f):
+    """Yun's squarefree decomposition (SYMSAC 1976) of f, an int-pair list
+    low -> high without a zero leading pair: (s, {i: a_i}) with s = f /
+    gcd(f, f') the squarefree part and f = c * prod a_i^i, the a_i
+    nonconstant, primitive, squarefree and pairwise coprime (none for a
+    constant f).  From b = s and c = f' / gcd(f, f'), each step takes
+    d = c - b', a_i = gcd(b, d), b <- b / a_i and c <- d / a_i; d = 0
+    exactly when b = a_i, the last factor (i <= deg f), and d != 0 has
+    degree deg b - 1.  The gcds are primitive, so by Gauss's lemma every
+    quotient is an exact Z[w] division; a remainder raises InvariantError."""
+
+    def quotient(u, d):
+        q = _zw_quotient(u, d)
+        if q is None:
+            raise InvariantError("Yun decomposition: a primitive gcd does not divide")
+        return q
+
+    if len(f) < 2:
+        return f, {}
+    df = [(k * a, k * b) for k, (a, b) in enumerate(f)][1:]
+    g = _zw_poly_gcd(f, df)
+    s = b = quotient(f, g)
+    c = quotient(df, g)
+    parts = {}
+    for i in range(1, len(f)):
+        d = [(x - k * u, y - k * v) for k, ((x, y), (u, v)) in enumerate(zip(c, b[1:]), 1)]
+        if all(t == (0, 0) for t in d):
+            parts[i] = _zw_primitive(b)
+            return s, parts
+        a = _zw_poly_gcd(b, d)
+        if len(a) > 1:
+            parts[i] = a
+        b, c = quotient(b, a), quotient(d, a)
+    raise InvariantError("Yun decomposition: no multiplicity up to deg f ends it")
 
 
 @dataclass(frozen=True, slots=True)
@@ -1384,23 +1432,20 @@ class UPoly:
         f, g = (self, other) if self.degree() >= other.degree() else (other, self)
         if g.is_zero():
             return f.monic()
-        f, g = (list(zip(*_zw_lift(u.coeffs)[:2])) for u in (f, g))
-        d = _modular_gcd(f, g) or _zw_prs(f, g)[1]
-        return UPoly([Cyclo(a, b) for a, b in d]).monic()
+        return UPoly._monic_from_zw(_zw_poly_gcd(f._zw(), g._zw()))
 
     def squarefree_part(self) -> "UPoly":
-        """Monic self / gcd(self, self'), divided on Z[w] int pairs: the gcd
-        is made primitive (its Z[w] content divided out), so by Gauss's
-        lemma each quotient coefficient is an exact Z[w] division by its
-        leading coefficient; a remainder raises InvariantError."""
-        if self.degree() <= 0:
-            return self.monic()
-        g = list(zip(*_zw_lift(self.gcd(self.derivative()).coeffs)[:2]))
-        g = _zw_divide(g, functools.reduce(_zw_gcd, g))
-        q = _zw_quotient(list(zip(*_zw_lift(self.coeffs)[:2])), g)
-        if q is None:
-            raise InvariantError("squarefree part: the gcd does not divide")
-        return UPoly([Cyclo(a, b) for a, b in q]).monic()
+        """Monic self / gcd(self, self'): the first quotient of _zw_yun on
+        the Z[w] lift."""
+        return UPoly._monic_from_zw(_zw_yun(self._zw())[0])
+
+    def _zw(self):
+        """The Z[w] lift (_zw_lift) as a list of int pairs low -> high."""
+        return list(zip(*_zw_lift(self.coeffs)[:2]))
+
+    @staticmethod
+    def _monic_from_zw(pairs) -> "UPoly":
+        return UPoly([Cyclo(a, b) for a, b in pairs]).monic()
 
 
 # ---------------------------------------------------------------------------
@@ -1563,13 +1608,14 @@ def qomega_roots(p: UPoly):
     and missing counts the remaining distinct roots that lie outside Q(w)
     (degree of the squarefree part not accounted for by found roots).
 
-    The squarefree part f is lifted to Z[w], with leading coefficient lc.
-    Take the first prime q = 1 mod 3, with w -> r a cube root of unity
-    mod q, at which lc does not vanish and f is squarefree (gcd(f, f') = 1
-    over F_q).  Every root alpha of f in Q(w) then reduces to a distinct
-    simple root mod q, and lc*alpha lies in Z[w].  Each root mod q is
-    Hensel-lifted mod q^k > 16 max N(f_i) >= 2 (|lc| + max |f_i|)^2, which
-    exceeds 4 |lc*alpha|^2 by Cauchy's bound, and lc*alpha is read off as the
+    _zw_yun splits the Z[w] lift of p into its squarefree part f and the
+    Yun factors a = a_i, whose roots have multiplicity i.  Take the first
+    prime q = 1 mod 3, with w -> r a cube root of unity mod q, at which
+    lc(f) does not vanish and f, so each a, is squarefree over F_q.  Every
+    root alpha of a in Q(w) then reduces to a distinct simple root mod q,
+    and lc(a)*alpha lies in Z[w].  Each root mod q is Hensel-lifted mod
+    q^k > 16 max N(a_j) >= 2 (|lc(a)| + max |a_j|)^2, which exceeds
+    4 |lc(a)*alpha|^2 by Cauchy's bound, and lc(a)*alpha is read off as the
     shortest element of its class (_zw_shortest): the class's differences
     form the ideal (q, w - r)^k, whose nonzero elements have norm >= q^k.
     Every candidate is checked by exact division, so missing is exact.
@@ -1578,10 +1624,9 @@ def qomega_roots(p: UPoly):
     """
     if p.is_zero():
         raise AlgebraError("root-finding on the zero polynomial")
-    sf = p.squarefree_part()
-    if sf.degree() == 0:
+    f, parts = _zw_yun(p._zw())
+    if not parts:
         return [], 0
-    f = list(zip(*_zw_lift(sf.coeffs)[:2]))
     for q in itertools.count(7, 6):
         if not isprime(q):
             continue
@@ -1590,41 +1635,23 @@ def qomega_roots(p: UPoly):
         df = _fp_trim([k * c % q for k, c in enumerate(fq)][1:])
         if len(fq) == len(f) and len(_fp_gcd(fq, df, q)) == 1:
             break
-    bound = 16 * max(a * a - a * b + b * b for a, b in f)
+    bound = 16 * max(a * a - a * b + b * b for u in parts.values() for a, b in u)
     modulus = q
     while modulus <= bound:
         modulus *= q
     r = _hensel([1, 1, 1], r, q, modulus)
     basis = _gauss_basis(r, modulus)
-    lifted = [(a + b * r) % modulus for a, b in f]
-    lc = f[-1]
-    # S(s) = lc^n * P(s / lc), P = p lifted to Z[w] and n = deg P: beta is
-    # a root of S of multiplicity m exactly when beta / lc is one of p
-    P = list(zip(*_zw_lift(p.coeffs)[:2]))
-    S, lc_k = [], (1, 0)
-    for c in reversed(P):
-        S.append(_zw_mul(c, lc_k))
-        lc_k = _zw_mul(lc_k, lc)
-    S.reverse()
     mults = {}
-    for x in _fp_roots(fq, q):
-        x = _hensel(lifted, x, q, modulus)
-        beta = _zw_shortest(lifted[-1] * x % modulus, basis)
-        m, cur = 0, S
-        while len(cur) > 1:
-            # synthetic division by s - beta: the quotient high -> low,
-            # then the remainder S(beta)
-            acc = [cur[-1]]
-            for c in reversed(cur[:-1]):
-                y = _zw_mul(acc[-1], beta)
-                acc.append((c[0] + y[0], c[1] + y[1]))
-            if acc[-1] != (0, 0):
-                break
-            m, cur = m + 1, acc[-2::-1]
-        if m:
-            mults[Cyclo(*beta) / Cyclo(*lc)] = m
+    for i, u in parts.items():
+        lifted = [(a + b * r) % modulus for a, b in u]
+        for x in _fp_roots([c % q for c in lifted], q):
+            x = _hensel(lifted, x, q, modulus)
+            beta = _zw_shortest(lifted[-1] * x % modulus, basis)
+            # beta / lc(u) is a root when the primitive lc(u)*t - beta divides u
+            if _zw_quotient(u, _zw_primitive([(-beta[0], -beta[1]), u[-1]])) is not None:
+                mults[Cyclo(*beta) / Cyclo(*u[-1])] = i
     roots = sorted(mults.items(), key=lambda item: _root_order_key(item[0], mults))
-    return roots, sf.degree() - len(roots)
+    return roots, len(f) - 1 - len(roots)
 
 
 def cyclo_nth_roots(c: Cyclo, n: int):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 
 from .adjunction import CurveProfile, alexander, defect, ord_at
-from .algebra import MPoly
+from .algebra import InvariantError, MPoly
 from .spectrum import WeightedPoly, spectrum
 
 
@@ -51,7 +51,7 @@ class RankReport:
 
     def __post_init__(self):
         if self.applicable and self.rank != sum(self.contributions.values()):
-            raise ValueError(
+            raise InvariantError(
                 f"rank {self.rank} is not the sum of the contributions "
                 f"{self.contributions}"
             )
@@ -109,7 +109,7 @@ def mw_rank(f: WeightedPoly, profile: CurveProfile) -> RankReport:
         nu * defect(profile, 1 - a)[2] for a, nu in sp.items() if 0 < a < 1
     )
     if rank != alt:
-        raise ValueError(
+        raise InvariantError(
             f"rank formulas disagree: eigenspace/order sum gives {rank}, "
             f"defect form gives {alt}"
         )
@@ -145,7 +145,7 @@ def mw_rank_hyperelliptic(e: int, profile: CurveProfile) -> RankReport:
     )
     rep = mw_rank(f, profile)
     if rep.rank != total:
-        raise ValueError(
+        raise InvariantError(
             f"rank formulas disagree: mw_rank gives {rep.rank}, "
             f"the hyperelliptic sum gives {total}"
         )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import MPoly, UPoly
+from .algebra import MPoly, UPoly, _zw_yun
 
 
 class Degenerate(ValueError):
@@ -27,31 +27,15 @@ class NotMinimal(ValueError):
 
 
 def squarefree_decomposition(f: UPoly):
-    """Yun decomposition {multiplicity: monic squarefree factor}.
+    """Yun decomposition {multiplicity: monic squarefree factor}
+    (algebra._zw_yun on the Z[w] lift of f).
 
     The factors are pairwise coprime and f equals its leading coefficient
     times the product of factor^multiplicity.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no squarefree decomposition")
-    parts = {}
-    if f.degree() <= 0:
-        return parts
-    fp = f.derivative()
-    a = f.gcd(fp)
-    b = f.divmod(a)[0]
-    c = fp.divmod(a)[0]
-    d = c - b.derivative()
-    i = 1
-    while b.degree() > 0:
-        ai = b.gcd(d)
-        if ai.degree() > 0:
-            parts[i] = ai
-        b = b.divmod(ai)[0]
-        c = d.divmod(ai)[0]
-        d = c - b.derivative()
-        i += 1
-    return parts
+    return {i: UPoly._monic_from_zw(a) for i, a in _zw_yun(f._zw())[1].items()}
 
 
 def _rad_at_least(parts, m: int) -> UPoly:
@@ -118,13 +102,11 @@ def is_minimal(w: WeierstrassData) -> bool:
     v_inf_b = None if B.is_zero() else 6 * k - B.degree()
     if (v_inf_a is None or v_inf_a >= 4) and (v_inf_b is None or v_inf_b >= 6):
         return False
-    # finite places
-    if A.is_zero():
-        return _rad_at_least(squarefree_decomposition(B), 6).degree() == 0
-    if B.is_zero():
-        return _rad_at_least(squarefree_decomposition(A), 4).degree() == 0
-    ra = _rad_at_least(squarefree_decomposition(A), 4)
-    rb = _rad_at_least(squarefree_decomposition(B), 6)
+    # finite places; at every place an identically zero A or B has v = oo
+    ra, rb = (
+        u if u.is_zero() else _rad_at_least(squarefree_decomposition(u), m)
+        for u, m in ((A, 4), (B, 6))
+    )
     return ra.gcd(rb).degree() == 0
 
 
@@ -142,14 +124,9 @@ def no_reducible_fibers(w: WeierstrassData) -> bool:
         return False
     d2 = dparts.get(2)
     if d2 is not None and d2.degree() > 0:
-        if A.is_zero():
-            b1 = squarefree_decomposition(w.B).get(1, UPoly([1]))
-            if d2.gcd(b1).degree() != d2.degree():
-                return False
-        else:
-            a1 = squarefree_decomposition(A).get(1, UPoly([1]))
-            if d2.gcd(a1).degree() != d2.degree():
-                return False
+        u1 = squarefree_decomposition(w.B if A.is_zero() else A).get(1, UPoly([1]))
+        if d2.gcd(u1).degree() != d2.degree():
+            return False
     # place at infinity
     v_d = 12 * k - disc.degree()
     if v_d >= 3:

@@ -253,18 +253,20 @@ class TestCuspScheme:
         assert divisors == [full]
 
     def test_degree_54_gcds_certified_without_prs(self, monkeypatch):
-        # criterion 9's count takes gcd(r1, r1') of its degree-54 resultant
-        # twice (squarefree part, largest multiplicity); both come from the
+        # criterion 9's count runs two projection centers, each a degree-54
+        # resultant r1 whose Yun decomposition takes gcd(r1, r1') once: that
+        # first step serves both the squarefree degree and n0, which takes
+        # no further gcd with r1 or its derivatives.  Both come from the
         # image mod P, certified by exact division, and run no PRS
         from curvelattice.torus import table1_construct
 
         calls, inside = [], []
-        real_gcd, real_prs = UPoly.gcd, algebra._zw_prs
+        real_gcd, real_prs = algebra._zw_poly_gcd, algebra._zw_prs
 
-        def gcd(self, other):
-            inside.append([self.degree(), other.degree(), 0])
+        def gcd(f, g):
+            inside.append([len(f) - 1, len(g) - 1, 0])
             try:
-                return real_gcd(self, other)
+                return real_gcd(f, g)
             finally:
                 calls.append(inside.pop())
 
@@ -273,7 +275,7 @@ class TestCuspScheme:
                 inside[-1][2] += 1
             return real_prs(f, g)
 
-        monkeypatch.setattr(UPoly, "gcd", gcd)
+        monkeypatch.setattr(algebra, "_zw_poly_gcd", gcd)
         monkeypatch.setattr(algebra, "_zw_prs", prs)
         f, g, _F = table1_construct(2, None, seed=0)
         assert CuspScheme(f, g, "y0", include_line=True).count() == 30

@@ -1,6 +1,7 @@
 """Tests for exact Q(w) arithmetic, polynomials, gcd/resultants, sqrt."""
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -38,6 +39,7 @@ from curvelattice.algebra import (
     resultant,
     weighted_degree,
 )
+from curvelattice.weierstrass import squarefree_decomposition
 
 XYZ = ("x", "y", "z")
 
@@ -915,12 +917,6 @@ QQ_OMEGA = sympy.QQ.algebraic_field(SQRT_M3)
 T = sympy.Symbol("t")
 
 
-def to_sympy_upoly(u: UPoly, domain):
-    """u as a sympy Poly in t over domain, with w = (-1 + sqrt(-3))/2."""
-    coeffs = [to_sympy(c).subs(W, (SQRT_M3 - 1) / 2) for c in reversed(u.coeffs)]
-    return sympy.Poly.from_list(coeffs, T, domain=domain)
-
-
 def field_upoly(u: UPoly):
     """u as a sympy Poly in t over QQ(sqrt(-3)) built from field elements,
     a + b*w = (a - b/2) + (b/2)*sqrt(-3), with no symbolic conversion."""
@@ -934,12 +930,12 @@ def field_upoly(u: UPoly):
 
 @st.composite
 def upoly_factors(draw, count):
-    """(domain, count polynomials of degree <= 4) over QQ or QQ(w); zero
+    """count polynomials of degree <= 4, all over Q or all over Q(w); zero
     coefficients are drawn often, so remainder degrees skip (abnormal PRS)."""
     omega = draw(st.booleans())
     coeff = cyclos if omega else st.builds(Cyclo, rationals)
     polys = st.lists(st.one_of(st.just(C_ZERO), coeff), max_size=5).map(UPoly)
-    return (QQ_OMEGA if omega else sympy.QQ), [draw(polys) for _ in range(count)]
+    return [draw(polys) for _ in range(count)]
 
 
 def lift_pairs(u: UPoly):
@@ -961,25 +957,25 @@ KNUTH_G = UPoly([21, -9, -4, 0, 5, 0, 3])
 
 
 class TestUPolyGcd:
-    """UPoly.gcd and squarefree_part against sympy over QQ and QQ(sqrt(-3)),
-    compared on the monic results."""
+    """UPoly.gcd and squarefree_part against sympy over QQ(sqrt(-3)), which
+    holds the rational inputs too, compared on the monic results."""
 
     @settings(max_examples=40, deadline=None)
     @given(upoly_factors(3))
     def test_gcd_matches_sympy(self, drawn):
-        dom, (a, b, c) = drawn
+        a, b, c = drawn
         p, q = a * c, b * c * c
-        want = to_sympy_upoly(p, dom).gcd(to_sympy_upoly(q, dom))
-        assert to_sympy_upoly(p.gcd(q), dom) == want
+        want = field_upoly(p).gcd(field_upoly(q))
+        assert field_upoly(p.gcd(q)) == want
         assert q.gcd(p) == p.gcd(q)
 
     @settings(max_examples=30, deadline=None)
     @given(upoly_factors(2))
     def test_squarefree_part_matches_sympy(self, drawn):
-        dom, (a, b) = drawn
+        a, b = drawn
         p = a * a * b
-        want = to_sympy_upoly(p, dom).sqf_part()
-        assert to_sympy_upoly(p.squarefree_part(), dom) == want
+        want = field_upoly(p).sqf_part()
+        assert field_upoly(p.squarefree_part()) == want
 
     @pytest.mark.parametrize(
         "p, q, want",
@@ -999,7 +995,7 @@ class TestUPolyGcd:
     @given(upoly_factors(2))
     def test_squarefree_part_equals_field_quotient(self, drawn):
         # the Z[w] division gives the Q(w) quotient p / gcd(p, p'), made monic
-        _dom, (a, b) = drawn
+        a, b = drawn
         p = a * a * b
         if p.degree() > 0:
             want = p.divmod(p.gcd(p.derivative()))[0].monic()
@@ -1066,7 +1062,7 @@ class TestUPolyGcd:
         p = a * a * b
         assert p.degree() == 56
         got = p.squarefree_part()
-        assert to_sympy_upoly(got, QQ_OMEGA) == to_sympy_upoly(p, QQ_OMEGA).sqf_part()
+        assert field_upoly(got) == field_upoly(p).sqf_part()
         assert got == (a * b).monic()
 
     def test_one_inverse_per_gcd(self, monkeypatch):
@@ -1210,7 +1206,7 @@ def sympy_qomega_roots(p: UPoly):
 def sympy_field_roots(p: UPoly):
     """{root: multiplicity} and the number of distinct roots outside Q(w),
     from sympy's factorisation of p over QQ(sqrt(-3))."""
-    poly = to_sympy_upoly(p, QQ_OMEGA)
+    poly = field_upoly(p)
     roots = {}
     for fac, mult in poly.factor_list()[1]:
         if fac.degree() == 1:
@@ -1300,6 +1296,84 @@ class TestRootsDifferential:
     def test_conjugate_pair_order(self):
         # t^2 + t + 1: w (positive w part) before w^2 = -1 - w
         assert qomega_roots(UPoly([1, 1, 1]))[0] == [(OMEGA, 1), (-1 - OMEGA, 1)]
+
+
+@st.composite
+def yun_shapes(draw):
+    """lead * a * b^2 * c^3 over Q(w), each factor of degree <= 2 with w
+    parts and denominators; factors may share roots, which raises their
+    multiplicity, or be constant, which leaves a Yun index empty."""
+    nonzero = cyclos.filter(lambda x: not x.is_zero())
+    factor = st.builds(lambda cs, lc: UPoly(cs + [lc]), st.lists(cyclos, max_size=2), nonzero)
+    a, b, c = (draw(factor) for _ in range(3))
+    return a * b * b * c * c * c * draw(nonzero)
+
+
+# the units of Z[w], as int pairs: +-1, +-w, +-w^2 = -+(1 + w)
+UNITS = {(1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1), (1, 1)}
+
+
+def sympy_sqf(p: UPoly):
+    """{multiplicity: monic factor} and the monic squarefree part of p, from
+    sympy's sqf_list over QQ(sqrt(-3))."""
+    poly = field_upoly(p)
+    return {m: fac.monic() for fac, m in poly.sqf_list()[1]}, poly.sqf_part()
+
+
+class TestYun:
+    """algebra._zw_yun against sympy's sqf_list, directly and through
+    weierstrass.squarefree_decomposition and qomega_roots' multiplicities."""
+
+    @staticmethod
+    def check(p):
+        want, want_sf = sympy_sqf(p)
+        s, parts = algebra._zw_yun(lift_pairs(p))
+        assert field_upoly(UPoly._monic_from_zw(s)) == want_sf
+        assert {i: field_upoly(UPoly._monic_from_zw(u)) for i, u in parts.items()} == want
+        assert all(len(u) > 1 and functools.reduce(algebra._zw_gcd, u) in UNITS for u in parts.values())
+        dec = squarefree_decomposition(p)
+        assert {i: field_upoly(u) for i, u in dec.items()} == want
+        assert all(u.coeffs[-1] == C_ONE for u in dec.values())
+        roots, missing = qomega_roots(p)
+        for r, m in roots:
+            assert want[m].rem(field_upoly(UPoly([-r, C_ONE]))).is_zero
+        assert missing == want_sf.degree() - len(roots)
+
+    @settings(max_examples=60, deadline=None)
+    @given(yun_shapes())
+    def test_matches_sympy_sqf_list(self, p):
+        self.check(p)
+
+    def test_lift_with_omega_content(self):
+        # pi = 3 + w has norm 7: the lift of g = t + 1/conj(pi) carries the
+        # Z[w] content pi, which the gcd must shed before it divides
+        pi = Cyclo(3, 1)
+        g = UPoly([pi.conjugate().inverse(), 1])
+        h = UPoly([(pi * pi).inverse(), 1])
+        p = g * g * h
+        self.check(p)
+        assert squarefree_decomposition(p) == {1: h, 2: g}
+
+    def test_constant_input(self):
+        for c in (Fraction(7, 2), OMEGA, Cyclo(-3, 5)):
+            p = UPoly([c])
+            assert algebra._zw_yun(lift_pairs(p))[1] == {}
+            assert squarefree_decomposition(p) == {}
+            assert qomega_roots(p) == ([], 0)
+            assert p.squarefree_part() == UPoly([1])
+
+    def test_d_vanishes_while_b_is_nonconstant(self, monkeypatch):
+        # 2(t - w)^3: the steps for multiplicities 1 and 2 find constant
+        # gcds, then d = c - b' is 0 while b = t - w is not constant; that
+        # last factor takes no gcd
+        calls, real = [], algebra._zw_poly_gcd
+        monkeypatch.setattr(algebra, "_zw_poly_gcd", lambda f, g: calls.append(g) or real(f, g))
+        u = UPoly([-OMEGA, 1])
+        p = u * u * u * 2
+        parts = algebra._zw_yun(lift_pairs(p))[1]
+        assert list(parts) == [3] and UPoly._monic_from_zw(parts[3]) == u
+        assert len(calls) == 3 and all(calls)
+        self.check(p)
 
 
 class TestRoots:

@@ -72,6 +72,20 @@ class TestPlumbing:
         assert doc["error"] == "InvariantError"
         assert "divided difference" in doc["message"]
 
+    def test_rank_formulas_disagreeing_exit_3(self, monkeypatch):
+        # with every defect 0 the curve passes the applicability test, but
+        # the defect form of the rank reads 0 against the eigenspace sum 6:
+        # an internal inconsistency, not a domain error
+        from curvelattice import mordellweil
+
+        monkeypatch.setattr(mordellweil, "defect", lambda profile, alpha: (0, 0, 0))
+        code, doc = invoke(
+            ["mwrank", "--f", "x^2+y^3", "--weights", "3,2", "--curve", NINE_CUSP_DOC]
+        )
+        assert code == INVARIANT_EXIT == 3
+        assert doc["error"] == "InvariantError"
+        assert "rank formulas disagree" in doc["message"]
+
     def test_byte_identical_reports(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         for out in (out1, out2):

@@ -107,6 +107,42 @@ def test_golden_case_without_sympy(name):
     assert proc.stdout == (GOLDEN / f"{name}.json").read_bytes()
 
 
+def _private_defs(tree):
+    """(name, line) of each _-prefixed, non-dunder function at module level
+    or in a class body at module level."""
+    bodies = [tree.body] + [n.body for n in tree.body if isinstance(n, ast.ClassDef)]
+    return [
+        (node.name, node.lineno)
+        for body in bodies
+        for node in body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+
+
+def test_no_unreferenced_private_functions():
+    # a private function is referenced by a name, an attribute or an
+    # import somewhere in src/ besides its own def: nothing left uncalled
+    trees = {path: _tree(path) for path in MODULES}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced |= {alias.name for alias in node.names}
+    unreferenced = [
+        f"{path.name}:{line} {name}"
+        for path, tree in trees.items()
+        for name, line in _private_defs(tree)
+        if name not in referenced
+    ]
+    assert unreferenced == [], f"private functions nothing in src/ refers to: {unreferenced}"
+
+
 def test_modules_found():
     assert MODULES, f"no modules under {SRC}"
 
