@@ -28,9 +28,11 @@ from .algebra import (
     C_ZERO,
     AlgebraError,
     Cyclo,
+    DomainError,
     MPoly,
     ProjPoint,
     UPoly,
+    _zw_squarefree,
     _zw_yun,
     qomega_roots,
     resultant,
@@ -38,7 +40,7 @@ from .algebra import (
 from .linalg import kernel_basis, rank as matrix_rank
 
 
-class IncompleteLocus(ValueError):
+class IncompleteLocus(DomainError):
     """Singular-point elimination certifies points outside Q(w).
 
     Carries the points that were found and the unexplained degree."""
@@ -51,7 +53,7 @@ class IncompleteLocus(ValueError):
         self.found = found
 
 
-class UnclassifiedPoint(ValueError):
+class UnclassifiedPoint(DomainError):
     """A singular point needs a user-supplied classification."""
 
 
@@ -394,9 +396,13 @@ class CuspScheme:
             r1 = UPoly.from_mpoly(r1m, rest[0])
             # the roots of r1 are the directions (t:1) of the zeros off
             # rest[1] = 0, those of the divisor among them; a degree
-            # deficit is the direction (1:0) of the zeros on rest[1] = 0
-            parts = _zw_yun(r1._zw())[1]
-            count = sum(len(u) - 1 for u in parts.values()) - divisor.degree()
+            # deficit is the direction (1:0) of the zeros on rest[1] = 0;
+            # only the first center reads the Yun factors (for n0)
+            if best is None:
+                s, parts = _zw_yun(r1._zw())
+            else:
+                s = _zw_squarefree(r1._zw())[0]
+            count = len(s) - 1 - divisor.degree()
             if r1.degree() < formal:
                 if axis is None:
                     axis = self._axis_count()

@@ -14,7 +14,8 @@ modulo the prime P = 2^61 - 1 that linalg.rank shares, certified by
 exact division, one subresultant PRS over Z[w] (_zw_prs) that is both
 that gcd's fallback and the scalar resultant at each leaf of the
 interpolation, one squarefree decomposition (_zw_yun, Yun's algorithm
-with that gcd) behind every squarefree part and multiplicity, exact
+with that gcd) behind every multiplicity, its first step
+(_zw_squarefree) behind every squarefree part, exact
 square roots of polynomials, and root extraction of univariate
 polynomials inside Q(w) (a p-adic root finder whose every answer is
 verified exactly).  The elimination, the resultant from its inputs to
@@ -34,7 +35,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-class AlgebraError(ValueError):
+class DomainError(ValueError):
+    """The one base of the domain errors: an input the mathematics rejects
+    (inapplicable rank formula, incomplete singular locus, degenerate
+    form, ...).  The CLI reports these with exit 2."""
+
+
+class AlgebraError(DomainError):
     """Base class for exact-arithmetic failures."""
 
 
@@ -1241,10 +1248,12 @@ def _modular_gcd(f, g):
     When neither leading coefficient vanishes mod P, the images keep their
     degrees and the image of the true gcd divides the image gcd h, so deg h
     bounds the true degree: h = 1 certifies 1.  Otherwise each coefficient
-    of h, then of h times gamma = gcd(lc f, lc g) (a multiple of the true
-    gcd's leading coefficient), is read as its shortest Z[w]
-    representative (_zw_shortest).  A candidate of degree deg h that
-    divides both f and g exactly is a gcd.
+    of h, then of h times gamma, is read as its shortest Z[w]
+    representative (_zw_shortest).  gamma is the gcd of the leading
+    coefficients of the primitive parts of f and g, a multiple of the
+    leading coefficient of their primitive gcd that leaves out the inputs'
+    Z[w] content.  A candidate of degree deg h that divides both f and g
+    exactly is a gcd.
     """
     r, basis = _p_image()
     fp, gp = ([(a + b * r) % _P for a, b in u] for u in (f, g))
@@ -1257,10 +1266,20 @@ def _modular_gcd(f, g):
     def divides_both(d):
         return _zw_quotient(f, d) is not None and _zw_quotient(g, d) is not None
 
+    def primitive_lc(u):
+        # lc(u) over the Z[w] content of u, up to a unit; the content's
+        # gcd stops at the first unit, where most inputs stop at once
+        c = u[-1]
+        for x in u:
+            if _zw_conj_norm(*c)[2] == 1:
+                break
+            c = _zw_gcd(x, c)
+        return _zw_divide([u[-1]], c)[0]
+
     cand = [_zw_shortest(c, basis) for c in h]
     if divides_both(cand):
         return cand
-    gamma = _zw_gcd(f[-1], g[-1])
+    gamma = _zw_gcd(primitive_lc(f), primitive_lc(g))
     if _zw_conj_norm(*gamma)[2] == 1:  # a unit: the same candidate again
         return None
     s = (gamma[0] + gamma[1] * r) % _P
@@ -1280,6 +1299,32 @@ def _zw_poly_gcd(f, g):
     return _zw_primitive(_modular_gcd(f, g) or _zw_prs(f, g)[1])
 
 
+def _zw_derivative(f):
+    """f' for f an int-pair list low -> high."""
+    return [(k * a, k * b) for k, (a, b) in enumerate(f)][1:]
+
+
+def _zw_exact(u, d):
+    """u / d over Z[w] where the mathematics makes the division exact (d a
+    primitive divisor); a remainder raises InvariantError."""
+    q = _zw_quotient(u, d)
+    if q is None:
+        raise InvariantError("squarefree decomposition: a primitive gcd does not divide")
+    return q
+
+
+def _zw_squarefree(f):
+    """(s, g) for f an int-pair list low -> high without a zero leading
+    pair: g = gcd(f, f'), primitive, and s = f / g, the squarefree part,
+    whose degree is the number of distinct roots of f (f and 1 for a
+    constant f).  The first step of _zw_yun, on its own for callers that
+    read only s."""
+    if len(f) < 2:
+        return f, [(1, 0)]
+    g = _zw_poly_gcd(f, _zw_derivative(f))
+    return _zw_exact(f, g), g
+
+
 def _zw_yun(f):
     """Yun's squarefree decomposition (SYMSAC 1976) of f, an int-pair list
     low -> high without a zero leading pair: (s, {i: a_i}) with s = f /
@@ -1289,20 +1334,11 @@ def _zw_yun(f):
     d = c - b', a_i = gcd(b, d), b <- b / a_i and c <- d / a_i; d = 0
     exactly when b = a_i, the last factor (i <= deg f), and d != 0 has
     degree deg b - 1.  The gcds are primitive, so by Gauss's lemma every
-    quotient is an exact Z[w] division; a remainder raises InvariantError."""
-
-    def quotient(u, d):
-        q = _zw_quotient(u, d)
-        if q is None:
-            raise InvariantError("Yun decomposition: a primitive gcd does not divide")
-        return q
-
+    quotient is an exact Z[w] division (_zw_exact)."""
     if len(f) < 2:
         return f, {}
-    df = [(k * a, k * b) for k, (a, b) in enumerate(f)][1:]
-    g = _zw_poly_gcd(f, df)
-    s = b = quotient(f, g)
-    c = quotient(df, g)
+    s, g = _zw_squarefree(f)
+    b, c = s, _zw_exact(_zw_derivative(f), g)
     parts = {}
     for i in range(1, len(f)):
         d = [(x - k * u, y - k * v) for k, ((x, y), (u, v)) in enumerate(zip(c, b[1:]), 1)]
@@ -1312,7 +1348,7 @@ def _zw_yun(f):
         a = _zw_poly_gcd(b, d)
         if len(a) > 1:
             parts[i] = a
-        b, c = quotient(b, a), quotient(d, a)
+        b, c = _zw_exact(b, a), _zw_exact(d, a)
     raise InvariantError("Yun decomposition: no multiplicity up to deg f ends it")
 
 
@@ -1407,9 +1443,6 @@ class UPoly:
         inv = self.coeffs[-1].inverse()
         return self * inv
 
-    def derivative(self) -> "UPoly":
-        return UPoly([c * k for k, c in enumerate(self.coeffs)][1:])
-
     def eval(self, x) -> Cyclo:
         if not self.coeffs:
             return C_ZERO
@@ -1435,9 +1468,8 @@ class UPoly:
         return UPoly._monic_from_zw(_zw_poly_gcd(f._zw(), g._zw()))
 
     def squarefree_part(self) -> "UPoly":
-        """Monic self / gcd(self, self'): the first quotient of _zw_yun on
-        the Z[w] lift."""
-        return UPoly._monic_from_zw(_zw_yun(self._zw())[0])
+        """Monic self / gcd(self, self'): _zw_squarefree on the Z[w] lift."""
+        return UPoly._monic_from_zw(_zw_squarefree(self._zw())[0])
 
     def _zw(self):
         """The Z[w] lift (_zw_lift) as a list of int pairs low -> high."""

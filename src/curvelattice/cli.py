@@ -9,6 +9,10 @@ Exit codes: 0 success, 2 domain errors (inapplicable rank formula,
 incomplete singular locus, degenerate input, ...), 1 usage errors, 3 a
 broken internal invariant (algebra.InvariantError: an exact division in a
 kernel left a remainder), which is a fault in the program, not in its input.
+Every domain error subclasses algebra.DomainError.
+
+Each command imports the modules it uses when it runs, so a process loads
+and compiles only those: the module itself imports nothing beyond algebra.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import adjunction, lattice, mordellweil, spectrum, torus, weierstrass
-from .algebra import AlgebraError, InvariantError, parse_poly, render
+from .algebra import DomainError, InvariantError, parse_poly, render
 
 SCHEMA = "curvelattice/1"
 
@@ -36,22 +39,7 @@ KODAIRA_II_CLAUSE = (
     "irreducible (cuspidal) fibers"
 )
 
-DOMAIN_ERRORS = (
-    adjunction.IncompleteLocus,
-    adjunction.UnclassifiedPoint,
-    mordellweil.NotApplicable,
-    mordellweil.DegreeParity,
-    weierstrass.Degenerate,
-    weierstrass.NotMinimal,
-    lattice.NotPositiveDefinite,
-    lattice.Degenerate,
-    lattice.PrereqFailed,
-    torus.DivisibilityFailure,
-    torus.ConventionMismatch,
-    AlgebraError,
-    ValueError,
-    ArithmeticError,
-)
+DOMAIN_ERRORS = (DomainError, ValueError, ArithmeticError)
 
 INVARIANT_EXIT = 3
 
@@ -114,24 +102,39 @@ def _integer(doc, key, default):
         raise UsageError(f'"{key}" must be an integer') from None
 
 
-def _curve_from_doc(doc) -> adjunction.CurveProfile:
+def _rows(value, key, entry):
+    """[[entry(x) for x in row] for row in value], a usage error unless
+    value is a list of rows, each a list of numbers or number strings."""
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise UsageError(f'"{key}" must be a list of rows')
+    try:
+        return [[entry(x) for x in row] for row in value]
+    except (TypeError, ValueError, ArithmeticError):
+        raise UsageError(f'"{key}" entries must be numbers') from None
+
+
+def _curve_from_doc(doc):
+    from .adjunction import CurveProfile
+
     _require(doc, "g")
     g = _poly(doc, "g", _variables(doc))
-    return adjunction.CurveProfile(g, components=_integer(doc, "components", 1))
+    return CurveProfile(g, components=_integer(doc, "components", 1))
 
 
-def _point_from_doc(doc) -> torus.QuasiToricPoint:
+def _point_from_doc(doc):
+    from .torus import QuasiToricPoint
+
     _require(doc, "g", "X", "Y", "Z")
     variables = _variables(doc)
     g = _poly(doc, "g", variables)
-    return torus.QuasiToricPoint(
+    return QuasiToricPoint(
         *(_poly(doc, key, variables) for key in ("X", "Y", "Z")),
         g,
         _integer(doc, "k", g.degree() // 6),
     )
 
 
-def _point_doc(p: torus.QuasiToricPoint) -> dict:
+def _point_doc(p) -> dict:
     return {
         "X": render(p.X),
         "Y": render(p.Y),
@@ -142,17 +145,24 @@ def _point_doc(p: torus.QuasiToricPoint) -> dict:
     }
 
 
-def _quadform(doc) -> lattice.QuadForm:
-    rows = doc["gram"] if isinstance(doc, dict) else doc
-    return lattice.QuadForm([[Fraction(str(x)) for x in row] for row in rows])
+def _quadform(doc):
+    """A --gram document: {"gram": rows} or the rows themselves."""
+    from .lattice import QuadForm
+
+    if isinstance(doc, dict):
+        _require(doc, "gram")
+        doc = doc["gram"]
+    return QuadForm(_rows(doc, "gram", lambda x: Fraction(str(x))))
 
 
-def _weighted(args) -> spectrum.WeightedPoly:
+def _weighted(args):
+    from .spectrum import WeightedPoly
+
     weights = tuple(int(w) for w in args.weights.split(","))
     if len(weights) != 2:
         raise UsageError("--weights expects two comma-separated integers")
     f = parse_poly(args.f, ("x", "y"))
-    return spectrum.WeightedPoly(f, weights)
+    return WeightedPoly(f, weights)
 
 
 def _frac_key(a: Fraction) -> str:
@@ -165,8 +175,10 @@ def _frac_key(a: Fraction) -> str:
 
 
 def _cmd_spectrum(args):
+    from .spectrum import spectrum
+
     wp = _weighted(args)
-    sp = spectrum.spectrum(wp)
+    sp = spectrum(wp)
     return {
         "spectrum": {_frac_key(a): n for a, n in sorted(sp.items())},
         "milnor_number": wp.milnor_number(),
@@ -193,8 +205,10 @@ def _cmd_singular(args):
 
 
 def _cmd_defects(args):
+    from .adjunction import defect_table
+
     profile = _curve_from_doc(_load_doc(args.curve))
-    table = adjunction.defect_table(profile)
+    table = defect_table(profile)
     return {
         "defects": {
             _frac_key(a): {"l": l, "h": h, "delta": delta}
@@ -205,8 +219,10 @@ def _cmd_defects(args):
 
 
 def _cmd_alexander(args):
+    from .adjunction import alexander
+
     profile = _curve_from_doc(_load_doc(args.curve))
-    alex = adjunction.alexander(profile)
+    alex = alexander(profile)
     return {
         "orders": {_frac_key(a): o for a, o in sorted(alex.orders.items())},
         "polynomial": alex.rendered,
@@ -215,11 +231,13 @@ def _cmd_alexander(args):
 
 
 def _cmd_mwrank(args):
+    from .mordellweil import NotApplicable, mw_rank
+
     profile = _curve_from_doc(_load_doc(args.curve))
     wp = _weighted(args)
     try:
-        report = mordellweil.mw_rank(wp, profile)
-    except mordellweil.NotApplicable as err:
+        report = mw_rank(wp, profile)
+    except NotApplicable as err:
         return {
             "applicable": False,
             "obstruction": {_frac_key(a): v for a, v in err.obstruction.items()},
@@ -238,8 +256,10 @@ def _cmd_mwrank(args):
 
 
 def _cmd_toric_find(args):
+    from .torus import find_toric_sextic
+
     profile = _curve_from_doc(_load_doc(args.curve))
-    result = torus.find_toric_sextic(profile)
+    result = find_toric_sextic(profile)
     return {
         "points": [_point_doc(p) for p in result.points],
         "count": len(result.points),
@@ -251,20 +271,24 @@ def _cmd_toric_find(args):
 
 
 def _cmd_toric_verify(args):
+    from .torus import height, verify_decomposition
+
     p = _point_from_doc(_load_doc(args.point))
-    ok, detail = torus.verify_decomposition(p)
+    ok, detail = verify_decomposition(p)
     return {
         "ok": ok,
         "detail": detail,
-        "height": torus.height(p) if ok else None,
+        "height": height(p) if ok else None,
         "deviations": [],
     }
 
 
 def _cmd_toric_gram(args):
+    from .torus import gram
+
     docs = _load_doc(args.points)
     points = [_point_from_doc(d) for d in docs]
-    m = torus.gram(points)
+    m = gram(points)
     return {
         "size": m.size,
         "entries": m.entries,
@@ -273,19 +297,23 @@ def _cmd_toric_gram(args):
 
 
 def _cmd_toric_orbit(args):
+    from .torus import mu6_orbit
+
     p = _point_from_doc(_load_doc(args.point))
     return {
-        "orbit": [_point_doc(q) for q in torus.mu6_orbit(p)],
+        "orbit": [_point_doc(q) for q in mu6_orbit(p)],
         "deviations": [],
     }
 
 
 def _cmd_table1(args):
+    from .torus import height, table1_construct, table1_section, verify_decomposition
+
     k = args.k
     seed = args.seed if args.seed is not None else 0
-    f, gp, F = torus.table1_construct(k, None, seed=seed)
-    point, _curve = torus.table1_section(k, f, gp, F)
-    ok, detail = torus.verify_decomposition(point)
+    f, gp, F = table1_construct(k, None, seed=seed)
+    point, _curve = table1_section(k, f, gp, F)
+    ok, detail = verify_decomposition(point)
     return {
         "k": k,
         "seed": seed,
@@ -294,31 +322,35 @@ def _cmd_table1(args):
         "F": render(F),
         "point": _point_doc(point),
         "verified": ok,
-        "height": torus.height(point),
+        "height": height(point),
         "deviations": [],
     }
 
 
 def _cmd_weier_check(args):
+    from .weierstrass import WeierstrassData, discriminant, is_minimal, no_reducible_fibers
+
     A = parse_poly(args.A, ("t",))
     B = parse_poly(args.B, ("t",))
-    w = weierstrass.WeierstrassData(A, B, args.k)
-    minimal = weierstrass.is_minimal(w)
+    w = WeierstrassData(A, B, args.k)
+    minimal = is_minimal(w)
     doc = {
-        "discriminant": render(weierstrass.discriminant(w).to_mpoly("t", ("t",))),
+        "discriminant": render(discriminant(w).to_mpoly("t", ("t",))),
         "minimal": minimal,
         "deviations": [],
     }
     if minimal:
-        doc["no_reducible_fibers"] = weierstrass.no_reducible_fibers(w)
+        doc["no_reducible_fibers"] = no_reducible_fibers(w)
         if A.is_zero():
             doc["deviations"] = [KODAIRA_II_CLAUSE]
     return doc
 
 
 def _cmd_lattice_minvec(args):
+    from .lattice import shortest_vectors
+
     q = _quadform(_load_doc(args.gram))
-    norm, count, vectors = lattice.shortest_vectors(q)
+    norm, count, vectors = shortest_vectors(q)
     return {
         "min_norm": int(norm),
         "count": count,
@@ -328,8 +360,10 @@ def _cmd_lattice_minvec(args):
 
 
 def _cmd_lattice_id(args):
+    from .lattice import identify, identify_saturation
+
     q = _quadform(_load_doc(args.gram))
-    fn = lattice.identify_saturation if args.saturation else lattice.identify
+    fn = identify_saturation if args.saturation else identify
     lid = fn(q.m)
     return {
         "tag": lid.tag,
@@ -340,41 +374,50 @@ def _cmd_lattice_id(args):
 
 
 def _cmd_lattice_diag(args):
+    from .lattice import diagonalize
+
     q = _quadform(_load_doc(args.gram))
-    return {"diagonal": lattice.diagonalize(q), "deviations": []}
+    return {"diagonal": diagonalize(q), "deviations": []}
 
 
 def _cmd_lattice_qequiv(args):
+    from .lattice import q_compare
+
     qa = _quadform(_load_doc(args.a))
     qb = _quadform(_load_doc(args.b))
-    rep = dict(lattice.q_compare(qa, qb))
+    rep = dict(q_compare(qa, qb))
     rep["deviations"] = []
     return rep
 
 
-def _summary_from_doc(doc) -> lattice.CurveSummary:
+def _summary_from_doc(doc):
+    """(CurveSummary, integer Gram rows) of a zariski summary document."""
+    from .lattice import CurveSummary
+
     _require(
         doc, "degree", "inventory", "alexander_orders", "delta_one_sixth",
         "rank_prediction", "gram",
     )
-    return lattice.CurveSummary(
-        int(doc["degree"]),
-        {str(k): int(v) for k, v in doc["inventory"].items()},
-        {Fraction(str(k)): int(v) for k, v in doc["alexander_orders"].items()},
-        int(doc["delta_one_sixth"]),
-        int(doc["rank_prediction"]),
-    )
+    if not all(isinstance(doc[k], dict) for k in ("inventory", "alexander_orders")):
+        raise UsageError('"inventory" and "alexander_orders" must be objects')
+    try:
+        summary = CurveSummary(
+            int(doc["degree"]),
+            {str(k): int(v) for k, v in doc["inventory"].items()},
+            {Fraction(str(k)): int(v) for k, v in doc["alexander_orders"].items()},
+            int(doc["delta_one_sixth"]),
+            int(doc["rank_prediction"]),
+        )
+    except (TypeError, ValueError, ArithmeticError):
+        raise UsageError("summary entries must be integers and rational keys") from None
+    return summary, _rows(doc["gram"], "gram", int)
 
 
 def _cmd_zariski(args):
+    from .lattice import zariski_certificate
+
     da, db = _load_doc(args.a), _load_doc(args.b)
-    doc = lattice.zariski_certificate(
-        _summary_from_doc(da),
-        [[int(x) for x in row] for row in da["gram"]],
-        _summary_from_doc(db),
-        [[int(x) for x in row] for row in db["gram"]],
-    )
-    return doc
+    return zariski_certificate(*_summary_from_doc(da), *_summary_from_doc(db))
 
 
 # ---------------------------------------------------------------------------

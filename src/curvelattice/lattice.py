@@ -17,22 +17,19 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .adjunction import alexander, defect
-from .algebra import MPoly, isprime
+from .algebra import DomainError, MPoly, isprime
 from .linalg import det_fraction
-from .mordellweil import mw_rank
-from .spectrum import WeightedPoly
 
 
-class NotPositiveDefinite(ValueError):
+class NotPositiveDefinite(DomainError):
     """The Gram matrix has a non-positive leading principal pivot."""
 
 
-class Degenerate(ValueError):
+class Degenerate(DomainError):
     """The quadratic form is singular."""
 
 
-class PrereqFailed(ValueError):
+class PrereqFailed(DomainError):
     """A Zariski-certificate precondition is violated."""
 
 
@@ -443,6 +440,10 @@ class CurveSummary:
     @classmethod
     def from_profile(cls, profile):
         """Summary for the elliptic model y^2 = x^3 + g (f = x^2 + y^3)."""
+        from .adjunction import alexander, defect
+        from .mordellweil import mw_rank
+        from .spectrum import WeightedPoly
+
         xy = ("x", "y")
         f = WeightedPoly(
             MPoly.monomial(xy, (2, 0)) + MPoly.monomial(xy, (0, 3)), (3, 2)

@@ -19,11 +19,11 @@ from fractions import Fraction
 from math import gcd as int_gcd
 
 from .adjunction import CurveProfile, alexander, defect, ord_at
-from .algebra import InvariantError, MPoly
+from .algebra import DomainError, InvariantError, MPoly
 from .spectrum import WeightedPoly, spectrum
 
 
-class NotApplicable(ValueError):
+class NotApplicable(DomainError):
     """The rank formula's hypotheses fail; carries the obstruction."""
 
     def __init__(self, message, obstruction=None):
@@ -31,7 +31,7 @@ class NotApplicable(ValueError):
         self.obstruction = dict(obstruction or {})
 
 
-class DegreeParity(ValueError):
+class DegreeParity(DomainError):
     """The hyperelliptic formula needs an even curve degree."""
 
 

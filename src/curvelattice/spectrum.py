@@ -16,6 +16,7 @@ from math import gcd as int_gcd
 
 from .algebra import (
     C_ZERO,
+    DomainError,
     MPoly,
     UPoly,
     is_weighted_homogeneous,
@@ -24,7 +25,7 @@ from .algebra import (
 from .linalg import rank as matrix_rank
 
 
-class NotIsolated(ValueError):
+class NotIsolated(DomainError):
     """The Jacobian ideal does not have finite colength."""
 
 

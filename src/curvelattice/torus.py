@@ -37,6 +37,7 @@ from .algebra import (
     C_ONE,
     C_ZERO,
     Cyclo,
+    DomainError,
     MPoly,
     NOT_A_SQUARE,
     OMEGA,
@@ -51,11 +52,11 @@ from .algebra import (
 from .linalg import det_fraction, kernel_basis
 
 
-class DivisibilityFailure(ArithmeticError):
+class DivisibilityFailure(DomainError):
     """The constructed f^3 - g^2 is not divisible by y0^6."""
 
 
-class ConventionMismatch(AssertionError):
+class ConventionMismatch(DomainError):
     """The pairing convention failed one of its validating identities."""
 
 

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import MPoly, UPoly, _zw_yun
+from .algebra import DomainError, MPoly, UPoly, _zw_yun
 
 
-class Degenerate(ValueError):
+class Degenerate(DomainError):
     """The discriminant 4A^3 + 27B^2 vanishes identically."""
 
 
-class NotMinimal(ValueError):
+class NotMinimal(DomainError):
     """The model must be minimal before fiber checks."""
 
 

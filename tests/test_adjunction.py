@@ -280,6 +280,9 @@ class TestCuspScheme:
         f, g, _F = table1_construct(2, None, seed=0)
         assert CuspScheme(f, g, "y0", include_line=True).count() == 30
         assert [c for c in calls if c[0] == 54] == [[54, 53, 0], [54, 53, 0]]
+        # the second center reads only the squarefree degree: Yun's first
+        # step (_zw_squarefree) is its last gcd
+        assert calls[-1] == [54, 53, 0]
 
     def test_count_raises_when_every_resultant_vanishes(self, monkeypatch):
         # all three projection centers eliminate to 0: no count is certified

@@ -998,7 +998,8 @@ class TestUPolyGcd:
         a, b = drawn
         p = a * a * b
         if p.degree() > 0:
-            want = p.divmod(p.gcd(p.derivative()))[0].monic()
+            dp = UPoly([c * k for k, c in enumerate(p.coeffs)][1:])
+            want = p.divmod(p.gcd(dp))[0].monic()
             assert p.squarefree_part() == want
 
     def test_squarefree_part_divides_out_omega_content(self):
@@ -1126,6 +1127,18 @@ class TestModularGcd:
         shared = UPoly([Cyclo(2, -1), Cyclo(0, 5), Cyclo(3, 1)])
         p = shared * upoly_from_roots([1, Fraction(-2, 3)], lead=Fraction(5, 4))
         q = shared * upoly_from_roots([OMEGA], lead=Cyclo(6, 2))
+        assert p.gcd(q) == shared.monic() and q.gcd(p) == shared.monic()
+        assert calls == []
+
+    def test_gamma_from_primitive_parts(self, monkeypatch):
+        # both inputs carry the Z[w] content 2^40 (3 + w): gamma from their
+        # leading coefficients would carry it too and lift past P; from the
+        # primitive parts it is lc(shared) and certifies
+        calls = self.count_prs(monkeypatch)
+        content = Cyclo(3, 1) * (1 << 40)
+        shared = UPoly([Cyclo(2, -1), Cyclo(0, 5), Cyclo(3, 1)])
+        p = shared * UPoly([Cyclo(1, 2), -4, 1]) * content
+        q = shared * UPoly([7, OMEGA]) * (content * 2)
         assert p.gcd(q) == shared.monic() and q.gcd(p) == shared.monic()
         assert calls == []
 

@@ -394,3 +394,157 @@ class TestCurveFuzz:
             code = run(["singular", "--curve", json.dumps(doc)])
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the lattice and summary documents
+# ---------------------------------------------------------------------------
+
+
+ENTRIES = st.one_of(
+    st.integers(-9, 9),
+    st.sampled_from(["2", "-3", "2/3", "1/0", "abc", "", "nan", "1e400", 1.5, True]),
+    JSON_JUNK,
+    st.just({"a": 1}),
+)
+ROWS = st.lists(st.one_of(st.lists(ENTRIES, max_size=3), ENTRIES), max_size=3)
+GRAMS = st.one_of(ROWS, ROWS, JSON_JUNK, st.text(max_size=3))
+
+
+def summary_doc(**fields):
+    doc = {
+        "degree": 12,
+        "inventory": {"cusp": 30},
+        "alexander_orders": {"1/6": 1, "5/6": 1},
+        "delta_one_sixth": 0,
+        "rank_prediction": 2,
+        "gram": [[4, -2], [-2, 4]],
+    }
+    doc.update(fields)
+    return doc
+
+
+@st.composite
+def summary_documents(draw):
+    """A zariski summary with some fields replaced by junk: junk JSON
+    types, ragged Gram rows, non-integer counts, unparseable keys."""
+    junk = {
+        "degree": st.one_of(JSON_JUNK, st.sampled_from(["12", "abc", 12.5])),
+        "inventory": st.one_of(
+            JSON_JUNK, st.dictionaries(st.sampled_from(["cusp", "node"]), ENTRIES, max_size=2)
+        ),
+        "alexander_orders": st.one_of(
+            JSON_JUNK,
+            st.dictionaries(st.sampled_from(["1/6", "5/6", "1/0", "abc"]), ENTRIES, max_size=2),
+        ),
+        "delta_one_sixth": ENTRIES,
+        "rank_prediction": ENTRIES,
+        "gram": GRAMS,
+    }
+    keys = draw(st.lists(st.sampled_from(sorted(junk)), min_size=1, max_size=3, unique=True))
+    doc = summary_doc(**{k: draw(junk[k]) for k in keys})
+    for k in draw(st.lists(st.sampled_from(sorted(junk)), max_size=1)):
+        del doc[k]
+    return doc
+
+
+class TestDocumentFuzz:
+    @staticmethod
+    def exit_code(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        return code
+
+    @given(
+        st.sampled_from(["diag", "minvec", "id"]),
+        st.one_of(GRAMS.map(lambda g: {"gram": g}), ROWS, st.just({"nogram": 1})),
+    )
+    @example("diag", {"gram": 5})
+    @example("diag", {"nogram": 1})
+    @example("diag", [5])
+    @settings(max_examples=60, deadline=10_000)
+    def test_gram_documents(self, command, doc):
+        self.exit_code(["lattice", command, "--gram", json.dumps(doc)])
+
+    @given(summary_documents())
+    @example(summary_doc(gram=5))
+    @example(summary_doc(inventory=5))
+    @settings(max_examples=60, deadline=10_000)
+    def test_summary_documents(self, doc):
+        self.exit_code(["zariski", "--a", json.dumps(summary_doc()), "--b", json.dumps(doc)])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lattice", "diag", "--gram", '{"gram": 5}'],
+            ["lattice", "diag", "--gram", '{"nogram": 1}'],
+            ["lattice", "diag", "--gram", "[5]"],
+            ["zariski", "--a", json.dumps(summary_doc()), "--b", json.dumps(summary_doc(gram=5))],
+            ["zariski", "--a", json.dumps(summary_doc()), "--b", json.dumps(summary_doc(inventory=5))],
+        ],
+    )
+    def test_wrong_shape_is_a_usage_error(self, argv):
+        assert self.exit_code(argv) == 1
+
+    def test_well_formed_gram_as_rows_or_strings(self):
+        for gram in ('[[6, -3], [-3, 6]]', '{"gram": [["6", "-3"], ["-3", 6]]}'):
+            code, doc = invoke(["lattice", "diag", "--gram", gram])
+            assert code == 0 and doc["diagonal"] == [6, 2]
+
+
+# ---------------------------------------------------------------------------
+# one error base, and imports per command
+# ---------------------------------------------------------------------------
+
+
+def test_domain_errors_share_one_base():
+    from curvelattice import adjunction, lattice, mordellweil, spectrum, torus, weierstrass
+
+    classes = [
+        adjunction.IncompleteLocus, adjunction.UnclassifiedPoint,
+        mordellweil.NotApplicable, mordellweil.DegreeParity,
+        weierstrass.Degenerate, weierstrass.NotMinimal,
+        lattice.NotPositiveDefinite, lattice.Degenerate, lattice.PrereqFailed,
+        torus.DivisibilityFailure, torus.ConventionMismatch,
+        algebra.AlgebraError, spectrum.NotIsolated, algebra.ParseError,
+    ]
+    assert all(issubclass(c, algebra.DomainError) for c in classes)
+    assert issubclass(algebra.DomainError, DOMAIN_ERRORS)
+    assert not issubclass(algebra.InvariantError, algebra.DomainError)
+
+
+LOADED_MODULES = (
+    "import json, sys\n"
+    "from curvelattice.cli import run\n"
+    "code = run(sys.argv[1:])\n"
+    "sys.stderr.write(json.dumps(sorted(sys.modules)))\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["lattice", "diag", "--gram", A2_3],
+         {"adjunction", "mordellweil", "spectrum", "torus", "weierstrass"}),
+        (["spectrum", "--f", "x^2+y^3", "--weights", "3,2"],
+         {"adjunction", "lattice", "torus"}),
+        (["weier", "check", "--A", "0", "--B", "t^5 + 1", "--k", "1"],
+         {"adjunction", "lattice", "torus"}),
+    ],
+)
+def test_command_imports_only_its_modules(argv, absent):
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    loaded = {m.split(".", 1)[1] for m in json.loads(proc.stderr) if m.startswith("curvelattice.")}
+    assert {"cli", "algebra"} <= loaded
+    assert not loaded & absent

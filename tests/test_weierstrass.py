@@ -100,7 +100,8 @@ class TestNoReducibleFibers:
     def test_squarefree_disc(self):
         w = WeierstrassData(up("t^4 + 1"), up("t^6 + t"), 1)
         d = discriminant(w)
-        assert d.gcd(d.derivative()).degree() == 0  # oracle precondition
+        dd = UPoly([c * k for k, c in enumerate(d.coeffs)][1:])
+        assert d.gcd(dd).degree() == 0  # oracle precondition
         assert no_reducible_fibers(w)
 
     def test_high_valuation_fails(self):
