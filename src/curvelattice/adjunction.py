@@ -32,9 +32,8 @@ from .algebra import (
     MPoly,
     ProjPoint,
     UPoly,
-    _zw_squarefree,
-    _zw_yun,
     qomega_roots,
+    restrict_to_line,
     resultant,
 )
 from .linalg import kernel_basis, rank as matrix_rank
@@ -92,7 +91,7 @@ class ClassifiedPoint:
 
     def __post_init__(self):
         if self.kind not in ("node", "cusp", "custom", "unclassified"):
-            raise ValueError(f"unknown singularity kind {self.kind!r}")
+            raise DomainError(f"unknown singularity kind {self.kind!r}")
         if self.ade is None:
             object.__setattr__(self, "ade", self.kind in ("node", "cusp"))
 
@@ -144,7 +143,7 @@ def singular_points(g: MPoly):
     gradient vanishes on a whole line).
     """
     if len(g.vars) != 3:
-        raise ValueError("expected a ternary form")
+        raise DomainError("expected a ternary form")
     vx, vy, vz = g.vars
     partials = [g.derivative(v) for v in g.vars]
     unexplained = 0
@@ -243,19 +242,14 @@ def _local_expansion(g: MPoly, point: ProjPoint):
                 + MPoly.variable(local_vars[j], local_vars)
             )
             j += 1
-    local = g.compose(images)
-    pieces = {}
-    for e, c in local.terms.items():
-        d = sum(e)
-        pieces.setdefault(d, {})[e] = c
-    return {d: MPoly(local_vars, t) for d, t in pieces.items()}
+    return g.compose(images).homogeneous_parts()
 
 
 def classify_point(g: MPoly, point: ProjPoint) -> ClassifiedPoint:
     """Classify a singular point as node, cusp, or unclassified."""
     pieces = _local_expansion(g, point)
     if 0 in pieces or 1 in pieces:
-        raise ValueError(f"{point!r} is not a singular point of the curve")
+        raise DomainError(f"{point!r} is not a singular point of the curve")
     quad = pieces.get(2)
     if quad is None:
         return ClassifiedPoint(point, "unclassified")
@@ -306,9 +300,9 @@ class CuspScheme:
 
     def __post_init__(self):
         if self.gen_a.vars != self.gen_b.vars or len(self.gen_a.vars) != 3:
-            raise ValueError("cusp scheme needs two ternary forms")
+            raise DomainError("cusp scheme needs two ternary forms")
         if self.sat_var not in self.gen_a.vars:
-            raise ValueError("unknown saturation variable")
+            raise DomainError("unknown saturation variable")
 
     def _line_divisor(self):
         """(squarefree affine gcd of the restrictions, root-at-(1:0) flag)."""
@@ -324,7 +318,7 @@ class CuspScheme:
         if a0.is_zero() or b0.is_zero():
             z = b0 if a0.is_zero() else a0
             if z.is_zero():
-                raise ValueError("both restrictions vanish identically")
+                raise DomainError("both restrictions vanish identically")
             u = _binary_to_upoly(z, rest)
             return u.squarefree_part(), u.degree() < z.degree()
         ua, ub = _binary_to_upoly(a0, rest), _binary_to_upoly(b0, rest)
@@ -399,10 +393,11 @@ class CuspScheme:
             # deficit is the direction (1:0) of the zeros on rest[1] = 0;
             # only the first center reads the Yun factors (for n0)
             if best is None:
-                s, parts = _zw_yun(r1._zw())
+                parts = r1.squarefree_factors()
+                distinct = sum(u.degree() for u in parts.values())
             else:
-                s = _zw_squarefree(r1._zw())[0]
-            count = len(s) - 1 - divisor.degree()
+                distinct = r1.squarefree_part().degree()
+            count = distinct - divisor.degree()
             if r1.degree() < formal:
                 if axis is None:
                     axis = self._axis_count()
@@ -410,10 +405,7 @@ class CuspScheme:
             if best is None:
                 # the largest Yun index whose factor shares a root with the
                 # divisor, or the degree deficit of a common root at (1:0)
-                held = [
-                    i for i, u in parts.items()
-                    if divisor.gcd(UPoly._monic_from_zw(u)).degree() > 0
-                ]
+                held = [i for i, u in parts.items() if divisor.gcd(u).degree() > 0]
                 self._cache["n0"] = max(held + [formal - r1.degree() if has_inf else 0])
             elif count == best:
                 # two agreeing projection centers: collisions ruled out
@@ -463,16 +455,13 @@ class CuspScheme:
         line_rows = (
             self._line_condition_rows(m, h_monos) if self.include_line else []
         )
-        # the columns span W (each generator, lifted once into Z[w], times
-        # each monomial of the complementary degree) and V; with
+        # the columns span W (each generator's Z[w] pairs, a multiple of it,
+        # times each monomial of the complementary degree) and V; with
         # include_line the condition rows "h restricted to the line
         # vanishes on the shared binary factor" are appended under V
         w_cols = []
         for gen in (a, b):
-            terms = [
-                (t, Cyclo(x, y) if y else x)
-                for t, (x, y) in gen._zw()[0].items()
-            ]
+            terms = [(t, Cyclo(x, y) if y else x) for t, (x, y) in gen.pairs.items()]
             w_cols += [(e, terms) for e in _monomials(big - gen.degree())]
         ncols = len(w_cols) + len(h_monos)
         rows = [[0] * ncols for _ in range(len(index))]
@@ -567,11 +556,11 @@ class CurveProfile:
     def __post_init__(self):
         g, points = self.g, self.points
         if len(g.vars) != 3 or g.is_zero():
-            raise ValueError("expected a nonzero ternary form")
+            raise DomainError("expected a nonzero ternary form")
         if not g.is_homogeneous():
-            raise ValueError("curve polynomial must be homogeneous")
+            raise DomainError("curve polynomial must be homogeneous")
         if not _squarefree(g):
-            raise ValueError("curve polynomial is not squarefree")
+            raise DomainError("curve polynomial is not squarefree")
         if points is None and self.scheme is None:
             points = singular_points(g)
             object.__setattr__(self, "points", points)
@@ -579,7 +568,7 @@ class CurveProfile:
             grads = [g.derivative(v) for v in g.vars]
             for cp in points:
                 if not all(p.eval(cp.point.coords).is_zero() for p in grads):
-                    raise ValueError(f"{cp.point!r} is not singular on the curve")
+                    raise DomainError(f"{cp.point!r} is not singular on the curve")
 
     @property
     def d(self) -> int:
@@ -597,36 +586,6 @@ class CurveProfile:
         for p in self.points:
             inv[p.kind] = inv.get(p.kind, 0) + 1
         return inv
-
-
-def _convolve(f, g):
-    """Product of two coefficient lists, low -> high."""
-    out = [0] * (len(f) + len(g) - 1)
-    for i, x in enumerate(f):
-        for j, y in enumerate(g):
-            out[i + j] += x * y
-    return out
-
-
-def _restrict_to_line(p: MPoly, alpha, beta, gamma):
-    """Restriction of a ternary p to the line (t, alpha + beta t, 1 + gamma t)
-    as a UPoly.  The line's rational parameters never meet a Q(w) product:
-    on the Z[w] lift of p's coefficients (MPoly._zw), each term
-    c x^i y^j z^k adds c times the rational coefficients of
-    t^i (alpha + beta t)^j (1 + gamma t)^k."""
-    terms, den = p._zw()
-    a = [0] * (p.degree() + 1)
-    b = [0] * (p.degree() + 1)
-    ys, zs = [[1]], [[1]]  # powers of alpha + beta t and of 1 + gamma t
-    for (i, j, k), (xa, xb) in terms.items():
-        while len(ys) <= j:
-            ys.append(_convolve(ys[-1], (alpha, beta)))
-        while len(zs) <= k:
-            zs.append(_convolve(zs[-1], (1, gamma)))
-        for s, v in enumerate(_convolve(ys[j], zs[k]), i):
-            a[s] += xa * v
-            b[s] += xb * v
-    return UPoly([Cyclo(Fraction(x, den), Fraction(y, den)) for x, y in zip(a, b)])
 
 
 def _centre(forms):
@@ -669,8 +628,8 @@ def _gcd_degree_through(p: MPoly, q: MPoly, beta, gamma) -> int:
     for alpha in range(p.degree() * q.degree() + 1):
         if best == 0:
             break
-        u = _restrict_to_line(p, alpha, beta, gamma)
-        v = _restrict_to_line(q, alpha, beta, gamma)
+        u = restrict_to_line(p, alpha, beta, gamma)
+        v = restrict_to_line(q, alpha, beta, gamma)
         best = min(best, u.gcd(v).degree())
     return best
 
@@ -696,9 +655,9 @@ def defect(profile: CurveProfile, alpha) -> tuple:
     """(l, h, delta) at alpha: conditions, independent conditions, defect."""
     alpha = Fraction(alpha)
     if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
+        raise DomainError("alpha must lie in (0, 1]")
     if (alpha * profile.d).denominator != 1:
-        raise ValueError("alpha * degree must be an integer")
+        raise DomainError("alpha * degree must be an integer")
     deg = int(alpha * profile.d) - 3
     if profile.scheme is not None:
         if alpha != Fraction(5, 6):
@@ -747,7 +706,7 @@ class AlexanderPoly:
 def ord_at(delta: AlexanderPoly, alpha) -> int:
     alpha = Fraction(alpha)
     if not 0 <= alpha < 1:
-        raise ValueError("alpha must lie in [0, 1)")
+        raise DomainError("alpha must lie in [0, 1)")
     return delta.orders.get(alpha, 0)
 
 

@@ -1,9 +1,12 @@
 """Exact arithmetic over Q(w) and sparse multivariate polynomials.
 
 The coefficient field is Q(w) where w is a primitive third root of unity,
-so w^2 + w + 1 = 0.  Elements are stored as a + b*w with rational a, b.
-Polynomials are sparse maps from exponent vectors to nonzero coefficients,
-ordered by graded lexicographic order on the declared variable list.
+so w^2 + w + 1 = 0.  A scalar (Cyclo) is a + b*w with rational a, b.
+A polynomial stores its coefficients once, as Z[w] int pairs (a, b) =
+a + b*w over one common denominator, in a canonical form (MPoly: a sparse
+map from exponent vectors, ordered by graded lexicographic order on the
+declared variable list; UPoly: a dense list).  Cyclo coefficients are
+read-only views for the edges: parsing, rendering, reports.
 
 Provides: parsing/rendering of polynomial expressions, the fraction-free
 Z[w] elimination behind every determinant, rank and kernel of a Q(w)
@@ -18,12 +21,10 @@ with that gcd) behind every multiplicity, its first step
 (_zw_squarefree) behind every squarefree part, exact
 square roots of polynomials, and root extraction of univariate
 polynomials inside Q(w) (a p-adic root finder whose every answer is
-verified exactly).  The elimination, the resultant from its inputs to
-its output, the gcd, the squarefree decomposition and MPoly multiply,
-scaling, differentiation, substitution (so evaluation) and composition
-work on Z[w] int pairs (a, b) = a + b*w, lifted once from Q(w) by the
-lcm of the denominators (_zw_lift; for an MPoly, the seam MPoly._zw /
-MPoly._from_zw).  Only the standard library is used.
+verified exactly).  Every polynomial operation reads and writes the
+stored int pairs; a matrix or scalar list over Q(w) is lifted into Z[w]
+by the lcm of its denominators (_zw_lift).  Only the standard library is
+used.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 
 class DomainError(ValueError):
@@ -252,112 +254,133 @@ def _grlex_key(exps):
     return (sum(exps), exps)
 
 
+def _cyclo(ab, den) -> Cyclo:
+    """The Q(w) element (a + b*w) / den of an int pair (a, b)."""
+    return Cyclo(Fraction(ab[0], den), Fraction(ab[1], den))
+
+
+def _reduced(pairs, den):
+    """The int that divides den and every part of the pairs (an iterable of
+    int pairs) to the stored form: den > 0 and gcd(den, every part) = 1."""
+    g = math.gcd(den, *itertools.chain.from_iterable(pairs))
+    return -g if den < 0 else g
+
+
 @dataclass(frozen=True, slots=True)
 class MPoly:
     """Sparse multivariate polynomial over Q(w).
 
-    terms maps exponent tuples to nonzero Cyclo coefficients.  Instances
-    are treated as immutable; all operations return new polynomials.
+    pairs maps exponent tuples to nonzero Z[w] int pairs (a, b) = a + b*w,
+    and the coefficient of x^exps is pairs[exps] / den.  The form is
+    canonical, den > 0 and gcd(den, every a, b) = 1, so equal polynomials
+    have equal pairs and den.  terms is the read-only view exps -> Cyclo,
+    built at most once per polynomial.  Instances are treated as
+    immutable; all operations return new polynomials.
     """
 
     vars: tuple
-    terms: dict
+    pairs: dict
+    den: int
+    _view: object = field(default=None, compare=False, repr=False)
 
     def __init__(self, variables, terms=None):
+        """The polynomial sum terms[exps] * x^exps, terms a dict of Cyclo,
+        int or Fraction values."""
+        variables, terms = tuple(variables), terms or {}
+        if any(len(e) != len(variables) for e in terms):
+            raise AlgebraError("exponent vector length mismatch")
+        A, B, den = _zw_lift(terms.values())
+        self._store(variables, {tuple(map(int, e)): ab for e, ab in zip(terms, zip(A, B))}, den)
+
+    @staticmethod
+    def _new(variables, pairs, den=1) -> "MPoly":
+        """The polynomial sum pairs[exps] / den * x^exps, pairs a dict
+        exps -> (a, b) of ints."""
+        p = object.__new__(MPoly)
+        p._store(variables, pairs, den)
+        return p
+
+    def _store(self, variables, pairs, den):
+        """Set the fields to the canonical form of pairs / den."""
+        pairs = {e: ab for e, ab in pairs.items() if ab[0] or ab[1]}
+        if not pairs:
+            den = 1
+        elif den != 1:
+            g = _reduced(pairs.values(), den)
+            if g != 1:
+                pairs = {e: (a // g, b // g) for e, (a, b) in pairs.items()}
+                den //= g
         object.__setattr__(self, "vars", tuple(variables))
-        clean = {}
-        if terms:
-            for exps, c in terms.items():
-                if not isinstance(c, Cyclo):
-                    c = Cyclo._coerce(c)
-                if c.is_zero():
-                    continue
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != len(self.vars):
-                    raise AlgebraError("exponent vector length mismatch")
-                clean[exps] = c
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_view", None)
+
+    @property
+    def terms(self):
+        """The coefficients as a read-only map exps -> Cyclo."""
+        if self._view is None:
+            view = {e: _cyclo(ab, self.den) for e, ab in self.pairs.items()}
+            object.__setattr__(self, "_view", MappingProxyType(view))
+        return self._view
 
     # -- constructors -----------------------------------------------------
     @staticmethod
     def zero(variables) -> "MPoly":
-        return MPoly(variables)
+        return MPoly._new(variables, {})
 
     @staticmethod
     def const(variables, c) -> "MPoly":
-        variables = tuple(variables)
-        return MPoly(variables, {(0,) * len(variables): Cyclo._coerce(c)})
+        return MPoly.monomial(variables, (0,) * len(tuple(variables)), c)
 
     @staticmethod
     def variable(name, variables) -> "MPoly":
         variables = tuple(variables)
         i = variables.index(name)
-        exps = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return MPoly(variables, {exps: C_ONE})
+        return MPoly.monomial(variables, [int(j == i) for j in range(len(variables))])
 
     @staticmethod
     def monomial(variables, exps, c=C_ONE) -> "MPoly":
-        return MPoly(variables, {tuple(exps): Cyclo._coerce(c)})
+        (a,), (b,), den = _zw_lift([c])
+        return MPoly._new(variables, {tuple(int(k) for k in exps): (a, b)}, den)
 
     # -- basic queries ----------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.pairs
 
     def degree(self) -> int:
-        if not self.terms:
+        if not self.pairs:
             return DEGREE_ZERO_POLY
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.pairs))
 
     def degree_in(self, var) -> int:
-        if not self.terms:
+        if not self.pairs:
             return DEGREE_ZERO_POLY
         i = self.vars.index(var)
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self.pairs)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        return len(set(map(sum, self.pairs))) <= 1
 
     def leading_exponents(self):
-        return max(self.terms, key=_grlex_key)
+        return max(self.pairs, key=_grlex_key)
 
     def leading_coeff(self) -> Cyclo:
-        return self.terms[self.leading_exponents()]
+        return _cyclo(self.pairs[self.leading_exponents()], self.den)
 
     def constant_coeff(self) -> Cyclo:
-        return self.terms.get((0,) * len(self.vars), C_ZERO)
+        ab = self.pairs.get((0,) * len(self.vars))
+        return C_ZERO if ab is None else _cyclo(ab, self.den)
 
     def monic(self) -> "MPoly":
-        """Scale so the graded-lex leading coefficient is 1."""
-        if not self.terms:
+        """Scale so the graded-lex leading coefficient is 1: with the
+        leading pair l, pairs / den over l / den is pairs * conj(l) / N(l)."""
+        lead = self.pairs[self.leading_exponents()] if self.pairs else None
+        if lead is None or lead == (self.den, 0):
             return self
-        inv = self.leading_coeff().inverse()
-        return self.scale(inv)
-
-    # -- Z[w] int pairs ---------------------------------------------------
-    def _zw(self):
-        """The lift onto Z[w] int pairs: ({exps: (a, b)}, L) with each
-        coefficient (a + b*w) / L, L the lcm of the denominators."""
-        A, B, lcm = _zw_lift(self.terms.values())
-        return dict(zip(self.terms, zip(A, B))), lcm
-
-    @staticmethod
-    def _from_zw(variables, terms, den) -> "MPoly":
-        """The polynomial sum (a + b*w) / den * x^exps over terms, a dict
-        exps -> (a, b) of ints; zero pairs are dropped and each other term
-        makes one Cyclo."""
-        p = object.__new__(MPoly)
-        object.__setattr__(p, "vars", tuple(variables))
-        object.__setattr__(
-            p,
-            "terms",
-            {
-                e: Cyclo(Fraction(a, den), Fraction(b, den))
-                for e, (a, b) in terms.items()
-                if a or b
-            },
+        ca, cb, norm = _zw_conj_norm(*lead)
+        return MPoly._new(
+            self.vars, {e: _zw_mul(ab, (ca, cb)) for e, ab in self.pairs.items()}, norm
         )
-        return p
 
     # -- arithmetic -------------------------------------------------------
     def _check_same_vars(self, other):
@@ -368,44 +391,36 @@ class MPoly:
         if isinstance(other, (int, Fraction, Cyclo)):
             other = MPoly.const(self.vars, other)
         self._check_same_vars(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, C_ZERO) + c
-            if s.is_zero():
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return MPoly(self.vars, terms)
+        den = math.lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        out = {e: (a * s, b * s) for e, (a, b) in self.pairs.items()}
+        for e, (a, b) in other.pairs.items():
+            old = out.get(e)
+            out[e] = (a * t, b * t) if old is None else (old[0] + a * t, old[1] + b * t)
+        return MPoly._new(self.vars, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MPoly._new(self.vars, {e: (-a, -b) for e, (a, b) in self.pairs.items()}, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo)):
-            other = MPoly.const(self.vars, other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def scale(self, c) -> "MPoly":
-        c = Cyclo._coerce(c)
-        if c.is_zero():
-            return MPoly.zero(self.vars)
         (ca,), (cb,), lc = _zw_lift([c])
-        terms, lcm = self._zw()
-        return MPoly._from_zw(
-            self.vars, {e: _zw_mul(ab, (ca, cb)) for e, ab in terms.items()}, lcm * lc
+        return MPoly._new(
+            self.vars, {e: _zw_mul(x, (ca, cb)) for e, x in self.pairs.items()}, self.den * lc
         )
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclo)):
             return self.scale(other)
         self._check_same_vars(other)
-        (f, lf), (g, lg) = self._zw(), other._zw()
-        return MPoly._from_zw(self.vars, _zw_convolve(f, g), lf * lg)
+        return MPoly._new(self.vars, _zw_convolve(self.pairs, other.pairs), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -422,7 +437,7 @@ class MPoly:
         return result
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, self.den, frozenset(self.pairs.items())))
 
     def __repr__(self):
         return f"MPoly({render(self)!r})"
@@ -430,13 +445,12 @@ class MPoly:
     # -- calculus / substitution -----------------------------------------
     def derivative(self, var) -> "MPoly":
         i = self.vars.index(var)
-        terms, lcm = self._zw()
         out = {}
-        for e, (a, b) in terms.items():
+        for e, (a, b) in self.pairs.items():
             k = e[i]
             if k:
                 out[e[:i] + (k - 1,) + e[i + 1 :]] = (a * k, b * k)
-        return MPoly._from_zw(self.vars, out, lcm)
+        return MPoly._new(self.vars, out, self.den)
 
     def eval(self, values) -> Cyclo:
         """Full evaluation at a point (sequence of Cyclo/rational values)."""
@@ -445,11 +459,10 @@ class MPoly:
     def subs(self, assignment) -> "MPoly":
         """Partial substitution var name -> Cyclo value; keeps the var list.
 
-        On the Z[w] lift, coefficients (a, b) / L: a value (va + vb*w) / dv
-        for a variable of top degree D gives the row v^k * dv^(D - k),
-        k = 0..D, of Z[w] pairs, so every term's product lies over the one
-        denominator L * prod dv^D."""
-        terms, den = self._zw()
+        A value (va + vb*w) / dv for a variable of top degree D gives the
+        row v^k * dv^(D - k), k = 0..D, of Z[w] pairs, so every term's
+        product lies over the one denominator den * prod dv^D."""
+        terms, den = self.pairs, self.den
         rows = []
         for name, v in assignment.items():
             i = self.vars.index(name)
@@ -470,42 +483,41 @@ class MPoly:
             ne = tuple(ne)
             old = out.get(ne)
             out[ne] = ab if old is None else (old[0] + ab[0], old[1] + ab[1])
-        return MPoly._from_zw(self.vars, out, den)
+        return MPoly._new(self.vars, out, den)
 
     def compose(self, images) -> "MPoly":
         """Substitute images[i] (MPoly over a common var list) for vars[i].
 
-        On the Z[w] lifts, self's coefficients (a, b) / L and image i as
-        P_i / d_i: with E_i the top exponent of vars[i], a term
-        (a, b) / L * prod (P_i / d_i)^k_i is (a, b) * prod d_i^(E_i - k_i)
-        * P_i^k_i over the one denominator L * prod d_i^E_i.  The powers
-        P_i^k are cached and the terms summed in one dict of pairs."""
+        With self's coefficients (a, b) / L and image i as P_i / d_i, E_i
+        the top exponent of vars[i], a term (a, b) / L * prod
+        (P_i / d_i)^k_i is (a, b) * prod d_i^(E_i - k_i) * P_i^k_i over the
+        one denominator L * prod d_i^E_i.  The powers P_i^k are cached and
+        the terms summed in one dict of pairs."""
         if len(images) != len(self.vars):
             raise AlgebraError("compose needs one image per variable")
         target_vars = images[0].vars
         for img in images:
             img._check_same_vars(images[0])
-        terms, den = self._zw()
-        lifted = [img._zw() for img in images]
+        terms, den = self.pairs, self.den
         tops = [max((e[i] for e in terms), default=0) for i in range(len(images))]
-        for (_f, d), top in zip(lifted, tops):
-            den *= d**top
+        for img, top in zip(images, tops):
+            den *= img.den**top
         zero = (0,) * len(target_vars)
         pows = [[{zero: (1, 0)}] for _ in images]  # pows[i][k] = P_i^k
         total = {}
         for e, (a, b) in terms.items():
-            s = math.prod(d ** (top - k) for (_f, d), top, k in zip(lifted, tops, e))
+            s = math.prod(img.den ** (top - k) for img, top, k in zip(images, tops, e))
             t = {zero: (a * s, b * s)}
             for i, k in enumerate(e):
                 if k:
                     cache = pows[i]
                     while len(cache) <= k:
-                        cache.append(_zw_convolve(cache[-1], lifted[i][0]))
+                        cache.append(_zw_convolve(cache[-1], images[i].pairs))
                     t = _zw_convolve(t, cache[k])
             for key, (x, y) in t.items():
                 old = total.get(key)
                 total[key] = (x, y) if old is None else (old[0] + x, old[1] + y)
-        return MPoly._from_zw(target_vars, total, den)
+        return MPoly._new(target_vars, total, den)
 
     def coeffs_in(self, var):
         """Coefficients of powers of var, as polynomials with var removed.
@@ -515,12 +527,16 @@ class MPoly:
         i = self.vars.index(var)
         rest = self.vars[:i] + self.vars[i + 1 :]
         out = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            re = e[:i] + e[i + 1 :]
-            d = out.setdefault(k, {})
-            d[re] = c
-        return {k: MPoly(rest, d) for k, d in out.items()}, rest
+        for e, ab in self.pairs.items():
+            out.setdefault(e[i], {})[e[:i] + e[i + 1 :]] = ab
+        return {k: MPoly._new(rest, d, self.den) for k, d in out.items()}, rest
+
+    def homogeneous_parts(self) -> dict:
+        """{d: the sum of the terms of total degree d} over the nonzero parts."""
+        out = {}
+        for e, ab in self.pairs.items():
+            out.setdefault(sum(e), {})[e] = ab
+        return {d: MPoly._new(self.vars, t, self.den) for d, t in out.items()}
 
     def divide_exact(self, d: "MPoly") -> "MPoly":
         """Exact division; raises NotDivisible when a remainder survives."""
@@ -547,6 +563,41 @@ class MPoly:
                 else:
                     rem[ke] = s
         return MPoly(self.vars, qterms)
+
+
+def _convolve(f, g):
+    """Product of two int coefficient lists, low -> high."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g, i):
+            out[j] += x * y
+    return out
+
+
+def restrict_to_line(p: MPoly, alpha, beta, gamma) -> "UPoly":
+    """Restriction of a ternary p to the line (t, alpha + beta t, 1 + gamma
+    t) as a UPoly.  The rational parameters are A / D, B / D and G / D over
+    one denominator D and never meet a Q(w) product: each term
+    (a, b) / den * x^i y^j z^k adds (a, b) * D^(top - j - k) times the
+    integer coefficients of t^i (A + B t)^j (D + G t)^k, top the largest
+    j + k, all over den * D^top."""
+    alpha, beta, gamma = (Fraction(v) for v in (alpha, beta, gamma))
+    D = math.lcm(alpha.denominator, beta.denominator, gamma.denominator)
+    A, B, G = (int(v * D) for v in (alpha, beta, gamma))
+    top = max((j + k for _i, j, k in p.pairs), default=0)
+    a = [0] * (p.degree() + 1)
+    b = [0] * (p.degree() + 1)
+    ys, zs = [[1]], [[1]]  # powers of A + B t and of D + G t
+    for (i, j, k), (xa, xb) in p.pairs.items():
+        while len(ys) <= j:
+            ys.append(_convolve(ys[-1], (A, B)))
+        while len(zs) <= k:
+            zs.append(_convolve(zs[-1], (D, G)))
+        s = D ** (top - j - k)
+        for n, v in enumerate(_convolve(ys[j], zs[k]), i):
+            a[n] += xa * v * s
+            b[n] += xb * v * s
+    return UPoly._new(zip(a, b), p.den * D**top)
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +689,7 @@ class _Parser:
         while self.peek() == "*":
             self.pos += 1
             q, r = self.factor()
-            self.bound(reach + r, len(p.terms) * len(q.terms))
+            self.bound(reach + r, len(p.pairs) * len(q.pairs))
             p, reach = p * q, reach + r
         return p, reach
 
@@ -647,7 +698,7 @@ class _Parser:
         if self.peek() == "^":
             self.pos += 1
             n = self.natural()
-            self.bound(reach * n, math.comb(n + max(len(p.terms), 1) - 1, n))
+            self.bound(reach * n, math.comb(n + max(len(p.pairs), 1) - 1, n))
             p, reach = p**n, reach * n
         return p, reach
 
@@ -744,30 +795,12 @@ def render(p: MPoly) -> str:
         mono = "*".join(
             f"{v}^{k}" if k > 1 else v for v, k in zip(p.vars, e) if k > 0
         )
-        if c.b == 0:
-            sign = "-" if c.a < 0 else "+"
-            mag = abs(c.a)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = str(mag)
-        elif c.a == 0 and c.b > 0:
-            sign = "+"
-            co = "w" if c.b == 1 else f"{c.b}*w"
-            body = f"{co}*{mono}" if mono else co
-        elif c.a == 0:  # c.b < 0
-            sign = "-"
-            co = "w" if c.b == -1 else f"{-c.b}*w"
-            body = f"{co}*{mono}" if mono else co
-        else:
-            sign = "+"
-            inner_sign = "+" if c.b > 0 else "-"
-            bmag = abs(c.b)
-            wpart = "w" if bmag == 1 else f"{bmag}*w"
-            co = f"({c.a} {inner_sign} {wpart})"
-            body = f"{co}*{mono}" if mono else co
+        # a negative rational or pure-w coefficient is written as "-" and
+        # its negation
+        sign = "-" if (c.a < 0 if c.b == 0 else c.a == 0 and c.b < 0) else "+"
+        c = -c if sign == "-" else c
+        co = render_coeff(c)
+        body = mono if mono and c == 1 else f"{co}*{mono}" if mono else co
         pieces.append((sign, body))
     sign0, body0 = pieces[0]
     out = body0 if sign0 == "+" else f"-{body0}"
@@ -1096,10 +1129,10 @@ def _interpolate(xs, columns):
 def resultant(p: MPoly, q: MPoly, var) -> MPoly:
     """Resultant with respect to var; Sylvester determinant convention.
 
-    p and q are lifted once each into Z[w] int pairs (a, b) = a + b*w,
-    scaled by the lcm Lp, Lq of their denominators; the determinant of the
-    Sylvester matrix of the lifted pair at the formal degrees dp, dq is
-    Lp^dq * Lq^dp times the resultant.  It is taken on the pairs by
+    p and q are held as Z[w] int pairs (a, b) = a + b*w over their
+    denominators Lp, Lq; the determinant of the Sylvester matrix of the
+    pairs at the formal degrees dp, dq is Lp^dq * Lq^dp times the
+    resultant.  It is taken on the pairs by
     evaluation and interpolation (Collins, JACM 18, 1971), one remaining
     active variable at a time, down to scalar leaves, each the last
     subresultant of the PRS that UPoly.gcd runs (_zw_res); no Sylvester
@@ -1117,17 +1150,12 @@ def resultant(p: MPoly, q: MPoly, var) -> MPoly:
     if dq == 0:
         return q.coeffs_in(var)[0][0] ** dp
     i = p.vars.index(var)
-    sides = []
-    for f, d in ((p, dp), (q, dq)):
-        terms, lcm = f._zw()
-        cs = [{} for _ in range(d + 1)]
-        for e, ab in terms.items():
+    pc, qc = ([{} for _ in range(d + 1)] for d in (dp, dq))
+    for f, cs in ((p, pc), (q, qc)):
+        for e, ab in f.pairs.items():
             cs[e[i]][e[:i] + e[i + 1 :]] = ab
-        sides.append((cs, lcm))
-    (pc, lp), (qc, lq) = sides
-    scale = lp**dq * lq**dp
     det = _sylvester_det_zw(pc, qc)
-    return MPoly._from_zw(p.vars[:i] + p.vars[i + 1 :], det, scale)
+    return MPoly._new(p.vars[:i] + p.vars[i + 1 :], det, p.den**dq * q.den**dp)
 
 
 def _sylvester_det_zw(pc, qc):
@@ -1354,72 +1382,91 @@ def _zw_yun(f):
 
 @dataclass(frozen=True, slots=True)
 class UPoly:
-    """Dense univariate polynomial over Q(w), coefficients low -> high;
-    equal coefficient tuples make equal polynomials."""
+    """Dense univariate polynomial over Q(w): the coefficient of t^k is
+    pairs[k] / den, pairs a tuple of Z[w] int pairs low -> high without a
+    zero leading pair, in MPoly's canonical form (den > 0, gcd(den, every
+    part) = 1), so equal polynomials have equal pairs and den.  coeffs is
+    the read-only tuple of Cyclo coefficients, built at most once."""
 
-    coeffs: tuple
+    pairs: tuple
+    den: int
+    _view: object = field(default=None, compare=False, repr=False)
 
     def __init__(self, coeffs):
-        cs = [Cyclo._coerce(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        """The polynomial with coefficients coeffs (Cyclo, int or Fraction),
+        low -> high."""
+        A, B, den = _zw_lift(coeffs)
+        self._store(zip(A, B), den)
+
+    @staticmethod
+    def _new(pairs, den=1) -> "UPoly":
+        """The polynomial with coefficients pairs[k] / den, pairs an
+        iterable of int pairs low -> high."""
+        u = object.__new__(UPoly)
+        u._store(pairs, den)
+        return u
+
+    def _store(self, pairs, den):
+        """Set the fields to the canonical form of pairs / den."""
+        pairs = list(pairs)
+        while pairs and pairs[-1] == (0, 0):
+            pairs.pop()
+        if not pairs:
+            den = 1
+        elif den != 1:
+            g = _reduced(pairs, den)
+            if g != 1:
+                pairs = [(a // g, b // g) for a, b in pairs]
+                den //= g
+        object.__setattr__(self, "pairs", tuple(pairs))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_view", None)
+
+    @property
+    def coeffs(self):
+        """The coefficients low -> high as a tuple of Cyclo."""
+        if self._view is None:
+            object.__setattr__(self, "_view", tuple(_cyclo(ab, self.den) for ab in self.pairs))
+        return self._view
 
     @staticmethod
     def from_mpoly(p: MPoly, var) -> "UPoly":
         i = p.vars.index(var)
-        if any(e[j] for e in p.terms for j in range(len(p.vars)) if j != i):
+        if any(e[j] for e in p.pairs for j in range(len(p.vars)) if j != i):
             raise AlgebraError("polynomial is not univariate in the given variable")
-        d = p.degree_in(var)
-        cs = [C_ZERO] * (d + 1) if d >= 0 else []
-        for e, c in p.terms.items():
-            cs[e[i]] = c
-        return UPoly(cs)
+        pairs = [(0, 0)] * (p.degree_in(var) + 1)
+        for e, ab in p.pairs.items():
+            pairs[e[i]] = ab
+        return UPoly._new(pairs, p.den)
 
     def to_mpoly(self, var, variables) -> MPoly:
         variables = tuple(variables)
         i = variables.index(var)
-        terms = {}
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                e = [0] * len(variables)
-                e[i] = k
-                terms[tuple(e)] = c
-        return MPoly(variables, terms)
+        exps = [(0,) * i + (k,) + (0,) * (len(variables) - i - 1) for k in range(len(self.pairs))]
+        return MPoly._new(variables, dict(zip(exps, self.pairs)), self.den)
 
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.pairs) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.pairs
+
+    # sums, products, monic and evaluation are MPoly's, in the one variable t
+    def _in_t(self) -> MPoly:
+        return self.to_mpoly("t", ("t",))
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UPoly(
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else C_ZERO)
-                + (other.coeffs[i] if i < len(other.coeffs) else C_ZERO)
-                for i in range(n)
-            ]
-        )
+        return UPoly.from_mpoly(self._in_t() + other._in_t(), "t")
 
     def __neg__(self):
-        return UPoly([-c for c in self.coeffs])
+        return UPoly._new([(-a, -b) for a, b in self.pairs], self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo)):
-            c = Cyclo._coerce(other)
-            return UPoly([x * c for x in self.coeffs])
-        out = [C_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1) if self.coeffs and other.coeffs else []
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UPoly(out)
+        other = other._in_t() if isinstance(other, UPoly) else other
+        return UPoly.from_mpoly(self._in_t() * other, "t")
 
     def divmod(self, other):
         if other.is_zero():
@@ -1438,46 +1485,34 @@ class UPoly:
         return UPoly(q), UPoly(r)
 
     def monic(self) -> "UPoly":
-        if self.is_zero() or self.coeffs[-1] == C_ONE:
-            return self
-        inv = self.coeffs[-1].inverse()
-        return self * inv
+        return UPoly.from_mpoly(self._in_t().monic(), "t")
 
     def eval(self, x) -> Cyclo:
-        if not self.coeffs:
-            return C_ZERO
-        x = Cyclo._coerce(x)
-        total = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            total = total * x + c
-        return total
+        return self._in_t().eval((x,))
 
     def conjugate(self) -> "UPoly":
-        return UPoly([c.conjugate() for c in self.coeffs])
+        return UPoly._new([(a - b, -b) for a, b in self.pairs], self.den)
 
     def gcd(self, other) -> "UPoly":
-        """Monic gcd of the inputs, each scaled by the lcm of its
-        denominators into Z[w] int pairs (a, b) = a + b*w.  The gcd is read
-        from one image mod P and certified by exact division
-        (_modular_gcd); where that declines it is the last nonzero
-        remainder of the subresultant PRS (_zw_prs, the one the resultant's
-        leaves run).  Only the result becomes Cyclo."""
+        """Monic gcd of the inputs, from their Z[w] int pairs (a, b) =
+        a + b*w.  The gcd is read from one image mod P and certified by
+        exact division (_modular_gcd); where that declines it is the last
+        nonzero remainder of the subresultant PRS (_zw_prs, the one the
+        resultant's leaves run)."""
         f, g = (self, other) if self.degree() >= other.degree() else (other, self)
         if g.is_zero():
             return f.monic()
-        return UPoly._monic_from_zw(_zw_poly_gcd(f._zw(), g._zw()))
+        return UPoly._new(_zw_poly_gcd(f.pairs, g.pairs)).monic()
 
     def squarefree_part(self) -> "UPoly":
-        """Monic self / gcd(self, self'): _zw_squarefree on the Z[w] lift."""
-        return UPoly._monic_from_zw(_zw_squarefree(self._zw())[0])
+        """Monic self / gcd(self, self'): _zw_squarefree on the pairs."""
+        return UPoly._new(_zw_squarefree(self.pairs)[0]).monic()
 
-    def _zw(self):
-        """The Z[w] lift (_zw_lift) as a list of int pairs low -> high."""
-        return list(zip(*_zw_lift(self.coeffs)[:2]))
-
-    @staticmethod
-    def _monic_from_zw(pairs) -> "UPoly":
-        return UPoly([Cyclo(a, b) for a, b in pairs]).monic()
+    def squarefree_factors(self) -> dict:
+        """Yun's squarefree decomposition (_zw_yun) {i: monic a_i}: self is
+        its leading coefficient times prod a_i^i, the a_i nonconstant,
+        squarefree and pairwise coprime; empty for a constant."""
+        return {i: UPoly._new(a).monic() for i, a in _zw_yun(self.pairs)[1].items()}
 
 
 # ---------------------------------------------------------------------------
@@ -1640,7 +1675,7 @@ def qomega_roots(p: UPoly):
     and missing counts the remaining distinct roots that lie outside Q(w)
     (degree of the squarefree part not accounted for by found roots).
 
-    _zw_yun splits the Z[w] lift of p into its squarefree part f and the
+    _zw_yun splits the Z[w] pairs of p into its squarefree part f and the
     Yun factors a = a_i, whose roots have multiplicity i.  Take the first
     prime q = 1 mod 3, with w -> r a cube root of unity mod q, at which
     lc(f) does not vanish and f, so each a, is squarefree over F_q.  Every
@@ -1656,7 +1691,7 @@ def qomega_roots(p: UPoly):
     """
     if p.is_zero():
         raise AlgebraError("root-finding on the zero polynomial")
-    f, parts = _zw_yun(p._zw())
+    f, parts = _zw_yun(p.pairs)
     if not parts:
         return [], 0
     for q in itertools.count(7, 6):
@@ -1720,11 +1755,11 @@ def poly_sqrt(p: MPoly):
     twice_lc = s.leading_coeff() * 2
     rem = p - s * s
     while not rem.is_zero():
-        e = max(rem.terms, key=_grlex_key)
+        e = rem.leading_exponents()
         ne = tuple(a - b for a, b in zip(e, half))
         if any(k < 0 for k in ne) or _grlex_key(ne) >= lead_key:
             return NOT_A_SQUARE
-        t = MPoly.monomial(p.vars, ne, rem.terms[e] / twice_lc)
+        t = MPoly.monomial(p.vars, ne, rem.leading_coeff() / twice_lc)
         # p - (s + t)^2 = (p - s^2) - (2s + t) * t
         rem = rem - (s + s + t) * t
         s = s + t
@@ -1745,13 +1780,13 @@ def weighted_degree(p: MPoly, weights):
         raise AlgebraError("weights length must match variable count")
     if p.is_zero():
         return DEGREE_ZERO_POLY
-    return max(sum(w * e for w, e in zip(weights, exps)) for exps in p.terms)
+    return max(sum(w * e for w, e in zip(weights, exps)) for exps in p.pairs)
 
 
 def is_weighted_homogeneous(p: MPoly, weights) -> bool:
     if len(weights) != len(p.vars):
         raise AlgebraError("weights length must match variable count")
-    degs = {sum(w * e for w, e in zip(weights, exps)) for exps in p.terms}
+    degs = {sum(w * e for w, e in zip(weights, exps)) for exps in p.pairs}
     return len(degs) <= 1
 
 

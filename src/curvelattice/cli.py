@@ -9,7 +9,8 @@ Exit codes: 0 success, 2 domain errors (inapplicable rank formula,
 incomplete singular locus, degenerate input, ...), 1 usage errors, 3 a
 broken internal invariant (algebra.InvariantError: an exact division in a
 kernel left a remainder), which is a fault in the program, not in its input.
-Every domain error subclasses algebra.DomainError.
+Every domain error subclasses algebra.DomainError; any other exception is
+a fault too and is not caught.
 
 Each command imports the modules it uses when it runs, so a process loads
 and compiles only those: the module itself imports nothing beyond algebra.
@@ -39,7 +40,7 @@ KODAIRA_II_CLAUSE = (
     "irreducible (cuspidal) fibers"
 )
 
-DOMAIN_ERRORS = (DomainError, ValueError, ArithmeticError)
+DOMAIN_ERRORS = (DomainError,)
 
 INVARIANT_EXIT = 3
 
@@ -158,7 +159,10 @@ def _quadform(doc):
 def _weighted(args):
     from .spectrum import WeightedPoly
 
-    weights = tuple(int(w) for w in args.weights.split(","))
+    try:
+        weights = tuple(int(w) for w in args.weights.split(","))
+    except ValueError:
+        weights = ()
     if len(weights) != 2:
         raise UsageError("--weights expects two comma-separated integers")
     f = parse_poly(args.f, ("x", "y"))

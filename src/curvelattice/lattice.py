@@ -43,11 +43,11 @@ class QuadForm:
         m = [[Fraction(x) for x in row] for row in self.m]
         n = len(m)
         if any(len(row) != n for row in m):
-            raise ValueError("matrix must be square")
+            raise DomainError("matrix must be square")
         for i in range(n):
             for j in range(n):
                 if m[i][j] != m[j][i]:
-                    raise ValueError("matrix must be symmetric")
+                    raise DomainError("matrix must be symmetric")
         object.__setattr__(self, "m", m)
 
     @property
@@ -140,7 +140,7 @@ def shortest_vectors(gram):
     ]
     n = len(rows)
     if n == 0 or n > 8:
-        raise ValueError("rank must be between 1 and 8")
+        raise DomainError("rank must be between 1 and 8")
     bound = min(rows[i][i] for i in range(n))
     cands = _enumerate_upto(rows, bound)
     min_norm = min(norm for norm, _v in cands)
@@ -286,7 +286,7 @@ def factorint(n: int) -> dict:
 def jacobi_symbol(a: int, n: int) -> int:
     """The Jacobi symbol (a / n) for odd n > 0, by quadratic reciprocity."""
     if n <= 0 or n % 2 == 0:
-        raise ValueError("the Jacobi symbol needs an odd positive modulus")
+        raise DomainError("the Jacobi symbol needs an odd positive modulus")
     a %= n
     out = 1
     while a:
@@ -332,12 +332,12 @@ def hilbert_symbol(a, b, p) -> int:
     """The Hilbert symbol (a, b)_p for p a prime or the string 'inf'."""
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
-        raise ValueError("arguments must be nonzero")
+        raise DomainError("arguments must be nonzero")
     if p in ("inf", "infinity", math.inf):
         return -1 if a < 0 and b < 0 else 1
     p = int(p)
     if not isprime(p):
-        raise ValueError(f"{p} is not prime")
+        raise DomainError(f"{p} is not prime")
     alpha, u = _split_valuation(a, p)
     beta, v = _split_valuation(b, p)
     if p == 2:

@@ -123,7 +123,7 @@ def mw_rank_hyperelliptic(e: int, profile: CurveProfile) -> RankReport:
 
     delegating to mw_rank with f = x^2 + y^e and checking agreement."""
     if e < 2:
-        raise ValueError("e must be at least 2")
+        raise DomainError("e must be at least 2")
     if profile.d % 2:
         raise DegreeParity(f"curve degree {profile.d} is odd")
     if profile.d % e:

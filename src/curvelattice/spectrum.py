@@ -41,20 +41,20 @@ class WeightedPoly:
     def __post_init__(self):
         f = self.f
         if len(f.vars) != 2:
-            raise ValueError("weighted polynomials live in two variables")
+            raise DomainError("weighted polynomials live in two variables")
         w1, w2 = self.weights
         if w1 <= 0 or w2 <= 0:
-            raise ValueError("weights must be positive")
+            raise DomainError("weights must be positive")
         if f.is_zero():
-            raise ValueError("the zero polynomial has no spectrum")
+            raise DomainError("the zero polynomial has no spectrum")
         if not is_weighted_homogeneous(f, (w1, w2)):
-            raise ValueError("polynomial is not weighted homogeneous")
+            raise DomainError("polynomial is not weighted homogeneous")
         object.__setattr__(self, "wdeg", weighted_degree(f, (w1, w2)))
 
     def scaled(self, target_wdeg: int) -> "WeightedPoly":
         """Same polynomial with weights scaled so wdeg equals target_wdeg."""
         if target_wdeg % self.wdeg:
-            raise ValueError(f"{self.wdeg} does not divide {target_wdeg}")
+            raise DomainError(f"{self.wdeg} does not divide {target_wdeg}")
         m = target_wdeg // self.wdeg
         return WeightedPoly(self.f, (self.weights[0] * m, self.weights[1] * m))
 
@@ -135,7 +135,7 @@ def eigen_dim(wp: WeightedPoly, alpha) -> int:
     as the weight at alpha in the rank formula."""
     alpha = Fraction(alpha)
     if not 0 <= alpha < 1:
-        raise ValueError("alpha must lie in [0, 1)")
+        raise DomainError("alpha must lie in [0, 1)")
     sp = spectrum(wp)
     return sp.get(alpha, 0) + sp.get(alpha - 1, 0)
 

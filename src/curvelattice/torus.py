@@ -28,7 +28,6 @@ from .adjunction import (
     CuspScheme,
     IncompleteLocus,
     _monomials,
-    _restrict_to_line,
     _upoly_gcd_many,
     gcd_degree,
     singular_points,
@@ -47,6 +46,7 @@ from .algebra import (
     poly_sqrt,
     qomega_roots,
     render,
+    restrict_to_line,
     resultant,
 )
 from .linalg import det_fraction, kernel_basis
@@ -79,7 +79,7 @@ class QuasiToricPoint:
 
     def __post_init__(self):
         if self.Z.is_zero():
-            raise ValueError("Z must be nonzero")
+            raise DomainError("Z must be nonzero")
         mu = self.Z.leading_coeff().inverse()
         object.__setattr__(self, "X", self.X.scale(mu * mu))
         object.__setattr__(self, "Y", self.Y.scale(mu * mu * mu))
@@ -90,11 +90,7 @@ class QuasiToricPoint:
         return max(self.Z.degree(), 0)
 
     def key(self):
-        return (
-            tuple(sorted(self.X.terms.items())),
-            tuple(sorted(self.Y.terms.items())),
-            tuple(sorted(self.Z.terms.items())),
-        )
+        return (self.X, self.Y, self.Z)  # MPoly compares and hashes by value
 
     def __eq__(self, other):
         return isinstance(other, QuasiToricPoint) and self.key() == other.key()
@@ -156,7 +152,7 @@ def mu6_orbit(point: QuasiToricPoint):
         orbit, key=lambda p: (render(p.X), render(p.Y), render(p.Z))
     )
     if len(members) != 6:
-        raise ValueError("degenerate orbit: fewer than six distinct members")
+        raise DomainError("degenerate orbit: fewer than six distinct members")
     return members
 
 
@@ -195,7 +191,7 @@ def pairing(p: QuasiToricPoint, q: QuasiToricPoint) -> int:
     validated for symmetry.
     """
     if p.curve != q.curve or p.k != q.k:
-        raise ValueError("points must lie over the same curve")
+        raise DomainError("points must lie over the same curve")
     rel = _orbit_relation(p, q)
     if rel is not None:
         value = height(p) * rel
@@ -311,7 +307,7 @@ def _g_on_trial_line(g: MPoly, cusps, trial, g_lines):
             )
             for c in cusps
         ):
-            gl = _restrict_to_line(g, alpha, beta, 0)
+            gl = restrict_to_line(g, alpha, beta, 0)
         g_lines[trial] = gl
     return g_lines[trial]
 
@@ -341,7 +337,7 @@ def _lambda_cubed_candidates(g: MPoly, q0: MPoly, cusps, g_lines):
         gl = _g_on_trial_line(g, cusps, trial, g_lines)
         if gl is None:
             continue
-        ql3 = _restrict_to_line(q03, alpha, beta, 0)
+        ql3 = restrict_to_line(q03, alpha, beta, 0)
         if gl.degree() != 6 or ql3.degree() != 6:
             continue
         u = gl.to_mpoly("t", tm) - ql3.to_mpoly("t", tm) * m
@@ -367,9 +363,9 @@ def find_toric_sextic(profile: CurveProfile) -> ToricSearchResult:
     m = lambda^3 and verified by extracting the square root.
     """
     if profile.d != 6:
-        raise ValueError("toric search requires a sextic")
+        raise DomainError("toric search requires a sextic")
     if profile.points is None:
-        raise ValueError("toric search requires an explicit cusp list")
+        raise DomainError("toric search requires an explicit cusp list")
     g = profile.g
     variables = g.vars
     cusps = [p.point for p in profile.points if p.kind == "cusp"]
@@ -512,7 +508,7 @@ def table1_construct(k: int, params, seed=None):
     (impossible for valid parameter degrees).
     """
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise DomainError("k must be at least 1")
     if seed is not None:
         params = table1_params(k, seed)
     v = Y_VARS
@@ -524,7 +520,7 @@ def table1_construct(k: int, params, seed=None):
 
     u = bf("u", k + 1)
     if u.is_zero():
-        raise ValueError("u must be nonzero")
+        raise DomainError("u must be nonzero")
     f1p = bf("f1p", k)
     f2p = bf("f2p", k - 1)
     f3 = bf("f3", 2 * k - 1)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import DomainError, MPoly, UPoly, _zw_yun
+from .algebra import DomainError, MPoly, UPoly
 
 
 class Degenerate(DomainError):
@@ -28,14 +28,14 @@ class NotMinimal(DomainError):
 
 def squarefree_decomposition(f: UPoly):
     """Yun decomposition {multiplicity: monic squarefree factor}
-    (algebra._zw_yun on the Z[w] lift of f).
+    (UPoly.squarefree_factors).
 
     The factors are pairwise coprime and f equals its leading coefficient
     times the product of factor^multiplicity.
     """
     if f.is_zero():
-        raise ValueError("zero polynomial has no squarefree decomposition")
-    return {i: UPoly._monic_from_zw(a) for i, a in _zw_yun(f._zw())[1].items()}
+        raise DomainError("zero polynomial has no squarefree decomposition")
+    return f.squarefree_factors()
 
 
 def _rad_at_least(parts, m: int) -> UPoly:
@@ -53,7 +53,7 @@ def _to_upoly_any(p) -> UPoly:
     if isinstance(p, MPoly):
         active = [v for i, v in enumerate(p.vars) if any(e[i] for e in p.terms)]
         if len(active) > 1:
-            raise ValueError("coefficient polynomial must be univariate")
+            raise DomainError("coefficient polynomial must be univariate")
         var = active[0] if active else (p.vars[0] if p.vars else None)
         if var is None:
             return UPoly([p.constant_coeff()])
@@ -74,9 +74,9 @@ class WeierstrassData:
     def __post_init__(self):
         A, B, k = _to_upoly_any(self.A), _to_upoly_any(self.B), self.k
         if k <= 0:
-            raise ValueError("k must be positive")
+            raise DomainError("k must be positive")
         if A.degree() > 4 * k or B.degree() > 6 * k:
-            raise ValueError("degrees exceed the 4k/6k bounds")
+            raise DomainError("degrees exceed the 4k/6k bounds")
         if (A * A * A * 4 + B * B * 27).is_zero():
             raise Degenerate("discriminant vanishes identically")
         object.__setattr__(self, "A", A)
@@ -143,14 +143,14 @@ def no_reducible_fibers(w: WeierstrassData) -> bool:
 def height_from_intersections(chi: int, sz: int) -> int:
     """<S,S> = 2*chi + 2*(S.Z)."""
     if chi < 1:
-        raise ValueError("chi must be positive")
+        raise DomainError("chi must be positive")
     if sz < 0:
-        raise ValueError("intersection numbers are non-negative")
+        raise DomainError("intersection numbers are non-negative")
     return 2 * chi + 2 * sz
 
 
 def pairing_from_intersections(chi: int, sz: int, spz: int, ssp: int) -> int:
     """<S,S'> = chi + (S.Z) + (S'.Z) - (S.S')."""
     if chi < 1:
-        raise ValueError("chi must be positive")
+        raise DomainError("chi must be positive")
     return chi + sz + spz - ssp

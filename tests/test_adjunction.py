@@ -524,13 +524,13 @@ class TestProfileValidation:
         # pencil pass through cusps of the nine-cusp sextic, so only the
         # third line, y = 2z, certifies it squarefree
         lines = []
-        restrict = adjunction._restrict_to_line
+        restrict = adjunction.restrict_to_line
 
         def recorded(p, alpha, beta, gamma):
             lines.append((alpha, beta, gamma))
             return restrict(p, alpha, beta, gamma)
 
-        monkeypatch.setattr(adjunction, "_restrict_to_line", recorded)
+        monkeypatch.setattr(adjunction, "restrict_to_line", recorded)
         centres = []
         centre = adjunction._centre
         monkeypatch.setattr(
@@ -571,4 +571,4 @@ class TestRestrictToLine:
                     MPoly.const(tv, 1) + t.scale(gamma),
                 ]
                 want = UPoly.from_mpoly(p.compose(images), "t")
-                assert adjunction._restrict_to_line(p, alpha, beta, gamma) == want
+                assert algebra.restrict_to_line(p, alpha, beta, gamma) == want

@@ -642,9 +642,8 @@ class TestResultant:
         assert reduce_omega(ours - oracle) == 0
 
     def test_one_cyclo_per_output_term(self, monkeypatch):
-        # the resultant runs on Z[w] int pairs from its inputs to its
-        # output: the only Q(w) scalars it makes are the output's
-        # coefficients, one each
+        # the resultant runs on the stored Z[w] int pairs from its inputs
+        # to its output: it makes no Q(w) scalar
         p = parse_poly("w*x^2*y + (1 - 2*w)*x*z + 1/3*y^2 + w*z", XYZ)
         q = parse_poly("x^2 + w*y*z*x - 5/2*w*y + z^2", XYZ)
         calls = []
@@ -664,7 +663,7 @@ class TestResultant:
         monkeypatch.undo()
         assert got.degree_in("y") > 0 and got.degree_in("z") > 0
         assert any(not c.is_rational() for c in got.terms.values())
-        assert len(calls) <= len(got.terms)
+        assert calls == []
 
     def test_inexact_divided_difference_raises(self, monkeypatch):
         # every divided difference of a Z[w] polynomial at integer nodes is
@@ -788,9 +787,9 @@ class TestIntPairKernels:
             assert got.is_zero()
 
     def test_one_cyclo_per_output_term(self, monkeypatch):
-        # multiply, substitute and compose lift their operands to Z[w] int
-        # pairs once: the only Q(w) scalars they make are the output's
-        # coefficients, one each
+        # multiply, substitute and compose read and write the stored Z[w]
+        # int pairs: they make no Q(w) scalar (the substituted values are
+        # Cyclo already)
         p = parse_poly("w*x^2*y + (1 - 2*w)*x*z + 1/3*y^2 + w*z", XYZ)
         q = parse_poly("x^2 + w*y*z*x - 5/2*w*y + z^2", XYZ)
         images = [parse_poly(t, UV) for t in ("1/2*u + w*v", "u - 1/3", "(2 + w)*v^2")]
@@ -813,7 +812,64 @@ class TestIntPairKernels:
             got = run()
             monkeypatch.undo()
             assert any(not c.is_rational() for c in got.terms.values())
-            assert len(calls) <= len(got.terms)
+            assert calls == []
+
+
+NONZERO = cyclos.filter(lambda c: not c.is_zero())
+
+
+def assert_canonical(p):
+    """The stored form: no zero pair (no zero leading pair for a UPoly),
+    den > 0 and gcd(den, every part) = 1."""
+    pairs = list(p.pairs.values()) if isinstance(p, MPoly) else list(p.pairs)
+    assert (0, 0) not in (pairs if isinstance(p, MPoly) else pairs[-1:])
+    assert p.den > 0 and math.gcd(p.den, *(x for ab in pairs for x in ab)) == 1
+
+
+def assert_same(p, q):
+    """p and q, one polynomial built two ways, are one stored value."""
+    assert_canonical(p)
+    assert_canonical(q)
+    assert p == q and hash(p) == hash(q)
+    if isinstance(p, MPoly):
+        assert render(p) == render(q)
+    else:
+        assert p.coeffs == q.coeffs
+
+
+class TestCanonicalForm:
+    """MPoly and UPoly store Z[w] int pairs over one denominator in one
+    canonical form, so a polynomial built two ways is ==, hashes alike and
+    renders alike."""
+
+    @given(mpolys(), mpolys(), NONZERO)
+    @settings(max_examples=80, deadline=None)
+    def test_mpoly(self, p, q, c):
+        # parse against arithmetic: the rendered text and the sum of the
+        # monomials of the Cyclo view
+        terms = [MPoly.monomial(XYZ, e, v) for e, v in p.terms.items()]
+        assert_same(parse_poly(render(p), XYZ), sum(terms, MPoly.zero(XYZ)))
+        assert_same(p.scale(c).scale(c.inverse()), p)
+        assert_same((p + q) - q, p)
+        # denominators that cancel in a product
+        assert_same(p.scale(c) * q.scale(c.inverse()), p * q)
+        assert_same(p.scale(Fraction(1, 6)) * q.scale(6), q * p)
+
+    @given(st.lists(cyclos, max_size=5), st.lists(cyclos, max_size=5), NONZERO)
+    @settings(max_examples=80, deadline=None)
+    def test_upoly(self, cs, ds, c):
+        u, v = UPoly(cs), UPoly(ds)
+        assert_same(UPoly.from_mpoly(parse_poly(render(u.to_mpoly("t", ("t",))), ("t",)), "t"), u)
+        assert_same((u * c) * c.inverse(), u)
+        assert_same((u + v) - v, u)
+        assert_same((u * c) * (v * c.inverse()), v * u)
+        assert_same(UPoly(list(u.coeffs) + [C_ZERO, 0]), u)
+
+    def test_zero_and_sign(self):
+        assert MPoly.zero(XYZ).den == 1 and UPoly([C_ZERO, 0]).den == 1
+        p = parse_poly("-1/6*x + 2/3*w*y", XYZ)
+        assert (p.pairs, p.den) == ({(1, 0, 0): (-1, 0), (0, 1, 0): (0, 4)}, 6)
+        assert_same(p.scale(-6).scale(Fraction(-1, 6)), p)
 
 
 @st.composite
@@ -939,8 +995,8 @@ def upoly_factors(draw, count):
 
 
 def lift_pairs(u: UPoly):
-    """u scaled into Z[w] as a list of int pairs low -> high."""
-    return list(zip(*algebra._zw_lift(u.coeffs)[:2]))
+    """u's stored Z[w] int pairs, a multiple of u, as a list low -> high."""
+    return list(u.pairs)
 
 
 def upoly_from_roots(roots, lead=C_ONE):
@@ -1334,15 +1390,16 @@ def sympy_sqf(p: UPoly):
 
 
 class TestYun:
-    """algebra._zw_yun against sympy's sqf_list, directly and through
-    weierstrass.squarefree_decomposition and qomega_roots' multiplicities."""
+    """UPoly.squarefree_factors (algebra._zw_yun) against sympy's sqf_list,
+    directly and through weierstrass.squarefree_decomposition and
+    qomega_roots' multiplicities."""
 
     @staticmethod
     def check(p):
         want, want_sf = sympy_sqf(p)
-        s, parts = algebra._zw_yun(lift_pairs(p))
-        assert field_upoly(UPoly._monic_from_zw(s)) == want_sf
-        assert {i: field_upoly(UPoly._monic_from_zw(u)) for i, u in parts.items()} == want
+        assert field_upoly(p.squarefree_part()) == want_sf
+        assert {i: field_upoly(u) for i, u in p.squarefree_factors().items()} == want
+        parts = algebra._zw_yun(lift_pairs(p))[1]
         assert all(len(u) > 1 and functools.reduce(algebra._zw_gcd, u) in UNITS for u in parts.values())
         dec = squarefree_decomposition(p)
         assert {i: field_upoly(u) for i, u in dec.items()} == want
@@ -1383,8 +1440,7 @@ class TestYun:
         monkeypatch.setattr(algebra, "_zw_poly_gcd", lambda f, g: calls.append(g) or real(f, g))
         u = UPoly([-OMEGA, 1])
         p = u * u * u * 2
-        parts = algebra._zw_yun(lift_pairs(p))[1]
-        assert list(parts) == [3] and UPoly._monic_from_zw(parts[3]) == u
+        assert p.squarefree_factors() == {3: u}
         assert len(calls) == 3 and all(calls)
         self.check(p)
 

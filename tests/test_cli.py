@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from curvelattice import algebra
+from curvelattice import algebra, cli
 from curvelattice.cli import DOMAIN_ERRORS, INVARIANT_EXIT, run
 
 NINE_CUSP_DOC = (
@@ -137,6 +137,14 @@ class TestExitContract:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
         self.usage_error(["singular", "--curve", str(bad)], capsys)
+
+    def test_malformed_weights(self, capsys):
+        for weights in ("a,b", "3", "3,2,1", ""):
+            line = self.usage_error(["spectrum", "--f", "x^2+y^3", "--weights", weights], capsys)
+            assert "--weights" in line
+        self.usage_error(
+            ["mwrank", "--f", "x^2+y^3", "--weights", "a,b", "--curve", NINE_CUSP_DOC], capsys
+        )
 
     def test_threads_option_is_gone(self, capsys):
         self.usage_error(
@@ -514,6 +522,18 @@ def test_domain_errors_share_one_base():
     assert all(issubclass(c, algebra.DomainError) for c in classes)
     assert issubclass(algebra.DomainError, DOMAIN_ERRORS)
     assert not issubclass(algebra.InvariantError, algebra.DomainError)
+
+
+@pytest.mark.parametrize("error", [ValueError, ZeroDivisionError])
+def test_bare_value_or_arithmetic_error_is_a_fault(error, monkeypatch):
+    # only a DomainError reports as exit 2: a bare ValueError or
+    # ArithmeticError raised inside a command is a fault and propagates
+    def broken(args):
+        raise error("a fault in the program")
+
+    monkeypatch.setattr(cli, "_cmd_spectrum", broken)
+    with pytest.raises(error, match="a fault in the program"):
+        run(["spectrum", "--f", "x^2+y^3", "--weights", "3,2"])
 
 
 LOADED_MODULES = (

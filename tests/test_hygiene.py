@@ -7,7 +7,9 @@ no module imports sympy, and every golden CLI case gives its recorded
 bytes in a process where sympy cannot be imported.  Every function the
 benchmark tracer wraps (bench/tracer.py TARGETS, read as text) still
 exists in the package, so a deletion or rename cannot break
-`bench/run.py --trace 1` unnoticed.
+`bench/run.py --trace 1` unnoticed.  Polynomials store Z[w] int pairs
+once, so the pair kernels (`_zw_*`) stay inside algebra and linalg and no
+conversion seam (`_zw`, `_from_zw`, `_monic_from_zw`) comes back.
 """
 
 import ast
@@ -141,6 +143,25 @@ def test_no_unreferenced_private_functions():
         if name not in referenced
     ]
     assert unreferenced == [], f"private functions nothing in src/ refers to: {unreferenced}"
+
+
+PAIR_KERNEL_MODULES = {"algebra.py", "linalg.py"}
+CONVERSION_SEAMS = {"_zw", "_from_zw", "_monic_from_zw"}
+
+
+def test_pair_kernels_stay_in_algebra():
+    found = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ImportFrom) and path.name not in PAIR_KERNEL_MODULES:
+                found += [
+                    f"{path.name}:{node.lineno} imports {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_zw")
+                ]
+            elif isinstance(node, ast.Attribute) and node.attr in CONVERSION_SEAMS:
+                found.append(f"{path.name}:{node.lineno} refers to .{node.attr}")
+    assert found == [], f"Z[w] pair kernels or conversion seams outside algebra: {found}"
 
 
 def test_modules_found():
