@@ -447,41 +447,64 @@ class CuspScheme:
         V the sat_var^n multiples of the degree-m monomials and W the
         degree-N part of the ideal.  The generators are a regular sequence
         (count() certifies it), so the Koszul complex gives dim W without
-        elimination (_ideal_dim); dim(V + W) is one linalg.rank."""
+        elimination (_ideal_dim).  Split the degree-N monomials into S, of
+        sat_var-degree at least n, and R, the rest: V's columns are the
+        unit vectors of S, so with W's columns gen * x^e in blocks W_S over
+        W_R, and the line conditions L on h under V,
+
+            rank [[W_S, I], [W_R, 0], [0, L]] = |S| + rank [W_R; L W_S]
+
+        (subtract V W_S from W's columns, then L times the S rows from the
+        L rows).  |S| = dim V, so the piece is dim W minus one linalg.rank
+        of W's columns on the rows R and L W_S.  L reads h restricted to
+        the line, so row l of L W_S reads each column's terms of
+        sat_var-degree exactly n: with the functional l written as the
+        form lam = sum_i L[l][i] x^(M - h_i), h_i = sat_var^n rest0^i
+        rest1^(m-i) and M = (N, N, N), it is the coefficient of x^(M - e)
+        in gen * lam, one product per generator on Z[w] int pairs."""
         a, b, sv = self.gen_a, self.gen_b, self.sat_var
         big = m + n
-        index = {e: i for i, e in enumerate(_monomials(big))}
-        h_monos = _monomials(m)
-        line_rows = (
-            self._line_condition_rows(m, h_monos) if self.include_line else []
-        )
-        # the columns span W (each generator's Z[w] pairs, a multiple of it,
-        # times each monomial of the complementary degree) and V; with
-        # include_line the condition rows "h restricted to the line
-        # vanishes on the shared binary factor" are appended under V
-        w_cols = []
-        for gen in (a, b):
-            terms = [(t, Cyclo(x, y) if y else x) for t, (x, y) in gen.pairs.items()]
-            w_cols += [(e, terms) for e in _monomials(big - gen.degree())]
-        ncols = len(w_cols) + len(h_monos)
-        rows = [[0] * ncols for _ in range(len(index))]
-        for j, (e, terms) in enumerate(w_cols):
-            for t, c in terms:
-                rows[index[tuple(x + y for x, y in zip(t, e))]][j] = c
         si = a.vars.index(sv)
-        for j, e in enumerate(h_monos, len(w_cols)):
-            rows[index[e[:si] + (e[si] + n,) + e[si + 1:]]][j] = 1
-        rows += [[0] * len(w_cols) + row for row in line_rows]
-        dim_w = _ideal_dim(a.degree(), b.degree(), big)
-        return len(h_monos) + dim_w - matrix_rank(rows)
+        low = [e for e in _monomials(big) if e[si] < n]
+        index = {e: i for i, e in enumerate(low)}
+        gens = (a, b)
+        cols = [
+            (g, e) for g, gen in enumerate(gens) for e in _monomials(big - gen.degree())
+        ]
+        # a column holds gen.pairs, gen * x^e scaled by gen.den
+        rows = [[0] * len(cols) for _ in low]
+        for j, (g, e) in enumerate(cols):
+            for t, (x, y) in gens[g].pairs.items():
+                k = tuple(u + v for u, v in zip(t, e))
+                if k[si] < n:
+                    rows[index[k]][j] = Cyclo(x, y) if y else x
+        if self.include_line:
+            top = (big,) * 3
+            for lam in self._line_functionals(m, n):
+                # the row scaled by lam.den: gen * lam's pairs times the
+                # factor its canonical form divided out of gen.den * lam.den
+                products = []
+                for gen in gens:
+                    p = gen * lam
+                    products.append((p.pairs, gen.den * lam.den // p.den))
+                row = []
+                for g, e in cols:
+                    pairs, f = products[g]
+                    x, y = pairs.get(tuple(u - v for u, v in zip(top, e)), (0, 0))
+                    row.append(Cyclo(x * f, y * f) if y else x * f)
+                rows.append(row)
+        return _ideal_dim(a.degree(), b.degree(), big) - matrix_rank(rows)
 
-    def _line_condition_rows(self, m: int, h_monos):
-        """Rows expressing: the binary form h|_{sat_var=0} is divisible by
-        the squarefree common factor of the two restricted generators."""
+    def _line_functionals(self, m: int, n: int):
+        """The line conditions on h of degree m, that the binary form
+        h|_{sat_var=0} = sum_i c_i rest0^i rest1^(m-i) is divisible by the
+        squarefree common factor of the two restricted generators (and,
+        with a common root at (1:0), has c_m = 0), each as the form
+        sum_i L_i x^(M - h_i) of _saturation_piece (M = (m+n,)*3,
+        h_i = sat_var^n rest0^i rest1^(m-i))."""
         variables = self.gen_a.vars
         si = variables.index(self.sat_var)
-        rest = [v for v in variables if v != self.sat_var]
-        i0 = variables.index(rest[0])
+        i0 = variables.index(next(v for v in variables if v != self.sat_var))
         g, has_inf = self._line_divisor()
         g = g.monic()
         s = g.degree()
@@ -494,22 +517,16 @@ class CuspScheme:
                 list(rem.coeffs) + [C_ZERO] * (s - len(rem.coeffs))
             )
             rem = (rem * x).divmod(g)[1] if s else UPoly([])
-        rows = [
-            [
-                rems[e[i0]][j] if e[si] == 0 else C_ZERO
-                for e in h_monos
-            ]
-            for j in range(s)
-        ]
+        rows = [[r[j] for r in rems] for j in range(s)]
         if has_inf:
             # the common root at (1:0) forces the top coefficient to zero
-            rows.append(
-                [
-                    C_ONE if e[si] == 0 and e[i0] == m else C_ZERO
-                    for e in h_monos
-                ]
-            )
-        return rows
+            rows.append([C_ZERO] * m + [C_ONE])
+        keys = []
+        for i in range(m + 1):
+            key = [n + i] * 3
+            key[si], key[i0] = m, m + n - i
+            keys.append(tuple(key))
+        return [MPoly(variables, dict(zip(keys, row))) for row in rows]
 
 
 def _monomials(d: int):

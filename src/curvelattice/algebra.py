@@ -30,6 +30,7 @@ used.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -252,6 +253,11 @@ DEGREE_ZERO_POLY = -1  # degree sentinel for the zero polynomial
 
 def _grlex_key(exps):
     return (sum(exps), exps)
+
+
+def _grlex_heap_key(exps):
+    """A key whose least value in a min-heap is the grlex-largest exps."""
+    return (-sum(exps), tuple(-k for k in exps))
 
 
 def _cyclo(ab, den) -> Cyclo:
@@ -539,30 +545,53 @@ class MPoly:
         return {d: MPoly._new(self.vars, t, self.den) for d, t in out.items()}
 
     def divide_exact(self, d: "MPoly") -> "MPoly":
-        """Exact division; raises NotDivisible when a remainder survives."""
+        """Exact division; raises NotDivisible when a remainder survives.
+
+        With P/L = self, Q/M = d and l the leading pair of Q, the pairs P
+        are divided by D = Q * conj(l), whose leading coefficient is the
+        int N(l), and the quotient times conj(l) * M / L is self / d.  The
+        remainder's exponents wait in a heap in grlex order, so each leading
+        term is taken once: a monomial divisor costs one pass.  A quotient
+        part is an int while N(l) divides it, a Fraction after."""
         self._check_same_vars(d)
         if d.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        rem = dict(self.terms)
-        qterms = {}
         dlead = d.leading_exponents()
-        dlc = d.terms[dlead]
-        while rem:
-            e = max(rem, key=_grlex_key)
-            c = rem[e]
+        ca, cb, norm = _zw_conj_norm(*d.pairs[dlead])
+        rest = [(e, _zw_mul(ab, (ca, cb))) for e, ab in d.pairs.items() if e != dlead]
+        rem = dict(self.pairs)
+        heap = [_grlex_heap_key(e) for e in rem]
+        heapq.heapify(heap)
+        quot = {}
+        while heap:
+            e = tuple(-k for k in heapq.heappop(heap)[1])
+            r = rem.pop(e, None)
+            if r is None:
+                continue
             qe = tuple(a - b for a, b in zip(e, dlead))
             if any(k < 0 for k in qe):
                 raise NotDivisible(render(self))
-            qc = c / dlc
-            qterms[qe] = qterms.get(qe, C_ZERO) + qc
-            for de, dc in d.terms.items():
+            qc = tuple(x // norm if not x % norm else Fraction(x, norm) for x in r)
+            quot[qe] = qc
+            # every term of D below its lead lands below e in grlex order
+            for de, dab in rest:
                 ke = tuple(a + b for a, b in zip(qe, de))
-                s = rem.get(ke, C_ZERO) - qc * dc
-                if s.is_zero():
-                    rem.pop(ke, None)
+                s, t = _zw_mul(qc, dab)
+                old = rem.get(ke)
+                if old is None:
+                    rem[ke] = (-s, -t)
+                    heapq.heappush(heap, _grlex_heap_key(ke))
+                elif old == (s, t):
+                    del rem[ke]
                 else:
-                    rem[ke] = s
-        return MPoly(self.vars, qterms)
+                    rem[ke] = (old[0] - s, old[1] - t)
+        den = math.lcm(*(x.denominator for ab in quot.values() for x in ab))
+        scale = (ca * d.den, cb * d.den)
+        out = {
+            e: _zw_mul((a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)), scale)
+            for e, (a, b) in quot.items()
+        }
+        return MPoly._new(self.vars, out, den * self.den)
 
 
 def _convolve(f, g):

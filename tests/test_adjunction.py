@@ -66,6 +66,63 @@ def vanishing_on_points(points, m):
     return len(monos) - sympy.Matrix(rows).rank()
 
 
+def _pivot_count(rows):
+    return len(echelon_zw(rows)[2]) if rows and rows[0] else 0
+
+
+def full_saturation_piece(sch, m, n):
+    """Oracle: dim { h of degree m : sat_var^n * h in (gen_a, gen_b) } (on
+    the line's points too with include_line) as dim V + dim W - dim(V + W),
+    with W spanned by the products gen * x^e, V by the sat_var^n * h and
+    the line conditions on h appended under V, every dimension the pivot
+    count of echelon_zw."""
+    a, b = sch.gen_a, sch.gen_b
+    variables, big = a.vars, m + n
+    index = {e: i for i, e in enumerate(adjunction._monomials(big))}
+    h_monos = adjunction._monomials(m)
+    si = variables.index(sch.sat_var)
+    w_cols = []
+    for gen in (a, b):
+        for e in adjunction._monomials(big - gen.degree()):
+            col = [C_ZERO] * len(index)
+            for t, coeff in (gen * MPoly.monomial(variables, e)).terms.items():
+                col[index[t]] = coeff
+            w_cols.append(col)
+    v_cols = []
+    for e in h_monos:
+        col = [C_ZERO] * len(index)
+        col[index[e[:si] + (e[si] + n,) + e[si + 1:]]] = C_ONE
+        v_cols.append(col)
+    rows = [list(r) for r in zip(*(w_cols + v_cols))]
+    if sch.include_line:
+        rows += [[C_ZERO] * len(w_cols) + r for r in line_condition_rows(sch, m, h_monos)]
+    dim_w = _pivot_count([list(r) for r in zip(*w_cols)])
+    return len(h_monos) + dim_w - _pivot_count(rows)
+
+
+def line_condition_rows(sch, m, h_monos):
+    """Rows over the degree-m monomials: h restricted to sat_var = 0 is
+    divisible by the line divisor g (its coefficients mod g vanish), and
+    with a common root at (1:0) the top coefficient in rest[0] is 0."""
+    variables = sch.gen_a.vars
+    si = variables.index(sch.sat_var)
+    i0 = variables.index([v for v in variables if v != sch.sat_var][0])
+    g, has_inf = sch._line_divisor()
+    g = g.monic()
+    s = g.degree()
+    rems = []
+    for i in range(m + 1):
+        rem = UPoly([C_ZERO] * i + [C_ONE]).divmod(g)[1] if s else UPoly([])
+        rems.append(list(rem.coeffs) + [C_ZERO] * (s - len(rem.coeffs)))
+    rows = [
+        [rems[e[i0]][j] if e[si] == 0 else C_ZERO for e in h_monos]
+        for j in range(s)
+    ]
+    if has_inf:
+        rows.append([C_ONE if e[si] == 0 and e[i0] == m else C_ZERO for e in h_monos])
+    return rows
+
+
 class TestSingularPoints:
     def test_smooth_conic_empty(self):
         assert singular_points(poly("x^2 + y*z")) == []
@@ -458,6 +515,67 @@ class TestCuspScheme:
         assert sch.vanishing_dim(7) == 7
         assert sch._cache["n0"] == 9
         assert [sch._saturation_piece(7, n) for n in range(3, 11)] == [6, 6] + [7] * 6
+        assert fallbacks == []
+
+    def differential_schemes(self):
+        """The schemes of this class, as (gen_a, gen_b), plus one with w
+        parts."""
+        q, c, _pts = self.line_crossing_scheme()
+        return [
+            six_cusp_sextic()[1:],
+            (poly("x^2 + y*z"), poly("x^3 + y^3 + z^3")),
+            (q, c),
+            (poly("x*z - y^2"), poly("z^2 - 3*y*z + 3*x*z - y^2")),
+            (poly("x*z - y^2"), poly("y*z - 2*x*z - x*y + 2*x^2")),
+            (poly("x*z - y^2"), poly("z*(x - y)")),
+            (poly("y*z + (x - z)*(x - 2*z)"), poly("3*x*y + (x - z)*(x - 2*z)")),
+            (poly("x^2 + w*y*z"), poly("x^3 + y^3 + (1 - w)*z^3")),
+            # both tangent to z = 0 at (1:2:0), where the length is 3 and
+            # the line divisor is t - 1/2; the first form's pairs share
+            # the factor 2, so gen * lam reduces by a different factor for
+            # each generator
+            (
+                poly("2*z*x + 2*(2*x - y)^2"),
+                poly("x*(z*x + (2*x - y)^2) + (2*x - y)^3 + z^2*(x + y)"),
+            ),
+        ]
+
+    def test_piece_matches_the_full_construction(self):
+        # the piece ranks W's columns on the rows below sat_var^n and the
+        # line conditions carried through W_S; the full [W | V; 0 | L]
+        # construction, every rank by echelon_zw, gives the same numbers
+        for a, b in self.differential_schemes():
+            for include_line in (False, True):
+                sch = CuspScheme(a, b, "z", include_line=include_line)
+                sch.count()
+                n0 = sch._cache["n0"]
+                for m in range(4):
+                    for n in range(n0 + 2):
+                        assert sch._saturation_piece(m, n) == full_saturation_piece(sch, m, n), (a, b, include_line, m, n)
+
+    def test_piece_matches_the_full_construction_on_table_1(self):
+        from curvelattice.torus import table1_construct
+
+        f, g, _F = table1_construct(1, None, seed=0)
+        for include_line in (False, True):
+            sch = CuspScheme(f, g, "y0", include_line=include_line)
+            sch.count()
+            n0 = sch._cache["n0"]
+            assert sch.vanishing_dim(4) == full_saturation_piece(sch, 4, n0)
+
+    def test_degree_12_pieces_certified(self, monkeypatch):
+        # without the sat_var^n block the pieces of criterion 9's scheme at
+        # (m = 7, no line) and (m = 8, with the line) certify mod p
+        from curvelattice.torus import table1_construct
+
+        fallbacks = []
+        real = linalg.echelon_zw
+        monkeypatch.setattr(
+            linalg, "echelon_zw", lambda rows: fallbacks.append(rows) or real(rows)
+        )
+        f, g, _F = table1_construct(2, None, seed=0)
+        assert CuspScheme(f, g, "y0").vanishing_dim(7) == 9
+        assert CuspScheme(f, g, "y0", include_line=True).vanishing_dim(8) == 15
         assert fallbacks == []
 
     def test_irrational_scheme_defect(self):

@@ -26,6 +26,7 @@ from curvelattice.algebra import (
     Cyclo,
     InvariantError,
     MPoly,
+    NotDivisible,
     ParseError,
     ProjPoint,
     UPoly,
@@ -870,6 +871,36 @@ class TestCanonicalForm:
         p = parse_poly("-1/6*x + 2/3*w*y", XYZ)
         assert (p.pairs, p.den) == ({(1, 0, 0): (-1, 0), (0, 1, 0): (0, 4)}, 6)
         assert_same(p.scale(-6).scale(Fraction(-1, 6)), p)
+
+
+monomials = st.builds(
+    lambda e, c: MPoly.monomial(XYZ, e, c), st.tuples(*[st.integers(0, 6)] * 3), NONZERO
+)
+
+
+class TestDivideExact:
+    """MPoly.divide_exact on the stored pairs: (p * d) / d is p, for
+    monomial and other divisors with w parts and denominators."""
+
+    @given(mpolys(), st.one_of(monomials, mpolys(max_terms=4)))
+    @settings(max_examples=80, deadline=None)
+    def test_product_divided_back(self, p, d):
+        assume(not d.is_zero())
+        q = (p * d).divide_exact(d)
+        assert_canonical(q)
+        assert q == p
+
+    def test_not_divisible(self):
+        v = ("y0", "x", "z")
+        with pytest.raises(NotDivisible):
+            parse_poly("y0^5*x", v).divide_exact(MPoly.monomial(v, (6, 0, 0)))
+        # the leading terms divide, a lower remainder survives
+        with pytest.raises(NotDivisible):
+            parse_poly("y0^6*x + y0^5*z", v).divide_exact(MPoly.monomial(v, (6, 0, 0)))
+        with pytest.raises(NotDivisible):
+            parse_poly("x^2 + 1/2*w*z^2", v).divide_exact(parse_poly("x - z", v))
+        with pytest.raises(ZeroDivisionError):
+            parse_poly("x", v).divide_exact(MPoly.zero(v))
 
 
 @st.composite
