@@ -32,6 +32,7 @@ from .algebra import (
     MPoly,
     ProjPoint,
     UPoly,
+    monomial_values,
     qomega_roots,
     restrict_to_line,
     resultant,
@@ -63,16 +64,9 @@ class Functional:
     point: ProjPoint
     order: tuple = (0, 0, 0)
 
-    def row(self, monomials, variables):
+    def row(self, monomials):
         """Evaluation row of this functional against a monomial list."""
-        out = []
-        for exps in monomials:
-            mono = MPoly.monomial(variables, exps)
-            for v, k in zip(variables, self.order):
-                for _ in range(k):
-                    mono = mono.derivative(v)
-            out.append(mono.eval(self.point.coords))
-        return out
+        return monomial_values(self.point.coords, monomials, self.order)
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,28 +220,11 @@ def singular_points(g: MPoly):
     return [classify_point(g, p) for p in points]
 
 
-def _local_expansion(g: MPoly, point: ProjPoint):
-    """Degree-graded pieces of g recentred at the point in an affine chart."""
-    coords = point.coords
-    chart = max(i for i in range(3) if not coords[i].is_zero())
-    local_vars = ("_u", "_v")
-    images = []
-    j = 0
-    for i in range(3):
-        if i == chart:
-            images.append(MPoly.const(local_vars, coords[i]))
-        else:
-            images.append(
-                MPoly.const(local_vars, coords[i])
-                + MPoly.variable(local_vars[j], local_vars)
-            )
-            j += 1
-    return g.compose(images).homogeneous_parts()
-
-
 def classify_point(g: MPoly, point: ProjPoint) -> ClassifiedPoint:
-    """Classify a singular point as node, cusp, or unclassified."""
-    pieces = _local_expansion(g, point)
+    """Classify a singular point as node, cusp, or unclassified from the 3-jet
+    of g in the chart of its last nonzero coordinate (the others: _u, _v)."""
+    chart = max(i for i in range(3) if not point.coords[i].is_zero())
+    pieces = g.jet(point.coords, [i for i in range(3) if i != chart], ("_u", "_v"), 3)
     if 0 in pieces or 1 in pieces:
         raise DomainError(f"{point!r} is not a singular point of the curve")
     quad = pieces.get(2)
@@ -262,8 +239,7 @@ def classify_point(g: MPoly, point: ProjPoint) -> ClassifiedPoint:
         return ClassifiedPoint(point, "node")
     if r == 1:
         ker = kernel_basis(m)[0]
-        cubic = pieces.get(3, MPoly.zero(("_u", "_v")))
-        if not cubic.eval(ker).is_zero():
+        if 3 in pieces and not pieces[3].eval(ker).is_zero():
             return ClassifiedPoint(point, "cusp")
     return ClassifiedPoint(point, "unclassified")
 
@@ -693,7 +669,7 @@ def defect(profile: CurveProfile, alpha) -> tuple:
     if deg < 0:
         return (l, 0, l)
     monos = _monomials(deg)
-    rows = [f.row(monos, profile.g.vars) for f in fns]
+    rows = [f.row(monos) for f in fns]
     h = matrix_rank(rows)
     return (l, h, l - h)
 

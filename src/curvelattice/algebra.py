@@ -459,29 +459,23 @@ class MPoly:
         return MPoly._new(self.vars, out, self.den)
 
     def eval(self, values) -> Cyclo:
-        """Full evaluation at a point (sequence of Cyclo/rational values)."""
-        return self.subs(dict(zip(self.vars, values))).constant_coeff()
+        """Full evaluation at a point, one Cyclo/rational value per variable:
+        sum pair * prod row_i[e_i] over one power table, made one Cyclo."""
+        if len(values) != len(self.vars):
+            raise AlgebraError(f"eval needs {len(self.vars)} values, got {len(values)}")
+        rows, d = _zw_power_table(values, map(max, zip(*self.pairs)))
+        parts = [_zw_at(ab, rows, e) for e, ab in self.pairs.items()]
+        return _cyclo((sum(a for a, _ in parts), sum(b for _, b in parts)), self.den * d)
 
     def subs(self, assignment) -> "MPoly":
         """Partial substitution var name -> Cyclo value; keeps the var list.
-
-        A value (va + vb*w) / dv for a variable of top degree D gives the
-        row v^k * dv^(D - k), k = 0..D, of Z[w] pairs, so every term's
-        product lies over the one denominator den * prod dv^D."""
-        terms, den = self.pairs, self.den
-        rows = []
-        for name, v in assignment.items():
-            i = self.vars.index(name)
-            (va,), (vb,), dv = _zw_lift([v])
-            top = max((e[i] for e in terms), default=0)
-            row = [(dv**top, 0)]  # row[k] = v^k * dv^(top - k), exact in Z[w]
-            for _ in range(top):
-                x, y = _zw_mul(row[-1], (va, vb))
-                row.append((x // dv, y // dv))
-            rows.append((i, row))
-            den *= dv**top
+        Every term's product is over one denominator (_zw_power_table)."""
+        idx = [self.vars.index(name) for name in assignment]
+        tops = [max((e[i] for e in self.pairs), default=0) for i in idx]
+        table, d = _zw_power_table(assignment.values(), tops)
+        rows = list(zip(idx, table))
         out = {}
-        for e, ab in terms.items():
+        for e, ab in self.pairs.items():
             ne = list(e)
             for i, row in rows:
                 ab = _zw_mul(ab, row[e[i]])
@@ -489,7 +483,7 @@ class MPoly:
             ne = tuple(ne)
             old = out.get(ne)
             out[ne] = ab if old is None else (old[0] + ab[0], old[1] + ab[1])
-        return MPoly._new(self.vars, out, den)
+        return MPoly._new(self.vars, out, self.den * d)
 
     def compose(self, images) -> "MPoly":
         """Substitute images[i] (MPoly over a common var list) for vars[i].
@@ -504,10 +498,8 @@ class MPoly:
         target_vars = images[0].vars
         for img in images:
             img._check_same_vars(images[0])
-        terms, den = self.pairs, self.den
-        tops = [max((e[i] for e in terms), default=0) for i in range(len(images))]
-        for img, top in zip(images, tops):
-            den *= img.den**top
+        terms, tops = self.pairs, [max(col) for col in zip(*self.pairs)]
+        den = self.den * math.prod(img.den**top for img, top in zip(images, tops))
         zero = (0,) * len(target_vars)
         pows = [[{zero: (1, 0)}] for _ in images]  # pows[i][k] = P_i^k
         total = {}
@@ -524,6 +516,26 @@ class MPoly:
                 old = total.get(key)
                 total[key] = (x, y) if old is None else (old[0] + x, old[1] + y)
         return MPoly._new(target_vars, total, den)
+
+    def jet(self, values, free, names, top) -> dict:
+        """{d: the nonzero part of degree d <= top} of self recentred at the
+        point values, self(values + sum_j names[j] * e_free[j]), in the new
+        variables names, one per coordinate index in free.  By Taylor, the
+        coefficient of names^s is the sum over the terms c_e * x^e of c_e *
+        prod C(e_i, s_i) * values^(e - s), read off one power table."""
+        rows, d = _zw_power_table(values, map(max, zip(*self.pairs)))
+        ranges = [range(top + 1) if i in free else (0,) for i in range(len(self.vars))]
+        shifts = [s for s in itertools.product(*ranges) if sum(s) <= top]
+        keys = [tuple(s[i] for i in free) for s in shifts]
+        out = {}
+        for e, (a, b) in self.pairs.items():
+            for s, key in zip(shifts, keys):
+                c = math.prod(map(math.comb, e, s))  # 0 unless s <= e
+                if c:
+                    x, y = _zw_at((a * c, b * c), rows, [k - j for k, j in zip(e, s)])
+                    old = out.get(key, (0, 0))
+                    out[key] = (old[0] + x, old[1] + y)
+        return MPoly._new(names, out, self.den * d).homogeneous_parts()
 
     def coeffs_in(self, var):
         """Coefficients of powers of var, as polynomials with var removed.
@@ -929,6 +941,47 @@ def _zw_gcd(x, y):
 def _zw_pow(x, e):
     """The Z[w] pair x to the power e >= 0."""
     return functools.reduce(_zw_mul, [x] * e, (1, 0))
+
+
+def _zw_power_table(values, tops):
+    """The one power table of evaluation: for values (a_i + b_i*w) / d over
+    one denominator d, rows of Z[w] pairs row_i[k] = (a_i + b_i*w)^k *
+    d^(top_i - k), k = 0..top_i, and their one denominator d^sum(tops)."""
+    A, B, d = _zw_lift(values)
+    rows, tops = [], list(tops)
+    for a, b, top in zip(A, B, tops):
+        row = [(d**top, 0)]
+        for _ in range(top):
+            x, y = _zw_mul(row[-1], (a, b))
+            row.append((x // d, y // d))
+        rows.append(row)
+    return rows, d ** sum(tops)
+
+
+def _zw_at(ab, rows, exps):
+    """ab * prod rows[i][exps[i]] over a power table (_zw_mul, inlined)."""
+    a, b = ab
+    for row, k in zip(rows, exps):
+        c, d = row[k]
+        t = b * d
+        a, b = a * c - t, a * d + b * c - t
+    return a, b
+
+
+def monomial_values(values, monomials, order=None) -> list:
+    """One Cyclo per exponent tuple of monomials: the monomial, or its
+    derivative of the given order (one count per variable), at the point
+    values.  The derivative of x^e of order k is the falling factorial
+    e!/(e - k)! times x^(e - k), and 0 when some k_i > e_i."""
+    order = tuple(order or (0,) * len(values))
+    if any(len(e) != len(values) for e in [order, *monomials]):
+        raise AlgebraError("monomial values need one exponent per coordinate")
+    rows, den = _zw_power_table(values, map(max, zip(order, *monomials)))
+    return [  # the falling factorial c is 0 when some k_i > e_i
+        _cyclo(_zw_at((c, 0), rows, [max(x - k, 0) for x, k in zip(e, order)]), den)
+        for e in monomials
+        for c in [math.prod(map(math.perm, e, order))]
+    ]
 
 
 def _zw_prs(f, g):

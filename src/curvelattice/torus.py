@@ -43,6 +43,7 @@ from .algebra import (
     NotDivisible,
     UPoly,
     cyclo_nth_roots,
+    monomial_values,
     poly_sqrt,
     qomega_roots,
     render,
@@ -267,11 +268,6 @@ class ToricSearchResult:
     complete: bool
 
 
-def _conic_row(point, variables):
-    """The degree-2 monomials, in _monomials(2) order, at a point."""
-    return [MPoly.monomial(variables, e).eval(point.coords) for e in _monomials(2)]
-
-
 def _conic_through(rows, variables):
     """The conic through the points with the given conic rows when they
     impose independent conditions up to a one-dimensional kernel; None
@@ -371,7 +367,7 @@ def find_toric_sextic(profile: CurveProfile) -> ToricSearchResult:
     cusps = [p.point for p in profile.points if p.kind == "cusp"]
     conics = {}
     complete = True
-    rows = [_conic_row(p, variables) for p in cusps]
+    rows = [monomial_values(p.coords, _monomials(2)) for p in cusps]
     if len(cusps) >= 6:
         for sub in combinations(rows, 6):
             q0 = _conic_through(sub, variables)
@@ -630,9 +626,7 @@ def seeded_torus_sextic(seed: int):
         q = MPoly.monomial(v, (1, 0, 1)) - MPoly.monomial(v, (0, 2, 0))
         # cubic through the six points: seeded kernel combination
         monos = _monomials(3)
-        rows = [
-            [MPoly.monomial(v, e).eval(p) for e in monos] for p in pts
-        ]
+        rows = [monomial_values(p, monos) for p in pts]
         ker = kernel_basis(rows)
         if len(ker) != 4:
             continue

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from curvelattice import adjunction, algebra, linalg
 from curvelattice.algebra import (
@@ -13,6 +14,7 @@ from curvelattice.algebra import (
     OMEGA,
     MPoly,
     ProjPoint,
+    Cyclo,
     UPoly,
     echelon_zw,
     parse_poly,
@@ -186,6 +188,89 @@ class TestSingularPoints:
             classify_point(poly("x^2 + y*z"), ProjPoint((0, 1, 0)))
 
 
+def compose_expansion(g: MPoly, point: ProjPoint):
+    """Oracle: the pieces of degree <= 3 of g recentred at the point by
+    MPoly.compose, in the chart of its last nonzero coordinate with the
+    other two coordinates as _u and _v (the expansion classify_point read
+    before the jet)."""
+    coords = point.coords
+    chart = max(i for i in range(3) if not coords[i].is_zero())
+    local_vars = ("_u", "_v")
+    images = []
+    j = 0
+    for i in range(3):
+        image = MPoly.const(local_vars, coords[i])
+        if i != chart:
+            image = image + MPoly.variable(local_vars[j], local_vars)
+            j += 1
+        images.append(image)
+    return {d: p for d, p in g.compose(images).homogeneous_parts().items() if d <= 3}
+
+
+def jet_pieces(g: MPoly, point: ProjPoint):
+    chart = max(i for i in range(3) if not point.coords[i].is_zero())
+    return g.jet(point.coords, [i for i in range(3) if i != chart], ("_u", "_v"), 3)
+
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+cyclos = st.builds(Cyclo, rationals, rationals)
+
+
+@st.composite
+def ternary_forms(draw):
+    """Forms of degree 2..7 with Q(w) coefficients and denominators."""
+    monos = adjunction._monomials(draw(st.integers(2, 7)))
+    terms = draw(st.dictionaries(st.sampled_from(monos), cyclos, max_size=8))
+    return MPoly(XYZ, terms)
+
+
+@st.composite
+def projective_points(draw):
+    """Points in the chart z = 1, on the line z = 0, and (1 : 0 : 0)."""
+    kind = draw(st.sampled_from(("affine", "infinity", "corner")))
+    if kind == "corner":
+        return ProjPoint((1, 0, 0))
+    if kind == "infinity":
+        return ProjPoint((draw(cyclos), 1, 0))
+    return ProjPoint((draw(cyclos), draw(cyclos), 1))
+
+
+class TestLocalJet:
+    """classify_point reads the 3-jet of MPoly.jet, the Taylor coefficients
+    at the point, instead of recentring the whole form by compose."""
+
+    @given(ternary_forms(), projective_points())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_compose_expansion(self, g, point):
+        assert jet_pieces(g, point) == compose_expansion(g, point)
+
+    def test_matches_compose_expansion_at_cusps(self):
+        # the nine-cusp sextic's cusps include w coordinates and z = 0
+        for f in (six_cusp_sextic()[0], NINE_CUSP):
+            for cp in singular_points(f):
+                got = jet_pieces(f, cp.point)
+                assert got == compose_expansion(f, cp.point)
+                assert set(got) <= {2, 3}
+
+    def test_singular_points_compose_nothing(self, monkeypatch):
+        # the jet needs no recentred copy of the curve: no compose call
+        # while a seeded torus sextic's six cusps are found and classified
+        from curvelattice.torus import seeded_torus_sextic
+
+        g = seeded_torus_sextic(0)[0].g
+        calls = []
+        compose = MPoly.compose
+
+        def counted(self, images):
+            calls.append(1)
+            return compose(self, images)
+
+        monkeypatch.setattr(MPoly, "compose", counted)
+        kinds = [p.kind for p in singular_points(g)]
+        assert kinds == ["cusp"] * 6
+        assert calls == []
+
+
 class TestConditions:
     def test_node_has_none(self):
         p = ClassifiedPoint(ProjPoint((0, 0, 1)), "node")
@@ -208,8 +293,25 @@ class TestConditions:
     def test_functional_row_derivative(self):
         # d/dx of x^2 at (3, 0, 1) is 6
         f = Functional(ProjPoint((3, 0, 1)), (1, 0, 0))
-        row = f.row([(2, 0, 0)], XYZ)
+        row = f.row([(2, 0, 0)])
         assert row[0].a == 6
+
+    @given(
+        projective_points(),
+        st.tuples(*[st.integers(0, 2)] * 3),
+        st.lists(st.tuples(*[st.integers(0, 4)] * 3), max_size=6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_functional_row_matches_derivatives(self, point, order, monos):
+        # reference: differentiate each monomial as a polynomial, evaluate
+        want = []
+        for exps in monos:
+            mono = MPoly.monomial(XYZ, exps)
+            for v, k in zip(XYZ, order):
+                for _ in range(k):
+                    mono = mono.derivative(v)
+            want.append(mono.eval(point.coords))
+        assert Functional(point, order).row(monos) == want
 
 
 class TestDefects:
@@ -237,10 +339,7 @@ class TestDefects:
             ClassifiedPoint(ProjPoint((1, 0, 0)), "cusp"),
         ]
         rows = [
-            f.row(
-                [(i, j, 3 - i - j) for i in range(4) for j in range(4 - i)],
-                XYZ,
-            )
+            f.row([(i, j, 3 - i - j) for i in range(4) for j in range(4 - i)])
             for f in conditions_at(Fraction(5, 6), pts)
         ]
         from curvelattice.linalg import rank

@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from curvelattice import algebra, cli, torus
-from curvelattice.adjunction import gcd_degree
+from curvelattice.adjunction import _monomials, gcd_degree
 from curvelattice.algebra import (
     C_ONE,
     C_ZERO,
@@ -33,6 +33,7 @@ from curvelattice.algebra import (
     cyclo_nth_roots,
     det_cyclo,
     is_weighted_homogeneous,
+    monomial_values,
     parse_poly,
     poly_sqrt,
     qomega_roots,
@@ -775,6 +776,7 @@ class TestIntPairKernels:
             assert got.is_zero()
         point = [assignment.get(name, Fraction(1, 2)) for name in XYZ]
         assert p.eval(point) == cyclo_subs(p, dict(zip(XYZ, point))).constant_coeff()
+        assert p.eval(point) == p.subs(dict(zip(XYZ, point))).constant_coeff()
 
     @given(mpolys(max_terms=3), st.lists(mpolys(UV, max_terms=3), min_size=3, max_size=3), st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -814,6 +816,47 @@ class TestIntPairKernels:
             monkeypatch.undo()
             assert any(not c.is_rational() for c in got.terms.values())
             assert calls == []
+
+
+class TestPointEvaluation:
+    """MPoly.eval and monomial_values read one power table of int pairs
+    (eval against subs: TestIntPairKernels.test_subs_and_eval)."""
+
+    def test_eval_arity(self):
+        # zip would drop the term y*z for two values and ignore a fourth
+        p = parse_poly("x^2 + y*z + 3", XYZ)
+        for values in [(1, 2), (1, 2, 3, 4)]:
+            with pytest.raises(AlgebraError):
+                p.eval(values)
+        assert p.eval((1, 2, 3)) == Cyclo(10)
+
+    def test_eval_makes_one_cyclo(self, monkeypatch):
+        p = parse_poly("w*x^2*y + (1 - 2*w)*x*z + 1/3*y^2 + w*z", XYZ)
+        point = (Cyclo(Fraction(1, 2), 1), Cyclo(0, Fraction(2, 3)), Cyclo(-3, Fraction(2, 5)))
+        calls = []
+        init = Cyclo.__init__
+
+        def counted_init(self, a=0, b=0):
+            calls.append(1)
+            init(self, a, b)
+
+        monkeypatch.setattr(Cyclo, "__init__", counted_init)
+        got = p.eval(point)
+        monkeypatch.undo()
+        assert got == p.subs(dict(zip(XYZ, point))).constant_coeff()
+        assert len(calls) == 1
+
+    @given(st.tuples(cyclos, cyclos, cyclos), st.lists(st.tuples(*[st.integers(0, 5)] * 3), max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_monomial_values(self, point, monos):
+        # derivative orders: TestConditions.test_functional_row_matches_derivatives
+        assert monomial_values(point, monos) == [MPoly.monomial(XYZ, e).eval(point) for e in monos]
+
+    def test_monomial_values_arity(self):
+        with pytest.raises(AlgebraError):
+            monomial_values((1, 2, 3), [(1, 0)])
+        with pytest.raises(AlgebraError):
+            monomial_values((1, 2, 3), [(1, 0, 0)], (1, 0))
 
 
 NONZERO = cyclos.filter(lambda c: not c.is_zero())
@@ -950,7 +993,7 @@ class TestDetCyclo:
             for e in (C_ONE, OMEGA, OMEGA * OMEGA)
             for p in ((C_ZERO, e, C_ONE), (e, C_ZERO, C_ONE), (e, C_ONE, C_ZERO))
         ]
-        rows = [torus._conic_row(p, XYZ) for p in cusps]
+        rows = [monomial_values(p.coords, _monomials(2)) for p in cusps]
         q0 = next(
             q
             for q in (torus._conic_through(rows[i:i + 6], XYZ) for i in range(4))

@@ -9,7 +9,9 @@ benchmark tracer wraps (bench/tracer.py TARGETS, read as text) still
 exists in the package, so a deletion or rename cannot break
 `bench/run.py --trace 1` unnoticed.  Polynomials store Z[w] int pairs
 once, so the pair kernels (`_zw_*`) stay inside algebra and linalg and no
-conversion seam (`_zw`, `_from_zw`, `_monic_from_zw`) comes back.
+conversion seam (`_zw`, `_from_zw`, `_monic_from_zw`) comes back.  A
+monomial's value at a point has one evaluator, `algebra.monomial_values`:
+no module builds an `MPoly.monomial(...)` only to call `.eval` on it.
 """
 
 import ast
@@ -162,6 +164,46 @@ def test_pair_kernels_stay_in_algebra():
             elif isinstance(node, ast.Attribute) and node.attr in CONVERSION_SEAMS:
                 found.append(f"{path.name}:{node.lineno} refers to .{node.attr}")
     assert found == [], f"Z[w] pair kernels or conversion seams outside algebra: {found}"
+
+
+def _is_monomial_call(node):
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "monomial"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "MPoly"
+    )
+
+
+def test_one_monomial_evaluator():
+    # a monomial's value at a point is algebra.monomial_values: no module
+    # builds an MPoly.monomial(...) to evaluate it, directly or through a
+    # name bound to one in the same function
+    found = []
+    for path in MODULES:
+        for func in ast.walk(_tree(path)):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            bound = {
+                target.id
+                for node in ast.walk(func)
+                if isinstance(node, ast.Assign) and _is_monomial_call(node.value)
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            found += [
+                f"{path.name}:{node.lineno}"
+                for node in ast.walk(func)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "eval"
+                and (
+                    _is_monomial_call(node.func.value)
+                    or isinstance(node.func.value, ast.Name) and node.func.value.id in bound
+                )
+            ]
+    assert found == [], f"monomials built as MPoly to be evaluated: {sorted(set(found))}"
 
 
 def test_modules_found():

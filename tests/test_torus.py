@@ -5,8 +5,8 @@ from itertools import combinations
 import pytest
 
 from curvelattice import torus
-from curvelattice.adjunction import CurveProfile
-from curvelattice.algebra import Cyclo, MPoly, parse_poly, render
+from curvelattice.adjunction import CurveProfile, _monomials
+from curvelattice.algebra import Cyclo, MPoly, monomial_values, parse_poly, render
 from curvelattice.linalg import rank
 from curvelattice.torus import (
     QuasiToricPoint,
@@ -234,7 +234,7 @@ def lambda_cubed_candidates(profile):
     """{rendered conic: (conic, candidate UPoly or None)} over the conics
     through six of the profile's cusps."""
     cusps = [p.point for p in profile.points if p.kind == "cusp"]
-    rows = [torus._conic_row(p, XYZ) for p in cusps]
+    rows = [monomial_values(p.coords, _monomials(2)) for p in cusps]
     conics = {}
     for sub in combinations(rows, 6):
         q0 = torus._conic_through(sub, XYZ)
