@@ -1,12 +1,12 @@
 """Exact arithmetic over Q(w) and sparse multivariate polynomials.
 
 The coefficient field is Q(w) where w is a primitive third root of unity,
-so w^2 + w + 1 = 0.  A scalar (Cyclo) is a + b*w with rational a, b.
+so w^2 + w + 1 = 0.  A scalar (Cyclo) is ints (p + q*w) / d, canonical.
 A polynomial stores its coefficients once, as Z[w] int pairs (a, b) =
 a + b*w over one common denominator, in a canonical form (MPoly: a sparse
 map from exponent vectors, ordered by graded lexicographic order on the
 declared variable list; UPoly: a dense list).  Cyclo coefficients are
-read-only views for the edges: parsing, rendering, reports.
+read-only views for the edges: parsing and reports.
 
 Provides: parsing/rendering of polynomial expressions, the fraction-free
 Z[w] elimination behind every determinant, rank and kernel of a Q(w)
@@ -79,16 +79,6 @@ class NotASquare:
 NOT_A_SQUARE = NotASquare()
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as a rational number")
-
-
 def isprime(n: int) -> bool:
     """Deterministic Miller-Rabin.  The prime bases up to 41 decide every
     n < 3317044064679887385961981 (Sorenson-Webster, Math. Comp. 86,
@@ -123,37 +113,57 @@ def isprime(n: int) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class Cyclo:
-    """An element a + b*w of Q(w), with w^2 = -w - 1."""
+    """An element (p + q*w) / d of Q(w), with w^2 = -w - 1, stored as ints
+    in canonical form: d > 0 and gcd(p, q, d) = 1, so equal elements have
+    equal fields and the generated hash is by value."""
 
-    a: Fraction
-    b: Fraction
+    p: int
+    q: int
+    d: int
 
-    def __init__(self, a=0, b=0):
-        object.__setattr__(self, "a", _as_fraction(a))
-        object.__setattr__(self, "b", _as_fraction(b))
+    def __init__(self, p=0, q=0, d=1):
+        """(p + q*w) / d for ints, reduced by one gcd; a Fraction or str p
+        or q is lifted once over the lcm of the denominators."""
+        if type(p) is not int or type(q) is not int:
+            if not all(isinstance(x, (int, Fraction, str)) for x in (p, q)):
+                raise TypeError(f"cannot interpret {p!r}, {q!r} as rational numbers")
+            a, b = Fraction(p), Fraction(q)
+            m = math.lcm(a.denominator, b.denominator)
+            p, q, d = a.numerator * (m // a.denominator), b.numerator * (m // b.denominator), d * m
+        if d != 1:
+            g = math.gcd(p, q, d)
+            if d < 0:
+                g = -g
+            if g != 1:
+                p, q, d = p // g, q // g, d // g
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "d", d)
+
+    a = property(lambda self: Fraction(self.p, self.d), doc="The rational part p / d.")
+    b = property(lambda self: Fraction(self.q, self.d), doc="The w part q / d.")
 
     # -- predicates -------------------------------------------------------
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not self.p and not self.q
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return not self.q
 
     # -- ring operations --------------------------------------------------
     @staticmethod
     def _coerce(x) -> "Cyclo":
-        if isinstance(x, Cyclo):
-            return x
-        return Cyclo(_as_fraction(x))
+        return x if isinstance(x, Cyclo) else Cyclo(x)
 
     def __add__(self, other):
         o = Cyclo._coerce(other)
-        return Cyclo(self.a + o.a, self.b + o.b)
+        d, e = self.d, o.d
+        return Cyclo(self.p * e + o.p * d, self.q * e + o.q * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo(-self.a, -self.b)
+        return Cyclo(-self.p, -self.q, self.d)
 
     def __sub__(self, other):
         return self + (-Cyclo._coerce(other))
@@ -163,27 +173,28 @@ class Cyclo:
 
     def __mul__(self, other):
         o = Cyclo._coerce(other)
-        # (a + bw)(c + dw) = ac + (ad + bc)w + bd w^2,  w^2 = -1 - w
-        a, b, c, d = self.a, self.b, o.a, o.b
-        bd = b * d
-        return Cyclo(a * c - bd, a * d + b * c - bd)
+        # (a + bw)(c + ew) = ac + (ae + bc)w + be w^2,  w^2 = -1 - w
+        a, b, c, e = self.p, self.q, o.p, o.q
+        t = b * e
+        return Cyclo(a * c - t, a * e + b * c - t, self.d * o.d)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "Cyclo":
         """The image under w -> w^2 (complex conjugation on Q(w))."""
-        return Cyclo(self.a - self.b, -self.b)
+        return Cyclo(self.p - self.q, -self.q, self.d)
 
     def norm(self) -> Fraction:
         """Field norm a^2 - a*b + b^2; zero only for the zero element."""
-        return self.a * self.a - self.a * self.b + self.b * self.b
+        return Fraction(self.p**2 - self.p * self.q + self.q**2, self.d**2)
 
     def inverse(self) -> "Cyclo":
-        n = self.norm()
+        """d * conj(p + q*w) / N(p + q*w), N the int norm."""
+        p, q, d = self.p, self.q, self.d
+        n = p * p - p * q + q * q
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(w)")
-        c = self.conjugate()
-        return Cyclo(c.a / n, c.b / n)
+        return Cyclo((p - q) * d, -q * d, n)
 
     def __truediv__(self, other):
         return self * Cyclo._coerce(other).inverse()
@@ -194,31 +205,21 @@ class Cyclo:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = Cyclo(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return Cyclo(*_zw_pow((self.p, self.q), n), self.d**n)
 
-    # -- comparison / hashing --------------------------------------------
+    # -- comparison -------------------------------------------------------
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Cyclo(other)
         if not isinstance(other, Cyclo):
             return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
+        return self.p == other.p and self.q == other.q and self.d == other.d
 
     def __repr__(self):
         return f"Cyclo({self.a}, {self.b})"
 
     def __str__(self):
-        return render_coeff(self)
+        return render_coeff(self.p, self.q, self.d)
 
 
 C_ZERO = Cyclo(0)
@@ -226,22 +227,25 @@ C_ONE = Cyclo(1)
 OMEGA = Cyclo(0, 1)
 
 
-def render_coeff(c: Cyclo) -> str:
-    """Render a Q(w) element in the polynomial grammar."""
-    if c.b == 0:
-        return str(c.a)
-    if c.a == 0:
-        if c.b == 1:
-            return "w"
-        return f"{c.b}*w"
-    if c.b > 0:
-        return f"({c.a} + {c.b}*w)" if c.b != 1 else f"({c.a} + w)"
-    return f"({c.a} - {-c.b}*w)" if c.b != -1 else f"({c.a} - w)"
+def _ratio(n, d) -> str:
+    """n / d as str(Fraction(n, d)) prints it, d > 0."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def render_coeff(p, q, d) -> str:
+    """Render the Q(w) element (p + q*w) / d, d > 0, in the polynomial grammar."""
+    if not q:
+        return _ratio(p, d)
+    if not p:
+        return "w" if q == d else f"{_ratio(q, d)}*w"
+    wq = "w" if abs(q) == d else f"{_ratio(abs(q), d)}*w"
+    return f"({_ratio(p, d)} {'+' if q > 0 else '-'} {wq})"
 
 
 def cyclo_conj_sign_canonical(c: Cyclo) -> bool:
     """True when c lies in the canonical half-plane (a > 0, or a == 0, b > 0)."""
-    return c.a > 0 or (c.a == 0 and c.b > 0)
+    return c.p > 0 or (c.p == 0 and c.q > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +262,6 @@ def _grlex_key(exps):
 def _grlex_heap_key(exps):
     """A key whose least value in a min-heap is the grlex-largest exps."""
     return (-sum(exps), tuple(-k for k in exps))
-
-
-def _cyclo(ab, den) -> Cyclo:
-    """The Q(w) element (a + b*w) / den of an int pair (a, b)."""
-    return Cyclo(Fraction(ab[0], den), Fraction(ab[1], den))
 
 
 def _reduced(pairs, den):
@@ -325,7 +324,7 @@ class MPoly:
     def terms(self):
         """The coefficients as a read-only map exps -> Cyclo."""
         if self._view is None:
-            view = {e: _cyclo(ab, self.den) for e, ab in self.pairs.items()}
+            view = {e: Cyclo(*ab, self.den) for e, ab in self.pairs.items()}
             object.__setattr__(self, "_view", MappingProxyType(view))
         return self._view
 
@@ -371,11 +370,11 @@ class MPoly:
         return max(self.pairs, key=_grlex_key)
 
     def leading_coeff(self) -> Cyclo:
-        return _cyclo(self.pairs[self.leading_exponents()], self.den)
+        return Cyclo(*self.pairs[self.leading_exponents()], self.den)
 
     def constant_coeff(self) -> Cyclo:
         ab = self.pairs.get((0,) * len(self.vars))
-        return C_ZERO if ab is None else _cyclo(ab, self.den)
+        return C_ZERO if ab is None else Cyclo(*ab, self.den)
 
     def monic(self) -> "MPoly":
         """Scale so the graded-lex leading coefficient is 1: with the
@@ -465,7 +464,7 @@ class MPoly:
             raise AlgebraError(f"eval needs {len(self.vars)} values, got {len(values)}")
         rows, d = _zw_power_table(values, map(max, zip(*self.pairs)))
         parts = [_zw_at(ab, rows, e) for e, ab in self.pairs.items()]
-        return _cyclo((sum(a for a, _ in parts), sum(b for _, b in parts)), self.den * d)
+        return Cyclo(sum(a for a, _ in parts), sum(b for _, b in parts), self.den * d)
 
     def subs(self, assignment) -> "MPoly":
         """Partial substitution var name -> Cyclo value; keeps the var list.
@@ -830,24 +829,18 @@ def render(p: MPoly) -> str:
     """Canonical string form; parse_poly(render(p), p.vars) == p."""
     if p.is_zero():
         return "0"
-    pieces = []
-    for e in sorted(p.terms, key=_grlex_key, reverse=True):
-        c = p.terms[e]
-        mono = "*".join(
-            f"{v}^{k}" if k > 1 else v for v, k in zip(p.vars, e) if k > 0
-        )
+    out = ""
+    for e in sorted(p.pairs, key=_grlex_key, reverse=True):
+        a, b = p.pairs[e]
+        mono = "*".join(f"{v}^{k}" if k > 1 else v for v, k in zip(p.vars, e) if k > 0)
         # a negative rational or pure-w coefficient is written as "-" and
         # its negation
-        sign = "-" if (c.a < 0 if c.b == 0 else c.a == 0 and c.b < 0) else "+"
-        c = -c if sign == "-" else c
-        co = render_coeff(c)
-        body = mono if mono and c == 1 else f"{co}*{mono}" if mono else co
-        pieces.append((sign, body))
-    sign0, body0 = pieces[0]
-    out = body0 if sign0 == "+" else f"-{body0}"
-    for sign, body in pieces[1:]:
+        sign = "-" if (a < 0 if b == 0 else a == 0 and b < 0) else "+"
+        a, b = (-a, -b) if sign == "-" else (a, b)
+        co = render_coeff(a, b, p.den)
+        body = mono if mono and (a, b) == (p.den, 0) else f"{co}*{mono}" if mono else co
         out += f" {sign} {body}"
-    return out
+    return out[3:] if out[1] == "+" else "-" + out[3:]
 
 
 # ---------------------------------------------------------------------------
@@ -858,13 +851,9 @@ def render(p: MPoly) -> str:
 def _zw_lift(cs):
     """Scale Q(w) entries (Cyclo, int or Fraction) by the lcm of their
     denominators into Z[w]; returns (a parts, b parts, lcm) as ints."""
-    cs = [c if isinstance(c, Cyclo) else Cyclo._coerce(c) for c in cs]
-    lcm = math.lcm(*(c.a.denominator for c in cs), *(c.b.denominator for c in cs))
-    return (
-        [c.a.numerator * (lcm // c.a.denominator) for c in cs],
-        [c.b.numerator * (lcm // c.b.denominator) for c in cs],
-        lcm,
-    )
+    cs = [c if type(c) is Cyclo else Cyclo(c) for c in cs]
+    lcm = math.lcm(*(c.d for c in cs))
+    return [c.p * (lcm // c.d) for c in cs], [c.q * (lcm // c.d) for c in cs], lcm
 
 
 def _zw_conj_norm(a, b):
@@ -978,7 +967,7 @@ def monomial_values(values, monomials, order=None) -> list:
         raise AlgebraError("monomial values need one exponent per coordinate")
     rows, den = _zw_power_table(values, map(max, zip(order, *monomials)))
     return [  # the falling factorial c is 0 when some k_i > e_i
-        _cyclo(_zw_at((c, 0), rows, [max(x - k, 0) for x, k in zip(e, order)]), den)
+        Cyclo(*_zw_at((c, 0), rows, [max(x - k, 0) for x, k in zip(e, order)]), den)
         for e in monomials
         for c in [math.prod(map(math.perm, e, order))]
     ]
@@ -1157,7 +1146,7 @@ def echelon_det(rows) -> Cyclo:
     A, B, pivots, sign, den = echelon_zw(rows)
     if len(pivots) < n:
         return C_ZERO
-    return Cyclo(Fraction(sign * A[-1][-1], den), Fraction(sign * B[-1][-1], den))
+    return Cyclo(sign * A[-1][-1], sign * B[-1][-1], den)
 
 
 def det_cyclo(rows) -> Cyclo:
@@ -1508,7 +1497,7 @@ class UPoly:
     def coeffs(self):
         """The coefficients low -> high as a tuple of Cyclo."""
         if self._view is None:
-            object.__setattr__(self, "_view", tuple(_cyclo(ab, self.den) for ab in self.pairs))
+            object.__setattr__(self, "_view", tuple(Cyclo(*ab, self.den) for ab in self.pairs))
         return self._view
 
     @staticmethod
@@ -1741,13 +1730,14 @@ def _root_order_key(root, mults):
     factor's multiplicity in p * conj(p), then by its primitive integer
     coefficients from the leading one down; of a conjugate pair the root
     with positive w part first."""
-    a, b = root.a, root.b
-    if b == 0:
-        return 1, 2 * mults[root], [a.denominator, -a.numerator], 0
-    trace, norm = 2 * a - b, a * a - a * b + b * b
-    den = math.lcm(trace.denominator, norm.denominator)
+    p, q, d = root.p, root.q, root.d
+    if q == 0:
+        return 1, 2 * mults[root], [d, -p], 0
+    # d^2 t^2 - (2p - q) d t + N(p + q*w), over its content
+    coeffs = [d * d, (q - 2 * p) * d, p * p - p * q + q * q]
+    g = math.gcd(*coeffs)
     mult = mults[root] + mults.get(root.conjugate(), 0)
-    return 2, mult, [den, int(-trace * den), int(norm * den)], 0 if b > 0 else 1
+    return 2, mult, [c // g for c in coeffs], 0 if q > 0 else 1
 
 
 def qomega_roots(p: UPoly):
@@ -1822,33 +1812,45 @@ def poly_sqrt(p: MPoly):
 
     The result's leading coefficient is normalized to the half-plane with
     rational part positive (or zero rational part and positive w part).
+
+    p = lc * m with m monic, stored as pairs M over E.  A square root u of m
+    has U = E*u in Z[w][x], because U^2 = E*M does (Gauss's lemma over the
+    UFD Z[w]), so U is built on the pairs from its leading term E*x^h down:
+    each next term is the remainder's leading pair over 2E, which must be
+    exact.
     """
     if p.is_zero():
         return MPoly.zero(p.vars)
     lead = p.leading_exponents()
     if any(e % 2 for e in lead):
         return NOT_A_SQUARE
-    lc_roots = cyclo_nth_roots(p.leading_coeff(), 2)
+    lc = p.leading_coeff()
+    lc_roots = [C_ONE] if lc == 1 else cyclo_nth_roots(lc, 2)
     if not lc_roots:
         return NOT_A_SQUARE
+    m = p.monic()
+    E = m.den
     half = tuple(e // 2 for e in lead)
-    s = MPoly.monomial(p.vars, half, lc_roots[0])
-    lead_key = _grlex_key(half)
-    twice_lc = s.leading_coeff() * 2
-    rem = p - s * s
-    while not rem.is_zero():
-        e = rem.leading_exponents()
-        ne = tuple(a - b for a, b in zip(e, half))
-        if any(k < 0 for k in ne) or _grlex_key(ne) >= lead_key:
+    U = {half: (E, 0)}
+    # the remainder E*M - (E x^h)^2, keyed by grlex order
+    rem = {_grlex_key(e): (a * E, b * E) for e, (a, b) in m.pairs.items() if e != lead}
+    while rem:
+        key = max(rem)
+        (ta, ea), (tb, eb) = (divmod(x, 2 * E) for x in rem.pop(key))
+        ne = tuple(a - b for a, b in zip(key[1], half))
+        if any(k < 0 for k in ne) or _grlex_key(ne) >= _grlex_key(half) or ea or eb:
             return NOT_A_SQUARE
-        t = MPoly.monomial(p.vars, ne, rem.leading_coeff() / twice_lc)
-        # p - (s + t)^2 = (p - s^2) - (2s + t) * t
-        rem = rem - (s + s + t) * t
-        s = s + t
-    lc = s.leading_coeff()
-    if not cyclo_conj_sign_canonical(lc):
-        s = -s
-    return s
+        # rem -= t * (2 (U - E x^h) + t): every exponent lands below key
+        twice = [(f, (2 * a, 2 * b)) for f, (a, b) in U.items() if f != half]
+        for f, v in twice + [(ne, (ta, tb))]:
+            k = _grlex_key(tuple(x + y for x, y in zip(ne, f)))
+            x, y = _zw_mul((ta, tb), v)
+            a, b = rem.pop(k, (0, 0))
+            if (a, b) != (x, y):
+                rem[k] = (a - x, b - y)
+        U[ne] = (ta, tb)
+    c = lc_roots[0] if cyclo_conj_sign_canonical(lc_roots[0]) else -lc_roots[0]
+    return MPoly._new(p.vars, {e: _zw_mul(u, (c.p, c.q)) for e, u in U.items()}, E * c.d)
 
 
 # ---------------------------------------------------------------------------

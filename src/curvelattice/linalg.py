@@ -163,6 +163,6 @@ def det_fraction(rows) -> Fraction:
     if not rows:
         return Fraction(1)
     d = echelon_det(rows)
-    if d.b:
+    if d.q:
         raise AlgebraError("determinant is not rational")
-    return d.a
+    return Fraction(d.p, d.d)

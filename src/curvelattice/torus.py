@@ -416,21 +416,19 @@ def find_toric_sextic(profile: CurveProfile) -> ToricSearchResult:
         for m0, _mult in roots:
             if m0.is_zero():
                 continue
-            s = poly_sqrt(g - q03.scale(m0))
+            # r = l * s^2, s monic: sqrt(l) and cbrt(m0) in Q(w), or 6 missing
+            r = g - q03.scale(m0)
+            s = poly_sqrt(r.monic())
             if s is NOT_A_SQUARE:
                 continue
-            lams = cyclo_nth_roots(m0, 3)
+            ls = cyclo_nth_roots(r.leading_coeff(), 2)
+            lams = cyclo_nth_roots(m0, 3) if ls else None
             if not lams:
                 field_exhausted = True
                 missing += 6
                 continue
-            base = QuasiToricPoint(
-                q0.scale(-lams[0]),
-                s,
-                MPoly.const(variables, 1),
-                g,
-                1,
-            )
+            one = MPoly.const(variables, 1)
+            base = QuasiToricPoint(q0.scale(-lams[0]), s.scale(ls[0]), one, g, 1)
             ok, detail = verify_decomposition(base)
             if not ok:
                 raise ConventionMismatch(f"search produced invalid point: {detail}")

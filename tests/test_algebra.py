@@ -651,9 +651,9 @@ class TestResultant:
         calls = []
         init, mul = Cyclo.__init__, Cyclo.__mul__
 
-        def counted_init(self, a=0, b=0):
+        def counted_init(self, *args):
             calls.append("init")
-            init(self, a, b)
+            init(self, *args)
 
         def counted_mul(self, other):
             calls.append("mul")
@@ -800,9 +800,9 @@ class TestIntPairKernels:
         calls = []
         init, mul = Cyclo.__init__, Cyclo.__mul__
 
-        def counted_init(self, a=0, b=0):
+        def counted_init(self, *args):
             calls.append("init")
-            init(self, a, b)
+            init(self, *args)
 
         def counted_mul(self, other):
             calls.append("mul")
@@ -836,9 +836,9 @@ class TestPointEvaluation:
         calls = []
         init = Cyclo.__init__
 
-        def counted_init(self, a=0, b=0):
+        def counted_init(self, *args):
             calls.append(1)
-            init(self, a, b)
+            init(self, *args)
 
         monkeypatch.setattr(Cyclo, "__init__", counted_init)
         got = p.eval(point)

@@ -11,7 +11,9 @@ exists in the package, so a deletion or rename cannot break
 once, so the pair kernels (`_zw_*`) stay inside algebra and linalg and no
 conversion seam (`_zw`, `_from_zw`, `_monic_from_zw`) comes back.  A
 monomial's value at a point has one evaluator, `algebra.monomial_values`:
-no module builds an `MPoly.monomial(...)` only to call `.eval` on it.
+no module builds an `MPoly.monomial(...)` only to call `.eval` on it.  A
+Cyclo is ints over one denominator: no module builds one from `Fraction`
+arguments or reads `.a`/`.b` back as numerator and denominator.
 """
 
 import ast
@@ -164,6 +166,36 @@ def test_pair_kernels_stay_in_algebra():
             elif isinstance(node, ast.Attribute) and node.attr in CONVERSION_SEAMS:
                 found.append(f"{path.name}:{node.lineno} refers to .{node.attr}")
     assert found == [], f"Z[w] pair kernels or conversion seams outside algebra: {found}"
+
+
+def _fraction_seam(node):
+    """Whether node builds a Cyclo from Fraction(...) arguments or reads a
+    Fraction part of a Cyclo: .a or .b followed by .numerator or
+    .denominator."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Cyclo":
+        return any(
+            isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name) and arg.func.id == "Fraction"
+            for arg in node.args
+        )
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in ("numerator", "denominator")
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr in ("a", "b")
+    )
+
+
+def test_cyclo_stays_on_ints():
+    # Cyclo stores (p + q*w) / d as ints; a and b are read-only Fraction
+    # views, so the package neither builds a Cyclo from Fractions nor takes
+    # a view apart again
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if _fraction_seam(node)
+    ]
+    assert found == [], f"Cyclo built from or read back as Fractions: {found}"
 
 
 def _is_monomial_call(node):

@@ -1,5 +1,6 @@
 """Tests for quasi-toric decompositions, the orbit pairing, and Table 1."""
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -196,6 +197,20 @@ class TestFindToricSextic:
         prof = CurveProfile(poly("x^3 + y^3 + z^3"))
         with pytest.raises(ValueError):
             find_toric_sextic(prof)
+
+    @pytest.mark.parametrize("scale", [Fraction(2), Fraction(-1), Fraction(1, 7), Fraction(64)])
+    def test_scaled_sextic_square_root_outside_field(self, scale):
+        # s*g = s*q^3 + s*c^2 is toric over Q(w, sqrt s, cbrt s): its orbit
+        # is counted missing unless s is a sixth power, never dropped
+        profile, q, c = seeded_torus_sextic(0)
+        result = find_toric_sextic(CurveProfile(profile.g.scale(scale), profile.points))
+        if scale == 64:
+            assert len(result.points) == 6 and not result.field_exhausted
+            assert result.missing == 0
+        else:
+            assert result.points == [] and result.field_exhausted
+            assert result.missing == 6
+        assert result.complete
 
     def test_determinism(self):
         profile, q, c = seeded_torus_sextic(6)
