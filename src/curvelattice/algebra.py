@@ -640,6 +640,26 @@ def restrict_to_line(p: MPoly, alpha, beta, gamma) -> "UPoly":
     return UPoly._new(zip(a, b), p.den * D**top)
 
 
+def _cube_pencil(A: "UPoly", l: "UPoly"):
+    """(u, V, flat) for polynomials A and l in t with deg A = 3 deg l: the
+    pencil u = A - m l^3 in (t, m), its critical-value polynomial
+    V = A' l - 3 A l' up to a scalar, and whether u at m* = lc(A) / lc(l^3)
+    is a nonzero constant.  V is free of m, of degree below deg A' l (the
+    leading terms cancel), and equals u' l - 3 u l' for every m, so it
+    vanishes at every double root of u.  Built on the int pairs."""
+    a, b = A.pairs, l.pairs
+    b3 = _zw_poly_mul(_zw_poly_mul(b, b), b)
+    # lc(l^3) u(m*) over the denominators: zero where the pairs agree
+    at_star = [_zw_mul(b3[-1], x) != _zw_mul(a[-1], y) for x, y in zip(a, b3)]
+    x, y = _zw_poly_mul(_zw_derivative(a), b), _zw_poly_mul(a, _zw_derivative(b))
+    tm = ("t", "m")
+    V = {(k, 0): (p - 3 * r, q - 3 * s) for k, ((p, q), (r, s)) in enumerate(zip(x, y))}
+    dA, dl3 = A.den, l.den**3
+    u = {(k, 0): (p * dl3, q * dl3) for k, (p, q) in enumerate(a)}
+    u.update({(k, 1): (-p * dA, -q * dA) for k, (p, q) in enumerate(b3)})
+    return MPoly._new(tm, u), MPoly._new(tm, V), at_star[0] and not any(at_star[1:])
+
+
 # ---------------------------------------------------------------------------
 # Parser / renderer
 # ---------------------------------------------------------------------------
@@ -1403,6 +1423,16 @@ def _zw_derivative(f):
     return [(k * a, k * b) for k, (a, b) in enumerate(f)][1:]
 
 
+def _zw_poly_mul(f, g):
+    """f * g for int-pair lists low -> high."""
+    out = [(0, 0)] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g, i):
+            a, b = _zw_mul(x, y)
+            out[j] = (out[j][0] + a, out[j][1] + b)
+    return out
+
+
 def _zw_exact(u, d):
     """u / d over Z[w] where the mathematics makes the division exact (d a
     primitive divisor); a remainder raises InvariantError."""
@@ -1793,13 +1823,58 @@ def qomega_roots(p: UPoly):
     return roots, len(f) - 1 - len(roots)
 
 
+def _least_nonnegative(f, lo, hi):
+    """The least int x in [lo, hi] with f(x) >= 0, f nondecreasing there
+    (hi when there is none), by integer bisection."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if f(mid) < 0 else (lo, mid)
+    return lo
+
+
+def _exact_root(k, n):
+    """The int r >= 0 with r^n = k, or None."""
+    r = _least_nonnegative(lambda r: r**n - k, 0, 1 << (k.bit_length() // n + 1))
+    return r if r**n == k else None
+
+
 def cyclo_nth_roots(c: Cyclo, n: int):
-    """All x in Q(w) with x^n = c."""
+    """All x in Q(w) with x^n = c, for n = 2 or 3, in _root_order_key order.
+
+    x = y / d for c = (p + q*w) / d, where y^n = e = (p + q*w) d^(n-1) lies
+    in Z[w], so y does too (Z[w] is integrally closed).  The norm N of y is
+    the integer n-th root of N(e).  Its trace s solves s^2 = Tr(e) + 2N for
+    n = 2 (as y^2 = s y - N); for n = 3 the largest trace of the three
+    cube roots solves s^3 - 3N s = Tr(e) in [sqrt(N), 2 sqrt(N)], where the
+    cubic rises, so one integer bisection finds it.  y = a + b*w with
+    2a - b = s and a^2 - ab + b^2 = N gives 6a = 3s +- sqrt(3(4N - s^2)),
+    and the candidate y^n = e is checked exactly; the other roots are y
+    times the n-th roots of unity.
+    """
+    if n not in (2, 3):
+        raise AlgebraError("cyclo_nth_roots takes square and cube roots only")
     if c.is_zero():
         return [C_ZERO]
-    coeffs = [-c] + [C_ZERO] * (n - 1) + [C_ONE]
-    roots, _missing = qomega_roots(UPoly(coeffs))
-    return [r for r, _m in roots]
+    e = c * c.d**n
+    N = _exact_root(int(e.norm()), n)
+    if N is None:
+        return []
+    T = 2 * e.p - e.q
+    if n == 2:
+        s = _exact_root(T + 2 * N, 2)
+        units = (C_ONE, -C_ONE)
+    else:
+        r = math.isqrt(N)
+        s = _least_nonnegative(lambda s: s**3 - 3 * N * s - T, r + (r * r < N), 2 * r + 2)
+        units = (C_ONE, OMEGA, OMEGA * OMEGA)
+    d = None if s is None else _exact_root(3 * (4 * N - s * s), 2)
+    ys = [] if d is None else [Cyclo(3 * s + k * d, 2 * k * d, 6) for k in (1, -1)]
+    for y in ys:
+        if y**n == e:
+            roots = [y * u / c.d for u in units]
+            mults = dict.fromkeys(roots, 1)
+            return sorted(roots, key=lambda x: _root_order_key(x, mults))
+    return []
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ find_toric_sextic searches for the Z = constant decompositions of a
 sextic: every candidate conic through six cusps, scalar conditions
 lambda^3 = m with g - m q^3 a perfect square, all solved exactly over
 Q(w) with out-of-field solutions counted, never fabricated.  The
-polynomial in m is the discriminant of g - m q^3 on trial lines, taken
-by algebra.resultant.
+polynomial in m vanishes wherever g - m q^3 has a double root on each of
+a few trial lines, a resultant taken by algebra.resultant.
 """
 
 from __future__ import annotations
@@ -42,7 +42,9 @@ from .algebra import (
     OMEGA,
     NotDivisible,
     UPoly,
+    _cube_pencil,
     cyclo_nth_roots,
+    det_cyclo,
     monomial_values,
     poly_sqrt,
     qomega_roots,
@@ -310,17 +312,25 @@ def _g_on_trial_line(g: MPoly, cusps, trial, g_lines):
 
 def _lambda_cubed_candidates(g: MPoly, q0: MPoly, cusps, g_lines):
     """Squarefree univariate polynomial (in m = lambda^3) whose roots
-    contain every m with g - m q0^3 a perfect square.
+    contain every m with g - m q0^3 a perfect square, or None when no
+    trial line is usable.
 
-    Per generic line, with u = g - m q0^3 restricted to the line, the
-    discriminant resultant(u, du/dt, t) is a degree-11 polynomial in m;
-    intersecting several lines by gcd removes line-specific
-    double-contact roots.  g_lines is the search's cache of
+    On a trial line let A = g|_L, l = q0|_L and u = A - m l^3.  The
+    critical-value polynomial V = A' l - 3 A l' has degree at most 6 (the
+    t^7 terms cancel), is free of m, and equals u' l - 3 u l' for every m,
+    so it vanishes at each double root of u.  So resultant(u, V, t), of
+    degree at most 6 in m, vanishes wherever u has a double root: it is
+    the discriminant of u without the factor lc(u), whose root
+    m* = lc(A) / lc(l^3) only marks that deg u drops.  The one square
+    g - m q0^3 = s^2 it can miss is at m*, on a line that meets s only at
+    infinity, where u is a nonzero constant; such a line is skipped.  The
+    gcd over several lines removes line-specific roots.  Every trial
+    line's direction (1 : beta : 0) lies on z = 0, so a conic divisible
+    by z has no usable line.  g_lines is the search's cache of
     _g_on_trial_line.
     """
-    q03 = q0 * q0 * q0
-    tm = ("t", "m")
-    m = MPoly.variable("m", tm)
+    if all(e[2] for e in q0.pairs):
+        return None
     lines = []
     for trial in range(200):
         if len(lines) == 3:
@@ -333,14 +343,16 @@ def _lambda_cubed_candidates(g: MPoly, q0: MPoly, cusps, g_lines):
         gl = _g_on_trial_line(g, cusps, trial, g_lines)
         if gl is None:
             continue
-        ql3 = restrict_to_line(q03, alpha, beta, 0)
-        if gl.degree() != 6 or ql3.degree() != 6:
+        ql = restrict_to_line(q0, alpha, beta, 0)
+        if gl.degree() != 6 or ql.degree() != 2:
             continue
-        u = gl.to_mpoly("t", tm) - ql3.to_mpoly("t", tm) * m
-        disc = resultant(u, u.derivative("t"), "t")
-        if disc.is_zero():
+        u, crit, flat = _cube_pencil(gl, ql)
+        if flat or crit.is_zero():
             continue
-        lines.append(UPoly.from_mpoly(disc, "m"))
+        res = resultant(u, crit, "t")
+        if res.is_zero():
+            continue
+        lines.append(UPoly.from_mpoly(res, "m"))
     if not lines:
         return None
     g_m = _upoly_gcd_many(lines)
@@ -349,11 +361,34 @@ def _lambda_cubed_candidates(g: MPoly, q0: MPoly, cusps, g_lines):
     return g_m.squarefree_part()
 
 
+def _six_subsets(rows):
+    """The 6-subsets of the conic rows, as index tuples in combinations
+    order, whose 6x6 minor vanishes: only these can carry a conic.
+
+    When the n x 6 matrix of rows has rank 6 and n > 6, one basis K of its
+    left kernel, (n - 6) x n, decides each subset S: det(rows on S)
+    vanishes exactly when det(K on the columns outside S) does (Gale
+    duality).  Below rank 6 every minor vanishes."""
+    n = len(rows)
+    subsets = list(combinations(range(n), 6))
+    if n == 6:
+        return subsets
+    K = kernel_basis([list(col) for col in zip(*rows)])
+    if len(K) != n - 6:
+        return subsets
+    return [
+        S
+        for S in subsets
+        if det_cyclo([[k[j] for j in range(n) if j not in S] for k in K]).is_zero()
+    ]
+
+
 def find_toric_sextic(profile: CurveProfile) -> ToricSearchResult:
     """All Z = constant decompositions of a sextic over Q(w).
 
-    Candidate conics pass through six cusps (every 6-subset when at
-    least six cusps exist; a sampled family through all cusps
+    Candidate conics pass through six cusps (every 6-subset whose conic
+    conditions are dependent, _six_subsets, when at least six cusps
+    exist; a sampled family through all cusps
     otherwise); for each conic the scalars lambda with g - lambda^3 q^3
     a perfect square are found from an exact univariate polynomial in
     m = lambda^3 and verified by extracting the square root.
@@ -369,8 +404,8 @@ def find_toric_sextic(profile: CurveProfile) -> ToricSearchResult:
     complete = True
     rows = [monomial_values(p.coords, _monomials(2)) for p in cusps]
     if len(cusps) >= 6:
-        for sub in combinations(rows, 6):
-            q0 = _conic_through(sub, variables)
+        for S in _six_subsets(rows):
+            q0 = _conic_through([rows[i] for i in S], variables)
             if q0 is not None:
                 conics[render(q0)] = q0
     elif cusps:

@@ -983,8 +983,9 @@ class TestDetCyclo:
         assert reduce_omega(to_sympy(det_cyclo(rows)) - sympy_det(rows)) == 0
 
     def test_matches_sympy_on_nine_cusp_sylvester(self, monkeypatch):
-        # one 11x11 formal Sylvester matrix over Z[w], as the discriminant
-        # of _lambda_cubed_candidates hands it to the elimination for a
+        # one 12x12 formal Sylvester matrix over Z[w] (u and the
+        # critical-value polynomial V, both of degree 6 in t), as
+        # _lambda_cubed_candidates hands it to the elimination for a
         # conic with w coefficients through six of the nine cusps of
         # x^6 - 2x^3y^3 - 2x^3z^3 + y^6 - 2y^3z^3 + z^6
         g = parse_poly("x^6 - 2*x^3*y^3 - 2*x^3*z^3 + y^6 - 2*y^3*z^3 + z^6", XYZ)
@@ -1014,7 +1015,7 @@ class TestDetCyclo:
             leaf for leaf in leaves if any(b for a, b in leaf[0] + leaf[1])
         )
         m = sylvester_rows(pv, qv)
-        assert len(m) == 11 and all(len(r) == 11 for r in m)
+        assert len(m) == 12 and all(len(r) == 12 for r in m)
         assert reduce_omega(to_sympy(value) - sympy_det(m)) == 0
         assert value == det_cyclo(m)
 
@@ -1556,6 +1557,11 @@ class TestRoots:
     def test_sqrt_in_field(self):
         assert set(cyclo_nth_roots(Cyclo(-3), 2)) == {Cyclo(1, 2), Cyclo(-1, -2)}
         assert cyclo_nth_roots(Cyclo(2), 2) == []
+
+    def test_only_square_and_cube_roots(self):
+        for n in (1, 4, 6):
+            with pytest.raises(AlgebraError):
+                cyclo_nth_roots(Cyclo(64), n)
 
 
 class TestWeightedDegree:

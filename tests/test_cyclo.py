@@ -5,7 +5,9 @@ Cyclo stores (p + q*w) / d as ints in canonical form (d > 0, gcd(p, q, d)
 kept here as the oracle: every ring operation, equality and hashing, the
 rendered strings and the sign convention must agree with it.  poly_sqrt,
 now built on the stored Z[w] pairs, is checked the same way against the
-loop over MPoly and Cyclo operations that it replaced.
+loop over MPoly and Cyclo operations that it replaced, and
+cyclo_nth_roots, now read from the norm and the trace, against the root
+finder on x^n - c that it replaced.
 """
 
 import math
@@ -16,13 +18,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from curvelattice.algebra import (
+    C_ONE,
+    C_ZERO,
     NOT_A_SQUARE,
     Cyclo,
     MPoly,
+    UPoly,
     _grlex_key,
     cyclo_conj_sign_canonical,
     cyclo_nth_roots,
     poly_sqrt,
+    qomega_roots,
     render,
     render_coeff,
 )
@@ -123,6 +129,14 @@ def reference_poly_sqrt(p: MPoly):
         rem = rem - (s + s + t) * t
         s = s + t
     return s if cyclo_conj_sign_canonical(s.leading_coeff()) else -s
+
+
+def reference_nth_roots(c: Cyclo, n: int):
+    """cyclo_nth_roots as the roots in Q(w) of x^n - c."""
+    if c.is_zero():
+        return [C_ZERO]
+    roots, _missing = qomega_roots(UPoly([-c] + [C_ZERO] * (n - 1) + [C_ONE]))
+    return [r for r, _m in roots]
 
 
 rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4)) | st.builds(
@@ -226,3 +240,15 @@ def test_poly_sqrt(t, c, noise):
         assert got == reference_poly_sqrt(p)
         if got is not NOT_A_SQUARE:
             assert got * got == p
+
+
+@given(pairs, st.sampled_from([2, 3]), st.builds(Cyclo, st.integers(-3, 3), st.integers(-3, 3)))
+@settings(max_examples=300, deadline=None)
+def test_nth_roots(u, n, k):
+    # n-th powers, the same times a small Z[w] factor (a power or not), and
+    # arbitrary values: the same roots in the same order as the reference
+    x = Cyclo(*u)
+    for c in (x**n, x**n * k, x, k, Cyclo(x.p), Cyclo(0, x.q)):
+        got = cyclo_nth_roots(c, n)
+        assert got == reference_nth_roots(c, n)
+        assert all(r**n == c for r in got)

@@ -4,11 +4,22 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from curvelattice import torus
+from curvelattice import algebra, torus
 from curvelattice.adjunction import CurveProfile, _monomials
-from curvelattice.algebra import Cyclo, MPoly, monomial_values, parse_poly, render
-from curvelattice.linalg import rank
+from curvelattice.algebra import (
+    Cyclo,
+    MPoly,
+    UPoly,
+    monomial_values,
+    parse_poly,
+    render,
+    restrict_to_line,
+    resultant,
+)
+from curvelattice.linalg import kernel_basis, rank
 from curvelattice.torus import (
     QuasiToricPoint,
     find_toric_sextic,
@@ -26,6 +37,7 @@ from curvelattice.torus import (
 )
 
 XYZ = ("x", "y", "z")
+SMALL_CYCLO = st.builds(Cyclo, st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 2))
 
 NINE_CUSP = parse_poly(
     "x^6 - 2*x^3*y^3 - 2*x^3*z^3 + y^6 - 2*y^3*z^3 + z^6", XYZ
@@ -223,26 +235,55 @@ class TestFindToricSextic:
 # polynomials in m; None where no trial line is usable for the conic (every
 # trial line meets xz and yz at infinity on z = 0)
 NINE_CUSP_CANDIDATES = {
-    "x*y": "m^2 + 113/8*m + 81/2",
+    "x*y": "m + 4",
     "x*z": None,
     "y*z": None,
-    "x^2 + (-1 - w)*x*y + (-1 - w)*x*z + w*y^2 + w*y*z + w*z^2":
-        "m^2 + (-13/3 - 2/3*w)*m + (4/3 + 8/3*w)",
-    "x^2 + (-1 - w)*x*y + w*x*z + w*y^2 + y*z + (-1 - w)*z^2":
-        "m^2 + (-13/3 - 2/3*w)*m + (4/3 + 8/3*w)",
-    "x^2 + (-1 - w)*x*y + x*z + w*y^2 + (-1 - w)*y*z + z^2":
-        "m^2 + (-13/3 - 2/3*w)*m + (4/3 + 8/3*w)",
-    "x^2 + w*x*y + (-1 - w)*x*z + (-1 - w)*y^2 + y*z + w*z^2":
-        "m^2 + (-11/3 + 2/3*w)*m + (-4/3 - 8/3*w)",
-    "x^2 + w*x*y + w*x*z + (-1 - w)*y^2 + (-1 - w)*y*z + (-1 - w)*z^2":
-        "m^2 + (-11/3 + 2/3*w)*m + (-4/3 - 8/3*w)",
-    "x^2 + w*x*y + x*z + (-1 - w)*y^2 + w*y*z + z^2":
-        "m^2 + (-11/3 + 2/3*w)*m + (-4/3 - 8/3*w)",
-    "x^2 + x*y + (-1 - w)*x*z + y^2 + (-1 - w)*y*z + w*z^2": "m^2 - 7*m + 12",
-    "x^2 + x*y + w*x*z + y^2 + w*y*z + (-1 - w)*z^2": "m^2 - 7*m + 12",
-    "x^2 + x*y + x*z + y^2 + y*z + z^2": "m^2 - 7*m + 12",
+    "x^2 + (-1 - w)*x*y + (-1 - w)*x*z + w*y^2 + w*y*z + w*z^2": "m - 4",
+    "x^2 + (-1 - w)*x*y + w*x*z + w*y^2 + y*z + (-1 - w)*z^2": "m - 4",
+    "x^2 + (-1 - w)*x*y + x*z + w*y^2 + (-1 - w)*y*z + z^2": "m - 4",
+    "x^2 + w*x*y + (-1 - w)*x*z + (-1 - w)*y^2 + y*z + w*z^2": "m - 4",
+    "x^2 + w*x*y + w*x*z + (-1 - w)*y^2 + (-1 - w)*y*z + (-1 - w)*z^2": "m - 4",
+    "x^2 + w*x*y + x*z + (-1 - w)*y^2 + w*y*z + z^2": "m - 4",
+    "x^2 + x*y + (-1 - w)*x*z + y^2 + (-1 - w)*y*z + w*z^2": "m - 4",
+    "x^2 + x*y + w*x*z + y^2 + w*y*z + (-1 - w)*z^2": "m - 4",
+    "x^2 + x*y + x*z + y^2 + y*z + z^2": "m - 4",
 }
-TORUS_0_CANDIDATES = {"x*z - y^2": "m^2 + 631801/90000*m - 721801/90000"}
+TORUS_0_CANDIDATES = {"x*z - y^2": "m - 1"}
+
+
+def discriminant_candidates(g, q0, cusps):
+    """The candidate polynomial in m as the discriminant resultant(u, du/dt)
+    of u = g - m q0^3 on each trial line (the construction the
+    critical-value resultant replaced), with the slopes beta of the lines
+    it used; (None, []) when no line is usable."""
+    q03 = q0 * q0 * q0
+    tm = ("t", "m")
+    m = MPoly.variable("m", tm)
+    lines, betas = [], []
+    for trial in range(200):
+        if len(lines) == 3:
+            break
+        alpha, beta = torus._trial_line(trial)
+        if q0.eval((Cyclo(1), Cyclo(beta), Cyclo(0))).is_zero():
+            continue
+        gl = torus._g_on_trial_line(g, cusps, trial, {})
+        if gl is None:
+            continue
+        ql3 = restrict_to_line(q03, alpha, beta, 0)
+        if gl.degree() != 6 or ql3.degree() != 6:
+            continue
+        u = gl.to_mpoly("t", tm) - ql3.to_mpoly("t", tm) * m
+        disc = resultant(u, u.derivative("t"), "t")
+        if disc.is_zero():
+            continue
+        lines.append(UPoly.from_mpoly(disc, "m"))
+        betas.append(beta)
+    if not lines:
+        return None, []
+    g_m = lines[0]
+    for line in lines[1:]:
+        g_m = g_m.gcd(line)
+    return (g_m if g_m.degree() <= 0 else g_m.squarefree_part()), betas
 
 
 def lambda_cubed_candidates(profile):
@@ -305,6 +346,127 @@ class TestLambdaCubedCandidates:
         (q0, cand), = got.values()
         s = q.leading_coeff() / q0.leading_coeff()
         assert cand.eval(s * s * s).is_zero()
+
+    @pytest.mark.parametrize("seed", [None, 0, 3])
+    def test_discriminant_is_candidate_times_leading_root(self, seed):
+        # the lines share one direction (1 : beta : 0), so the discriminant
+        # keeps the root m* = g(1, beta, 0) / q0(1, beta, 0)^3 of lc(u),
+        # which the critical-value resultant drops
+        profile = CurveProfile(NINE_CUSP) if seed is None else seeded_torus_sextic(seed)[0]
+        cusps = [p.point for p in profile.points if p.kind == "cusp"]
+        for q0, cand in lambda_cubed_candidates(profile).values():
+            old, betas = discriminant_candidates(profile.g, q0, cusps)
+            if cand is None:
+                assert old is None
+                continue
+            (beta,) = set(betas)
+            at = (Cyclo(1), Cyclo(beta), Cyclo(0))
+            m_star = profile.g.eval(at) / q0.eval(at) ** 3
+            assert old == (cand * UPoly([-m_star, Cyclo(1)])).monic()
+
+    def test_each_trial_line_takes_seven_samples(self, monkeypatch):
+        # deg_t u = 6, deg_t V <= 6 and V is free of m: the column bound
+        # takes deg_t V * 1 + 6 * 0 + 1 <= 7 samples of m, each one _zw_res
+        # leaf (a discriminant took 5 * 1 + 6 * 1 + 1 = 12)
+        leaves, per_call = [], []
+        real_leaf, real_resultant = algebra._zw_res, torus.resultant
+
+        def leaf(pv, qv):
+            leaves.append(1)
+            return real_leaf(pv, qv)
+
+        def counted(p, q, var):
+            before = len(leaves)
+            out = real_resultant(p, q, var)
+            per_call.append((len(leaves) - before, q.degree_in(var)))
+            return out
+
+        monkeypatch.setattr(algebra, "_zw_res", leaf)
+        monkeypatch.setattr(torus, "resultant", counted)
+        lambda_cubed_candidates(CurveProfile(NINE_CUSP))
+        assert len(per_call) == 30
+        assert all(n == d + 1 for n, d in per_call)
+        assert max(n for n, _d in per_call) == 7
+
+
+class TestCriticalValueGuard:
+    """g = m0 q0^3 + s^2 with s = L h + c z^3 through six points of the
+    conic q0 = xz - y^2, L = y + 3z + 2x the first trial line (alpha = -3,
+    beta = -2).  On L, s is the nonzero constant c, so u = g - m q0^3 has
+    no double root at m0 = lc(g|_L) / lc(q0|_L^3), and the critical-value
+    resultant on L misses m0; the search must skip L."""
+
+    @staticmethod
+    def sextic(m0):
+        q0, L = poly("x*z - y^2"), poly("y + 3*z + 2*x")
+        points = [
+            (Cyclo(1), Cyclo(t), Cyclo(t) * Cyclo(t))
+            for t in (-3, -1, 1, 2, 4, Fraction(-46, 129))
+        ]
+        # h modulo q0: the conic monomials without y^2
+        monos = [e for e in _monomials(2) if e != (0, 2, 0)]
+        rows = [
+            [L.eval(p) * v for v in monomial_values(p, monos)] + [p[2] ** 3]
+            for p in points
+        ]
+        (vec,) = kernel_basis(rows)
+        h = MPoly(XYZ, dict(zip(monos, vec[:-1])))
+        s = L * h + MPoly.monomial(XYZ, (0, 0, 3), vec[-1])
+        return (q0 * q0 * q0).scale(m0) + s * s
+
+    @pytest.mark.parametrize("m0", [1, 8])
+    def test_cube_m0_keeps_its_orbit(self, m0):
+        result = find_toric_sextic(CurveProfile(self.sextic(m0)))
+        assert len(result.points) == 6 and result.missing == 0
+        assert result.complete and not result.field_exhausted
+
+    def test_non_cube_m0_counted_missing(self):
+        result = find_toric_sextic(CurveProfile(self.sextic(2)))
+        assert result.points == [] and result.missing == 6
+        assert result.complete and result.field_exhausted
+
+
+class TestSixSubsetScreen:
+    def test_nine_cusp_kernels(self, monkeypatch):
+        # one left kernel for the screen and one per subset that carries
+        # a conic (12), instead of one per six-subset (84)
+        calls = []
+        real = torus.kernel_basis
+
+        def counted(rows):
+            calls.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(torus, "kernel_basis", counted)
+        result = find_toric_sextic(CurveProfile(NINE_CUSP))
+        assert result.missing == 60
+        assert len(calls) <= 13
+
+    @given(
+        st.lists(SMALL_CYCLO, min_size=0, max_size=10),
+        st.lists(st.tuples(SMALL_CYCLO, SMALL_CYCLO, SMALL_CYCLO), min_size=0, max_size=10),
+        st.integers(7, 10),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_same_conics_as_every_subset(self, ts, others, n):
+        # points (1 : t : t^2) on xz - y^2 and arbitrary ones, with w in
+        # their coordinates: the screened subsets give the same conics in
+        # the same order as running _conic_through on every six-subset
+        points = [(Cyclo(1), t, t * t) for t in ts]
+        points += [p for p in others if any(not c.is_zero() for c in p)]
+        assume(len(points) >= n)
+        rows = [monomial_values(p, _monomials(2)) for p in points[:n]]
+        every = {}
+        for sub in combinations(rows, 6):
+            q0 = torus._conic_through(sub, XYZ)
+            if q0 is not None:
+                every[render(q0)] = q0
+        screened = {}
+        for S in torus._six_subsets(rows):
+            q0 = torus._conic_through([rows[i] for i in S], XYZ)
+            if q0 is not None:
+                screened[render(q0)] = q0
+        assert list(screened.items()) == list(every.items())
 
 
 class TestSeededSextic:
