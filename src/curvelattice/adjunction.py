@@ -33,8 +33,9 @@ from .algebra import (
     ProjPoint,
     UPoly,
     monomial_values,
+    monomials,
     qomega_roots,
-    restrict_to_line,
+    restrict,
     resultant,
 )
 from .linalg import kernel_basis, rank as matrix_rank
@@ -196,21 +197,18 @@ def singular_points(g: MPoly):
                 if all(p.eval((x0, y0, C_ONE)).is_zero() for p in partials):
                     points.append(ProjPoint((x0, y0, C_ONE)))
 
-    # line z = 0, chart y = 1
-    at_inf = [p.subs({vz: 0, vy: 1}) for p in partials]
-    upolys = [UPoly.from_mpoly(p, vx) for p in at_inf if not p.is_zero()]
-    if upolys:
-        u = _upoly_gcd_many(upolys)
-        if u is not None and u.degree() > 0:
-            xroots, miss = qomega_roots(u)
-            unexplained += miss
-            for x0, _m in xroots:
-                if all(p.eval((x0, C_ONE, C_ZERO)).is_zero() for p in partials):
-                    points.append(ProjPoint((x0, C_ONE, C_ZERO)))
-    else:
+    # line z = 0, chart y = 1: the points (t : 1 : 0)
+    u = _upoly_gcd_many(restrict(p, (0, 1, 0), (1, 0, 0)) for p in partials)
+    if u is None:
         # all partials vanish identically on the chart: cannot happen for
         # a squarefree form with finite singular locus
         raise IncompleteLocus(-1, points)
+    if u.degree() > 0:
+        xroots, miss = qomega_roots(u)
+        unexplained += miss
+        for x0, _m in xroots:
+            if all(p.eval((x0, C_ONE, C_ZERO)).is_zero() for p in partials):
+                points.append(ProjPoint((x0, C_ONE, C_ZERO)))
     if all(p.eval((C_ONE, C_ZERO, C_ZERO)).is_zero() for p in partials):
         points.append(ProjPoint((C_ONE, C_ZERO, C_ZERO)))
 
@@ -286,33 +284,31 @@ class CuspScheme:
             self._cache["line_divisor"] = self._compute_line_divisor()
         return self._cache["line_divisor"]
 
+    def _on_line(self, at, along):
+        """The two generators restricted to the line e(at) + t e(along),
+        e(v) the unit vector of the variable v."""
+        P, Q = ([int(v == w) for v in self.gen_a.vars] for w in (at, along))
+        return [restrict(f, P, Q) for f in (self.gen_a, self.gen_b)]
+
     def _compute_line_divisor(self):
-        sv = self.sat_var
-        rest = [v for v in self.gen_a.vars if v != sv]
-        a0 = self.gen_a.subs({sv: 0})
-        b0 = self.gen_b.subs({sv: 0})
-        if a0.is_zero() or b0.is_zero():
-            z = b0 if a0.is_zero() else a0
-            if z.is_zero():
-                raise DomainError("both restrictions vanish identically")
-            u = _binary_to_upoly(z, rest)
-            return u.squarefree_part(), u.degree() < z.degree()
-        ua, ub = _binary_to_upoly(a0, rest), _binary_to_upoly(b0, rest)
-        g = ua.gcd(ub).squarefree_part()
-        has_inf = ua.degree() < a0.degree() and ub.degree() < b0.degree()
-        return g, has_inf
+        # the line sat_var = 0 as (t : 1) in (rest[0] : rest[1]); a
+        # restriction of lower degree than its form, or zero, has a root
+        # at (1:0)
+        rest = [v for v in self.gen_a.vars if v != self.sat_var]
+        us = self._on_line(rest[1], rest[0])
+        g = _upoly_gcd_many(us)
+        if g is None:
+            raise DomainError("both restrictions vanish identically")
+        has_inf = all(u.degree() < f.degree() for u, f in zip(us, (self.gen_a, self.gen_b)))
+        return g.squarefree_part(), has_inf
 
     def _axis_count(self) -> int:
         """Distinct common zeros on the line rest[1] = 0 off the saturation
         line: the roots of the gcd of the two forms restricted to it (with
         sat_var = 1).  Every shear in count() keeps this line, so it
         projects all of them to the one direction (1:0)."""
-        sv = self.sat_var
-        rest = [v for v in self.gen_a.vars if v != sv]
-        g = _upoly_gcd_many(
-            UPoly.from_mpoly(f.subs({rest[1]: 0, sv: 1}), rest[0])
-            for f in (self.gen_a, self.gen_b)
-        )
+        rest = [v for v in self.gen_a.vars if v != self.sat_var]
+        g = _upoly_gcd_many(self._on_line(self.sat_var, rest[0]))
         if g is None:
             # both forms contain the line: the common zeros are not finite
             raise IncompleteLocus(-1, [])
@@ -441,11 +437,13 @@ class CuspScheme:
         a, b, sv = self.gen_a, self.gen_b, self.sat_var
         big = m + n
         si = a.vars.index(sv)
-        low = [e for e in _monomials(big) if e[si] < n]
+        low = [e for e in monomials(big, (1, 1, 1)) if e[si] < n]
         index = {e: i for i, e in enumerate(low)}
         gens = (a, b)
         cols = [
-            (g, e) for g, gen in enumerate(gens) for e in _monomials(big - gen.degree())
+            (g, e)
+            for g, gen in enumerate(gens)
+            for e in monomials(big - gen.degree(), (1, 1, 1))
         ]
         # a column holds gen.pairs, gen * x^e scaled by gen.den
         rows = [[0] * len(cols) for _ in low]
@@ -505,26 +503,15 @@ class CuspScheme:
         return [MPoly(variables, dict(zip(keys, row))) for row in rows]
 
 
-def _monomials(d: int):
-    return [
-        (i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)
-    ]
-
-
 def _ideal_dim(da: int, db: int, big: int) -> int:
     """dim of the degree-big part of (a, b) for a regular sequence of forms
     of degrees da and db: exact by the Koszul complex, whose one syzygy
     (b, -a) is the kernel of (f, g) -> f*a + g*b."""
     return (
-        len(_monomials(big - da))
-        + len(_monomials(big - db))
-        - len(_monomials(big - da - db))
+        len(monomials(big - da, (1, 1, 1)))
+        + len(monomials(big - db, (1, 1, 1)))
+        - len(monomials(big - da - db, (1, 1, 1)))
     )
-
-
-def _binary_to_upoly(r: MPoly, rest) -> UPoly:
-    """A binary form in rest = (v1, v2), dehomogenized with v2 = 1."""
-    return UPoly.from_mpoly(r.subs({rest[1]: 1}), rest[0])
 
 
 # ---------------------------------------------------------------------------
@@ -621,8 +608,7 @@ def _gcd_degree_through(p: MPoly, q: MPoly, beta, gamma) -> int:
     for alpha in range(p.degree() * q.degree() + 1):
         if best == 0:
             break
-        u = restrict_to_line(p, alpha, beta, gamma)
-        v = restrict_to_line(q, alpha, beta, gamma)
+        u, v = (restrict(f, (0, alpha, 1), (1, beta, gamma)) for f in (p, q))
         best = min(best, u.gcd(v).degree())
     return best
 
@@ -660,7 +646,7 @@ def defect(profile: CurveProfile, alpha) -> tuple:
             return (l, 0, l)
         # independent conditions: monomial space minus forms vanishing
         # on the scheme
-        h = len(_monomials(deg)) - profile.scheme.vanishing_dim(deg)
+        h = len(monomials(deg, (1, 1, 1))) - profile.scheme.vanishing_dim(deg)
         return (l, h, l - h)
     fns = conditions_at(alpha, profile.points)
     l = len(fns)
@@ -668,7 +654,7 @@ def defect(profile: CurveProfile, alpha) -> tuple:
         return (0, 0, 0)
     if deg < 0:
         return (l, 0, l)
-    monos = _monomials(deg)
+    monos = monomials(deg, (1, 1, 1))
     rows = [f.row(monos) for f in fns]
     h = matrix_rank(rows)
     return (l, h, l - h)

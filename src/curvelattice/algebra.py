@@ -536,18 +536,6 @@ class MPoly:
                     out[key] = (old[0] + x, old[1] + y)
         return MPoly._new(names, out, self.den * d).homogeneous_parts()
 
-    def coeffs_in(self, var):
-        """Coefficients of powers of var, as polynomials with var removed.
-
-        Returns (exp -> MPoly over remaining vars, remaining var tuple).
-        """
-        i = self.vars.index(var)
-        rest = self.vars[:i] + self.vars[i + 1 :]
-        out = {}
-        for e, ab in self.pairs.items():
-            out.setdefault(e[i], {})[e[:i] + e[i + 1 :]] = ab
-        return {k: MPoly._new(rest, d, self.den) for k, d in out.items()}, rest
-
     def homogeneous_parts(self) -> dict:
         """{d: the sum of the terms of total degree d} over the nonzero parts."""
         out = {}
@@ -607,36 +595,42 @@ class MPoly:
 
 def _convolve(f, g):
     """Product of two int coefficient lists, low -> high."""
-    out = [0] * (len(f) + len(g) - 1)
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
     for i, x in enumerate(f):
         for j, y in enumerate(g, i):
             out[j] += x * y
     return out
 
 
-def restrict_to_line(p: MPoly, alpha, beta, gamma) -> "UPoly":
-    """Restriction of a ternary p to the line (t, alpha + beta t, 1 + gamma
-    t) as a UPoly.  The rational parameters are A / D, B / D and G / D over
-    one denominator D and never meet a Q(w) product: each term
-    (a, b) / den * x^i y^j z^k adds (a, b) * D^(top - j - k) times the
-    integer coefficients of t^i (A + B t)^j (D + G t)^k, top the largest
-    j + k, all over den * D^top."""
-    alpha, beta, gamma = (Fraction(v) for v in (alpha, beta, gamma))
-    D = math.lcm(alpha.denominator, beta.denominator, gamma.denominator)
-    A, B, G = (int(v * D) for v in (alpha, beta, gamma))
-    top = max((j + k for _i, j, k in p.pairs), default=0)
-    a = [0] * (p.degree() + 1)
-    b = [0] * (p.degree() + 1)
-    ys, zs = [[1]], [[1]]  # powers of A + B t and of D + G t
-    for (i, j, k), (xa, xb) in p.pairs.items():
-        while len(ys) <= j:
-            ys.append(_convolve(ys[-1], (A, B)))
-        while len(zs) <= k:
-            zs.append(_convolve(zs[-1], (D, G)))
-        s = D ** (top - j - k)
-        for n, v in enumerate(_convolve(ys[j], zs[k]), i):
-            a[n] += xa * v * s
-            b[n] += xb * v * s
+def restrict(p: MPoly, P, Q) -> "UPoly":
+    """p(P + t Q) as a UPoly, for rational points P and Q (int or Fraction
+    coordinates, one per variable).  The coordinates are ints over one
+    denominator D and never meet a Q(w) product: each term
+    (a, b) / den * x^e adds (a, b) * D^(top - |e|) times the int
+    coefficients of the product of the (D P_i + D Q_i t)^(e_i), top the
+    largest |e|, all over den * D^top.  A power's low zeros are kept as a
+    shift, and a power with one coefficient left is a scalar factor."""
+    D = math.lcm(*(v.denominator for v in (*P, *Q)))
+    forms = [(int(u * D), int(v * D)) for u, v in zip(P, Q, strict=True)]
+    powers = [[(0, [1])] for _ in forms]  # (shift, ints) of each form's powers
+    top = p.degree()
+    a, b = [0] * (top + 1), [0] * (top + 1)
+    for e, (xa, xb) in p.pairs.items():
+        shift, c, row = 0, D ** (top - sum(e)), [1]
+        for (A, B), pw, k in zip(forms, powers, e, strict=True):
+            while len(pw) <= k:
+                s, f = pw[-1]
+                pw.append((s + (not A), _convolve(f, (A, B) if A and B else (A or B,))))
+            s, f = pw[k]
+            shift += s
+            if len(f) > 1:
+                row = _convolve(row, f)
+            else:
+                c *= f[0]
+        xa, xb = xa * c, xb * c
+        for n, v in enumerate(row, shift):
+            a[n] += xa * v
+            b[n] += xb * v
     return UPoly._new(zip(a, b), p.den * D**top)
 
 
@@ -977,18 +971,27 @@ def _zw_at(ab, rows, exps):
     return a, b
 
 
-def monomial_values(values, monomials, order=None) -> list:
-    """One Cyclo per exponent tuple of monomials: the monomial, or its
+def monomials(degree, weights) -> list:
+    """The exponent tuples of a weighted degree, the first exponent
+    ascending and the rest in the same order."""
+    w, *rest = weights
+    if not rest:
+        return [(degree // w,)] if degree >= 0 and not degree % w else []
+    return [(i, *e) for i in range(degree // w + 1) for e in monomials(degree - i * w, rest)]
+
+
+def monomial_values(values, exps, order=None) -> list:
+    """One Cyclo per exponent tuple of exps: the monomial, or its
     derivative of the given order (one count per variable), at the point
     values.  The derivative of x^e of order k is the falling factorial
     e!/(e - k)! times x^(e - k), and 0 when some k_i > e_i."""
     order = tuple(order or (0,) * len(values))
-    if any(len(e) != len(values) for e in [order, *monomials]):
+    if any(len(e) != len(values) for e in [order, *exps]):
         raise AlgebraError("monomial values need one exponent per coordinate")
-    rows, den = _zw_power_table(values, map(max, zip(order, *monomials)))
+    rows, den = _zw_power_table(values, map(max, zip(order, *exps)))
     return [  # the falling factorial c is 0 when some k_i > e_i
         Cyclo(*_zw_at((c, 0), rows, [max(x - k, 0) for x, k in zip(e, order)]), den)
-        for e in monomials
+        for e in exps
         for c in [math.prod(map(math.perm, e, order))]
     ]
 
@@ -1235,18 +1238,18 @@ def resultant(p: MPoly, q: MPoly, var) -> MPoly:
     dp, dq = p.degree_in(var), q.degree_in(var)
     if dp == 0 and dq == 0:
         raise AlgebraError("resultant needs positive degree in the variable")
-    # deg 0 in var: Res(c, q) = c^{deg q}
-    if dp == 0:
-        return p.coeffs_in(var)[0][0] ** dq
-    if dq == 0:
-        return q.coeffs_in(var)[0][0] ** dp
     i = p.vars.index(var)
+    rest = p.vars[:i] + p.vars[i + 1 :]
     pc, qc = ([{} for _ in range(d + 1)] for d in (dp, dq))
     for f, cs in ((p, pc), (q, qc)):
         for e, ab in f.pairs.items():
             cs[e[i]][e[:i] + e[i + 1 :]] = ab
-    det = _sylvester_det_zw(pc, qc)
-    return MPoly._new(p.vars[:i] + p.vars[i + 1 :], det, p.den**dq * q.den**dp)
+    # deg 0 in var: Res(c, q) = c^{deg q}
+    if dp == 0:
+        return MPoly._new(rest, pc[0], p.den) ** dq
+    if dq == 0:
+        return MPoly._new(rest, qc[0], q.den) ** dp
+    return MPoly._new(rest, _sylvester_det_zw(pc, qc), p.den**dq * q.den**dp)
 
 
 def _sylvester_det_zw(pc, qc):
@@ -1634,11 +1637,7 @@ def _fp_sub(f, g, p):
 
 
 def _fp_mul(f, g, p):
-    out = [0] * (len(f) + len(g) - 1) if f and g else []
-    for i, x in enumerate(f):
-        for j, y in enumerate(g, i):
-            out[j] += x * y
-    return [c % p for c in out]
+    return [c % p for c in _convolve(f, g)]
 
 
 def _fp_divmod(f, g, p):

@@ -96,9 +96,18 @@ def _poly(doc, key, variables):
     return parse_poly(doc[key], variables)
 
 
+def _int(value) -> int:
+    """A JSON integer or a decimal integer string as an int.  A float or a
+    boolean raises TypeError: int() would truncate 1.9 to 1 and read true
+    as 1."""
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _integer(doc, key, default):
     try:
-        return int(doc.get(key, default))
+        return _int(doc.get(key, default))
     except (TypeError, ValueError):
         raise UsageError(f'"{key}" must be an integer') from None
 
@@ -169,10 +178,6 @@ def _weighted(args):
     return WeightedPoly(f, weights)
 
 
-def _frac_key(a: Fraction) -> str:
-    return str(a)
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -183,11 +188,7 @@ def _cmd_spectrum(args):
 
     wp = _weighted(args)
     sp = spectrum(wp)
-    return {
-        "spectrum": {_frac_key(a): n for a, n in sorted(sp.items())},
-        "milnor_number": wp.milnor_number(),
-        "deviations": [],
-    }
+    return {"spectrum": sp, "milnor_number": wp.milnor_number()}
 
 
 def _cmd_singular(args):
@@ -204,7 +205,6 @@ def _cmd_singular(args):
         "degree": profile.d,
         "points": pts,
         "inventory": profile.singularity_inventory(),
-        "deviations": [],
     }
 
 
@@ -215,10 +215,8 @@ def _cmd_defects(args):
     table = defect_table(profile)
     return {
         "defects": {
-            _frac_key(a): {"l": l, "h": h, "delta": delta}
-            for a, (l, h, delta) in sorted(table.items())
-        },
-        "deviations": [],
+            a: {"l": l, "h": h, "delta": delta} for a, (l, h, delta) in table.items()
+        }
     }
 
 
@@ -227,11 +225,7 @@ def _cmd_alexander(args):
 
     profile = _curve_from_doc(_load_doc(args.curve))
     alex = alexander(profile)
-    return {
-        "orders": {_frac_key(a): o for a, o in sorted(alex.orders.items())},
-        "polynomial": alex.rendered,
-        "deviations": [],
-    }
+    return {"orders": alex.orders, "polynomial": alex.rendered}
 
 
 def _cmd_mwrank(args):
@@ -244,18 +238,14 @@ def _cmd_mwrank(args):
     except NotApplicable as err:
         return {
             "applicable": False,
-            "obstruction": {_frac_key(a): v for a, v in err.obstruction.items()},
+            "obstruction": err.obstruction,
             "rank": None,
-            "deviations": [],
             "exit": 2,
         }
     return {
         "applicable": True,
         "rank": report.rank,
-        "contributions": {
-            _frac_key(a): v for a, v in sorted(report.contributions.items())
-        },
-        "deviations": [],
+        "contributions": report.contributions,
     }
 
 
@@ -270,7 +260,6 @@ def _cmd_toric_find(args):
         "complete": result.complete,
         "field_exhausted": result.field_exhausted,
         "missing_upper_bound": result.missing,
-        "deviations": [],
     }
 
 
@@ -283,7 +272,6 @@ def _cmd_toric_verify(args):
         "ok": ok,
         "detail": detail,
         "height": height(p) if ok else None,
-        "deviations": [],
     }
 
 
@@ -304,10 +292,7 @@ def _cmd_toric_orbit(args):
     from .torus import mu6_orbit
 
     p = _point_from_doc(_load_doc(args.point))
-    return {
-        "orbit": [_point_doc(q) for q in mu6_orbit(p)],
-        "deviations": [],
-    }
+    return {"orbit": [_point_doc(q) for q in mu6_orbit(p)]}
 
 
 def _cmd_table1(args):
@@ -327,7 +312,6 @@ def _cmd_table1(args):
         "point": _point_doc(point),
         "verified": ok,
         "height": height(point),
-        "deviations": [],
     }
 
 
@@ -341,7 +325,6 @@ def _cmd_weier_check(args):
     doc = {
         "discriminant": render(discriminant(w).to_mpoly("t", ("t",))),
         "minimal": minimal,
-        "deviations": [],
     }
     if minimal:
         doc["no_reducible_fibers"] = no_reducible_fibers(w)
@@ -359,7 +342,6 @@ def _cmd_lattice_minvec(args):
         "min_norm": int(norm),
         "count": count,
         "vectors": [list(v) for v in vectors],
-        "deviations": [],
     }
 
 
@@ -373,7 +355,6 @@ def _cmd_lattice_id(args):
         "tag": lid.tag,
         "evidence": list(lid.evidence),
         "note": lid.note,
-        "deviations": [],
     }
 
 
@@ -381,7 +362,7 @@ def _cmd_lattice_diag(args):
     from .lattice import diagonalize
 
     q = _quadform(_load_doc(args.gram))
-    return {"diagonal": diagonalize(q), "deviations": []}
+    return {"diagonal": diagonalize(q)}
 
 
 def _cmd_lattice_qequiv(args):
@@ -389,9 +370,7 @@ def _cmd_lattice_qequiv(args):
 
     qa = _quadform(_load_doc(args.a))
     qb = _quadform(_load_doc(args.b))
-    rep = dict(q_compare(qa, qb))
-    rep["deviations"] = []
-    return rep
+    return q_compare(qa, qb)
 
 
 def _summary_from_doc(doc):
@@ -406,15 +385,15 @@ def _summary_from_doc(doc):
         raise UsageError('"inventory" and "alexander_orders" must be objects')
     try:
         summary = CurveSummary(
-            int(doc["degree"]),
-            {str(k): int(v) for k, v in doc["inventory"].items()},
-            {Fraction(str(k)): int(v) for k, v in doc["alexander_orders"].items()},
-            int(doc["delta_one_sixth"]),
-            int(doc["rank_prediction"]),
+            _int(doc["degree"]),
+            {str(k): _int(v) for k, v in doc["inventory"].items()},
+            {Fraction(str(k)): _int(v) for k, v in doc["alexander_orders"].items()},
+            _int(doc["delta_one_sixth"]),
+            _int(doc["rank_prediction"]),
         )
     except (TypeError, ValueError, ArithmeticError):
         raise UsageError("summary entries must be integers and rational keys") from None
-    return summary, _rows(doc["gram"], "gram", int)
+    return summary, _rows(doc["gram"], "gram", _int)
 
 
 def _cmd_zariski(args):
@@ -553,11 +532,7 @@ def run(argv) -> int:
         return 1
     except (InvariantError, *DOMAIN_ERRORS) as err:
         _emit(
-            {
-                "error": type(err).__name__,
-                "message": str(err),
-                "deviations": [],
-            },
+            {"error": type(err).__name__, "message": str(err)},
             args.out,
         )
         return INVARIANT_EXIT if isinstance(err, InvariantError) else 2

@@ -20,6 +20,7 @@ from .algebra import (
     MPoly,
     UPoly,
     is_weighted_homogeneous,
+    monomials,
     weighted_degree,
 )
 from .linalg import rank as matrix_rank
@@ -66,17 +67,6 @@ class WeightedPoly:
         return num // (w1 * w2)
 
 
-def _weighted_monomials(wdeg_target, weights):
-    """All (i, j) with i*w1 + j*w2 == wdeg_target."""
-    w1, w2 = weights
-    out = []
-    for i in range(wdeg_target // w1 + 1):
-        rem = wdeg_target - i * w1
-        if rem % w2 == 0:
-            out.append((i, int(rem // w2)))
-    return out
-
-
 def milnor_graded_dims(wp: WeightedPoly):
     """Weighted-graded dimensions of the Milnor algebra, as {degree: dim}.
 
@@ -101,7 +91,7 @@ def milnor_graded_dims(wp: WeightedPoly):
 
 def _graded_quotient_dim(m, fx, fy, weights, d):
     w1, w2 = weights
-    monos = _weighted_monomials(m, weights)
+    monos = monomials(m, weights)
     if not monos:
         return 0
     index = {e: k for k, e in enumerate(monos)}
@@ -109,7 +99,7 @@ def _graded_quotient_dim(m, fx, fy, weights, d):
     for g, gw in ((fx, d - w1), (fy, d - w2)):
         if g.is_zero():
             continue
-        for i, j in _weighted_monomials(m - gw, weights):
+        for i, j in monomials(m - gw, weights):
             row = [C_ZERO] * len(monos)
             for e, c in g.terms.items():
                 key = (e[0] + i, e[1] + j)

@@ -27,7 +27,6 @@ from .adjunction import (
     CurveProfile,
     CuspScheme,
     IncompleteLocus,
-    _monomials,
     _upoly_gcd_many,
     gcd_degree,
     singular_points,
@@ -46,10 +45,11 @@ from .algebra import (
     cyclo_nth_roots,
     det_cyclo,
     monomial_values,
+    monomials,
     poly_sqrt,
     qomega_roots,
     render,
-    restrict_to_line,
+    restrict,
     resultant,
 )
 from .linalg import det_fraction, kernel_basis
@@ -61,10 +61,6 @@ class DivisibilityFailure(DomainError):
 
 class ConventionMismatch(DomainError):
     """The pairing convention failed one of its validating identities."""
-
-
-def _monomials2(d):
-    return [(i, d - i) for i in range(d + 1)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -274,7 +270,7 @@ def _conic_through(rows, variables):
     """The conic through the points with the given conic rows when they
     impose independent conditions up to a one-dimensional kernel; None
     otherwise."""
-    monos = _monomials(2)
+    monos = monomials(2, (1, 1, 1))
     ker = kernel_basis(rows)
     if len(ker) != 1:
         return None
@@ -284,7 +280,9 @@ def _conic_through(rows, variables):
 
 def _trial_line(trial):
     """(alpha, beta) of the trial line (t, alpha + beta t, 1) number trial,
-    as ints."""
+    as ints: the line P + t Q with P = (0, alpha, 1) and Q = (1, beta, 0).
+    A form restricted to it has the top coefficient f(Q), so it drops
+    degree exactly when the direction (1 : beta : 0) lies on the form."""
     return trial % 7 - 3, trial // 7 - 2
 
 
@@ -298,14 +296,16 @@ def _g_on_trial_line(g: MPoly, cusps, trial, g_lines):
     if trial not in g_lines:
         alpha, beta = _trial_line(trial)
         gl = None
-        if not g.eval((C_ONE, Cyclo(beta), C_ZERO)).is_zero() and not any(
+        if not any(
             (
                 not c.coords[2].is_zero()
                 and (c.coords[1] - Cyclo(alpha) - Cyclo(beta) * c.coords[0]).is_zero()
             )
             for c in cusps
         ):
-            gl = restrict_to_line(g, alpha, beta, 0)
+            gl = restrict(g, (0, alpha, 1), (1, beta, 0))
+            if gl.degree() < g.degree():
+                gl = None
         g_lines[trial] = gl
     return g_lines[trial]
 
@@ -335,16 +335,15 @@ def _lambda_cubed_candidates(g: MPoly, q0: MPoly, cusps, g_lines):
     for trial in range(200):
         if len(lines) == 3:
             break
+        # direction (1 : beta : 0) off the conic, then off the curve, and
+        # no cusp on the line; the conic decides first, so a line it
+        # rejects never restricts g
         alpha, beta = _trial_line(trial)
-        # leading behavior: direction (1 : beta : 0) off the conic/curve,
-        # and no cusp on the line
-        if q0.eval((C_ONE, Cyclo(beta), C_ZERO)).is_zero():
+        ql = restrict(q0, (0, alpha, 1), (1, beta, 0))
+        if ql.degree() != 2:
             continue
         gl = _g_on_trial_line(g, cusps, trial, g_lines)
         if gl is None:
-            continue
-        ql = restrict_to_line(q0, alpha, beta, 0)
-        if gl.degree() != 6 or ql.degree() != 2:
             continue
         u, crit, flat = _cube_pencil(gl, ql)
         if flat or crit.is_zero():
@@ -402,7 +401,7 @@ def find_toric_sextic(profile: CurveProfile) -> ToricSearchResult:
     cusps = [p.point for p in profile.points if p.kind == "cusp"]
     conics = {}
     complete = True
-    rows = [monomial_values(p.coords, _monomials(2)) for p in cusps]
+    rows = [monomial_values(p.coords, monomials(2, (1, 1, 1))) for p in cusps]
     if len(cusps) >= 6:
         for S in _six_subsets(rows):
             q0 = _conic_through([rows[i] for i in S], variables)
@@ -410,7 +409,7 @@ def find_toric_sextic(profile: CurveProfile) -> ToricSearchResult:
                 conics[render(q0)] = q0
     elif cusps:
         complete = False
-        monos = _monomials(2)
+        monos = monomials(2, (1, 1, 1))
         ker = kernel_basis(rows)
         combos = []
         if len(ker) == 1:
@@ -490,7 +489,7 @@ Y_VARS = ("y0", "y1", "y2")
 def _binary(variables, coeffs, degree):
     """Binary form in (y1, y2) of the given degree from a coefficient list."""
     terms = {}
-    for (i, j), c in zip(_monomials2(degree), coeffs):
+    for (i, j), c in zip(monomials(degree, (1, 1)), coeffs):
         c = Cyclo._coerce(c)
         if not c.is_zero():
             terms[(0, i, j)] = c
@@ -658,7 +657,7 @@ def seeded_torus_sextic(seed: int):
         v = ("x", "y", "z")
         q = MPoly.monomial(v, (1, 0, 1)) - MPoly.monomial(v, (0, 2, 0))
         # cubic through the six points: seeded kernel combination
-        monos = _monomials(3)
+        monos = monomials(3, (1, 1, 1))
         rows = [monomial_values(p, monos) for p in pts]
         ker = kernel_basis(rows)
         if len(ker) != 4:

@@ -47,32 +47,24 @@ def _rad_at_least(parts, m: int) -> UPoly:
     return out
 
 
-def _to_upoly_any(p) -> UPoly:
-    if isinstance(p, UPoly):
-        return p
-    if isinstance(p, MPoly):
-        active = [v for i, v in enumerate(p.vars) if any(e[i] for e in p.terms)]
-        if len(active) > 1:
-            raise DomainError("coefficient polynomial must be univariate")
-        var = active[0] if active else (p.vars[0] if p.vars else None)
-        if var is None:
-            return UPoly([p.constant_coeff()])
-        return UPoly.from_mpoly(p, var)
-    return UPoly([p])
-
-
 @dataclass(frozen=True, slots=True)
 class WeierstrassData:
     """Coefficients (A, B) of y^2 = x^3 + A x + B with the twist degree k.
 
-    A and B may be given as UPoly, univariate MPoly or scalars."""
+    A and B may be given as UPoly or as MPoly in one variable."""
 
     A: UPoly
     B: UPoly
     k: int
 
     def __post_init__(self):
-        A, B, k = _to_upoly_any(self.A), _to_upoly_any(self.B), self.k
+        A, B = (
+            UPoly.from_mpoly(p, *p.vars) if isinstance(p, MPoly) and len(p.vars) == 1 else p
+            for p in (self.A, self.B)
+        )
+        if not (isinstance(A, UPoly) and isinstance(B, UPoly)):
+            raise DomainError("A and B must be UPoly or MPoly in one variable")
+        k = self.k
         if k <= 0:
             raise DomainError("k must be positive")
         if A.degree() > 4 * k or B.degree() > 6 * k:

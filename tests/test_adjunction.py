@@ -60,7 +60,7 @@ def six_cusp_sextic():
 def vanishing_on_points(points, m):
     """Oracle: dimension of the degree-m forms vanishing on a set of
     rational points, by sympy's rank of the evaluation matrix."""
-    monos = adjunction._monomials(m)
+    monos = algebra.monomials(m, (1, 1, 1))
     rows = [
         [p[0] ** e[0] * p[1] ** e[1] * p[2] ** e[2] for e in monos]
         for p in points
@@ -80,12 +80,12 @@ def full_saturation_piece(sch, m, n):
     count of echelon_zw."""
     a, b = sch.gen_a, sch.gen_b
     variables, big = a.vars, m + n
-    index = {e: i for i, e in enumerate(adjunction._monomials(big))}
-    h_monos = adjunction._monomials(m)
+    index = {e: i for i, e in enumerate(algebra.monomials(big, (1, 1, 1)))}
+    h_monos = algebra.monomials(m, (1, 1, 1))
     si = variables.index(sch.sat_var)
     w_cols = []
     for gen in (a, b):
-        for e in adjunction._monomials(big - gen.degree()):
+        for e in algebra.monomials(big - gen.degree(), (1, 1, 1)):
             col = [C_ZERO] * len(index)
             for t, coeff in (gen * MPoly.monomial(variables, e)).terms.items():
                 col[index[t]] = coeff
@@ -219,7 +219,7 @@ cyclos = st.builds(Cyclo, rationals, rationals)
 @st.composite
 def ternary_forms(draw):
     """Forms of degree 2..7 with Q(w) coefficients and denominators."""
-    monos = adjunction._monomials(draw(st.integers(2, 7)))
+    monos = algebra.monomials(draw(st.integers(2, 7)), (1, 1, 1))
     terms = draw(st.dictionaries(st.sampled_from(monos), cyclos, max_size=8))
     return MPoly(XYZ, terms)
 
@@ -510,10 +510,10 @@ class TestCuspScheme:
         for a, b in schemes:
             CuspScheme(a, b, "z").count()  # certifies a regular sequence
             for big in range(0, 10):  # N = m + n, m <= 4, n <= 5
-                index = {e: i for i, e in enumerate(adjunction._monomials(big))}
+                index = {e: i for i, e in enumerate(algebra.monomials(big, (1, 1, 1)))}
                 rows = []
                 for gen in (a, b):
-                    for e in adjunction._monomials(big - gen.degree()):
+                    for e in algebra.monomials(big - gen.degree(), (1, 1, 1)):
                         row = [C_ZERO] * len(index)
                         prod = gen * MPoly.monomial(XYZ, e)
                         for t, coeff in prod.terms.items():
@@ -741,13 +741,14 @@ class TestProfileValidation:
         # pencil pass through cusps of the nine-cusp sextic, so only the
         # third line, y = 2z, certifies it squarefree
         lines = []
-        restrict = adjunction.restrict_to_line
+        restrict = adjunction.restrict
 
-        def recorded(p, alpha, beta, gamma):
-            lines.append((alpha, beta, gamma))
-            return restrict(p, alpha, beta, gamma)
+        def recorded(p, P, Q):
+            # the line P + t Q = (0, alpha, 1) + t (1, beta, gamma)
+            lines.append((P[1], Q[1], Q[2]))
+            return restrict(p, P, Q)
 
-        monkeypatch.setattr(adjunction, "restrict_to_line", recorded)
+        monkeypatch.setattr(adjunction, "restrict", recorded)
         centres = []
         centre = adjunction._centre
         monkeypatch.setattr(
@@ -775,17 +776,43 @@ class TestProfileValidation:
 
 
 class TestRestrictToLine:
-    def test_restriction_matches_composition(self):
-        # reference: substitute the line's parametrisation with MPoly.compose
+    # reference: substitute the line's parametrisation with MPoly.compose
+    @staticmethod
+    def composed(p, P, Q):
         tv = ("t",)
         t = MPoly.variable("t", tv)
-        forms = [NINE_CUSP, poly("(w*x - 2/3*y + z)^3*(x*z - y^2)"), poly("5/7")]
+        images = [MPoly.const(tv, u) + t.scale(v) for u, v in zip(P, Q)]
+        return UPoly.from_mpoly(p.compose(images), "t")
+
+    def test_restriction_matches_composition(self):
+        forms = [
+            NINE_CUSP,
+            poly("(w*x - 2/3*y + z)^3*(x*z - y^2)"),
+            poly("5/7"),
+            poly("x^2*y - 3/4*w*z + 2"),
+        ]
+        # the pencil lines (0, alpha, 1) + t (1, beta, gamma), the unit-vector
+        # lines of the cusp scheme and of the line z = 0, a P with a nonzero
+        # first coordinate, and a constant line
+        lines = [
+            ((0, alpha, 1), (1, beta, gamma))
+            for alpha, beta, gamma in ((0, 0, 0), (2, -1, 3), (Fraction(1, 2), 3, -2))
+        ] + [
+            ((0, 1, 0), (1, 0, 0)),
+            ((0, 0, 1), (1, 0, 0)),
+            ((1, 0, 0), (0, 1, 0)),
+            ((3, Fraction(-1, 2), 0), (Fraction(2, 5), 0, 7)),
+            ((Fraction(1, 3), 2, -1), (0, 0, 0)),
+        ]
         for p in forms:
-            for alpha, beta, gamma in ((0, 0, 0), (2, -1, 3), (Fraction(1, 2), 3, -2)):
-                images = [
-                    t,
-                    MPoly.const(tv, alpha) + t.scale(beta),
-                    MPoly.const(tv, 1) + t.scale(gamma),
-                ]
-                want = UPoly.from_mpoly(p.compose(images), "t")
-                assert algebra.restrict_to_line(p, alpha, beta, gamma) == want
+            for P, Q in lines:
+                assert algebra.restrict(p, P, Q) == self.composed(p, P, Q)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ternary_forms(),
+        st.lists(rationals, min_size=3, max_size=3),
+        st.lists(rationals, min_size=3, max_size=3),
+    )
+    def test_random_lines(self, p, P, Q):
+        assert algebra.restrict(p, P, Q) == self.composed(p, P, Q)

@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from curvelattice import algebra, cli, torus
-from curvelattice.adjunction import _monomials, gcd_degree
+from curvelattice.adjunction import gcd_degree
 from curvelattice.algebra import (
     C_ONE,
     C_ZERO,
@@ -994,7 +994,7 @@ class TestDetCyclo:
             for e in (C_ONE, OMEGA, OMEGA * OMEGA)
             for p in ((C_ZERO, e, C_ONE), (e, C_ZERO, C_ONE), (e, C_ONE, C_ZERO))
         ]
-        rows = [monomial_values(p.coords, _monomials(2)) for p in cusps]
+        rows = [monomial_values(p.coords, algebra.monomials(2, (1, 1, 1))) for p in cusps]
         q0 = next(
             q
             for q in (torus._conic_through(rows[i:i + 6], XYZ) for i in range(4))

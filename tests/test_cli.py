@@ -146,6 +146,53 @@ class TestExitContract:
             ["mwrank", "--f", "x^2+y^3", "--weights", "a,b", "--curve", NINE_CUSP_DOC], capsys
         )
 
+    # an integer field reads a JSON integer or a decimal integer string; a
+    # float or a boolean is a usage error, never truncated or read as 0/1
+    TORUS_DOC = {"g": "(x*z - y^2)^3 + (z - x)^2*(z - 4*x)^2*(z - 9*x)^2"}
+
+    @pytest.mark.parametrize("value", [1.9, 1.0, True, False])
+    def test_components_float_or_boolean(self, value, capsys):
+        doc = json.dumps({**self.TORUS_DOC, "components": value})
+        line = self.usage_error(["alexander", "--curve", doc], capsys)
+        assert '"components"' in line
+
+    @pytest.mark.parametrize("value", [1.5, True])
+    def test_point_k_float_or_boolean(self, value, capsys):
+        doc = {"g": "x^6 + y^6 + z^6", "X": "x^2", "Y": "y^3", "Z": "1", "k": value}
+        line = self.usage_error(["toric", "verify", "--point", json.dumps(doc)], capsys)
+        assert '"k"' in line
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"degree": 12.7},
+            {"rank_prediction": 2.9},
+            {"inventory": {"cusp": 30.4}},
+            {"alexander_orders": {"1/6": True, "5/6": 1}},
+            {"delta_one_sixth": False},
+            {"gram": [[4.0, -2], [-2, 4]]},
+            {"gram": [[4, -2], [-2, True]]},
+            {
+                "degree": 12.7,
+                "rank_prediction": 2.9,
+                "inventory": {"cusp": 30.4},
+                "alexander_orders": {"1/6": True, "5/6": 1},
+                "delta_one_sixth": False,
+            },
+        ],
+    )
+    def test_summary_float_or_boolean(self, fields, capsys):
+        a = json.dumps(summary_doc(gram=[[6, -3], [-3, 6]]))
+        self.usage_error(["zariski", "--a", a, "--b", json.dumps(summary_doc(**fields))], capsys)
+
+    def test_integer_strings_still_read(self):
+        code, doc = invoke(["alexander", "--curve", json.dumps({**self.TORUS_DOC, "components": "1"})])
+        assert code == 0 and doc["polynomial"] == "(t^2 - t + 1)"
+        a = json.dumps(summary_doc(gram=[["6", -3], [-3, "6"]], degree="12"))
+        b = json.dumps(summary_doc(inventory={"cusp": "30"}, rank_prediction="2"))
+        code, doc = invoke(["zariski", "--a", a, "--b", b])
+        assert code == 0 and doc["verdict"] == "certificate"
+
     def test_threads_option_is_gone(self, capsys):
         self.usage_error(
             ["--threads", "2", "spectrum", "--f", "x^2+y^3", "--weights", "3,2"], capsys

@@ -13,7 +13,11 @@ conversion seam (`_zw`, `_from_zw`, `_monic_from_zw`) comes back.  A
 monomial's value at a point has one evaluator, `algebra.monomial_values`:
 no module builds an `MPoly.monomial(...)` only to call `.eval` on it.  A
 Cyclo is ints over one denominator: no module builds one from `Fraction`
-arguments or reads `.a`/`.b` back as numerator and denominator.
+arguments or reads `.a`/`.b` back as numerator and denominator.  The
+exponents of a degree have one enumerator, `algebra.monomials`, and a
+polynomial on a line has one restriction, `algebra.restrict`: no other
+module defines a `*monomials*` function, and no module converts a
+substituted polynomial with `UPoly.from_mpoly(p.subs(...), var)`.
 """
 
 import ast
@@ -236,6 +240,34 @@ def test_one_monomial_evaluator():
                 )
             ]
     assert found == [], f"monomials built as MPoly to be evaluated: {sorted(set(found))}"
+
+
+def _from_mpoly_of_subs(node):
+    """Whether node is a call UPoly.from_mpoly(<...>.subs(...), ...)."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "from_mpoly"
+        and bool(node.args)
+        and isinstance(node.args[0], ast.Call)
+        and isinstance(node.args[0].func, ast.Attribute)
+        and node.args[0].func.attr == "subs"
+    )
+
+
+def test_one_enumerator_and_one_restriction():
+    # monomials of a degree come from algebra.monomials, and a polynomial
+    # on a line from algebra.restrict, never from a substitution chain
+    found = []
+    for path in MODULES:
+        for func in ast.walk(_tree(path)):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if "monomials" in func.name and path.name != "algebra.py":
+                found.append(f"{path.name}:{func.lineno} {func.name} enumerates monomials")
+            if any(_from_mpoly_of_subs(node) for node in ast.walk(func)):
+                found.append(f"{path.name}:{func.lineno} {func.name} converts a subs result")
+    assert found == [], f"a second enumerator or line restriction: {found}"
 
 
 def test_modules_found():

@@ -8,15 +8,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from curvelattice import algebra, torus
-from curvelattice.adjunction import CurveProfile, _monomials
+from curvelattice.adjunction import CurveProfile
 from curvelattice.algebra import (
     Cyclo,
     MPoly,
     UPoly,
     monomial_values,
+    monomials,
     parse_poly,
     render,
-    restrict_to_line,
+    restrict,
     resultant,
 )
 from curvelattice.linalg import kernel_basis, rank
@@ -205,6 +206,27 @@ class TestFindToricSextic:
         result = find_toric_sextic(profile)
         assert result.points == [] and result.complete
 
+    def test_fewer_than_six_cusps_samples_conics(self):
+        # c is tangent to the conic q at (1 : 0 : 0), so g = q^3 + c^2 has
+        # four cusps and an unclassified point there: the search samples
+        # conics through the four cusps and reports itself incomplete
+        q = poly("x*z - y^2")
+        c = poly("x^2*z - 7*x*y^2 + x*y*z - x*z^2 - 2*y^3 + 8*y^2*z + y*z^2 - z^3")
+        profile = CurveProfile(q * q * q + c * c)
+        assert {str(p.point): p.kind for p in profile.points} == {
+            "(1 : 1 : 1)": "cusp",
+            "(1 : -1 : 1)": "cusp",
+            "(1/4 : -1/2 : 1)": "cusp",
+            "(1/9 : 1/3 : 1)": "cusp",
+            "(1 : 0 : 0)": "unclassified",
+        }
+        result = find_toric_sextic(profile)
+        assert not result.complete and not result.field_exhausted
+        assert result.missing == 0
+        assert len(result.points) == 6
+        assert set(mu6_orbit(result.points[0])) == set(result.points)
+        assert all(verify_decomposition(p)[0] for p in result.points)
+
     def test_requires_sextic(self):
         prof = CurveProfile(poly("x^3 + y^3 + z^3"))
         with pytest.raises(ValueError):
@@ -269,7 +291,7 @@ def discriminant_candidates(g, q0, cusps):
         gl = torus._g_on_trial_line(g, cusps, trial, {})
         if gl is None:
             continue
-        ql3 = restrict_to_line(q03, alpha, beta, 0)
+        ql3 = restrict(q03, (0, alpha, 1), (1, beta, 0))
         if gl.degree() != 6 or ql3.degree() != 6:
             continue
         u = gl.to_mpoly("t", tm) - ql3.to_mpoly("t", tm) * m
@@ -290,7 +312,7 @@ def lambda_cubed_candidates(profile):
     """{rendered conic: (conic, candidate UPoly or None)} over the conics
     through six of the profile's cusps."""
     cusps = [p.point for p in profile.points if p.kind == "cusp"]
-    rows = [monomial_values(p.coords, _monomials(2)) for p in cusps]
+    rows = [monomial_values(p.coords, monomials(2, (1, 1, 1))) for p in cusps]
     conics = {}
     for sub in combinations(rows, 6):
         q0 = torus._conic_through(sub, XYZ)
@@ -404,7 +426,7 @@ class TestCriticalValueGuard:
             for t in (-3, -1, 1, 2, 4, Fraction(-46, 129))
         ]
         # h modulo q0: the conic monomials without y^2
-        monos = [e for e in _monomials(2) if e != (0, 2, 0)]
+        monos = [e for e in monomials(2, (1, 1, 1)) if e != (0, 2, 0)]
         rows = [
             [L.eval(p) * v for v in monomial_values(p, monos)] + [p[2] ** 3]
             for p in points
@@ -455,7 +477,7 @@ class TestSixSubsetScreen:
         points = [(Cyclo(1), t, t * t) for t in ts]
         points += [p for p in others if any(not c.is_zero() for c in p)]
         assume(len(points) >= n)
-        rows = [monomial_values(p, _monomials(2)) for p in points[:n]]
+        rows = [monomial_values(p, monomials(2, (1, 1, 1))) for p in points[:n]]
         every = {}
         for sub in combinations(rows, 6):
             q0 = torus._conic_through(sub, XYZ)

@@ -45,9 +45,7 @@ class TestSquarefreeDecomposition:
 
 
 def UPolyFrom(mp):
-    from curvelattice.weierstrass import _to_upoly_any
-
-    return _to_upoly_any(mp)
+    return UPoly.from_mpoly(mp, "t")
 
 
 class TestDiscriminant:
