@@ -275,6 +275,8 @@ class CuspScheme:
     def __post_init__(self):
         if self.gen_a.vars != self.gen_b.vars or len(self.gen_a.vars) != 3:
             raise DomainError("cusp scheme needs two ternary forms")
+        if any(f.is_zero() or not f.is_homogeneous() for f in (self.gen_a, self.gen_b)):
+            raise DomainError("cusp scheme generators must be nonzero forms")
         if self.sat_var not in self.gen_a.vars:
             raise DomainError("unknown saturation variable")
 

@@ -82,9 +82,10 @@ NOT_A_SQUARE = NotASquare()
 def isprime(n: int) -> bool:
     """Deterministic Miller-Rabin.  The prime bases up to 41 decide every
     n < 3317044064679887385961981 (Sorenson-Webster, Math. Comp. 86,
-    2017); above that, every base below 2 ln(n)^2 is tried, which decides
-    n under the generalized Riemann hypothesis (Bach, Math. Comp. 55,
-    1990)."""
+    2017); above that, the bases up to 2 ln(n)^2 decide n under the
+    generalized Riemann hypothesis (Bach, Math. Comp. 55, 1990), and every
+    base below b^2 is tried, b the bit length: n < 2^b gives
+    2 ln(n)^2 < b^2."""
     small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if n < 2:
         return False
@@ -97,7 +98,7 @@ def isprime(n: int) -> bool:
     if n < 3317044064679887385961981:
         bases = small
     else:
-        bases = range(2, int(2 * math.log(n) ** 2) + 1)
+        bases = range(2, n.bit_length() ** 2)
     for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:

@@ -339,7 +339,7 @@ def _cmd_lattice_minvec(args):
     q = _quadform(_load_doc(args.gram))
     norm, count, vectors = shortest_vectors(q)
     return {
-        "min_norm": int(norm),
+        "min_norm": norm,
         "count": count,
         "vectors": [list(v) for v in vectors],
     }

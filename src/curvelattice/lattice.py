@@ -2,7 +2,10 @@
 Q-equivalence of quadratic forms, and Zariski-pair certification.
 
 Shortest vectors are enumerated with exact rational arithmetic
-(Fincke-Pohst style bounding from an LDL decomposition).  Root lattices
+(Fincke-Pohst, Math. Comp. 44, 1985: integer bounds from the LDL^T factor
+of linalg.ldl, the one symmetric elimination, which also diagonalizes forms
+for the Hasse invariants); an enumeration tree with possibly more than
+ENUMERATION_LIMIT leaves is refused before it starts.  Root lattices
 are identified by matching the evidence tuple (rank, determinant,
 minimal norm, kissing number) against a built-in table; this is
 invariant matching, not an isometry proof, and every report says so.
@@ -18,11 +21,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import DomainError, MPoly, isprime
-from .linalg import det_fraction
+from .linalg import det_fraction, ldl
+
+# the product of the per-coordinate range lengths bounds the leaves of the
+# enumeration tree; E8 in its root basis reaches 19,683
+ENUMERATION_LIMIT = 10**6
 
 
 class NotPositiveDefinite(DomainError):
-    """The Gram matrix has a non-positive leading principal pivot."""
+    """The Gram matrix is not positive definite: its LDL^T diagonal has an
+    entry <= 0."""
 
 
 class Degenerate(DomainError):
@@ -62,58 +70,28 @@ class QuadForm:
         return QuadForm([[x * c for x in row] for row in self.m])
 
 
-def _ldl(m):
-    """LDL decomposition for positive definite m: returns (diag, upper)
-    with Q(x) = sum d_i (x_i + sum_{j>i} u[i][j] x_j)^2."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    d = [Fraction(0)] * n
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = a[i][i]
-        if d[i] <= 0:
-            raise NotPositiveDefinite(f"pivot {i} is {d[i]}")
-        for j in range(i + 1, n):
-            u[i][j] = a[i][j] / d[i]
-        for j in range(i + 1, n):
-            for k in range(j, n):
-                a[j][k] -= d[i] * u[i][j] * u[i][k]
-                a[k][j] = a[j][k]
-    return d, u
-
-
 def _range_for(c, s):
-    """All integers x with (x + c)^2 <= s, for rational c and s."""
-    if s < 0:
-        return range(0, 0)
-
-    def below_upper(x):  # x + c <= sqrt(s)
-        v = x + c
-        return v <= 0 or v * v <= s
-
-    def above_lower(x):  # x + c >= -sqrt(s)
-        v = x + c
-        return v >= 0 or v * v <= s
-
-    root = math.sqrt(float(s))
-    hi = math.floor(root - float(c))
-    while below_upper(hi + 1):
-        hi += 1
-    while not below_upper(hi):
-        hi -= 1
-    lo = math.ceil(-root - float(c))
-    while above_lower(lo - 1):
-        lo -= 1
-    while not above_lower(lo):
-        lo += 1
-    return range(lo, hi + 1)
+    """All integers x with (x + c)^2 <= s, for rational c and s >= 0: with
+    c = p/q, s = a/b and r = isqrt(a b q^2), x lies between
+    -(sqrt(s) + c) and sqrt(s) - c, whose floors need only r."""
+    p, q, a, b = c.numerator, c.denominator, s.numerator, s.denominator
+    r = math.isqrt(a * b * q * q)
+    return range(-((r + p * b) // (b * q)), (r - p * b) // (b * q) + 1)
 
 
 def _enumerate_upto(gram, bound):
     """All nonzero integer vectors v with v^T G v <= bound, as
     (norm, vector) pairs; exact arithmetic throughout."""
     n = len(gram)
-    d, u = _ldl(gram)
+    d, u = ldl(gram)
+    if min(d) <= 0:
+        raise NotPositiveDefinite(f"LDL^T diagonal entry {min(d)} <= 0")
+    # coordinate i ranges over at most 2 sqrt(bound / d_i) + 1 integers
+    leaves = math.prod(math.isqrt(4 * bound // x) + 1 for x in d)
+    if leaves > ENUMERATION_LIMIT:
+        raise DomainError(
+            f"enumeration bound {leaves} exceeds the limit {ENUMERATION_LIMIT}"
+        )
     out = []
     vec = [0] * n
 
@@ -135,9 +113,7 @@ def _enumerate_upto(gram, bound):
 
 def shortest_vectors(gram):
     """(min_norm, count, vectors) of the lattice with this Gram matrix."""
-    rows = gram.m if isinstance(gram, QuadForm) else [
-        [Fraction(x) for x in row] for row in gram
-    ]
+    rows = (gram if isinstance(gram, QuadForm) else QuadForm(gram)).m
     n = len(rows)
     if n == 0 or n > 8:
         raise DomainError("rank must be between 1 and 8")
@@ -238,33 +214,8 @@ def diagonalize(q: QuadForm):
     Returns a list of square-reduced nonzero integers (one per dimension);
     raises Degenerate on singular input.
     """
-    m = [list(row) for row in q.m]
-    n = len(m)
-    for i in range(n):
-        if m[i][i] == 0:
-            swap = next((j for j in range(i + 1, n) if m[j][j] != 0), None)
-            if swap is not None:
-                for k in range(n):
-                    m[i][k], m[swap][k] = m[swap][k], m[i][k]
-                for k in range(n):
-                    m[k][i], m[k][swap] = m[k][swap], m[k][i]
-            else:
-                j = next((j for j in range(i + 1, n) if m[i][j] != 0), None)
-                if j is None:
-                    raise Degenerate("form is singular")
-                for k in range(n):
-                    m[i][k] += m[j][k]
-                for k in range(n):
-                    m[k][i] += m[k][j]
-        piv = m[i][i]
-        for j in range(i + 1, n):
-            if m[j][i] != 0:
-                f = m[j][i] / piv
-                for k in range(n):
-                    m[j][k] -= f * m[i][k]
-                for k in range(n):
-                    m[k][j] -= f * m[k][i]
-    return [_square_reduce(m[i][i]) for i in range(n)]
+    # a zero in the diagonal (a singular form) raises in _square_reduce
+    return [_square_reduce(x) for x in ldl(q.m)[0]]
 
 
 def factorint(n: int) -> dict:
@@ -305,7 +256,7 @@ def _square_reduce(x: Fraction) -> int:
     """The square class representative of a nonzero rational: the signed
     squarefree part of numerator * denominator."""
     if x == 0:
-        raise Degenerate("zero diagonal entry")
+        raise Degenerate("form is singular")
     n = x.numerator * x.denominator
     sign = -1 if n < 0 else 1
     out = 1

@@ -5,7 +5,9 @@ and kernel read the one fraction-free elimination over Z[w],
 algebra.echelon_zw.  Rank is one Gauss-Jordan elimination modulo the prime
 p = 2^61 - 1 (algebra._P, also the prime of UPoly.gcd's image) on the
 integer rows, certified exactly by the kernel it reconstructs; where the
-certificate fails it is echelon_zw's pivot count.
+certificate fails it is echelon_zw's pivot count.  Every quadratic-form
+question (positive definiteness, semidefiniteness, a diagonal form) reads
+the one congruence elimination, ldl.
 """
 
 from __future__ import annotations
@@ -166,3 +168,44 @@ def det_fraction(rows) -> Fraction:
     if d.q:
         raise AlgebraError("determinant is not rational")
     return Fraction(d.p, d.d)
+
+
+def ldl(rows):
+    """Congruence LDL^T of a symmetric rational matrix m: (d, u), d the
+    diagonal and u the strict upper part of the unit upper factor, so
+    Q(x) = sum d_i (x_i + sum_{j>i} u[i][j] x_j)^2 when no pivot moves.
+
+    Only a zero diagonal pivots, on the trailing block: swap with the first
+    later nonzero diagonal, else add row and column j (the first with
+    m[i][j] != 0) to row and column i, else d_i = 0.  By Sylvester's law of
+    inertia m is positive definite iff every d_i > 0 (no pivot moves then),
+    semidefinite iff every d_i >= 0 and singular iff some d_i = 0.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    d = [Fraction(0)] * n
+    u = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        if a[i][i] == 0:
+            j = next((j for j in range(i + 1, n) if a[j][j]), None)
+            if j is not None:
+                a[i], a[j] = a[j], a[i]
+                for row in a[i:]:
+                    row[i], row[j] = row[j], row[i]
+            else:
+                j = next((j for j in range(i + 1, n) if a[i][j]), None)
+                if j is not None:
+                    for k in range(i, n):
+                        a[i][k] += a[j][k]
+                    for row in a[i:]:
+                        row[i] += row[j]
+        d[i] = a[i][i]
+        if d[i] == 0:
+            continue
+        for j in range(i + 1, n):
+            u[i][j] = a[i][j] / d[i]
+        for j in range(i + 1, n):
+            for k in range(j, n):
+                a[j][k] -= a[i][j] * u[i][k]
+                a[k][j] = a[j][k]
+    return d, u

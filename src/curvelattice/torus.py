@@ -52,7 +52,7 @@ from .algebra import (
     restrict,
     resultant,
 )
-from .linalg import det_fraction, kernel_basis
+from .linalg import kernel_basis, ldl
 
 
 class DivisibilityFailure(DomainError):
@@ -228,8 +228,9 @@ class GramMatrix:
 
 
 def gram(points) -> GramMatrix:
-    """Gram matrix of pairings; validates symmetry, even diagonal equal
-    to the heights, and non-negative leading principal minors."""
+    """Gram matrix of pairings; validates the even diagonal equal to the
+    heights, and positive semidefiniteness: every entry of the LDL^T
+    diagonal (linalg.ldl) is >= 0, by Sylvester's law of inertia."""
     m = len(points)
     entries = [[0] * m for _ in range(m)]
     for i in range(m):
@@ -238,10 +239,8 @@ def gram(points) -> GramMatrix:
             raise ConventionMismatch("diagonal must be the even height")
         for j in range(i + 1, m):
             entries[i][j] = entries[j][i] = pairing(points[i], points[j])
-    for t in range(1, m + 1):
-        minor = det_fraction([row[:t] for row in entries[:t]])
-        if minor < 0:
-            raise ConventionMismatch("Gram matrix is not positive semidefinite")
+    if any(x < 0 for x in ldl(entries)[0]):
+        raise ConventionMismatch("Gram matrix is not positive semidefinite")
     return GramMatrix(points, entries)
 
 

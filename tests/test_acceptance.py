@@ -406,7 +406,7 @@ def test_criterion_7_pairing_properties():
             assert pairing(p, p) == height(p)
             assert 2 * pairing(p, omega_point(p)) == -height(p)
             checked += 1
-        m = gram(points).entries  # gram() itself asserts PSD minors
+        m = gram(points).entries  # gram() itself checks its LDL^T diagonal >= 0
         for i in range(len(points)):
             assert m[i][i] == height(points[i]) and m[i][i] % 2 == 0
             for j in range(len(points)):

@@ -12,6 +12,7 @@ from curvelattice.algebra import (
     C_ONE,
     C_ZERO,
     OMEGA,
+    DomainError,
     MPoly,
     ProjPoint,
     Cyclo,
@@ -521,6 +522,16 @@ class TestCuspScheme:
                         rows.append(row)
                 eliminated = len(echelon_zw(rows)[2]) if rows else 0
                 assert adjunction._ideal_dim(a.degree(), b.degree(), big) == eliminated
+
+    def test_generators_must_be_nonzero_forms(self):
+        # x^2 + y*z + x is no form: count() read 6 and vanishing_dim(2)
+        # raised a bare KeyError before the check
+        cubic = poly("x^3 + y^3 + z^3")
+        for a in (poly("x^2 + y*z + x"), MPoly.zero(XYZ)):
+            with pytest.raises(DomainError, match="nonzero forms"):
+                CuspScheme(a, cubic, "z")
+            with pytest.raises(DomainError, match="nonzero forms"):
+                CuspScheme(cubic, a, "z")
 
     def test_chain_end_without_points_on_the_line(self):
         # x^2 = 0 and x^3 + y^3 = 0 have no common root on z = 0: the

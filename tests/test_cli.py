@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -314,6 +315,21 @@ class TestLatticeCommands:
     def test_degenerate_exit_2(self):
         code, doc = invoke(["lattice", "diag", "--gram", '{"gram": [[1,1],[1,1]]}'])
         assert code == 2
+
+    def test_minvec_rational_min_norm(self):
+        for gram, norm, count in [('[["3/2"]]', "3/2", 2), ('[[2,1],[1,"5/4"]]', "5/4", 4)]:
+            code, doc = invoke(["lattice", "minvec", "--gram", gram])
+            assert code == 0
+            assert (doc["min_norm"], doc["count"]) == (norm, count)
+
+    def test_skewed_form_refused_quickly(self):
+        # positive definite, but about 6 * 10^15 candidates under the bound
+        gram = json.dumps([[1, 1], [1, f"{10**30 + 1}/{10**30}"]])
+        for command in ("minvec", "id"):
+            t0 = time.monotonic()
+            code, doc = invoke(["lattice", command, "--gram", gram])
+            assert time.monotonic() - t0 < 1
+            assert code == 2 and doc["error"] == "DomainError"
 
 
 class TestZariski:

@@ -17,7 +17,10 @@ arguments or reads `.a`/`.b` back as numerator and denominator.  The
 exponents of a degree have one enumerator, `algebra.monomials`, and a
 polynomial on a line has one restriction, `algebra.restrict`: no other
 module defines a `*monomials*` function, and no module converts a
-substituted polynomial with `UPoly.from_mpoly(p.subs(...), var)`.
+substituted polynomial with `UPoly.from_mpoly(p.subs(...), var)`.  No
+floating point: no module calls `float(...)` or a float function of `math`
+(`sqrt`, `log`, `exp`, `pow`, `floor`, `ceil`, ...), so every bound on an
+answer is an exact integer or rational.
 """
 
 import ast
@@ -268,6 +271,34 @@ def test_one_enumerator_and_one_restriction():
             if any(_from_mpoly_of_subs(node) for node in ast.walk(func)):
                 found.append(f"{path.name}:{func.lineno} {func.name} converts a subs result")
     assert found == [], f"a second enumerator or line restriction: {found}"
+
+
+FLOAT_FUNCTIONS = {"sqrt", "log", "log2", "log10", "exp", "pow", "floor", "ceil"}
+
+
+def _float_call(node):
+    """Whether node calls float(...) or math.<a float function>(...)."""
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    if isinstance(f, ast.Name):
+        return f.id == "float"
+    return (
+        isinstance(f, ast.Attribute)
+        and f.attr in FLOAT_FUNCTIONS
+        and isinstance(f.value, ast.Name)
+        and f.value.id == "math"
+    )
+
+
+def test_no_floating_point():
+    found = sorted({
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if _float_call(node)
+    })
+    assert found == [], f"floating-point calls: {found}"
 
 
 def test_modules_found():

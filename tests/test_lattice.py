@@ -1,11 +1,15 @@
 """Tests for shortest vectors, lattice identification, and Q-equivalence."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from curvelattice.algebra import DomainError
 from curvelattice.lattice import (
     INDEX_ASSUMPTION,
     CurveSummary,
@@ -24,6 +28,7 @@ from curvelattice.lattice import (
     jacobi_symbol,
     q_compare,
     q_equivalent,
+    _range_for,
     shortest_vectors,
     zariski_certificate,
 )
@@ -106,6 +111,83 @@ class TestShortestVectors:
     def test_rank_cap(self):
         with pytest.raises(ValueError):
             shortest_vectors([[2 if i == j else 0 for j in range(9)] for i in range(9)])
+
+    def test_rejects_asymmetric_rows(self):
+        # raw rows go through QuadForm's checks, as in evidence_tuple
+        with pytest.raises(DomainError, match="symmetric"):
+            shortest_vectors([[2, 1], [0, 2]])
+
+    def test_skewed_form_refused_before_enumerating(self):
+        # positive definite, but about 6 * 10^15 leaves under the bound
+        skewed = [[1, 1], [1, Fraction(10**30 + 1, 10**30)]]
+        with pytest.raises(DomainError, match="limit"):
+            shortest_vectors(skewed)
+
+
+def range_for_reference(c, s):
+    """lattice._range_for before the exact bounds: a float estimate
+    corrected by four exact loops."""
+    if s < 0:
+        return range(0, 0)
+
+    def below_upper(x):
+        v = x + c
+        return v <= 0 or v * v <= s
+
+    def above_lower(x):
+        v = x + c
+        return v >= 0 or v * v <= s
+
+    root = math.sqrt(float(s))
+    hi = math.floor(root - float(c))
+    while below_upper(hi + 1):
+        hi += 1
+    while not below_upper(hi):
+        hi -= 1
+    lo = math.ceil(-root - float(c))
+    while above_lower(lo - 1):
+        lo -= 1
+    while not above_lower(lo):
+        lo += 1
+    return range(lo, hi + 1)
+
+
+class TestRangeFor:
+    @given(
+        st.fractions(-10**6, 10**6, max_denominator=10**6),
+        st.fractions(0, 10**8, max_denominator=10**6),
+    )
+    @example(Fraction(0), Fraction(0))
+    @example(Fraction(1, 2), Fraction(1, 4))
+    @example(Fraction(-7, 3), Fraction(49, 9))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_float_bounds(self, c, s):
+        assert _range_for(c, s) == range_for_reference(c, s)
+
+    def test_beyond_float_range(self):
+        s = Fraction(10**400)
+        with pytest.raises(OverflowError):
+            range_for_reference(Fraction(0), s)
+        assert _range_for(0, s) == range(-(10**200), 10**200 + 1)
+        r = _range_for(Fraction(1, 3), s + 1)
+        for x in (r[0], r[-1]):
+            assert (x + Fraction(1, 3)) ** 2 <= s + 1
+        for x in (r[0] - 1, r[-1] + 1):
+            assert (x + Fraction(1, 3)) ** 2 > s + 1
+
+
+def scaled(gram, k):
+    return [[k * x for x in row] for row in gram]
+
+
+def test_every_table_lattice_within_the_enumeration_limit():
+    # E8 in its root basis is the largest: 19,683 leaves
+    for k in range(1, 9):
+        assert identify(scaled(A2, k)).tag == f"A2({k})"
+        for m in range(2, 5):
+            assert identify(scaled(direct_sum(*[A2] * m), k)).tag == f"A2^{m}({k})"
+    for tag, gram in [("D4", D4), ("E6", E6), ("E8", E8)]:
+        assert identify(gram).tag == tag
 
 
 class TestIdentify:

@@ -1,8 +1,10 @@
 """Differential tests of linalg's rank, kernel and determinant against
 sympy's DomainMatrix over QQ and over QQ(sqrt(-3)), w = (-1 + sqrt(-3))/2,
-and of the certified modular rank against echelon_zw."""
+of the certified modular rank against echelon_zw, and of the congruence
+LDL^T against the two eliminations it replaced and the principal minors."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
@@ -13,7 +15,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from curvelattice import linalg
 from curvelattice.algebra import C_ONE, C_ZERO, OMEGA, AlgebraError, Cyclo, det_cyclo, echelon_zw
-from curvelattice.linalg import det_fraction, kernel_basis, rank
+from curvelattice.linalg import det_fraction, kernel_basis, ldl, rank
 
 QW = QQ.algebraic_field(sympy.sqrt(-3))
 W = QW.from_sympy((-1 + sympy.sqrt(-3)) / 2)
@@ -171,3 +173,142 @@ class TestCertifiedRank:
         # row 2 is w^2 times row 1, so the rank over Q(w) is 2 (4 on Q^6)
         assert rank(rows) == 2
         assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the congruence LDL^T
+# ---------------------------------------------------------------------------
+
+
+def diagonalize_reference(m):
+    """The diagonal of lattice.diagonalize's own elimination before it read
+    linalg.ldl (before square reduction), or None where it raised on a
+    singular form."""
+    m = [[Fraction(x) for x in row] for row in m]
+    n = len(m)
+    for i in range(n):
+        if m[i][i] == 0:
+            swap = next((j for j in range(i + 1, n) if m[j][j] != 0), None)
+            if swap is not None:
+                for k in range(n):
+                    m[i][k], m[swap][k] = m[swap][k], m[i][k]
+                for k in range(n):
+                    m[k][i], m[k][swap] = m[k][swap], m[k][i]
+            else:
+                j = next((j for j in range(i + 1, n) if m[i][j] != 0), None)
+                if j is None:
+                    return None
+                for k in range(n):
+                    m[i][k] += m[j][k]
+                for k in range(n):
+                    m[k][i] += m[k][j]
+        piv = m[i][i]
+        for j in range(i + 1, n):
+            if m[j][i] != 0:
+                f = m[j][i] / piv
+                for k in range(n):
+                    m[j][k] -= f * m[i][k]
+                for k in range(n):
+                    m[k][j] -= f * m[k][i]
+    return [m[i][i] for i in range(n)]
+
+
+def ldl_reference(m):
+    """lattice._ldl before it became linalg.ldl: (d, u) of a positive
+    definite m, or None at the first non-positive pivot."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    d = [Fraction(0)] * n
+    u = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        d[i] = a[i][i]
+        if d[i] <= 0:
+            return None
+        for j in range(i + 1, n):
+            u[i][j] = a[i][j] / d[i]
+        for j in range(i + 1, n):
+            for k in range(j, n):
+                a[j][k] -= d[i] * u[i][j] * u[i][k]
+                a[k][j] = a[j][k]
+    return d, u
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational matrices of size 1-5: generic, with zero
+    diagonal entries (pivots that swap or add), singular (the last row and
+    column a multiple of the first) or positive definite (L^T D L with L
+    unit lower triangular and D > 0)."""
+    n = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(["generic", "zero diagonal", "singular", "definite"]))
+    if shape == "definite":
+        low = [[draw(rationals) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+        dia = [draw(rationals.filter(lambda x: x > 0)) for _ in range(n)]
+        return [
+            [sum(low[k][i] * dia[k] * low[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(rationals)
+    if shape == "zero diagonal":
+        for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)):
+            m[i][i] = Fraction(0)
+    elif shape == "singular":
+        c = draw(rationals) if n > 1 else Fraction(0)
+        for j in range(n - 1):
+            m[-1][j] = m[j][-1] = c * m[0][j]
+        m[-1][-1] = c * m[0][-1]
+    return m
+
+
+def principal_minors(m):
+    n = len(m)
+    for size in range(1, n + 1):
+        for idx in combinations(range(n), size):
+            yield det_fraction([[m[i][j] for j in idx] for i in idx])
+
+
+class TestLdl:
+    @given(symmetric_matrices())
+    @example([[0, 1], [1, 0]])
+    @example([[0, 0, 1], [0, 0, 2], [1, 2, 0]])
+    @example([[1, 1], [1, 1]])
+    @example([[0, 0], [0, 0]])
+    @settings(max_examples=300, deadline=None)
+    def test_diagonal_matches_the_diagonalize_elimination(self, m):
+        d, _u = ldl(m)
+        ref = diagonalize_reference(m)
+        if ref is None:
+            assert 0 in d
+        else:
+            assert d == ref
+
+    @given(symmetric_matrices())
+    @example([[2, -1], [-1, 2]])
+    @settings(max_examples=300, deadline=None)
+    def test_factor_matches_the_enumeration_ldl(self, m):
+        ref = ldl_reference(m)
+        d, u = ldl(m)
+        assert (ref is not None) == (min(d) > 0)
+        if ref is not None:
+            assert (d, u) == ref
+            # Q(x) = sum d_i (x_i + sum_{j>i} u_ij x_j)^2
+            n = len(m)
+            unit = [[u[i][j] + (i == j) for j in range(n)] for i in range(n)]
+            rebuilt = [
+                [sum(d[k] * unit[k][i] * unit[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
+            assert rebuilt == m
+
+    @given(symmetric_matrices())
+    @example([[2, 2, 3], [2, 2, 3], [3, 3, 2]])
+    @example([[0, 0], [0, -1]])
+    @settings(max_examples=300, deadline=None)
+    def test_semidefinite_iff_principal_minors(self, m):
+        assert (min(ldl(m)[0]) >= 0) == all(x >= 0 for x in principal_minors(m))
+
+    def test_empty(self):
+        assert ldl([]) == ([], [])

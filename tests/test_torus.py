@@ -167,6 +167,14 @@ class TestPairing:
         p = toric_fixture()[0]
         assert gram([p]).entries == [[2]]
 
+    def test_indefinite_table_with_nonnegative_leading_minors(self, monkeypatch):
+        # leading minors 2, 0, 0, but the principal minor on {1, 3} is -5
+        table = [[2, 2, 3], [2, 2, 3], [3, 3, 2]]
+        monkeypatch.setattr(torus, "pairing", lambda p, q: table[p][q])
+        monkeypatch.setattr(torus, "height", lambda p: 2)
+        with pytest.raises(torus.ConventionMismatch, match="semidefinite"):
+            gram([0, 1, 2])
+
 
 class TestFindToricSextic:
     def test_seeded_sextic_one_orbit(self):
