@@ -35,6 +35,7 @@ from .algebra import (
     monomial_values,
     monomials,
     qomega_roots,
+    render,
     restrict,
     resultant,
 )
@@ -527,7 +528,8 @@ class CurveProfile:
 
     Singularities are either a list of ClassifiedPoint (rational case) or
     a CuspScheme (cusps outside Q(w)).  components is the number of
-    irreducible components, declared by the caller (default 1).
+    irreducible components, declared by the caller (default 1), at least
+    1 and at most the degree.
     """
 
     g: MPoly
@@ -541,6 +543,8 @@ class CurveProfile:
             raise DomainError("expected a nonzero ternary form")
         if not g.is_homogeneous():
             raise DomainError("curve polynomial must be homogeneous")
+        if not 1 <= self.components <= g.degree():
+            raise DomainError("components must lie between 1 and the degree")
         if not _squarefree(g):
             raise DomainError("curve polynomial is not squarefree")
         if points is None and self.scheme is None:
@@ -555,11 +559,6 @@ class CurveProfile:
     @property
     def d(self) -> int:
         return self.g.degree()
-
-    def cusp_count(self) -> int:
-        if self.scheme is not None:
-            return self.scheme.count()
-        return sum(1 for p in self.points if p.kind == "cusp")
 
     def singularity_inventory(self):
         if self.scheme is not None:
@@ -709,33 +708,15 @@ def alexander(profile: CurveProfile) -> AlexanderPoly:
     return AlexanderPoly(orders, _render_alexander(orders))
 
 
-def _cyclotomic_coeffs(n: int) -> list:
-    """Integer coefficients of the n-th cyclotomic polynomial, low -> high:
-    (t^n - 1) divided by the product of Phi_d over the divisors d < n."""
-    out = [-1] + [0] * (n - 1) + [1]
+def _cyclotomic(n: int) -> MPoly:
+    """Phi_n in t: t^n - 1 divided exactly by Phi_d for each d < n
+    dividing n."""
+    t = ("t",)
+    out = MPoly.monomial(t, (n,)) - MPoly.const(t, 1)
     for d in range(1, n):
         if n % d == 0:
-            den = _cyclotomic_coeffs(d)
-            q = [0] * (len(out) - len(den) + 1)
-            for i in range(len(q) - 1, -1, -1):  # den is monic
-                q[i] = c = out.pop()
-                for j, y in enumerate(den[:-1], i):
-                    out[j] -= c * y
-            out = q
+            out = out.divide_exact(_cyclotomic(d))
     return out
-
-
-def _render_cyclotomic(n: int) -> str:
-    """Phi_n in t, highest degree first, as in '2*t^3 - t + 1'."""
-    text = ""
-    for k, c in reversed(list(enumerate(_cyclotomic_coeffs(n)))):
-        if not c:
-            continue
-        mono = "t" if k == 1 else f"t^{k}"
-        term = str(abs(c)) if k == 0 else (mono if abs(c) == 1 else f"{abs(c)}*{mono}")
-        sign = "-" if c < 0 else "+"
-        text = f"{text} {sign} {term}" if text else term  # Phi_n is monic
-    return text
 
 
 def _render_alexander(orders) -> str:
@@ -748,7 +729,7 @@ def _render_alexander(orders) -> str:
             continue
         o = min(rem.get(a, 0) for a in prim)
         if o > 0:
-            base = _render_cyclotomic(n)
+            base = render(_cyclotomic(n))
             factors.append(f"({base})^{o}" if o > 1 else f"({base})")
             for a in prim:
                 rem[a] -= o

@@ -87,6 +87,8 @@ def _variables(doc):
     variables = doc.get("vars", ["x", "y", "z"])
     if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
         raise UsageError('"vars" must be a list of names')
+    if len(set(variables)) != len(variables):
+        raise UsageError('"vars" names must be distinct')
     return tuple(variables)
 
 

@@ -176,28 +176,25 @@ def identify(gram) -> LatticeId:
 def identify_saturation(gram) -> LatticeId:
     """Identify the saturation of the lattice the Gram matrix generates.
 
-    A finite-index sublattice scales the determinant by the square of
-    the index, so every table row with the same rank, determinant
-    det/f^2 for some integer f >= 1, and minimal norm at most the
-    observed one is a possible saturation.  The verdict is only definite
-    when exactly one row survives; otherwise Unknown with the evidence.
+    A sublattice of index f scales the determinant by f^2, so a table row
+    with the same rank is a possible saturation when det/tdet is the
+    square of an integer f >= 1, read off with isqrt, and either f = 1
+    with the same minimal norm and kissing number, or f > 1 with minimal
+    norm at most the observed one.  The verdict is only definite when
+    exactly one row survives; otherwise Unknown with the evidence.
     """
     ev = evidence_tuple(gram)
     rank, det, mn, kiss = ev
     candidates = []
-    f = 1
-    while f * f <= det:
-        if det % (f * f) == 0:
-            target = det / (f * f)
-            for tag, trank, tdet, tmn, tkiss in _table():
-                if trank != rank or tdet != target:
-                    continue
-                if f == 1 and (tmn, tkiss) != (mn, kiss):
-                    continue
-                if f > 1 and tmn > mn:
-                    continue
-                candidates.append(tag)
-        f += 1
+    for tag, trank, tdet, tmn, tkiss in _table():
+        ratio = det / tdet
+        if trank != rank or ratio.denominator != 1:
+            continue
+        f = math.isqrt(ratio.numerator)
+        if f * f != ratio:
+            continue
+        if ((tmn, tkiss) == (mn, kiss)) if f == 1 else (tmn <= mn):
+            candidates.append(tag)
     if len(candidates) == 1:
         return LatticeId(candidates[0], ev)
     return LatticeId("Unknown", ev)
@@ -280,15 +277,14 @@ def _split_valuation(x: Fraction, p: int):
 
 
 def hilbert_symbol(a, b, p) -> int:
-    """The Hilbert symbol (a, b)_p for p a prime or the string 'inf'."""
+    """The Hilbert symbol (a, b)_p for p an int prime or the string 'inf'."""
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise DomainError("arguments must be nonzero")
-    if p in ("inf", "infinity", math.inf):
+    if p == "inf":
         return -1 if a < 0 and b < 0 else 1
-    p = int(p)
-    if not isprime(p):
-        raise DomainError(f"{p} is not prime")
+    if type(p) is not int or not isprime(p):
+        raise DomainError(f"{p!r} is neither 'inf' nor an int prime")
     alpha, u = _split_valuation(a, p)
     beta, v = _split_valuation(b, p)
     if p == 2:
@@ -439,7 +435,6 @@ def zariski_certificate(summary_a: CurveSummary, gram_a,
             f"rank predictions differ: {expected} and {summary_b.rank_prediction}"
         )
     doc = {
-        "schema": "curvelattice/1",
         "degree": summary_a.degree,
         "inventory": {k: v for k, v in sorted(summary_a.inventory.items())},
         "alexander_orders": {

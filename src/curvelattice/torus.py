@@ -32,10 +32,10 @@ from .adjunction import (
     singular_points,
 )
 from .algebra import (
-    C_ONE,
     C_ZERO,
     Cyclo,
     DomainError,
+    MAX_PARSE_DEGREE,
     MPoly,
     NOT_A_SQUARE,
     OMEGA,
@@ -113,10 +113,7 @@ def verify_decomposition(point: QuasiToricPoint):
         return False, f"deg X = {X.degree()}, expected {2 * (k + n)}"
     if Y.degree() != 3 * (k + n):
         return False, f"deg Y = {Y.degree()}, expected {3 * (k + n)}"
-    z6 = Z
-    for _ in range(5):
-        z6 = z6 * Z
-    if not (Y * Y - X * X * X - z6 * g).is_zero():
+    if not (Y * Y - X * X * X - Z**6 * g).is_zero():
         return False, "identity Y^2 = X^3 + Z^6 g fails"
     for a, b, label in ((X, Y, "X,Y"), (X, Z, "X,Z"), (Y, Z, "Y,Z")):
         if not _coprime(a, b):
@@ -125,11 +122,8 @@ def verify_decomposition(point: QuasiToricPoint):
 
 
 def _twist(point: QuasiToricPoint, a: int, sign: int) -> QuasiToricPoint:
-    w = C_ONE
-    for _ in range(a % 3):
-        w = w * OMEGA
     return QuasiToricPoint(
-        point.X.scale(w),
+        point.X.scale(OMEGA ** (a % 3)),
         point.Y if sign > 0 else point.Y.scale(-1),
         point.Z,
         point.curve,
@@ -142,14 +136,15 @@ def omega_point(point: QuasiToricPoint) -> QuasiToricPoint:
     return _twist(point, 1, 1)
 
 
+def _point_order(p: QuasiToricPoint):
+    """The sort key of reported points: X, Y and Z as rendered strings."""
+    return render(p.X), render(p.Y), render(p.Z)
+
+
 def mu6_orbit(point: QuasiToricPoint):
     """The six decompositions (w^a X, +/- Y, Z), deterministically ordered."""
-    orbit = {
-        _twist(point, a, s) for a in range(3) for s in (1, -1)
-    }
-    members = sorted(
-        orbit, key=lambda p: (render(p.X), render(p.Y), render(p.Z))
-    )
+    orbit = {_twist(point, a, s) for a in range(3) for s in (1, -1)}
+    members = sorted(orbit, key=_point_order)
     if len(members) != 6:
         raise DomainError("degenerate orbit: fewer than six distinct members")
     return members
@@ -273,8 +268,7 @@ def _conic_through(rows, variables):
     ker = kernel_basis(rows)
     if len(ker) != 1:
         return None
-    q = MPoly(variables, {e: c for e, c in zip(monos, ker[0]) if not c.is_zero()})
-    return q.monic()
+    return MPoly(variables, dict(zip(monos, ker[0]))).monic()
 
 
 def _trial_line(trial):
@@ -398,14 +392,14 @@ def find_toric_sextic(profile: CurveProfile) -> ToricSearchResult:
     g = profile.g
     variables = g.vars
     cusps = [p.point for p in profile.points if p.kind == "cusp"]
-    conics = {}
+    conics = {}  # an ordered set: MPoly hashes by value
     complete = True
     rows = [monomial_values(p.coords, monomials(2, (1, 1, 1))) for p in cusps]
     if len(cusps) >= 6:
         for S in _six_subsets(rows):
             q0 = _conic_through([rows[i] for i in S], variables)
             if q0 is not None:
-                conics[render(q0)] = q0
+                conics[q0] = None
     elif cusps:
         complete = False
         monos = monomials(2, (1, 1, 1))
@@ -422,12 +416,9 @@ def find_toric_sextic(profile: CurveProfile) -> ToricSearchResult:
                             [x + Cyclo(c) * y for x, y in zip(ker[i], ker[j])]
                         )
         for vec in combos[:60]:
-            q0 = MPoly(
-                variables,
-                {e: c for e, c in zip(monos, vec) if not c.is_zero()},
-            )
-            if not q0.is_zero() and q0.degree() == 2:
-                conics[render(q0.monic())] = q0.monic()
+            q0 = MPoly(variables, dict(zip(monos, vec)))
+            if q0.degree() == 2:
+                conics[q0.monic()] = None
     else:
         return ToricSearchResult([], False, 0, True)
 
@@ -435,7 +426,7 @@ def find_toric_sextic(profile: CurveProfile) -> ToricSearchResult:
     field_exhausted = False
     missing = 0
     g_lines = {}
-    for q0 in conics.values():
+    for q0 in conics:
         cand = _lambda_cubed_candidates(g, q0, cusps, g_lines)
         if cand is None or cand.degree() <= 0:
             continue
@@ -467,9 +458,7 @@ def find_toric_sextic(profile: CurveProfile) -> ToricSearchResult:
                 raise ConventionMismatch(f"search produced invalid point: {detail}")
             for member in mu6_orbit(base):
                 found[member.key()] = member
-    points = sorted(
-        found.values(), key=lambda p: (render(p.X), render(p.Y), render(p.Z))
-    )
+    points = sorted(found.values(), key=_point_order)
     if complete and not field_exhausted and len(points) not in (0, 6, 24, 72):
         raise ConventionMismatch(
             f"complete sextic search found {len(points)} points; "
@@ -487,12 +476,8 @@ Y_VARS = ("y0", "y1", "y2")
 
 def _binary(variables, coeffs, degree):
     """Binary form in (y1, y2) of the given degree from a coefficient list."""
-    terms = {}
-    for (i, j), c in zip(monomials(degree, (1, 1)), coeffs):
-        c = Cyclo._coerce(c)
-        if not c.is_zero():
-            terms[(0, i, j)] = c
-    return MPoly(variables, terms)
+    entries = zip(monomials(degree, (1, 1)), coeffs)
+    return MPoly(variables, {(0, i, j): c for (i, j), c in entries})
 
 
 def table1_params(k: int, seed: int):
@@ -532,10 +517,15 @@ def table1_construct(k: int, params, seed=None):
     f_0..f_2 and g_0..g_5 are forced by the free binary forms
     u, f1', f2', f_3, f_4, f_5; the remaining coefficients are free.
     Raises DivisibilityFailure if y0^6 does not divide f^3 - g^2
-    (impossible for valid parameter degrees).
+    (impossible for valid parameter degrees), and DomainError unless the
+    curve degree 6k is at most MAX_PARSE_DEGREE, a parsed input's limit.
     """
     if k < 1:
         raise DomainError("k must be at least 1")
+    if 6 * k > MAX_PARSE_DEGREE:
+        raise DomainError(
+            f"curve degree {6 * k} exceeds the input degree limit {MAX_PARSE_DEGREE}"
+        )
     if seed is not None:
         params = table1_params(k, seed)
     v = Y_VARS
@@ -665,7 +655,7 @@ def seeded_torus_sextic(seed: int):
         for b in ker:
             w = Cyclo(rng.randint(-3, 3))
             vec = [x + w * y for x, y in zip(vec, b)]
-        c = MPoly(v, {e: co for e, co in zip(monos, vec) if not co.is_zero()})
+        c = MPoly(v, dict(zip(monos, vec)))
         if c.is_zero() or c.degree() != 3:
             continue
         g = q * q * q + c * c

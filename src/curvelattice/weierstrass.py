@@ -13,7 +13,7 @@ The height formulas are <S,S> = 2*chi + 2*(S.Z) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import DomainError, MPoly, UPoly
 
@@ -51,11 +51,13 @@ def _rad_at_least(parts, m: int) -> UPoly:
 class WeierstrassData:
     """Coefficients (A, B) of y^2 = x^3 + A x + B with the twist degree k.
 
-    A and B may be given as UPoly or as MPoly in one variable."""
+    A and B may be given as UPoly or as MPoly in one variable.  disc is
+    the discriminant 4A^3 + 27B^2, computed once and never zero."""
 
     A: UPoly
     B: UPoly
     k: int
+    disc: UPoly = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A, B = (
@@ -69,21 +71,17 @@ class WeierstrassData:
             raise DomainError("k must be positive")
         if A.degree() > 4 * k or B.degree() > 6 * k:
             raise DomainError("degrees exceed the 4k/6k bounds")
-        if (A * A * A * 4 + B * B * 27).is_zero():
+        disc = A * A * A * 4 + B * B * 27
+        if disc.is_zero():
             raise Degenerate("discriminant vanishes identically")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
-
-    def disc(self) -> UPoly:
-        return self.A * self.A * self.A * 4 + self.B * self.B * 27
+        object.__setattr__(self, "disc", disc)
 
 
 def discriminant(w: WeierstrassData) -> UPoly:
-    """4A^3 + 27B^2; raises Degenerate if identically zero."""
-    d = w.disc()
-    if d.is_zero():
-        raise Degenerate("discriminant vanishes identically")
-    return d
+    """4A^3 + 27B^2, nonzero (WeierstrassData raises Degenerate otherwise)."""
+    return w.disc
 
 
 def is_minimal(w: WeierstrassData) -> bool:

@@ -730,11 +730,15 @@ class TestAlexander:
         t = sympy.Symbol("t")
         for n in range(1, 211):
             want = str(sympy.cyclotomic_poly(n, t)).replace("**", "^")
-            assert adjunction._render_cyclotomic(n) == want, n
+            assert algebra.render(adjunction._cyclotomic(n)) == want, n
             if n > 1:
                 orders = {Fraction(k, n): 2 for k in range(1, n) if math.gcd(k, n) == 1}
                 assert adjunction._render_alexander(orders) == f"({want})^2"
-        assert "- 2*t^41" in adjunction._render_cyclotomic(105)
+        assert "- 2*t^41" in algebra.render(adjunction._cyclotomic(105))
+
+    def test_cyclotomic_matches_former_renderer(self):
+        for n in range(1, 101):
+            assert algebra.render(adjunction._cyclotomic(n)) == render_cyclotomic_by_division(n), n
 
     def test_ord_at_domain(self):
         delta = AlexanderPoly({}, "1")
@@ -742,7 +746,46 @@ class TestAlexander:
             ord_at(delta, 1)
 
 
+def cyclotomic_coeffs_by_division(n):
+    """Test-local copy of the former private integer long division:
+    Phi_n's coefficients low -> high, (t^n - 1) over Phi_d for d < n."""
+    out = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            den = cyclotomic_coeffs_by_division(d)
+            q = [0] * (len(out) - len(den) + 1)
+            for i in range(len(q) - 1, -1, -1):  # den is monic
+                q[i] = c = out.pop()
+                for j, y in enumerate(den[:-1], i):
+                    out[j] -= c * y
+            out = q
+    return out
+
+
+def render_cyclotomic_by_division(n):
+    """Test-local copy of the former second printer: Phi_n in t, highest
+    degree first."""
+    text = ""
+    for k, c in reversed(list(enumerate(cyclotomic_coeffs_by_division(n)))):
+        if not c:
+            continue
+        mono = "t" if k == 1 else f"t^{k}"
+        term = str(abs(c)) if k == 0 else (mono if abs(c) == 1 else f"{abs(c)}*{mono}")
+        sign = "-" if c < 0 else "+"
+        text = f"{text} {sign} {term}" if text else term  # Phi_n is monic
+    return text
+
+
 class TestProfileValidation:
+    @pytest.mark.parametrize("components", [0, -2, 5])
+    def test_components_between_one_and_degree(self, components):
+        with pytest.raises(DomainError):
+            CurveProfile(poly("x^4 + y^4 + z^4"), points=[], components=components)
+
+    def test_components_at_the_degree(self):
+        prof = CurveProfile(poly("x^4 + y^4 + z^4"), points=[], components=4)
+        assert alexander(prof).rendered == "(t - 1)^3"
+
     def test_rejects_non_squarefree(self):
         with pytest.raises(ValueError):
             CurveProfile(poly("(x + y)^2*z"))
@@ -783,7 +826,7 @@ class TestProfileValidation:
     def test_inventory(self):
         prof = CurveProfile(NINE_CUSP)
         assert prof.singularity_inventory() == {"cusp": 9}
-        assert prof.cusp_count() == 9
+        assert prof.singularity_inventory()["cusp"] == 9
 
 
 class TestRestrictToLine:

@@ -194,6 +194,21 @@ class TestExitContract:
         code, doc = invoke(["zariski", "--a", a, "--b", b])
         assert code == 0 and doc["verdict"] == "certificate"
 
+    def test_repeated_vars(self, capsys):
+        # "x" naming two axes would put the point (0 : 1 : 0) in ambiguous
+        # coordinates
+        doc = json.dumps({"g": "x^2*y - y^3 + x^3", "vars": ["x", "x", "y"]})
+        line = self.usage_error(["singular", "--curve", doc], capsys)
+        assert '"vars"' in line
+
+    @pytest.mark.parametrize("value", [0, -2, 7])
+    def test_components_out_of_range_exit_2(self, value):
+        # between 1 and the degree 6; 0 once gave the order -1 at t = 1
+        doc = json.dumps({"g": "x^6 + y^6 + z^6", "components": value})
+        code, report = invoke(["alexander", "--curve", doc])
+        assert code == 2 and report["error"] == "DomainError"
+        assert "components" in report["message"]
+
     def test_threads_option_is_gone(self, capsys):
         self.usage_error(
             ["--threads", "2", "spectrum", "--f", "x^2+y^3", "--weights", "3,2"], capsys
@@ -284,6 +299,15 @@ class TestToricCommands:
         assert gdoc["size"] == 2
         assert len(gdoc["deviations"]) == 2
 
+    def test_table1_degree_limit(self):
+        # 6k = 102 exceeds the parser's degree limit 100; refused before
+        # anything is built
+        t0 = time.monotonic()
+        code, doc = invoke(["table1", "--k", "17"])
+        assert time.monotonic() - t0 < 1
+        assert code == 2 and doc["error"] == "DomainError"
+        assert "102" in doc["message"]
+
     def test_toric_find_on_nine_cusp(self):
         code, doc = invoke(["toric", "find", "--curve", NINE_CUSP_DOC])
         assert code == 0
@@ -330,6 +354,16 @@ class TestLatticeCommands:
             code, doc = invoke(["lattice", command, "--gram", gram])
             assert time.monotonic() - t0 < 1
             assert code == 2 and doc["error"] == "DomainError"
+
+
+    def test_saturation_of_a_large_determinant_quick(self):
+        # the index is read from det / tdet per table row, not searched
+        # among every f with f^2 <= det
+        t0 = time.monotonic()
+        code, doc = invoke(["lattice", "id", "--saturation", "--gram", "[[100000000000000]]"])
+        assert time.monotonic() - t0 < 1
+        assert code == 0 and doc["tag"] == "Unknown"
+        assert doc["evidence"] == [1, 10**14, 10**14, 2]
 
 
 class TestZariski:

@@ -19,8 +19,9 @@ polynomial on a line has one restriction, `algebra.restrict`: no other
 module defines a `*monomials*` function, and no module converts a
 substituted polynomial with `UPoly.from_mpoly(p.subs(...), var)`.  No
 floating point: no module calls `float(...)` or a float function of `math`
-(`sqrt`, `log`, `exp`, `pow`, `floor`, `ceil`, ...), so every bound on an
-answer is an exact integer or rational.
+(`sqrt`, `log`, `exp`, `pow`, `floor`, `ceil`, ...), reads `math.inf` or
+`math.nan`, or writes a float literal, so every bound on an answer is an
+exact integer or rational.
 """
 
 import ast
@@ -274,21 +275,32 @@ def test_one_enumerator_and_one_restriction():
 
 
 FLOAT_FUNCTIONS = {"sqrt", "log", "log2", "log10", "exp", "pow", "floor", "ceil"}
+FLOAT_CONSTANTS = {"inf", "nan"}
 
 
-def _float_call(node):
-    """Whether node calls float(...) or math.<a float function>(...)."""
+def _math_attribute(node, names):
+    """Whether node is math.<one of names>."""
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in names
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "math"
+    )
+
+
+def _floating(node):
+    """Whether node calls float(...) or math.<a float function>(...), reads
+    math.inf or math.nan, or is a float (or complex) literal."""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, (float, complex))
+    if _math_attribute(node, FLOAT_CONSTANTS):
+        return True
     if not isinstance(node, ast.Call):
         return False
     f = node.func
     if isinstance(f, ast.Name):
         return f.id == "float"
-    return (
-        isinstance(f, ast.Attribute)
-        and f.attr in FLOAT_FUNCTIONS
-        and isinstance(f.value, ast.Name)
-        and f.value.id == "math"
-    )
+    return _math_attribute(f, FLOAT_FUNCTIONS)
 
 
 def test_no_floating_point():
@@ -296,9 +308,9 @@ def test_no_floating_point():
         f"{path.name}:{node.lineno}"
         for path in MODULES
         for node in ast.walk(_tree(path))
-        if _float_call(node)
+        if _floating(node)
     })
-    assert found == [], f"floating-point calls: {found}"
+    assert found == [], f"floating-point calls, constants or literals: {found}"
 
 
 def test_modules_found():

@@ -3,12 +3,14 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from curvelattice import lattice
 from curvelattice.algebra import DomainError
 from curvelattice.lattice import (
     INDEX_ASSUMPTION,
@@ -225,6 +227,65 @@ class TestIdentify:
         assert identify_saturation(A2).tag == "A2(1)"
 
 
+def saturation_by_loop(ev):
+    """Test-local copy of the former identify_saturation search on an
+    evidence tuple: every f with f^2 <= det, each against every row."""
+    rank, det, mn, kiss = ev
+    candidates = []
+    f = 1
+    while f * f <= det:
+        if det % (f * f) == 0:
+            target = det / (f * f)
+            for tag, trank, tdet, tmn, tkiss in lattice._table():
+                if trank != rank or tdet != target:
+                    continue
+                if f == 1 and (tmn, tkiss) != (mn, kiss):
+                    continue
+                if f > 1 and tmn > mn:
+                    continue
+                candidates.append(tag)
+        f += 1
+    return candidates[0] if len(candidates) == 1 else "Unknown"
+
+
+@st.composite
+def saturation_evidence(draw):
+    """(rank, det, min norm, kissing number) near a table row: its
+    determinant times f^2 and a square or non-square (possibly
+    fractional) factor, with the row's or a nearby norm and count."""
+    _tag, rank, tdet, tmn, tkiss = draw(st.sampled_from(lattice._table()))
+    f = draw(st.integers(1, 6))
+    factor = draw(st.sampled_from([1, 2, 3, 4, 6, 9, Fraction(1, 2), Fraction(9, 4), Fraction(4, 3)]))
+    det = tdet * f * f * factor
+    assume(det <= 10**8)  # the loop's cost grows with sqrt(det)
+    mn = draw(st.sampled_from([tmn, tmn - 1, tmn + 1, 2 * tmn, tmn / 2]))
+    kiss = draw(st.sampled_from([tkiss, tkiss + 2, 2]))
+    return (rank, det, mn, kiss)
+
+
+class TestSaturationIndex:
+    """identify_saturation reads each row's index from det / tdet."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(saturation_evidence())
+    def test_matches_former_loop(self, ev):
+        with mock.patch.object(lattice, "evidence_tuple", lambda gram: ev):
+            lid = identify_saturation(None)
+        assert lid.tag == saturation_by_loop(ev)
+        assert lid.evidence == ev
+
+    def test_large_determinant(self):
+        # det 10^30 matches no row; the former loop would try 10^15 f
+        lid = identify_saturation([[10**30]])
+        assert lid.tag == "Unknown"
+        assert lid.evidence == (1, 10**30, 10**30, 2)
+
+    def test_index_two_sublattice(self):
+        # A2(2) has index 2 in A2(1) and is a table row itself: two
+        # candidates, so the verdict stays open
+        assert identify_saturation(A2_2).tag == "Unknown"
+
+
 class TestDiagonalize:
     def test_a2_2(self):
         assert diagonalize(QuadForm(A2_2)) == [1, 3]
@@ -285,6 +346,12 @@ class TestHilbertSymbol:
         assert hilbert_symbol(-1, -1, 2) == -1
         assert hilbert_symbol(2, 2, 2) == 1
         assert hilbert_symbol(2, 3, 2) == -1
+
+    @pytest.mark.parametrize("p", [3.9, 3.0, "infinity", math.inf, True, 4, Fraction(3)])
+    def test_place_is_inf_or_an_int_prime(self, p):
+        # 3.9 was once read as 3, and "infinity" and math.inf as "inf"
+        with pytest.raises(DomainError):
+            hilbert_symbol(2, 3, p)
 
     def test_symmetry_and_bilinearity(self):
         rng = random.Random(17)
@@ -353,6 +420,10 @@ class TestZariskiCertificate:
         assert doc["verdict"] == "certificate"
         assert doc["deviations"] == [INDEX_ASSUMPTION]
         assert doc["comparison"]["witness_prime"] == 3
+
+    def test_envelope_left_to_cli(self):
+        # cli._emit adds "schema" to every report
+        assert "schema" not in zariski_certificate(summary(), A2_3, summary(), A2_2)
 
     def test_identical_inconclusive(self):
         doc = zariski_certificate(summary(), A2_3, summary(), A2_3)

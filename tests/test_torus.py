@@ -507,7 +507,7 @@ class TestSeededSextic:
 
     def test_profile_has_six_cusps(self):
         profile, q, c = seeded_torus_sextic(8)
-        assert profile.cusp_count() == 6
+        assert profile.singularity_inventory()["cusp"] == 6
         assert profile.g == q * q * q + c * c
 
 
