@@ -11,10 +11,14 @@ Alexander polynomial is carried as its vanishing-order table at the roots
 of unity zeta(alpha), with ord at alpha in (0,1) equal to
 delta_alpha + delta_(1-alpha) and ord at 0 equal to (components - 1).
 
+Nodes and cusps are told apart by the tangent cone: the discriminant of
+the quadratic part, then the cubic part on the double line.
+
 Singular loci whose points are not rational over Q(w) can be described
 scheme-theoretically (a cusp scheme cut out by two forms, saturated away
 from a line); lengths and Hilbert data then come from exact linear
-algebra instead of point coordinates.
+algebra instead of point coordinates, the line conditions from the powers
+of x modulo the line divisor by its companion shift.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .algebra import (
     restrict,
     resultant,
 )
-from .linalg import kernel_basis, rank as matrix_rank
+from .linalg import rank as matrix_rank
 
 
 class IncompleteLocus(DomainError):
@@ -221,7 +225,10 @@ def singular_points(g: MPoly):
 
 def classify_point(g: MPoly, point: ProjPoint) -> ClassifiedPoint:
     """Classify a singular point as node, cusp, or unclassified from the 3-jet
-    of g in the chart of its last nonzero coordinate (the others: _u, _v)."""
+    of g in the chart of its last nonzero coordinate (the others: _u, _v):
+    a node when the quadratic part a u^2 + b uv + c v^2 has b^2 - 4ac != 0,
+    a cusp when it is a double line on whose direction the cubic part is
+    nonzero."""
     chart = max(i for i in range(3) if not point.coords[i].is_zero())
     pieces = g.jet(point.coords, [i for i in range(3) if i != chart], ("_u", "_v"), 3)
     if 0 in pieces or 1 in pieces:
@@ -232,14 +239,13 @@ def classify_point(g: MPoly, point: ProjPoint) -> ClassifiedPoint:
     a = quad.terms.get((2, 0), C_ZERO)
     b = quad.terms.get((1, 1), C_ZERO)
     c = quad.terms.get((0, 2), C_ZERO)
-    m = [[a + a, b], [b, c + c]]
-    r = matrix_rank(m)
-    if r == 2:
+    if b * b != 4 * a * c:
         return ClassifiedPoint(point, "node")
-    if r == 1:
-        ker = kernel_basis(m)[0]
-        if 3 in pieces and not pieces[3].eval(ker).is_zero():
-            return ClassifiedPoint(point, "cusp")
+    # the tangent cone is a double line; a cusp if the cubic part is
+    # nonzero on its direction
+    direction = (-b, a + a) if not a.is_zero() else (C_ONE, C_ZERO)
+    if 3 in pieces and not pieces[3].eval(direction).is_zero():
+        return ClassifiedPoint(point, "cusp")
     return ClassifiedPoint(point, "unclassified")
 
 
@@ -483,17 +489,15 @@ class CuspScheme:
         si = variables.index(self.sat_var)
         i0 = variables.index(next(v for v in variables if v != self.sat_var))
         g, has_inf = self._line_divisor()
-        g = g.monic()
-        s = g.degree()
-        # x^i mod g for i = 0..m, as length-s coefficient vectors
-        x = UPoly([C_ZERO, C_ONE])
+        low = g.monic().coeffs[:-1]
+        s = len(low)
+        # x^i mod g for i = 0..m, as length-s coefficient vectors: g is
+        # monic, so x*r mod g is r shifted up minus its top coefficient times g
         rems = []
-        rem = UPoly([C_ONE])
+        rem = ([C_ONE] + [C_ZERO] * s)[:s]
         for _ in range(m + 1):
-            rems.append(
-                list(rem.coeffs) + [C_ZERO] * (s - len(rem.coeffs))
-            )
-            rem = (rem * x).divmod(g)[1] if s else UPoly([])
+            rems.append(rem)
+            rem = [c - rem[-1] * l for c, l in zip([C_ZERO] + rem, low)]
         rows = [[r[j] for r in rems] for j in range(s)]
         if has_inf:
             # the common root at (1:0) forces the top coefficient to zero

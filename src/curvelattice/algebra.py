@@ -10,21 +10,22 @@ read-only views for the edges: parsing and reports.
 
 Provides: parsing/rendering of polynomial expressions, the fraction-free
 Z[w] elimination behind every determinant, rank and kernel of a Q(w)
-matrix, Sylvester-determinant resultants by evaluation and
-interpolation, the univariate gcd (the one gcd: multivariate gcd degrees
-are read from it on lines, see adjunction.gcd_degree) from one image
-modulo the prime P = 2^61 - 1 that linalg.rank shares, certified by
-exact division, one subresultant PRS over Z[w] (_zw_prs) that is both
-that gcd's fallback and the scalar resultant at each leaf of the
-interpolation, one squarefree decomposition (_zw_yun, Yun's algorithm
-with that gcd) behind every multiplicity, its first step
-(_zw_squarefree) behind every squarefree part, exact
-square roots of polynomials, and root extraction of univariate
-polynomials inside Q(w) (a p-adic root finder whose every answer is
-verified exactly).  Every polynomial operation reads and writes the
-stored int pairs; a matrix or scalar list over Q(w) is lifted into Z[w]
-by the lcm of its denominators (_zw_lift).  Only the standard library is
-used.
+matrix (echelon_zw, which lifts the rows into Z[w] and eliminates them),
+Sylvester-determinant resultants by evaluation and interpolation, the
+univariate gcd (the one gcd: multivariate gcd degrees are read from it on
+lines, see adjunction.gcd_degree) from one image modulo the prime
+P = 2^61 - 1 that linalg.rank shares, certified by exact division, one
+subresultant PRS over Z[w] (_zw_prs) that is both that gcd's fallback and
+the scalar resultant at each leaf of the interpolation, one squarefree
+decomposition (_zw_yun, Yun's algorithm with that gcd) behind every
+multiplicity, its first step (_zw_squarefree) behind every squarefree
+part, exact square roots of polynomials (NOT_A_SQUARE, which is None, when
+there is none), and root extraction of univariate polynomials inside Q(w)
+(a p-adic root finder whose every answer is verified exactly).  Every
+polynomial operation reads and writes the stored int pairs; a matrix or
+scalar list over Q(w) is lifted into Z[w] by the lcm of its denominators
+(_zw_lift).  UPoly.divmod has no caller in the package.  Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -59,24 +60,8 @@ class InvariantError(RuntimeError):
     ArithmeticError and no domain-error handler catches it."""
 
 
-class NotASquare:
-    """Returned by poly_sqrt when the input has no square root in Q(w)[x]."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NotASquare"
-
-    def __bool__(self):
-        return False
-
-
-NOT_A_SQUARE = NotASquare()
+# what poly_sqrt returns when its input has no square root in Q(w)[x]
+NOT_A_SQUARE = None
 
 
 def isprime(n: int) -> bool:
@@ -433,13 +418,14 @@ class MPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise AlgebraError("negative polynomial power")
-        result = MPoly.const(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        if n == 0:
+            return MPoly.const(self.vars, 1)
+        # square-and-multiply from the base, the bits of n after the first
+        result = self
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __hash__(self):
@@ -1078,11 +1064,13 @@ def _zw_res(pv, qv):
     return res if sign * s > 0 else (-res[0], -res[1])
 
 
-def echelon_zw_pairs(A, B, reduced=False):
-    """Fraction-free row echelon form over Z[w], exact on any shape and rank.
+def echelon_zw(rows, reduced=False):
+    """Fraction-free row echelon form over Z[w] of a matrix over Q(w) with
+    entries Cyclo, int or Fraction, exact on any shape and rank.
 
-    The matrix has the entries A[i][j] + B[i][j]*w, held as int rows A
-    and B, which are eliminated in place.  Columns are taken left to right
+    Each row is scaled by the lcm of its denominators (_zw_lift), so the
+    matrix has the entries A[i][j] + B[i][j]*w in Z[w], held as int rows A
+    and B and eliminated in place.  Columns are taken left to right
     and a column with no nonzero entry at or below the current row is
     skipped.  Bareiss elimination (Math. Comp. 22, 1968) makes every entry
     a minor of the matrix, so the division by the previous pivot p is
@@ -1094,9 +1082,17 @@ def echelon_zw_pairs(A, B, reduced=False):
     pivot d in its own row and 0 elsewhere, so the reduced row echelon
     form is the first len(pivots) rows divided by d.
 
-    Returns (A, B, pivots, sign): the a and b parts of the eliminated
-    matrix, the pivot columns and the sign of the row permutation.
+    Returns (A, B, pivots, sign, den): the a and b parts of the
+    eliminated matrix, the pivot columns, the sign of the row permutation
+    and den, the product of the row scales.
     """
+    den = 1
+    A, B = [], []
+    for r in rows:
+        ra, rb, lcm = _zw_lift(r)
+        den *= lcm
+        A.append(ra)
+        B.append(rb)
     nrows = len(A)
     ncols = len(A[0]) if A else 0
     pivots = []
@@ -1142,23 +1138,7 @@ def echelon_zw_pairs(A, B, reduced=False):
         pivots.append(c)
         qa, qb = pa, pb  # the previous pivot
         k += 1
-    return A, B, pivots, sign
-
-
-def echelon_zw(rows, reduced=False):
-    """echelon_zw_pairs of a matrix over Q(w) with entries Cyclo, int or
-    Fraction: each row is scaled by the lcm of its denominators, so the
-    entries lie in Z[w].  Returns (A, B, pivots, sign, den), den the
-    product of the row scales.
-    """
-    den = 1
-    A, B = [], []
-    for r in rows:
-        ra, rb, lcm = _zw_lift(r)
-        den *= lcm
-        A.append(ra)
-        B.append(rb)
-    return (*echelon_zw_pairs(A, B, reduced), den)
+    return A, B, pivots, sign, den
 
 
 def echelon_det(rows) -> Cyclo:

@@ -281,6 +281,8 @@ def _cmd_toric_gram(args):
     from .torus import gram
 
     docs = _load_doc(args.points)
+    if not isinstance(docs, list):
+        raise UsageError("--points must be a JSON list of points")
     points = [_point_from_doc(d) for d in docs]
     m = gram(points)
     return {

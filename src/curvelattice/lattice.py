@@ -11,7 +11,8 @@ minimal norm, kissing number) against a built-in table; this is
 invariant matching, not an isometry proof, and every report says so.
 
 Hasse invariant convention: the product of Hilbert symbols (d_i, d_j)_p
-over i < j on the diagonalized form.
+over i < j on the diagonalized form.  At an odd prime p the symbol reads
+the Legendre symbols of the p-adic units by Euler's criterion.
 """
 
 from __future__ import annotations
@@ -231,24 +232,6 @@ def factorint(n: int) -> dict:
     return out
 
 
-def jacobi_symbol(a: int, n: int) -> int:
-    """The Jacobi symbol (a / n) for odd n > 0, by quadratic reciprocity."""
-    if n <= 0 or n % 2 == 0:
-        raise DomainError("the Jacobi symbol needs an odd positive modulus")
-    a %= n
-    out = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                out = -out
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            out = -out
-        a %= n
-    return out if n == 1 else 0
-
-
 def _square_reduce(x: Fraction) -> int:
     """The square class representative of a nonzero rational: the signed
     squarefree part of numerator * denominator."""
@@ -294,10 +277,11 @@ def hilbert_symbol(a, b, p) -> int:
         om_u, om_v = (um * um - 1) // 8 % 2, (vm * vm - 1) // 8 % 2
         exp = eps_u * eps_v + alpha * om_v + beta * om_u
         return -1 if exp % 2 else 1
-    leg_u = jacobi_symbol((u.numerator * pow(u.denominator, -1, p)) % p, p)
-    leg_v = jacobi_symbol((v.numerator * pow(v.denominator, -1, p)) % p, p)
-    sign = (-1) ** (alpha * beta * ((p - 1) // 2))
-    return int(sign * leg_u**beta * leg_v**alpha)
+    # Euler's criterion: the unit n/d is a non-residue mod p iff
+    # (n*d)^((p-1)/2) is not 1 mod p
+    non_u, non_v = (pow(x.numerator * x.denominator, (p - 1) // 2, p) != 1 for x in (u, v))
+    exp = alpha * beta * ((p - 1) // 2) + beta * non_u + alpha * non_v
+    return -1 if exp % 2 else 1
 
 
 def hasse_invariant(diag, p) -> int:

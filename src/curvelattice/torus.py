@@ -19,7 +19,7 @@ a few trial lines, a resultant taken by algebra.resultant.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -67,14 +67,14 @@ class ConventionMismatch(DomainError):
 class QuasiToricPoint:
     """A decomposition Y^2 = X^3 + Z^6 g, canonicalized so that the
     graded-lex leading coefficient of Z is 1 (scalar action
-    (X, Y, Z) ~ (mu^2 X, mu^3 Y, mu Z)).  Points compare by key():
-    curve and k are context, not part of the point."""
+    (X, Y, Z) ~ (mu^2 X, mu^3 Y, mu Z)).  Points compare and hash by X, Y
+    and Z: curve and k are context, not part of the point."""
 
     X: MPoly
     Y: MPoly
     Z: MPoly
-    curve: MPoly
-    k: int
+    curve: MPoly = field(compare=False)
+    k: int = field(compare=False)
 
     def __post_init__(self):
         if self.Z.is_zero():
@@ -87,15 +87,6 @@ class QuasiToricPoint:
     @property
     def n(self) -> int:
         return max(self.Z.degree(), 0)
-
-    def key(self):
-        return (self.X, self.Y, self.Z)  # MPoly compares and hashes by value
-
-    def __eq__(self, other):
-        return isinstance(other, QuasiToricPoint) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
 
 def _coprime(p: MPoly, q: MPoly) -> bool:
@@ -422,7 +413,7 @@ def find_toric_sextic(profile: CurveProfile) -> ToricSearchResult:
     else:
         return ToricSearchResult([], False, 0, True)
 
-    found = {}
+    found = set()
     field_exhausted = False
     missing = 0
     g_lines = {}
@@ -456,9 +447,8 @@ def find_toric_sextic(profile: CurveProfile) -> ToricSearchResult:
             ok, detail = verify_decomposition(base)
             if not ok:
                 raise ConventionMismatch(f"search produced invalid point: {detail}")
-            for member in mu6_orbit(base):
-                found[member.key()] = member
-    points = sorted(found.values(), key=_point_order)
+            found.update(mu6_orbit(base))
+    points = sorted(found, key=_point_order)
     if complete and not field_exhausted and len(points) not in (0, 6, 24, 72):
         raise ConventionMismatch(
             f"complete sextic search found {len(points)} points; "
@@ -529,7 +519,6 @@ def table1_construct(k: int, params, seed=None):
     if seed is not None:
         params = table1_params(k, seed)
     v = Y_VARS
-    y0 = MPoly.variable("y0", v)
 
     def bf(name, degree):
         coeffs = params.get(name) or []
@@ -544,54 +533,40 @@ def table1_construct(k: int, params, seed=None):
     f4 = bf("f4", 2 * k - 2)
     f5 = bf("f5", 2 * k - 3)
 
-    f_coeffs = {
-        0: u * u,
-        1: u * f1p,
-        2: (f1p * f1p).scale(Fraction(1, 4)) + u * f2p,
-    }
-    for i, fi in ((3, f3), (4, f4), (5, f5)):
-        if i <= 2 * k + 2:
-            f_coeffs[i] = fi
-    g_coeffs = {
-        0: u * u * u,
-        1: (u * u * f1p).scale(Fraction(3, 2)),
-        2: (u * (f1p * f1p) + (u * u * f2p).scale(2)).scale(Fraction(3, 4)),
-        3: (
+    # the y0-coefficients of f and g; _binary of a negative degree is zero
+    f_coeffs = [
+        u * u,
+        u * f1p,
+        (f1p * f1p).scale(Fraction(1, 4)) + u * f2p,
+        f3,
+        f4,
+        f5,
+        *(_binary(v, c, 2 * k + 2 - i) for i, c in enumerate(params.get("f_higher") or [], 6)),
+    ]
+    g_coeffs = [
+        u * u * u,
+        (u * u * f1p).scale(Fraction(3, 2)),
+        (u * (f1p * f1p) + (u * u * f2p).scale(2)).scale(Fraction(3, 4)),
+        (
             f1p * f1p * f1p
             + (u * f1p * f2p).scale(6)
             + (f3 * u).scale(12)
         ).scale(Fraction(1, 8)),
-        4: (
+        (
             u * (f2p * f2p) + (f4 * u).scale(4) + (f3 * f1p).scale(2)
         ).scale(Fraction(3, 8)),
-        5: (
+        (
             (f1p * (f2p * f2p)).scale(-1)
             + (f5 * u).scale(8)
             + (f4 * f1p).scale(4)
             + (f3 * f2p).scale(4)
         ).scale(Fraction(3, 16)),
-    }
-    for idx, coeffs in enumerate(params.get("f_higher") or []):
-        i = 6 + idx
-        if i <= 2 * k + 2:
-            f_coeffs[i] = _binary(v, coeffs, 2 * k + 2 - i)
-    for idx, coeffs in enumerate(params.get("g_higher") or []):
-        j = 6 + idx
-        if j <= 3 * k + 3:
-            g_coeffs[j] = _binary(v, coeffs, 3 * k + 3 - j)
-
-    f = MPoly.zero(v)
-    y0pow = MPoly.const(v, 1)
-    for i in range(0, 2 * k + 3):
-        if i in f_coeffs:
-            f = f + f_coeffs[i] * y0pow
-        y0pow = y0pow * y0
-    gp = MPoly.zero(v)
-    y0pow = MPoly.const(v, 1)
-    for j in range(0, 3 * k + 4):
-        if j in g_coeffs:
-            gp = gp + g_coeffs[j] * y0pow
-        y0pow = y0pow * y0
+        *(_binary(v, c, 3 * k + 3 - j) for j, c in enumerate(params.get("g_higher") or [], 6)),
+    ]
+    f, gp = (
+        sum((c * MPoly.monomial(v, (i, 0, 0)) for i, c in enumerate(cs)), MPoly.zero(v))
+        for cs in (f_coeffs, g_coeffs)
+    )
 
     diff = f * f * f - gp * gp
     y06 = MPoly.monomial(v, (6, 0, 0))

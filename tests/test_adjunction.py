@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from curvelattice import adjunction, algebra, linalg
 from curvelattice.algebra import (
@@ -270,6 +270,77 @@ class TestLocalJet:
         kinds = [p.kind for p in singular_points(g)]
         assert kinds == ["cusp"] * 6
         assert calls == []
+
+
+def classify_by_rank(g: MPoly, point: ProjPoint) -> str:
+    """The former classification: the rank of the quadratic part's 2x2
+    matrix, then the cubic part on its kernel vector."""
+    pieces = jet_pieces(g, point)
+    quad = pieces.get(2)
+    if quad is None:
+        return "unclassified"
+    a, b, c = (quad.terms.get(e, C_ZERO) for e in ((2, 0), (1, 1), (0, 2)))
+    m = [[a + a, b], [b, c + c]]
+    r = linalg.rank(m)
+    if r == 2:
+        return "node"
+    if r == 1:
+        ker = linalg.kernel_basis(m)[0]
+        if 3 in pieces and not pieces[3].eval(ker).is_zero():
+            return "cusp"
+    return "unclassified"
+
+
+@st.composite
+def singular_jets(draw):
+    """(g, point): g = Q*z + C moved so that its singular point (0 : 0 : 1)
+    lies at (x0 : y0 : 1).  Q is random or a double line (p x + q y)^2,
+    p = 0 included; C is random or vanishes on the line's direction."""
+    x, y, z = (MPoly.variable(v, XYZ) for v in XYZ)
+
+    def form(degree):
+        coeffs = draw(st.lists(cyclos, min_size=degree + 1, max_size=degree + 1))
+        return sum((x**i * y ** (degree - i) * co for i, co in enumerate(coeffs)), MPoly.zero(XYZ))
+
+    p, q = draw(st.sampled_from([(0, 1), (1, 0), (1, 1), (2, -3)]))
+    line = x * p + y * q
+    if draw(st.booleans()):
+        quad = form(2)
+    else:
+        quad = line * line * draw(cyclos)
+    cubic = line * form(2) if draw(st.booleans()) else form(3)
+    g = quad * z + cubic
+    x0, y0 = draw(cyclos), draw(cyclos)
+    return g.compose([x - z * x0, y - z * y0, z]), ProjPoint((x0, y0, 1))
+
+
+class TestClassifyDifferential:
+    """classify_point reads the tangent cone's discriminant and double line,
+    where it once took a rank and a kernel of the 2x2 matrix."""
+
+    @given(singular_jets())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_rank_and_kernel(self, case):
+        g, point = case
+        assume(not g.is_zero())
+        assert classify_point(g, point).kind == classify_by_rank(g, point)
+
+    def test_double_lines_with_a_zero(self):
+        # y^2 z + x^3 and y^2 z + y^3: the tangent cone y^2 has a = 0 and
+        # direction (1, 0), where the cubic part is nonzero or zero
+        origin = ProjPoint((0, 0, 1))
+        for text, kind in (("y^2*z + x^3", "cusp"), ("y^2*z + y^3", "unclassified")):
+            assert classify_point(poly(text), origin).kind == kind
+            assert classify_by_rank(poly(text), origin) == kind
+
+    def test_no_rank(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("classify_point took a matrix rank")
+
+        monkeypatch.setattr(adjunction, "matrix_rank", forbidden)
+        kinds = {p.kind for p in singular_points(NINE_CUSP)}
+        assert kinds == {"cusp"}
+        assert classify_point(poly("y^2*z - x^3 - x^2*z"), ProjPoint((0, 0, 1))).kind == "node"
 
 
 class TestConditions:
@@ -695,6 +766,62 @@ class TestCuspScheme:
         prof = CurveProfile(g, scheme=CuspScheme(q, c, "z"))
         assert defect(prof, Fraction(5, 6)) == (6, 5, 1)
         assert alexander(prof).rendered == "(t^2 - t + 1)"
+
+
+def line_functionals_by_divmod(sch, m, n):
+    """The former CuspScheme._line_functionals: x^i mod g by one UPoly
+    product and one UPoly.divmod per power."""
+    variables = sch.gen_a.vars
+    si = variables.index(sch.sat_var)
+    i0 = variables.index(next(v for v in variables if v != sch.sat_var))
+    g, has_inf = sch._line_divisor()
+    g = g.monic()
+    s = g.degree()
+    x = UPoly([C_ZERO, C_ONE])
+    rems = []
+    rem = UPoly([C_ONE])
+    for _ in range(m + 1):
+        rems.append(list(rem.coeffs) + [C_ZERO] * (s - len(rem.coeffs)))
+        rem = (rem * x).divmod(g)[1] if s else UPoly([])
+    rows = [[r[j] for r in rems] for j in range(s)]
+    if has_inf:
+        rows.append([C_ZERO] * m + [C_ONE])
+    keys = []
+    for i in range(m + 1):
+        key = [n + i] * 3
+        key[si], key[i0] = m, m + n - i
+        keys.append(tuple(key))
+    return [MPoly(variables, dict(zip(keys, row))) for row in rows]
+
+
+class TestLineFunctionalsDifferential:
+    """The line conditions take x^i mod g by the companion shift of the
+    monic g, where they once took a UPoly product and a divmod per power."""
+
+    @given(
+        st.lists(cyclos, max_size=4),
+        cyclos.filter(lambda c: not c.is_zero()),
+        st.booleans(),
+        st.integers(0, 8),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_divmod(self, low, lead, has_inf, m, n):
+        # g of degree 0..4, given scaled: the scheme makes it monic
+        sch = CuspScheme(poly("x^2 + y*z"), poly("x^3 + y^3 + z^3"), "z", include_line=True)
+        sch._cache["line_divisor"] = (UPoly([*low, C_ONE]) * UPoly([lead]), has_inf)
+        assert sch._line_functionals(m, n) == line_functionals_by_divmod(sch, m, n)
+
+    def test_no_divmod(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the line conditions divided by UPoly.divmod")
+
+        # the restrictions to z = 0 share x^2 + y^2: g = x^2 + 1
+        sch = CuspScheme(poly("x^2 + y^2 + y*z"), poly("x^3 + x*y^2 + z^3"), "z", include_line=True)
+        assert sch._line_divisor()[0].degree() == 2
+        want = line_functionals_by_divmod(sch, 6, 2)
+        monkeypatch.setattr(UPoly, "divmod", forbidden)
+        assert sch._line_functionals(6, 2) == want
 
 
 class TestAlexander:

@@ -438,7 +438,7 @@ class TestResultantLeaf:
         assert KNUTH_F.gcd(KNUTH_G) == UPoly([1])
         assert len(calls) == 1
         calls.clear()
-        monkeypatch.setattr(algebra, "echelon_zw_pairs", forbidden)
+        monkeypatch.setattr(algebra, "echelon_zw", forbidden)
         monkeypatch.setattr(UPoly, "gcd", forbidden)
         p = parse_poly("w*x^3*y + (1 - 2*w)*x*z + 1/3*y^2 + w*z", XYZ)
         q = parse_poly("x^2 + w*y*z*x - 5/2*w*y + z^2", XYZ)
@@ -816,6 +816,29 @@ class TestIntPairKernels:
             monkeypatch.undo()
             assert any(not c.is_rational() for c in got.terms.values())
             assert calls == []
+
+
+class TestPower:
+    def test_square_and_multiply_from_the_base(self, monkeypatch):
+        # x^n takes (bits of n - 1) squarings and (ones of n - 1) products;
+        # only n = 0 returns the constant 1, and nothing is multiplied by 1
+        base = parse_poly("x + w*y - 2*z", XYZ)
+        calls = []
+        mul = MPoly.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        want = MPoly.const(XYZ, 1)
+        for n in range(9):
+            calls.clear()
+            monkeypatch.setattr(MPoly, "__mul__", counted)
+            got = base**n
+            monkeypatch.setattr(MPoly, "__mul__", mul)
+            assert got == want, n
+            assert len(calls) == (n.bit_length() + bin(n).count("1") - 2 if n else 0), n
+            want = want * base
 
 
 class TestPointEvaluation:

@@ -209,6 +209,22 @@ class TestExitContract:
         assert code == 2 and report["error"] == "DomainError"
         assert "components" in report["message"]
 
+    @pytest.mark.parametrize("text", ["5", "null", "{}", '{"g": "x"}', '"points"'])
+    def test_gram_points_not_a_list(self, text, tmp_path, capsys):
+        # a document that is not a list of points is a usage error, from a
+        # file or inline; once a number ended in a TypeError traceback and
+        # {} in a 0x0 Gram matrix
+        path = tmp_path / "points.json"
+        path.write_text(text, encoding="utf-8")
+        line = self.usage_error(["toric", "gram", "--points", str(path)], capsys)
+        assert "--points" in line
+        if text.startswith("{"):
+            self.usage_error(["toric", "gram", "--points", text], capsys)
+
+    def test_gram_of_no_points(self):
+        code, doc = invoke(["toric", "gram", "--points", "[]"])
+        assert code == 0 and doc["size"] == 0 and doc["entries"] == []
+
     def test_threads_option_is_gone(self, capsys):
         self.usage_error(
             ["--threads", "2", "spectrum", "--f", "x^2+y^3", "--weights", "3,2"], capsys

@@ -21,7 +21,9 @@ substituted polynomial with `UPoly.from_mpoly(p.subs(...), var)`.  No
 floating point: no module calls `float(...)` or a float function of `math`
 (`sqrt`, `log`, `exp`, `pow`, `floor`, `ceil`, ...), reads `math.inf` or
 `math.nan`, or writes a float literal, so every bound on an answer is an
-exact integer or rational.
+exact integer or rational.  Polynomial division stays on the int pairs: no
+module but algebra calls a `.divmod(...)` method (`UPoly.divmod`, kept only
+for the benchmark tracer); the builtin `divmod` of two ints is fine.
 """
 
 import ast
@@ -174,6 +176,19 @@ def test_pair_kernels_stay_in_algebra():
             elif isinstance(node, ast.Attribute) and node.attr in CONVERSION_SEAMS:
                 found.append(f"{path.name}:{node.lineno} refers to .{node.attr}")
     assert found == [], f"Z[w] pair kernels or conversion seams outside algebra: {found}"
+
+
+def test_no_polynomial_divmod_outside_algebra():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        if path.name != "algebra.py"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "divmod"
+    ]
+    assert found == [], f"polynomial division by .divmod outside algebra: {found}"
 
 
 def _fraction_seam(node):

@@ -74,7 +74,7 @@ def check_moved(seed, g, move):
     assert curve_answers(moved) == answers
     result = find_toric_sextic(moved)
     assert toric_answers(result) == toric_answers(found)
-    assert {p.key() for p in result.points} == {move(p.X, p.Y, p.Z) for p in found.points}
+    assert {(p.X, p.Y, p.Z) for p in result.points} == {move(p.X, p.Y, p.Z) for p in found.points}
     assert gram(result.points[:2]).entries == gram(found.points[:2]).entries
 
 

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from curvelattice import lattice
-from curvelattice.algebra import DomainError
+from curvelattice.algebra import DomainError, isprime
 from curvelattice.lattice import (
     INDEX_ASSUMPTION,
     CurveSummary,
@@ -27,7 +27,6 @@ from curvelattice.lattice import (
     hilbert_symbol,
     identify,
     identify_saturation,
-    jacobi_symbol,
     q_compare,
     q_equivalent,
     _range_for,
@@ -448,7 +447,8 @@ class TestZariskiCertificate:
 
 
 class TestNumberTheory:
-    """The stdlib factorint and jacobi_symbol against sympy's."""
+    """The stdlib factorint against sympy's, and the Legendre symbol that
+    hilbert_symbol reads by Euler's criterion against reciprocity."""
 
     def test_factorint_matches_sympy(self):
         rng = random.Random(11)
@@ -457,9 +457,29 @@ class TestNumberTheory:
         for n in ns:
             assert factorint(n) == sympy.factorint(n), n
 
-    def test_jacobi_symbol_matches_sympy(self):
-        for n in range(1, 400, 2):
+    @staticmethod
+    def reciprocity_jacobi(a, n):
+        """The Jacobi symbol (a / n) for odd n > 0 by quadratic
+        reciprocity, the package's former route to the Legendre symbol."""
+        a %= n
+        out = 1
+        while a:
+            while a % 2 == 0:
+                a //= 2
+                if n % 8 in (3, 5):
+                    out = -out
+            a, n = n, a
+            if a % 4 == 3 and n % 4 == 3:
+                out = -out
+            a %= n
+        return out if n == 1 else 0
+
+    def test_legendre_by_euler_matches_reciprocity(self):
+        # for a unit u = a/b at an odd prime p, (u, p)_p is the Legendre
+        # symbol (u / p), which is (a*b / p)
+        for p in filter(isprime, range(3, 400, 2)):
             for a in range(-40, 80):
-                assert jacobi_symbol(a, n) == sympy.jacobi_symbol(a, n), (a, n)
-        with pytest.raises(ValueError):
-            jacobi_symbol(3, 10)
+                for b in (1, 2, 7):
+                    if a % p and b % p:
+                        want = self.reciprocity_jacobi(a * b, p)
+                        assert hilbert_symbol(Fraction(a, b), p, p) == want, (a, b, p)

@@ -511,6 +511,69 @@ class TestSeededSextic:
         assert profile.g == q * q * q + c * c
 
 
+def table1_by_loops(k, params):
+    """The former Table-1 assembly of f and g: guarded coefficient dicts
+    summed against a running power of y0."""
+    v = torus.Y_VARS
+    y0 = MPoly.variable("y0", v)
+
+    def bf(name, degree):
+        return torus._binary(v, params.get(name) or [], degree)
+
+    u, f1p, f2p = bf("u", k + 1), bf("f1p", k), bf("f2p", k - 1)
+    f3, f4, f5 = bf("f3", 2 * k - 1), bf("f4", 2 * k - 2), bf("f5", 2 * k - 3)
+    f_coeffs = {0: u * u, 1: u * f1p, 2: (f1p * f1p).scale(Fraction(1, 4)) + u * f2p}
+    for i, fi in ((3, f3), (4, f4), (5, f5)):
+        if i <= 2 * k + 2:
+            f_coeffs[i] = fi
+    g_coeffs = {
+        0: u * u * u,
+        1: (u * u * f1p).scale(Fraction(3, 2)),
+        2: (u * (f1p * f1p) + (u * u * f2p).scale(2)).scale(Fraction(3, 4)),
+        3: (f1p * f1p * f1p + (u * f1p * f2p).scale(6) + (f3 * u).scale(12)).scale(Fraction(1, 8)),
+        4: (u * (f2p * f2p) + (f4 * u).scale(4) + (f3 * f1p).scale(2)).scale(Fraction(3, 8)),
+        5: (
+            (f1p * (f2p * f2p)).scale(-1)
+            + (f5 * u).scale(8)
+            + (f4 * f1p).scale(4)
+            + (f3 * f2p).scale(4)
+        ).scale(Fraction(3, 16)),
+    }
+    for idx, coeffs in enumerate(params.get("f_higher") or []):
+        if 6 + idx <= 2 * k + 2:
+            f_coeffs[6 + idx] = torus._binary(v, coeffs, 2 * k + 2 - (6 + idx))
+    for idx, coeffs in enumerate(params.get("g_higher") or []):
+        if 6 + idx <= 3 * k + 3:
+            g_coeffs[6 + idx] = torus._binary(v, coeffs, 3 * k + 3 - (6 + idx))
+    out = []
+    for coeffs, top in ((f_coeffs, 2 * k + 2), (g_coeffs, 3 * k + 3)):
+        total = MPoly.zero(v)
+        y0pow = MPoly.const(v, 1)
+        for i in range(top + 1):
+            if i in coeffs:
+                total = total + coeffs[i] * y0pow
+            y0pow = y0pow * y0
+        out.append(total)
+    return tuple(out)
+
+
+class TestTable1Differential:
+    """table1_construct builds f and g as two sums of coefficient times
+    monomial, where it once summed guarded dicts against powers of y0."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_loops(self, k, seed):
+        params = table1_params(k, seed)
+        assert table1_construct(k, params)[:2] == table1_by_loops(k, params)
+        # entries past the top degree are zero forms either way
+        extra = dict(params)
+        extra["f_higher"] = params["f_higher"] + [[1, -2, 3], [4], [5, 6]]
+        extra["g_higher"] = params["g_higher"] + [[7, 8], [-9]]
+        extra["f5"] = [1, 2, 3, 4, 5, 6]
+        assert table1_construct(k, extra)[:2] == table1_by_loops(k, extra)
+
+
 class TestTable1:
     def test_divisibility_and_degrees(self):
         for k in (1, 2):
