@@ -161,7 +161,7 @@ def singular_points(g: MPoly):
                 continue
             r = resultant(p, q, vx)
             if not r.is_zero():
-                res.append(UPoly.from_mpoly(r, vy))
+                res.append(r)
     cand = _upoly_gcd_many(res)
     if cand is None and any(p.degree_in(vx) > 0 for p in aff):
         # every chart resultant vanishes: the partials share factors, as
@@ -365,10 +365,9 @@ class CuspScheme:
             # nonzero one certifies a finite intersection; it is
             # dehomogenized first, so a root at (1:0) is a degree deficit
             # against Bezout's degree
-            r1m = resultant(aa.subs({rest[1]: 1}), bb.subs({rest[1]: 1}), sv)
-            if r1m.is_zero():
+            r1 = resultant(aa.subs({rest[1]: 1}), bb.subs({rest[1]: 1}), sv)
+            if r1.is_zero():
                 continue
-            r1 = UPoly.from_mpoly(r1m, rest[0])
             # the roots of r1 are the directions (t:1) of the zeros off
             # rest[1] = 0, those of the divisor among them; a degree
             # deficit is the direction (1:0) of the zeros on rest[1] = 0;

@@ -11,12 +11,14 @@ read-only views for the edges: parsing and reports.
 Provides: parsing/rendering of polynomial expressions, the fraction-free
 Z[w] elimination behind every determinant, rank and kernel of a Q(w)
 matrix (echelon_zw, which lifts the rows into Z[w] and eliminates them),
-Sylvester-determinant resultants by evaluation and interpolation, the
-univariate gcd (the one gcd: multivariate gcd degrees are read from it on
-lines, see adjunction.gcd_degree) from one image modulo the prime
+the Sylvester-determinant resultant of two polynomials in the eliminated
+variable and at most one other, as a UPoly in that other, by one loop of
+evaluation at integer samples and interpolation, the univariate gcd (the
+one gcd: multivariate gcd degrees are read from it on lines, see
+adjunction.gcd_degree) from one image modulo the prime
 P = 2^61 - 1 that linalg.rank shares, certified by exact division, one
 subresultant PRS over Z[w] (_zw_prs) that is both that gcd's fallback and
-the scalar resultant at each leaf of the interpolation, one squarefree
+the scalar resultant at each sample of the interpolation, one squarefree
 decomposition (_zw_yun, Yun's algorithm with that gcd) behind every
 multiplicity, its first step (_zw_squarefree) behind every squarefree
 part, exact square roots of polynomials (NOT_A_SQUARE, which is None, when
@@ -1027,20 +1029,27 @@ def _zw_prs(f, g):
 
 def _zw_res(pv, qv):
     """The resultant of two polynomials over Z[w], lists of int pairs
-    low -> high at the formal degrees m = len(pv) - 1 >= 1 and
-    n = len(qv) - 1 >= 1, in the Sylvester convention (p rows first), as
-    an int pair.
+    low -> high at the formal degrees m = len(pv) - 1 and
+    n = len(qv) - 1, in the Sylvester convention (p rows first), as an
+    int pair.
 
-    Zero leading pairs are dropped first: if both sides drop, the first
-    Sylvester column is zero and so is the result; if p drops by k the
-    result gains (-1)^(n*k) * lc(q)^k, if q drops by k it gains lc(p)^k.
-    At the actual degrees the inputs are ordered deg A >= deg B (swapping
+    At a formal degree 0 the Sylvester matrix is the constant times the
+    identity, so the result is pv[0]^n (or qv[0]^m) whatever the other
+    side is, all zero pairs included.  Otherwise zero leading pairs are
+    dropped first: if both sides drop, the first Sylvester column is
+    zero and so is the result; if p drops by k the result gains
+    (-1)^(n*k) * lc(q)^k, if q drops by k it gains lc(p)^k.  At the
+    actual degrees the inputs are ordered deg A >= deg B (swapping
     them gives (-1)^(deg p * deg q)) and run through _zw_prs, each step
     giving (-1)^(deg A * deg B).  A zero remainder (a common factor)
     makes the result 0; otherwise the sequence ends at a constant B and
     the result is lc(B)^(deg A) / h^(deg A - 1) (c^(deg A) when the input
     B already has degree 0)."""
     m, n = len(pv) - 1, len(qv) - 1
+    if not m:
+        return _zw_pow(pv[0], n)
+    if not n:
+        return _zw_pow(qv[0], m)
     p, q = list(pv), list(qv)
     for u in (p, q):
         while u and u[-1] == (0, 0):
@@ -1201,18 +1210,25 @@ def _interpolate(xs, columns):
     return out
 
 
-def resultant(p: MPoly, q: MPoly, var) -> MPoly:
-    """Resultant with respect to var; Sylvester determinant convention.
+def resultant(p: MPoly, q: MPoly, var) -> UPoly:
+    """Resultant with respect to var, in the Sylvester determinant
+    convention, of two polynomials in var and at most one other active
+    variable s, as a UPoly in s; a second other variable raises.
 
     p and q are held as Z[w] int pairs (a, b) = a + b*w over their
     denominators Lp, Lq; the determinant of the Sylvester matrix of the
     pairs at the formal degrees dp, dq is Lp^dq * Lq^dp times the
-    resultant.  It is taken on the pairs by
-    evaluation and interpolation (Collins, JACM 18, 1971), one remaining
-    active variable at a time, down to scalar leaves, each the last
-    subresultant of the PRS that UPoly.gcd runs (_zw_res); no Sylvester
-    matrix is built.  The scale is divided out once at the end.
-    """
+    resultant.  It is taken by evaluation and interpolation (Collins,
+    JACM 18, 1971): each coefficient of var, a dense pair list in s, is
+    evaluated at integer samples of s, each sample's determinant is the
+    last subresultant of the PRS that UPoly.gcd runs (_zw_res), and both
+    parts are interpolated in s at once; no Sylvester matrix is built.
+
+    The number of samples is one more than the smaller of two bounds on
+    the degree in s: the column bound dq*max deg_s(pc) + dp*max deg_s(qc),
+    and the total-degree bound Dp*dq + Dq*dp - dp*dq, D the total degree
+    (scaling var and s by u makes the k-th coefficient u^k * pc[k](u*s),
+    of degree at most Dp in u, and the determinant gains u^(dp*dq))."""
     if p.is_zero() or q.is_zero():
         raise AlgebraError("resultant of the zero polynomial")
     p._check_same_vars(q)
@@ -1220,89 +1236,34 @@ def resultant(p: MPoly, q: MPoly, var) -> MPoly:
     if dp == 0 and dq == 0:
         raise AlgebraError("resultant needs positive degree in the variable")
     i = p.vars.index(var)
-    rest = p.vars[:i] + p.vars[i + 1 :]
-    pc, qc = ([{} for _ in range(d + 1)] for d in (dp, dq))
+    if len({j for f in (p, q) for e in f.pairs for j, k in enumerate(e) if k and j != i}) > 1:
+        raise AlgebraError("resultant needs at most one variable besides the eliminated one")
+    pc, qc = ([[] for _ in range(d + 1)] for d in (dp, dq))
     for f, cs in ((p, pc), (q, qc)):
         for e, ab in f.pairs.items():
-            cs[e[i]][e[:i] + e[i + 1 :]] = ab
-    # deg 0 in var: Res(c, q) = c^{deg q}
-    if dp == 0:
-        return MPoly._new(rest, pc[0], p.den) ** dq
-    if dq == 0:
-        return MPoly._new(rest, qc[0], q.den) ** dp
-    return MPoly._new(rest, _sylvester_det_zw(pc, qc), p.den**dq * q.den**dp)
-
-
-def _sylvester_det_zw(pc, qc):
-    """The determinant of the Sylvester matrix of the coefficient lists pc
-    and qc (low -> high, at the formal degrees len - 1, the p rows before
-    the q rows).  Each coefficient is a polynomial over Z[w] held as a
-    dict exps -> (a, b) without zero pairs, all over one variable list;
-    the determinant is returned in the same form.  With no active
-    variable left it is _zw_res of the scalar coefficients.  Otherwise
-    the first active variable t is set to integer samples in the dp+dq+2
-    coefficients, each sample recurses, and each monomial's values are
-    interpolated in t.
-
-    The number of samples is one more than the smaller of two bounds on
-    the degree in t: the column bound dq*max deg_t(pc) + dp*max deg_t(qc),
-    and the total-degree bound Dp*dq + Dq*dp - dp*dq, where D is the total
-    degree of the polynomial whose coefficients are listed (scaling every
-    remaining variable by s makes the k-th coefficient s^k * pc[k] of
-    degree at most Dp in s, and the determinant gains s^(dp*dq))."""
-    dp, dq = len(pc) - 1, len(qc) - 1
-    coeffs = pc + qc
-    t = min((j for c in coeffs for e in c for j, k in enumerate(e) if k), default=None)
-    if t is None:
-        zero = next((e for c in coeffs for e in c), None)
-        res = _zw_res(*([c.get(zero, (0, 0)) for c in cs] for cs in (pc, qc)))
-        return {zero: res} if res != (0, 0) else {}
-    # total degrees Dp, Dq; None when a sample zeroed every coefficient of
-    # one side, whose Sylvester rows are then all zero
-    tp, tq = (
-        max((k + max(map(sum, c)) for k, c in enumerate(cs) if c), default=None)
-        for cs in (pc, qc)
-    )
-    if tp is None or tq is None:
-        return {}
-
-    def deg_t(cs):
-        return max((e[t] for c in cs for e in c), default=0)
-
-    bound = min(dq * deg_t(pc) + dp * deg_t(qc), tp * dq + tq * dp - dp * dq)
+            c, k = cs[e[i]], sum(e) - e[i]  # the degree in s
+            c.extend([(0, 0)] * (k + 1 - len(c)))
+            c[k] = ab
+    sp, sq = (max(map(len, cs)) - 1 for cs in (pc, qc))
+    bound = min(dq * sp + dp * sq, p.degree() * dq + q.degree() * dp - dp * dq)
     xs = _interp_points(bound + 1)
-    top = max(deg_t(pc), deg_t(qc))
     values = []
     for x in xs:
-        pows = [x**k for k in range(top + 1)]
         at_x = []
-        for c in coeffs:
-            sub = {}
-            for e, (a, b) in c.items():
-                k = e[t]
-                if k:
-                    a, b = a * pows[k], b * pows[k]
-                    e = e[:t] + (0,) + e[t + 1 :]
-                old = sub.get(e)
-                sub[e] = (a, b) if old is None else (old[0] + a, old[1] + b)
-            at_x.append({e: v for e, v in sub.items() if v != (0, 0)})
-        values.append(_sylvester_det_zw(at_x[: dp + 1], at_x[dp + 1 :]))
-    keys = list(dict.fromkeys(e for v in values for e in v))
-    columns = [[v.get(e, (0, 0))[part] for v in values] for e in keys for part in (0, 1)]
-    coeffs_t = _interpolate(xs, columns)
-    terms = {}
-    for j, e in enumerate(keys):
-        for k, ab in enumerate(zip(coeffs_t[2 * j], coeffs_t[2 * j + 1])):
-            if ab != (0, 0):
-                terms[e[:t] + (k,) + e[t + 1 :]] = ab
-    return terms
+        for c in pc + qc:
+            a = b = 0
+            for ca, cb in reversed(c):
+                a, b = a * x + ca, b * x + cb
+            at_x.append((a, b))
+        values.append(_zw_res(at_x[: dp + 1], at_x[dp + 1 :]))
+    return UPoly._new(zip(*_interpolate(xs, zip(*values))), p.den**dq * q.den**dp)
 
 
 # ---------------------------------------------------------------------------
 # Univariate polynomials over Q(w) (internal helper representation); gcd
 # from one image mod P, certified by exact division, else by the
 # fraction-free subresultant PRS over Z[w] (_zw_prs, shared with the
-# resultant's leaves)
+# resultant's samples)
 # ---------------------------------------------------------------------------
 
 # The one prime of the modular images (UPoly.gcd here, linalg.rank's
@@ -1583,7 +1544,7 @@ class UPoly:
         a + b*w.  The gcd is read from one image mod P and certified by
         exact division (_modular_gcd); where that declines it is the last
         nonzero remainder of the subresultant PRS (_zw_prs, the one the
-        resultant's leaves run)."""
+        resultant's samples run)."""
         f, g = (self, other) if self.degree() >= other.degree() else (other, self)
         if g.is_zero():
             return f.monic()

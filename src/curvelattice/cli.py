@@ -71,6 +71,10 @@ def _load_doc(value):
         raise UsageError(f"cannot read {value}: {err.strerror}") from None
     except json.JSONDecodeError as err:
         raise UsageError(f"malformed JSON: {err}") from None
+    except (ValueError, RecursionError) as err:
+        # text that is not UTF-8, nesting past the recursion limit, an
+        # integer literal past the int conversion limit
+        raise UsageError(f"unreadable document: {err}") from None
 
 
 def _require(doc, *keys):
@@ -415,7 +419,6 @@ def _cmd_zariski(args):
 def build_parser() -> _Parser:
     parser = _Parser(prog="curvelattice", description=__doc__)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--field", default="Q(w)", choices=["Q(w)"])
     parser.add_argument("--out", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -516,32 +519,28 @@ def _emit(doc, out_path) -> None:
     doc = _jsonable(doc)
     text = json.dumps(doc, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise UsageError(f"cannot write {out_path}: {err.strerror}") from None
     else:
         sys.stdout.write(text)
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        try:
+            doc = args.run(args)
+            code = doc.pop("exit", 0)
+        except (InvariantError, *DOMAIN_ERRORS) as err:
+            doc = {"error": type(err).__name__, "message": str(err)}
+            code = INVARIANT_EXIT if isinstance(err, InvariantError) else 2
+        _emit(doc, args.out)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    try:
-        doc = args.run(args)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 1
-    except (InvariantError, *DOMAIN_ERRORS) as err:
-        _emit(
-            {"error": type(err).__name__, "message": str(err)},
-            args.out,
-        )
-        return INVARIANT_EXIT if isinstance(err, InvariantError) else 2
-    code = doc.pop("exit", 0)
-    _emit(doc, args.out)
     return code
 
 

@@ -13,7 +13,8 @@ sextic: every candidate conic through six cusps, scalar conditions
 lambda^3 = m with g - m q^3 a perfect square, all solved exactly over
 Q(w) with out-of-field solutions counted, never fabricated.  The
 polynomial in m vanishes wherever g - m q^3 has a double root on each of
-a few trial lines, a resultant taken by algebra.resultant.
+a few trial lines, a resultant in t taken by algebra.resultant, which
+returns it as a UPoly in m.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .algebra import (
     NOT_A_SQUARE,
     OMEGA,
     NotDivisible,
-    UPoly,
     _cube_pencil,
     cyclo_nth_roots,
     det_cyclo,
@@ -335,7 +335,7 @@ def _lambda_cubed_candidates(g: MPoly, q0: MPoly, cusps, g_lines):
         res = resultant(u, crit, "t")
         if res.is_zero():
             continue
-        lines.append(UPoly.from_mpoly(res, "m"))
+        lines.append(res)
     if not lines:
         return None
     g_m = _upoly_gcd_many(lines)

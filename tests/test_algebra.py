@@ -296,27 +296,35 @@ class TestGcdDegree:
                 gcd_degree(bad, form)
 
 
+XY = ("x", "y")
+
+
 def mpoly_to_sympy(p: MPoly):
-    x, y, z = sympy.symbols("x y z")
+    """p in the sympy symbols named by its variables."""
+    symbols = sympy.symbols(p.vars)
     return sum(
-        to_sympy(c) * x ** e[0] * y ** e[1] * z ** e[2] for e, c in p.terms.items()
+        to_sympy(c) * math.prod(s**k for s, k in zip(symbols, e)) for e, c in p.terms.items()
     )
 
 
+def upoly_to_sympy(u: UPoly, s):
+    """u in the sympy symbol s."""
+    return sum(to_sympy(c) * s**k for k, c in enumerate(u.coeffs))
+
+
 @st.composite
-def trivariate_pairs(draw):
-    """Two polynomials in x, y, z of degree 1-3 in x, with Q(w)
+def bivariate_pairs(draw):
+    """Two polynomials in x and y of degree 1-3 in x, with Q(w)
     coefficients that have denominators; each coefficient of x^k is a
-    polynomial in y and z of degree at most 2, so leading coefficients
-    often vanish at the interpolation samples."""
+    polynomial in y of degree at most 3, so leading coefficients often
+    vanish at the interpolation samples."""
     polys = []
     for _ in range(2):
         terms = {}
         for k in range(draw(st.integers(1, 3)) + 1):
-            for _ in range(draw(st.integers(0, 2))):
-                j = draw(st.integers(0, 2))
-                terms[(k, j, draw(st.integers(0, 2 - j)))] = draw(cyclos)
-        f = MPoly(XYZ, terms)
+            for _ in range(draw(st.integers(0, 3))):
+                terms[(k, draw(st.integers(0, 3)))] = draw(cyclos)
+        f = MPoly(XY, terms)
         assume(f.degree_in("x") > 0)
         polys.append(f)
     return tuple(polys)
@@ -348,11 +356,13 @@ def zw_times(u, v):
 
 @st.composite
 def leaf_pairs(draw):
-    """Two Z[w] int-pair lists at formal degrees 1-7, small or large
-    heights, with or without w parts, shaped to reach every branch of the
-    resultant leaf: leading pairs vanishing on one side or both, a side
-    that drops to degree 0, a common factor, and a remainder whose degree
-    falls by two or more (a PRS step with delta >= 2)."""
+    """Two Z[w] int-pair lists at formal degrees 0-7 (0 on one side at
+    most), small or large heights, with or without w parts, shaped to
+    reach every branch of the resultant leaf: leading pairs vanishing on
+    one side or both, a side
+    that drops to degree 0, a side of formal degree 0 against any other
+    side (all zero pairs included), a common factor, and a remainder
+    whose degree falls by two or more (a PRS step with delta >= 2)."""
     height = draw(st.sampled_from([3, 10**6, 10**30]))
     omega = draw(st.booleans())
 
@@ -367,8 +377,16 @@ def leaf_pairs(draw):
 
     m, n = draw(st.integers(1, 7)), draw(st.integers(1, 7))
     shape = draw(
-        st.sampled_from(["generic", "p drops", "q drops", "both drop", "to degree 0", "common factor", "gap"])
+        st.sampled_from(
+            ["generic", "p drops", "q drops", "both drop", "to degree 0", "formal degree 0", "common factor", "gap"]
+        )
     )
+    if shape == "formal degree 0":
+        # the Sylvester matrix is the constant times the identity
+        other = pairs(n)
+        if draw(st.booleans()):
+            other = [(0, 0)] * len(other)
+        return (pairs(0), other) if draw(st.booleans()) else (other, pairs(0))
     if shape == "gap":
         # p = u * q + r with deg r = deg q - 2 (a gap inside the sequence)
         # or deg r = 0 (the sequence ends in a gap)
@@ -400,13 +418,17 @@ class TestResultantLeaf:
     @example(([(5, 1), (2, 0)], [(1, 0), (2, 0), (0, 0)]))
     @example(([(7, 0)] + [(0, 0)] * 4, [(1, 1), (0, 0), (3, 0), (1, 0)]))
     @example(([(6, 0), (2, 0), (1, 0), (2, 0), (2, 0)], [(1, 0), (1, 0), (0, 0), (2, 0)]))
+    @example(([(1, 0)], [(0, 0)] * 3))
+    @example(([(0, 0)] * 4, [(2, 1)]))
     @settings(max_examples=150, deadline=None)
     def test_matches_sylvester_det(self, pair):
         # the leaf is the determinant of the Sylvester matrix at the formal
         # degrees: the examples have both degrees odd, p dropping by two,
-        # q dropping by one, p dropping to degree 0, and a PRS ending in a
+        # q dropping by one, p dropping to degree 0, a PRS ending in a
         # gap, (x + 1) * q + 5 against q = 2x^3 + x + 1, whose resultant
-        # 2000 = 20^3 / h^2 reads the end exponent of h
+        # 2000 = 20^3 / h^2 reads the end exponent of h, and a side of
+        # formal degree 0 against all zero pairs (c times the identity,
+        # determinant c^n)
         pv, qv = pair
         got = algebra._zw_res(pv, qv)
         assert Cyclo(*got) == det_cyclo(sylvester_rows(pv, qv))
@@ -440,34 +462,51 @@ class TestResultantLeaf:
         calls.clear()
         monkeypatch.setattr(algebra, "echelon_zw", forbidden)
         monkeypatch.setattr(UPoly, "gcd", forbidden)
-        p = parse_poly("w*x^3*y + (1 - 2*w)*x*z + 1/3*y^2 + w*z", XYZ)
-        q = parse_poly("x^2 + w*y*z*x - 5/2*w*y + z^2", XYZ)
+        p = parse_poly("w*x^3*y + (1 - 2*w)*x + 1/3*y^2 + w", XY)
+        q = parse_poly("x^2 + w*y*x - 5/2*w*y + 1", XY)
         got = resultant(p, q, "x")
-        assert calls and not got.is_zero()
+        assert calls and isinstance(got, UPoly) and got.degree() > 0
 
 
 class TestResultant:
     def test_linear_convention(self):
         # Sylvester matrix [[1, -1], [1, 1]] has determinant 2 -> 2y
         r = resultant(parse_poly("x - y", XYZ), parse_poly("x + y", XYZ), "x")
-        assert r == parse_poly("2*y", ("y", "z"))
+        assert r == UPoly([0, 2])
 
     def test_self_resultant_zero(self):
-        p = parse_poly("x^2 + y*x + z", XYZ)
+        p = parse_poly("x^2 + y*x + y^2", XYZ)
         assert resultant(p, p, "x").is_zero()
 
     def test_hand_sylvester(self):
         # oracle: det [[1,0,-t],[1,-3,0],[0,1,-3]] = 9 - t
         vars2 = ("x", "t")
         r = resultant(parse_poly("x^2 - t", vars2), parse_poly("x - 3", vars2), "x")
-        assert r == parse_poly("9 - t", ("t",))
+        assert r == UPoly([9, -1])
+
+    def test_formal_degree_zero_side(self):
+        # p = y + 1 has degree 0 in x: its Sylvester matrix against a
+        # quadratic is (y + 1) times the 2x2 identity, even at the sample
+        # y = 0 where the other side is 0
+        r = resultant(parse_poly("y + 1", XY), parse_poly("y*x^2 + y", XY), "x")
+        assert r == UPoly([1, 2, 1])
+        r = resultant(parse_poly("y*x^2 + y", XY), parse_poly("y + 1", XY), "x")
+        assert r == UPoly([1, 2, 1])
+
+    def test_third_active_variable_raises(self):
+        # the elimination leaves a polynomial in one variable: two others
+        # are refused, on either side
+        p, q = parse_poly("x^2 + y", XYZ), parse_poly("x - z", XYZ)
+        for a, b in ((p, q), (q, p), (parse_poly("x + y*z", XYZ), parse_poly("x", XYZ))):
+            with pytest.raises(AlgebraError, match="one variable besides"):
+                resultant(a, b, "x")
 
     def test_vanishes_iff_common_factor(self):
         rng = random.Random(11)
         for _ in range(10):
-            a = rand_poly(rng, deg=2, terms=2)
-            b = rand_poly(rng, deg=2, terms=2)
-            c = rand_poly(rng, deg=1, terms=2)
+            a = rand_poly(rng, XY, deg=2, terms=2)
+            b = rand_poly(rng, XY, deg=2, terms=2)
+            c = rand_poly(rng, XY, deg=1, terms=2)
             if a.degree_in("x") <= 0 or b.degree_in("x") <= 0 or c.degree_in("x") <= 0:
                 continue
             assert resultant(a * c, b * c, "x").is_zero()
@@ -478,16 +517,14 @@ class TestResultant:
         x, y = sympy.symbols("x y")
 
         def check(p, q, oracle):
-            sp = sum(to_sympy(c) * x ** e[0] * y ** e[1] for e, c in p.terms.items())
-            sq = sum(to_sympy(c) * x ** e[0] * y ** e[1] for e, c in q.terms.items())
             got = resultant(p, q, "x")
-            ours = sum(to_sympy(c) * y ** e[0] for e, c in got.terms.items())
-            assert reduce_omega(ours - oracle(sp, sq)) == 0
+            ours = upoly_to_sympy(got, y)
+            assert reduce_omega(ours - oracle(mpoly_to_sympy(p), mpoly_to_sympy(q))) == 0
 
         rng = random.Random(5)
         for _ in range(6):
-            p = rand_poly(rng, ("x", "y"), deg=3, terms=4, with_omega=False)
-            q = rand_poly(rng, ("x", "y"), deg=3, terms=4, with_omega=False)
+            p = rand_poly(rng, XY, deg=3, terms=4, with_omega=False)
+            q = rand_poly(rng, XY, deg=3, terms=4, with_omega=False)
             if p.degree_in("x") <= 0 or q.degree_in("x") <= 0:
                 continue
             check(p, q, lambda sp, sq: sympy.resultant(sp, sq, x))
@@ -500,15 +537,15 @@ class TestResultant:
         def syl(sp, sq):
             return sylvester(sp, sq, x).det(method="domain-ge")
 
-        p = parse_poly("3*x*y^2 - 2*x*y", ("x", "y"))
-        q = parse_poly("x^3 + y", ("x", "y"))
+        p = parse_poly("3*x*y^2 - 2*x*y", XY)
+        q = parse_poly("x^3 + y", XY)
         check(p, q, syl)
         check(p, q, lambda sp, sq: y**4 * (3 * y - 2) ** 3)
         rng = random.Random(6)
         with_omega = 0
         for _ in range(6):
-            p = rand_poly(rng, ("x", "y"), deg=3, terms=4, with_omega=True)
-            q = rand_poly(rng, ("x", "y"), deg=3, terms=4, with_omega=True)
+            p = rand_poly(rng, XY, deg=3, terms=4, with_omega=True)
+            q = rand_poly(rng, XY, deg=3, terms=4, with_omega=True)
             if p.degree_in("x") <= 0 or q.degree_in("x") <= 0:
                 continue
             check(p, q, syl)
@@ -519,11 +556,10 @@ class TestResultant:
         # the interpolation samples are 0, 1, -1, 2, ...; at y = 0 and at
         # y = 1 the leading coefficients in x vanish, so those Sylvester
         # matrices are taken at the formal degrees 3 and 2
-        x, y = sympy.symbols("x y")
-        p = parse_poly("y*x^3 + x + 1", ("x", "y"))
-        q = parse_poly("(y - 1)*x^2 + y*x + w", ("x", "y"))
+        y = sympy.Symbol("y")
+        p = parse_poly("y*x^3 + x + 1", XY)
+        q = parse_poly("(y - 1)*x^2 + y*x + w", XY)
         got = resultant(p, q, "x")
-        ours = sum(to_sympy(c) * y ** e[0] for e, c in got.terms.items())
         oracle = sympy.Matrix(
             [
                 [y, 0, 1, 1, 0],
@@ -533,7 +569,25 @@ class TestResultant:
                 [0, 0, y - 1, y, W],
             ]
         ).det()
-        assert reduce_omega(ours - oracle) == 0
+        assert reduce_omega(upoly_to_sympy(got, y) - oracle) == 0
+
+    def test_leading_coefficient_vanishing_at_an_inner_sample(self):
+        # past the first samples 0 and 1: at y = -1 both leading
+        # coefficients in x vanish (the first Sylvester column is zero),
+        # and at y = 2 the one of q does, where the matrix is taken at the
+        # formal degrees 3 and 2 (the actual degrees would lose the factor
+        # lc(p) = 3 at y = 2)
+        from sympy.polys.subresultants_qq_zz import sylvester
+
+        x, y = sympy.symbols("x y")
+        p = parse_poly("(y + 1)*x^3 + y*x + w", XY)
+        q = parse_poly("(y^2 - y - 2)*x^2 + 3*y*x + 1 + w*y", XY)
+        got = resultant(p, q, "x")
+        assert got.degree() > 0
+        sp = (y + 1) * x**3 + y * x + W
+        sq = (y**2 - y - 2) * x**2 + 3 * y * x + 1 + W * y
+        oracle = sylvester(sp, sq, x).det(method="domain-ge")
+        assert reduce_omega(upoly_to_sympy(got, y) - oracle) == 0
 
     def test_degree_bound_at_the_true_degree(self, monkeypatch):
         # the affine partials of the nine-cusp sextic x^6 - 2x^3y^3 - 2x^3
@@ -543,8 +597,8 @@ class TestResultant:
         x, y = sympy.symbols("x y")
         sp = 6 * x**5 - 6 * x**2 * y**3 - 6 * x**2
         sq = -6 * x**3 * y**2 + 6 * y**5 - 6 * y**2
-        p = parse_poly(str(sp).replace("**", "^"), ("x", "y"))
-        q = parse_poly(str(sq).replace("**", "^"), ("x", "y"))
+        p = parse_poly(str(sp).replace("**", "^"), XY)
+        q = parse_poly(str(sq).replace("**", "^"), XY)
         calls = []
         real = algebra._zw_res
 
@@ -555,76 +609,19 @@ class TestResultant:
         monkeypatch.setattr(algebra, "_zw_res", counted)
         got = resultant(p, q, "x")
         assert calls == [8] * 26
-        ours = sum(to_sympy(c) * y ** e[0] for e, c in got.terms.items())
-        assert sympy.expand(ours - sympy.resultant(sp, sq, x)) == 0
+        assert sympy.expand(upoly_to_sympy(got, y) - sympy.resultant(sp, sq, x)) == 0
 
-    def test_leading_coefficient_vanishing_at_an_inner_sample(self):
-        # eliminating x leaves y (sampled first) and z (sampled inside each
-        # y sample); the leading coefficients z and 2z - 2 vanish at the
-        # inner samples z = 0 and z = 1, where the Sylvester matrices are
-        # taken at the formal degrees 3 and 2 (at z = 0 the actual degrees
-        # would lose a factor (-2)^2)
-        from sympy.polys.subresultants_qq_zz import sylvester
-
-        x, y, z = sympy.symbols("x y z")
-        p = parse_poly("z*x^3 + y*x + w", XYZ)
-        q = parse_poly("(2*z - 2)*x^2 + y*z*x + 1 + w*y", XYZ)
-        got = resultant(p, q, "x")
-        assert got.degree_in("y") > 0 and got.degree_in("z") > 0
-        ours = sum(to_sympy(c) * y ** e[0] * z ** e[1] for e, c in got.terms.items())
-        sp = z * x**3 + y * x + W
-        sq = (2 * z - 2) * x**2 + y * z * x + 1 + W * y
-        oracle = sylvester(sp, sq, x).det(method="domain-ge")
-        assert reduce_omega(ours - oracle) == 0
-
-    def test_matches_sympy_on_random_trivariate(self):
-        # two variables stay active after eliminating x: the resultant is
-        # interpolated in y from samples that are themselves interpolated
-        # in z
-        from sympy.polys.subresultants_qq_zz import sylvester
-
-        x, y, z = sympy.symbols("x y z")
-
-        def to_sym(p):
-            return sum(
-                to_sympy(c) * x ** e[0] * y ** e[1] * z ** e[2]
-                for e, c in p.terms.items()
-            )
-
-        rng = random.Random(7)
-        checked = with_omega = 0
-        while checked < 6:
-            p = rand_poly(rng, XYZ, deg=3, terms=4, with_omega=checked % 2 == 1)
-            q = rand_poly(rng, XYZ, deg=3, terms=4, with_omega=checked % 2 == 1)
-            if p.degree_in("x") <= 0 or q.degree_in("x") <= 0:
-                continue
-            got = resultant(p, q, "x")
-            if got.degree_in("y") <= 0 or got.degree_in("z") <= 0:
-                continue
-            ours = sum(
-                to_sympy(c) * y ** e[0] * z ** e[1] for e, c in got.terms.items()
-            )
-            sp, sq = to_sym(p), to_sym(q)
-            if all(c.is_rational() for f in (p, q) for c in f.terms.values()):
-                oracle = sympy.resultant(sp, sq, x)
-            else:
-                oracle = sylvester(sp, sq, x).det(method="domain-ge")
-                with_omega += 1
-            assert reduce_omega(ours - oracle) == 0
-            checked += 1
-        assert with_omega
-
-    @given(trivariate_pairs())
+    @given(bivariate_pairs())
     @example(
         (
-            parse_poly("z*x^3 + y*x + 1/2*w", XYZ),
-            parse_poly("(2*z - 2)*x^2 + 1/3*y*z*x + 1 + w*y", XYZ),
+            parse_poly("y*x^3 + y^2*x + 1/2*w", XY),
+            parse_poly("(2*y - 2)*x^2 + 1/3*y^3*x + 1 + w*y", XY),
         )
     )
     @example(
         (
-            parse_poly("(y - 1)*x^2 + (3/4 + w)*z*x + y", XYZ),
-            parse_poly("y*z*x^3 - 2/5*x + w*z^2", XYZ),
+            parse_poly("(y - 1)*x^2 + (3/4 + w)*y*x + y", XY),
+            parse_poly("y*x^3 - 2/5*x + w*y^2", XY),
         )
     )
     @settings(max_examples=40, deadline=None)
@@ -632,22 +629,21 @@ class TestResultant:
         # over Q(sqrt(-3)) = Q(w): the oracle is the determinant of sympy's
         # Sylvester matrix with w a symbol, reduced modulo w^2 + w + 1; the
         # examples have leading coefficients in x that vanish at the
-        # samples y = 0, z = 0 or y = 1, where the matrices are taken at
-        # the formal degrees
+        # samples y = 0 or y = 1, where the matrices are taken at the
+        # formal degrees
         from sympy.polys.subresultants_qq_zz import sylvester
 
         p, q = pair
-        x, y, z = sympy.symbols("x y z")
+        x, y = sympy.symbols("x y")
         got = resultant(p, q, "x")
-        ours = sum(to_sympy(c) * y ** e[0] * z ** e[1] for e, c in got.terms.items())
         oracle = sylvester(mpoly_to_sympy(p), mpoly_to_sympy(q), x).det(method="domain-ge")
-        assert reduce_omega(ours - oracle) == 0
+        assert reduce_omega(upoly_to_sympy(got, y) - oracle) == 0
 
     def test_one_cyclo_per_output_term(self, monkeypatch):
         # the resultant runs on the stored Z[w] int pairs from its inputs
         # to its output: it makes no Q(w) scalar
-        p = parse_poly("w*x^2*y + (1 - 2*w)*x*z + 1/3*y^2 + w*z", XYZ)
-        q = parse_poly("x^2 + w*y*z*x - 5/2*w*y + z^2", XYZ)
+        p = parse_poly("w*x^2*y + (1 - 2*w)*x + 1/3*y^2 + w", XY)
+        q = parse_poly("x^2 + w*y*x - 5/2*w*y + 1", XY)
         calls = []
         init, mul = Cyclo.__init__, Cyclo.__mul__
 
@@ -663,8 +659,8 @@ class TestResultant:
         monkeypatch.setattr(Cyclo, "__mul__", counted_mul)
         got = resultant(p, q, "x")
         monkeypatch.undo()
-        assert got.degree_in("y") > 0 and got.degree_in("z") > 0
-        assert any(not c.is_rational() for c in got.terms.values())
+        assert got.degree() > 0
+        assert any(not c.is_rational() for c in got.coeffs)
         assert calls == []
 
     def test_inexact_divided_difference_raises(self, monkeypatch):

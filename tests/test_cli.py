@@ -106,12 +106,15 @@ class TestPlumbing:
         assert doc["spectrum"] == {"-1/6": 1, "1/6": 1}
 
     def test_field_flag_fixed(self):
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = run(
-                ["--field", "Q", "spectrum", "--f", "x^2+y^3", "--weights", "3,2"]
-            )
-        assert code == 1
+        # there is no --field option: the field is Q(w), named or not
+        for field in ("Q", "Q(w)"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run(
+                    ["--field", field, "spectrum", "--f", "x^2+y^3", "--weights", "3,2"]
+                )
+            assert code == 1
+            assert err.getvalue().startswith("usage error: ")
 
 
 class TestExitContract:
@@ -138,6 +141,34 @@ class TestExitContract:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
         self.usage_error(["singular", "--curve", str(bad)], capsys)
+
+    def test_undecodable_documents(self, tmp_path, capsys):
+        # text that is not UTF-8, nesting far past the recursion limit and
+        # an integer literal past the 4,300-digit conversion limit are
+        # usage errors, from a file or inline, never a traceback
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"g": "x^2 + y^2 - z^2", "name": "\u00e9"}'.encode("latin-1"))
+        line = self.usage_error(["singular", "--curve", str(bad)], capsys)
+        assert "utf-8" in line
+        deep = '{"g": "x^2", "vars": ' + "[" * 10**5 + "]" * 10**5 + "}"
+        long_int = '{"g": "x^2", "components": ' + "7" * 5000 + "}"
+        for i, text in enumerate((deep, long_int)):
+            path = tmp_path / f"doc{i}.json"
+            path.write_text(text, encoding="utf-8")
+            self.usage_error(["alexander", "--curve", str(path)], capsys)
+            self.usage_error(["alexander", "--curve", text], capsys)
+
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_unwritable_out(self, where, tmp_path, capsys):
+        # a report that cannot be written is a usage error, for a success
+        # report and a domain-error report alike
+        out = tmp_path if where == "directory" else tmp_path / "absent" / "r.json"
+        for argv in (
+            ["spectrum", "--f", "x^2+y^3", "--weights", "3,2"],
+            ["alexander", "--curve", json.dumps({"g": "x^6 + y^6 + z^6", "components": 0})],
+        ):
+            line = self.usage_error(["--out", str(out), *argv], capsys)
+            assert str(out) in line
 
     def test_malformed_weights(self, capsys):
         for weights in ("a,b", "3", "3,2,1", ""):

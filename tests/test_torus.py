@@ -306,7 +306,7 @@ def discriminant_candidates(g, q0, cusps):
         disc = resultant(u, u.derivative("t"), "t")
         if disc.is_zero():
             continue
-        lines.append(UPoly.from_mpoly(disc, "m"))
+        lines.append(disc)
         betas.append(beta)
     if not lines:
         return None, []
