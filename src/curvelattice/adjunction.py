@@ -181,20 +181,12 @@ def singular_points(g: MPoly):
         unexplained += miss_y
         for y0, _m in yroots:
             slices = [p.subs({vy: y0}) for p in aff]
-            upolys = []
-            zero_slice = False
-            for s in slices:
-                if s.is_zero():
-                    zero_slice = True
-                    continue
-                upolys.append(UPoly.from_mpoly(s, vx))
+            upolys = [UPoly.from_mpoly(s, vx) for s in slices if not s.is_zero()]
             if not upolys:
-                if zero_slice:
-                    # gradient vanishes identically on a whole line
-                    raise IncompleteLocus(-1, points)
-                continue
+                # gradient vanishes identically on a whole line
+                raise IncompleteLocus(-1, points)
             ux = _upoly_gcd_many(upolys)
-            if ux is None or ux.degree() <= 0:
+            if ux.degree() <= 0:
                 continue
             xroots, miss_x = qomega_roots(ux)
             unexplained += miss_x
@@ -289,17 +281,8 @@ class CuspScheme:
 
     def _line_divisor(self):
         """(squarefree affine gcd of the restrictions, root-at-(1:0) flag)."""
-        if "line_divisor" not in self._cache:
-            self._cache["line_divisor"] = self._compute_line_divisor()
-        return self._cache["line_divisor"]
-
-    def _on_line(self, at, along):
-        """The two generators restricted to the line e(at) + t e(along),
-        e(v) the unit vector of the variable v."""
-        P, Q = ([int(v == w) for v in self.gen_a.vars] for w in (at, along))
-        return [restrict(f, P, Q) for f in (self.gen_a, self.gen_b)]
-
-    def _compute_line_divisor(self):
+        if "line_divisor" in self._cache:
+            return self._cache["line_divisor"]
         # the line sat_var = 0 as (t : 1) in (rest[0] : rest[1]); a
         # restriction of lower degree than its form, or zero, has a root
         # at (1:0)
@@ -309,7 +292,14 @@ class CuspScheme:
         if g is None:
             raise DomainError("both restrictions vanish identically")
         has_inf = all(u.degree() < f.degree() for u, f in zip(us, (self.gen_a, self.gen_b)))
-        return g.squarefree_part(), has_inf
+        self._cache["line_divisor"] = g.squarefree_part(), has_inf
+        return self._cache["line_divisor"]
+
+    def _on_line(self, at, along):
+        """The two generators restricted to the line e(at) + t e(along),
+        e(v) the unit vector of the variable v."""
+        P, Q = ([int(v == w) for v in self.gen_a.vars] for w in (at, along))
+        return [restrict(f, P, Q) for f in (self.gen_a, self.gen_b)]
 
     def _axis_count(self) -> int:
         """Distinct common zeros on the line rest[1] = 0 off the saturation

@@ -400,9 +400,6 @@ class MPoly:
     def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def scale(self, c) -> "MPoly":
         (ca,), (cb,), lc = _zw_lift([c])
         return MPoly._new(
@@ -907,6 +904,8 @@ def _zw_convolve(f, g):
 def _zw_divide(xs, d):
     """Each Z[w] pair of xs divided exactly by the pair d; InvariantError
     on a remainder."""
+    if d == (1, 0):
+        return list(xs)
     ca, cb, norm = _zw_conj_norm(*d)
     out = []
     for xa, xb in xs:
@@ -1314,10 +1313,11 @@ def _modular_gcd(f, g):
     bounds the true degree: h = 1 certifies 1.  Otherwise each coefficient
     of h, then of h times gamma, is read as its shortest Z[w]
     representative (_zw_shortest).  gamma is the gcd of the leading
-    coefficients of the primitive parts of f and g, a multiple of the
-    leading coefficient of their primitive gcd that leaves out the inputs'
-    Z[w] content.  A candidate of degree deg h that divides both f and g
-    exactly is a gcd.
+    coefficients of the primitive parts of f and g (_zw_primitive), a
+    multiple of the leading coefficient of their primitive gcd that leaves
+    out the inputs' Z[w] content.  A candidate of degree deg h that divides
+    both f and g exactly is a gcd, and a primitive one: the first has the
+    leading pair _zw_shortest(1) = (1, 0), the second is made primitive.
     """
     r, basis = _p_image()
     fp, gp = ([(a + b * r) % _P for a, b in u] for u in (f, g))
@@ -1330,20 +1330,10 @@ def _modular_gcd(f, g):
     def divides_both(d):
         return _zw_quotient(f, d) is not None and _zw_quotient(g, d) is not None
 
-    def primitive_lc(u):
-        # lc(u) over the Z[w] content of u, up to a unit; the content's
-        # gcd stops at the first unit, where most inputs stop at once
-        c = u[-1]
-        for x in u:
-            if _zw_conj_norm(*c)[2] == 1:
-                break
-            c = _zw_gcd(x, c)
-        return _zw_divide([u[-1]], c)[0]
-
     cand = [_zw_shortest(c, basis) for c in h]
     if divides_both(cand):
         return cand
-    gamma = _zw_gcd(primitive_lc(f), primitive_lc(g))
+    gamma = _zw_gcd(_zw_primitive(f)[-1], _zw_primitive(g)[-1])
     if _zw_conj_norm(*gamma)[2] == 1:  # a unit: the same candidate again
         return None
     s = (gamma[0] + gamma[1] * r) % _P
@@ -1352,15 +1342,23 @@ def _modular_gcd(f, g):
 
 
 def _zw_primitive(f):
-    """f (int pairs) divided by its Z[w] content, a gcd of its pairs."""
-    return _zw_divide(f, functools.reduce(_zw_gcd, f))
+    """f (int pairs, a nonzero leading pair) divided by its Z[w] content, a
+    gcd of its pairs; f itself once that gcd, taken from the leading pair
+    down, reaches a unit, where most inputs stop at once."""
+    c = (0, 0)
+    for x in reversed(f):
+        c = _zw_gcd(x, c)
+        if _zw_conj_norm(*c)[2] == 1:
+            return f
+    return _zw_divide(f, c)
 
 
 def _zw_poly_gcd(f, g):
     """A primitive gcd of f and g, int-pair lists with nonzero leading pairs
     and deg f >= deg g: the image mod P certified by exact division
-    (_modular_gcd), else the last remainder of the subresultant PRS."""
-    return _zw_primitive(_modular_gcd(f, g) or _zw_prs(f, g)[1])
+    (_modular_gcd), else the last remainder of the subresultant PRS made
+    primitive."""
+    return _modular_gcd(f, g) or _zw_primitive(_zw_prs(f, g)[1])
 
 
 def _zw_derivative(f):

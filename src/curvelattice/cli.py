@@ -324,14 +324,14 @@ def _cmd_table1(args):
 
 
 def _cmd_weier_check(args):
-    from .weierstrass import WeierstrassData, discriminant, is_minimal, no_reducible_fibers
+    from .weierstrass import WeierstrassData, is_minimal, no_reducible_fibers
 
     A = parse_poly(args.A, ("t",))
     B = parse_poly(args.B, ("t",))
     w = WeierstrassData(A, B, args.k)
     minimal = is_minimal(w)
     doc = {
-        "discriminant": render(discriminant(w).to_mpoly("t", ("t",))),
+        "discriminant": render(w.disc.to_mpoly("t", ("t",))),
         "minimal": minimal,
     }
     if minimal:

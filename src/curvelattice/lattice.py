@@ -27,6 +27,8 @@ from .linalg import det_fraction, ldl
 # the product of the per-coordinate range lengths bounds the leaves of the
 # enumeration tree; E8 in its root basis reaches 19,683
 ENUMERATION_LIMIT = 10**6
+# trial division stops here, so every n < FACTOR_LIMIT^2 factors
+FACTOR_LIMIT = 10**6
 
 
 class NotPositiveDefinite(DomainError):
@@ -218,12 +220,15 @@ def diagonalize(q: QuadForm):
 
 def factorint(n: int) -> dict:
     """{prime: exponent} of n >= 1, by trial division while the cofactor
-    is composite; a prime cofactor is the last factor."""
+    is composite; a prime cofactor is the last factor.  A composite
+    cofactor with no prime factor up to FACTOR_LIMIT raises DomainError."""
     out = {}
     d = 2
     while n > 1 and not isprime(n):
         while n % d:
             d += 1 if d == 2 else 2
+            if d > FACTOR_LIMIT:
+                raise DomainError(f"{n} has no prime factor up to the limit {FACTOR_LIMIT}")
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d

@@ -2,10 +2,11 @@
 
 Matrices are lists of rows of Cyclo, int or Fraction values.  Determinant
 and kernel read the one fraction-free elimination over Z[w],
-algebra.echelon_zw.  Rank is one Gauss-Jordan elimination modulo the prime
-p = 2^61 - 1 (algebra._P, also the prime of UPoly.gcd's image) on the
-integer rows, certified exactly by the kernel it reconstructs; where the
-certificate fails it is echelon_zw's pivot count.  Every quadratic-form
+algebra.echelon_zw.  The rank of a rational matrix is one Gauss-Jordan
+elimination modulo the prime p = 2^61 - 1 (algebra._P, also the prime of
+UPoly.gcd's image) on the integer rows, certified exactly by the kernel it
+reconstructs; the rank of a matrix with w parts, or where the certificate
+fails, is echelon_zw's pivot count.  Every quadratic-form
 question (positive definiteness, semidefiniteness, a diagonal form) reads
 the one congruence elimination, ldl.
 """
@@ -33,42 +34,39 @@ _HALF = math.isqrt(_P // 2)
 def rank(rows) -> int:
     """Rank over Q(w), certified exactly.
 
-    Each row is scaled into Z[w], which keeps the rank.  A matrix with w
-    parts becomes the rational matrix with 2x2 blocks [[a, -b], [b, a - b]]
-    (multiplication by a + b*w on Q^2 in the basis 1, w), of twice the rank.
-    Gauss-Jordan mod p gives r pivots, so the rank is at least r: a minor
-    nonzero mod p is a nonzero integer.  For each free column the kernel
-    vector of the reduced form mod p is lifted to Q by rational
-    reconstruction (Wang, SYMSAC 1981) and checked exactly on the integer
-    rows; with 1 at its own free column and 0 at the others, these are
-    independent, so the rank is at most r.  If a reconstruction or a check
-    fails, the rank is len(echelon_zw(rows)[2]).
+    A matrix with a nonzero w part takes the exact elimination: its rank
+    is len(echelon_zw(rows)[2]).  A rational matrix has its rows scaled
+    into Z, which keeps the rank.  Gauss-Jordan mod p gives r pivots, so
+    the rank is at least r: a minor nonzero mod p is a nonzero integer.
+    For each free column the kernel vector of the reduced form mod p is
+    lifted to Q by rational reconstruction (Wang, SYMSAC 1981) and checked
+    exactly on the integer rows; with 1 at its own free column and 0 at
+    the others, these are independent, so the rank is at most r.  If a
+    reconstruction or a check fails, the rank is echelon_zw's too.
     """
-    ints, blocks = _integer_rows(rows)
-    if not ints or not ints[0]:
-        return 0
-    sparse = [{j: x for j, x in enumerate(r) if x} for r in ints]
-    pivots = _rref_mod_p(sparse)
-    if _kernel_checks(sparse, pivots, len(ints[0])):
-        return len(pivots) // blocks
+    ints = _integer_rows(rows)
+    if ints is not None:
+        if not ints or not ints[0]:
+            return 0
+        sparse = [{j: x for j, x in enumerate(r) if x} for r in ints]
+        pivots = _rref_mod_p(sparse)
+        if _kernel_checks(sparse, pivots, len(ints[0])):
+            return len(pivots)
     return len(echelon_zw(rows)[2])
 
 
 def _integer_rows(rows):
-    """(integer rows, k): rows scaled into Z[w], whose rank over Q is k
-    times the rank of rows over Q(w); k = 2 when a w part is nonzero."""
-    lifted = [
-        (r, None) if all(type(x) is int for x in r) else _zw_lift(r)[:2]
-        for r in rows
-    ]
-    if not any(b and any(b) for _a, b in lifted):
-        return [a for a, _b in lifted], 1
+    """The rows scaled into Z, or None when an entry has a nonzero w part."""
     out = []
-    for a, b in lifted:
-        b = b or [0] * len(a)
-        out.append([x for s, t in zip(a, b) for x in (s, -t)])
-        out.append([x for s, t in zip(a, b) for x in (t, s - t)])
-    return out, 2
+    for r in rows:
+        if all(type(x) is int for x in r):
+            out.append(r)
+            continue
+        a, b = _zw_lift(r)[:2]
+        if any(b):
+            return None
+        out.append(a)
+    return out
 
 
 def _rref_mod_p(rows):

@@ -52,13 +52,6 @@ class WeightedPoly:
             raise DomainError("polynomial is not weighted homogeneous")
         object.__setattr__(self, "wdeg", weighted_degree(f, (w1, w2)))
 
-    def scaled(self, target_wdeg: int) -> "WeightedPoly":
-        """Same polynomial with weights scaled so wdeg equals target_wdeg."""
-        if target_wdeg % self.wdeg:
-            raise DomainError(f"{self.wdeg} does not divide {target_wdeg}")
-        m = target_wdeg // self.wdeg
-        return WeightedPoly(self.f, (self.weights[0] * m, self.weights[1] * m))
-
     def milnor_number(self) -> int:
         d, (w1, w2) = self.wdeg, self.weights
         num = (d - w1) * (d - w2)

@@ -26,18 +26,6 @@ class NotMinimal(DomainError):
     """The model must be minimal before fiber checks."""
 
 
-def squarefree_decomposition(f: UPoly):
-    """Yun decomposition {multiplicity: monic squarefree factor}
-    (UPoly.squarefree_factors).
-
-    The factors are pairwise coprime and f equals its leading coefficient
-    times the product of factor^multiplicity.
-    """
-    if f.is_zero():
-        raise DomainError("zero polynomial has no squarefree decomposition")
-    return f.squarefree_factors()
-
-
 def _rad_at_least(parts, m: int) -> UPoly:
     """Product of the squarefree factors of multiplicity at least m."""
     out = UPoly([1])
@@ -79,11 +67,6 @@ class WeierstrassData:
         object.__setattr__(self, "disc", disc)
 
 
-def discriminant(w: WeierstrassData) -> UPoly:
-    """4A^3 + 27B^2, nonzero (WeierstrassData raises Degenerate otherwise)."""
-    return w.disc
-
-
 def is_minimal(w: WeierstrassData) -> bool:
     """No place has v(A) >= 4 and v(B) >= 6 simultaneously."""
     A, B, k = w.A, w.B, w.k
@@ -94,7 +77,7 @@ def is_minimal(w: WeierstrassData) -> bool:
         return False
     # finite places; at every place an identically zero A or B has v = oo
     ra, rb = (
-        u if u.is_zero() else _rad_at_least(squarefree_decomposition(u), m)
+        u if u.is_zero() else _rad_at_least(u.squarefree_factors(), m)
         for u, m in ((A, 4), (B, 6))
     )
     return ra.gcd(rb).degree() == 0
@@ -102,32 +85,24 @@ def is_minimal(w: WeierstrassData) -> bool:
 
 def no_reducible_fibers(w: WeierstrassData) -> bool:
     """Every fiber is irreducible: at each place of the discriminant,
-    v(disc) <= 1, or v(disc) = 2 with v(A) = 1 (for A identically zero,
-    v(B) = 1 plays that role: the fiber is an irreducible cuspidal cubic).
+    v(disc) <= 1, or v(disc) = 2 with v(B) = 1.  At v(disc) = 2, v(B) is 0
+    or 1 (v(B) >= 2 would need 3 v(A) = 2); Tate's algorithm gives Kodaira
+    type II, a cuspidal cubic, for v(B) = 1 and I2, two components, for
+    v(B) = 0.  A finite place with v(B) = 1 is a root of B's multiplicity-1
+    Yun factor; at infinity v(B) = 6k - deg B.
     """
     if not is_minimal(w):
         raise NotMinimal("model is not minimal")
-    A, k = w.A, w.k
-    disc = discriminant(w)
-    dparts = squarefree_decomposition(disc)
+    B, k, disc = w.B, w.k, w.disc
+    dparts = disc.squarefree_factors()
     if _rad_at_least(dparts, 3).degree() > 0:
         return False
     d2 = dparts.get(2)
-    if d2 is not None and d2.degree() > 0:
-        u1 = squarefree_decomposition(w.B if A.is_zero() else A).get(1, UPoly([1]))
-        if d2.gcd(u1).degree() != d2.degree():
-            return False
-    # place at infinity
-    v_d = 12 * k - disc.degree()
-    if v_d >= 3:
+    # B = 0 makes every v(disc) = 3 v(A), so a v(disc) = 2 place has B != 0
+    if d2 is not None and d2.gcd(B.squarefree_factors().get(1, UPoly([1]))) != d2:
         return False
-    if v_d == 2:
-        if A.is_zero():
-            if 6 * k - w.B.degree() != 1:
-                return False
-        elif 4 * k - A.degree() != 1:
-            return False
-    return True
+    v_d = 12 * k - disc.degree()
+    return v_d <= 1 or v_d == 2 and 6 * k - B.degree() == 1
 
 
 def height_from_intersections(chi: int, sz: int) -> int:

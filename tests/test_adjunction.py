@@ -179,6 +179,30 @@ class TestSingularPoints:
             singular_points(poly("(x - y)^2*(x^4 + y^4 + z^4)"))
         assert err.value.unexplained == -1 and err.value.found == []
 
+    def test_x_free_chart_equations(self):
+        # no partial of y^3 + z^3 involves x: the chart equations 3y^2 and
+        # 3 live in y alone and share no root, and the one singular point
+        # is (1 : 0 : 0), a triple point
+        pts = singular_points(poly("y^3 + z^3"))
+        assert [(p.point, p.kind) for p in pts] == [(ProjPoint((1, 0, 0)), "unclassified")]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # x-free chart equations with the common root y = 0
+            "y^2*z",
+            # the gradient vanishes on the whole line y = 0: every slice
+            # of the chart equations at y = 0 is zero
+            "y^2*(x + z)",
+            # every partial vanishes on the line z = 0
+            "x*z^2",
+        ],
+    )
+    def test_singular_line_raises(self, text):
+        with pytest.raises(IncompleteLocus) as err:
+            singular_points(poly(text))
+        assert err.value.unexplained == -1 and err.value.found == []
+
     def test_node_at_infinity(self):
         # z^2 y = x^2 (x + y) has a singular point at (0 : 1 : 0)
         pts = singular_points(poly("z^2*y - x^3 - x^2*y"))
@@ -468,13 +492,15 @@ class TestCuspScheme:
         assert twin.count() == count
         assert calls["resultant"] > first["resultant"]
         # count() and every saturation piece of vanishing_dim(m) read the
-        # line divisor; it is computed once per scheme
+        # line divisor; the restrictions to the saturation line z = 0 (the
+        # line at y = 1 along x) are taken once per scheme
         divisors = []
-        real = CuspScheme._compute_line_divisor
+        real = CuspScheme._on_line
         monkeypatch.setattr(
             CuspScheme,
-            "_compute_line_divisor",
-            lambda self: divisors.append(self) or real(self),
+            "_on_line",
+            lambda self, at, along: (at, along) == ("y", "x") and divisors.append(self)
+            or real(self, at, along),
         )
         full = CuspScheme(q, c, "z", include_line=True)
         full.count(), full.vanishing_dim(2), full.vanishing_dim(3)

@@ -41,7 +41,6 @@ from curvelattice.algebra import (
     resultant,
     weighted_degree,
 )
-from curvelattice.weierstrass import squarefree_decomposition
 
 XYZ = ("x", "y", "z")
 
@@ -1485,19 +1484,17 @@ def sympy_sqf(p: UPoly):
 
 class TestYun:
     """UPoly.squarefree_factors (algebra._zw_yun) against sympy's sqf_list,
-    directly and through weierstrass.squarefree_decomposition and
-    qomega_roots' multiplicities."""
+    directly and through qomega_roots' multiplicities."""
 
     @staticmethod
     def check(p):
         want, want_sf = sympy_sqf(p)
         assert field_upoly(p.squarefree_part()) == want_sf
-        assert {i: field_upoly(u) for i, u in p.squarefree_factors().items()} == want
-        parts = algebra._zw_yun(lift_pairs(p))[1]
-        assert all(len(u) > 1 and functools.reduce(algebra._zw_gcd, u) in UNITS for u in parts.values())
-        dec = squarefree_decomposition(p)
+        dec = p.squarefree_factors()
         assert {i: field_upoly(u) for i, u in dec.items()} == want
         assert all(u.coeffs[-1] == C_ONE for u in dec.values())
+        parts = algebra._zw_yun(lift_pairs(p))[1]
+        assert all(len(u) > 1 and functools.reduce(algebra._zw_gcd, u) in UNITS for u in parts.values())
         roots, missing = qomega_roots(p)
         for r, m in roots:
             assert want[m].rem(field_upoly(UPoly([-r, C_ONE]))).is_zero
@@ -1516,13 +1513,13 @@ class TestYun:
         h = UPoly([(pi * pi).inverse(), 1])
         p = g * g * h
         self.check(p)
-        assert squarefree_decomposition(p) == {1: h, 2: g}
+        assert p.squarefree_factors() == {1: h, 2: g}
 
     def test_constant_input(self):
         for c in (Fraction(7, 2), OMEGA, Cyclo(-3, 5)):
             p = UPoly([c])
             assert algebra._zw_yun(lift_pairs(p))[1] == {}
-            assert squarefree_decomposition(p) == {}
+            assert p.squarefree_factors() == {}
             assert qomega_roots(p) == ([], 0)
             assert p.squarefree_part() == UPoly([1])
 

@@ -403,6 +403,20 @@ class TestLatticeCommands:
             assert code == 2 and doc["error"] == "DomainError"
 
 
+    def test_entry_with_two_large_prime_factors_refused(self):
+        # 1000003 * 1000033: trial division stops at 10^6, so the
+        # composite entry is refused instead of factored by ever longer
+        # trial division (1000000007 * 1000000009 took 35 s that way)
+        for argv in (
+            ["lattice", "diag", "--gram", "[[1000036000099]]"],
+            ["lattice", "qequiv", "--a", "[[1000036000099]]", "--b", "[[1]]"],
+            ["lattice", "diag", "--gram", "[[1000000016000000063]]"],
+        ):
+            t0 = time.monotonic()
+            code, doc = invoke(argv)
+            assert time.monotonic() - t0 < 2
+            assert code == 2 and doc["error"] == "DomainError"
+
     def test_saturation_of_a_large_determinant_quick(self):
         # the index is read from det / tdet per table row, not searched
         # among every f with f^2 <= det

@@ -169,10 +169,17 @@ class TestCertifiedRank:
 
     def test_certified_without_fallback(self, monkeypatch):
         calls = self.counted(monkeypatch)
-        rows = [[OMEGA, C_ONE, C_ZERO], [C_ONE, OMEGA * OMEGA, C_ZERO], [Fraction(1, 3), 2, 5]]
-        # row 2 is w^2 times row 1, so the rank over Q(w) is 2 (4 on Q^6)
+        rows = [[3, 1, 0], [-6, -2, 0], [Fraction(1, 3), 2, 5]]
+        # row 2 is -2 times row 1, so the rank is 2, certified mod p
         assert rank(rows) == 2
         assert calls == []
+
+    def test_omega_matrix_takes_the_exact_elimination(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        rows = [[OMEGA, C_ONE, C_ZERO], [C_ONE, OMEGA * OMEGA, C_ZERO], [Fraction(1, 3), 2, 5]]
+        # row 2 is w^2 times row 1, so the rank over Q(w) is 2
+        assert rank(rows) == 2
+        assert calls == [rows]
 
 
 # ---------------------------------------------------------------------------
