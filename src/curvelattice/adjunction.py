@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import gcd as int_gcd
 
 from .algebra import (
@@ -36,6 +37,7 @@ from .algebra import (
     MPoly,
     ProjPoint,
     UPoly,
+    _root_order_key,
     monomial_values,
     monomials,
     qomega_roots,
@@ -130,39 +132,116 @@ def _upoly_gcd_many(polys):
     return g
 
 
+def _chart_resultants(aff, vx):
+    """The nonzero resultants in vx of the pairs of chart partials, in
+    pair order, each taken when it is asked for."""
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        p, q = aff[i], aff[j]
+        if (p.degree_in(vx) > 0 or q.degree_in(vx) > 0) and not (p.is_zero() or q.is_zero()):
+            r = resultant(p, q, vx)
+            if not r.is_zero():
+                yield r
+
+
+def _with_next(cand, roots, eliminants):
+    """(cand, roots) after the gcd with the next eliminant, or None when
+    none is left.  roots, the (roots, missing) of qomega_roots, is searched
+    again only when the degree drops, or when it is None."""
+    r = next(eliminants, None)
+    if r is None:
+        return None
+    r = cand.gcd(r)
+    if roots is None or r.degree() < cand.degree():
+        roots = qomega_roots(r) if r.degree() > 0 else ([], 0)
+    return r, roots
+
+
+# Tjurina numbers of the classified kinds; any singular point has at least 1
+_TJURINA = {"node": 1, "cusp": 2}
+
+
+def _chart_lines(g, aff, partials, yroots):
+    """({y0: (classified points on the line y = y0 of the chart z = 1, a
+    lower bound of y0's multiplicity in each chart resultant)}, the count
+    of x roots outside Q(w)) over the y roots that carry a point; the
+    points are None where the gradient vanishes on the whole line.
+
+    The bound: a resultant's order at y0 is at least the sum of the
+    intersection numbers of its two partials at the points of the line,
+    each at least the point's Tjurina number (with z = 1, the partials
+    generate the Tjurina ideal, by Euler's relation).  Where two partials
+    vanish on the whole line the bound is 1."""
+    vx, vy = g.vars[:2]
+    lines, missing = {}, 0
+    for y0, _m in yroots:
+        slices = [p.subs({vy: y0}) for p in aff]
+        upolys = [UPoly.from_mpoly(s, vx) for s in slices if not s.is_zero()]
+        if not upolys:
+            lines[y0] = None, 1
+            continue
+        ux = _upoly_gcd_many(upolys)
+        if ux.degree() <= 0:
+            continue
+        xroots, miss = qomega_roots(ux)
+        missing += miss
+        line = [
+            classify_point(g, ProjPoint((x0, y0, C_ONE)))
+            for x0, _mx in xroots
+            if all(p.eval((x0, y0, C_ONE)).is_zero() for p in partials)
+        ]
+        if line:
+            bound = sum(_TJURINA.get(cp.kind, 1) for cp in line) if len(upolys) > 1 else 1
+            lines[y0] = line, bound
+    return lines, missing
+
+
+def _order_settled(yroots, lines):
+    """Whether the y roots that carry points keep their qomega_roots order
+    for every multiplicity the full gcd of the chart resultants can give
+    them: at most their multiplicity in yroots' polynomial, which the full
+    gcd divides, and at least lines' bound (0 for the other roots).  Each
+    pair must be ordered by its keys at those extremes; a conjugate pair
+    shares its multiplicity and is ordered by sign."""
+    hi = dict(yroots)
+    lo = dict.fromkeys(hi, 0) | {y0: bound for y0, (_line, bound) in lines.items()}
+    keys = [(y0, _root_order_key(y0, lo), _root_order_key(y0, hi)) for y0 in lines]
+    return all(
+        s == r.conjugate() or r_hi < s_lo or s_hi < r_lo
+        for (r, r_lo, r_hi), (s, s_lo, s_hi) in combinations(keys, 2)
+    )
+
+
 def singular_points(g: MPoly):
     """All singular points of V(g) with coordinates in Q(w), classified.
 
     Elimination: pairwise resultants of the partial derivatives in the
-    affine chart z=1 give a univariate candidate polynomial; roots are
-    extracted inside Q(w) and verified against the full gradient, then
-    the line z=0 is handled chart by chart.  Raises IncompleteLocus when
-    an unexplained elimination factor (or an x-level gcd factor) has
-    roots outside Q(w), and with unexplained = -1 when the elimination
-    cannot isolate the points (every chart resultant vanishes, or the
-    gradient vanishes on a whole line).
+    affine chart z=1 give a univariate candidate polynomial, their gcd;
+    roots are extracted inside Q(w) and verified against the full
+    gradient, then the line z=0 is handled chart by chart.  Raises
+    IncompleteLocus when an unexplained elimination factor (or an x-level
+    gcd factor) has roots outside Q(w), and with unexplained = -1 when the
+    elimination cannot isolate the points (every chart resultant vanishes,
+    or the gradient vanishes on a whole line).
+
+    The third chart resultant is taken only when it can change the
+    answer.  The gcd of the first two has every root of the full gcd, so
+    once its roots all lie in Q(w) the extra ones are sliced like the
+    rest, and no common zero of the partials lies over them.  The third
+    is still taken when the gcd of two has roots outside Q(w), and when
+    the points' order, which follows qomega_roots' multiplicity-keyed
+    order of the y roots, could differ under the full gcd
+    (_order_settled).  The first resultant is never searched alone: it
+    also vanishes at every critical point of the projection.
     """
     if len(g.vars) != 3:
         raise DomainError("expected a ternary form")
     vx, vy, vz = g.vars
     partials = [g.derivative(v) for v in g.vars]
-    unexplained = 0
-    points = []
 
     # affine chart z = 1
     aff = [p.subs({vz: 1}) for p in partials]
-    res = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            p, q = aff[i], aff[j]
-            if p.degree_in(vx) <= 0 and q.degree_in(vx) <= 0:
-                continue
-            if p.is_zero() or q.is_zero():
-                continue
-            r = resultant(p, q, vx)
-            if not r.is_zero():
-                res.append(r)
-    cand = _upoly_gcd_many(res)
+    eliminants = _chart_resultants(aff, vx)
+    cand = next(eliminants, None)
     if cand is None and any(p.degree_in(vx) > 0 for p in aff):
         # every chart resultant vanishes: the partials share factors, as
         # on a curve with a multiple component, whose singular locus is
@@ -176,43 +255,43 @@ def singular_points(g: MPoly):
         if g1 is not None and g1.degree() > 0:
             raise IncompleteLocus(-1, [])
         cand = UPoly([C_ONE])
-    if cand.degree() > 0:
-        yroots, miss_y = qomega_roots(cand)
-        unexplained += miss_y
-        for y0, _m in yroots:
-            slices = [p.subs({vy: y0}) for p in aff]
-            upolys = [UPoly.from_mpoly(s, vx) for s in slices if not s.is_zero()]
-            if not upolys:
-                # gradient vanishes identically on a whole line
-                raise IncompleteLocus(-1, points)
-            ux = _upoly_gcd_many(upolys)
-            if ux.degree() <= 0:
-                continue
-            xroots, miss_x = qomega_roots(ux)
-            unexplained += miss_x
-            for x0, _mx in xroots:
-                if all(p.eval((x0, y0, C_ONE)).is_zero() for p in partials):
-                    points.append(ProjPoint((x0, y0, C_ONE)))
+    cand, roots = _with_next(cand, None, eliminants) or (cand, None)
+    if roots is None:
+        roots = qomega_roots(cand) if cand.degree() > 0 else ([], 0)
+    if roots[1]:
+        cand, roots = _with_next(cand, roots, eliminants) or (cand, roots)
+    lines, unexplained = _chart_lines(g, aff, partials, roots[0])
+    if not _order_settled(roots[0], lines):
+        cand, roots = _with_next(cand, roots, eliminants) or (cand, roots)
+    unexplained += roots[1]
+    affine = []
+    for y0, _m in roots[0]:
+        line, _bound = lines.get(y0, ((), 0))
+        if line is None:
+            # gradient vanishes identically on a whole line
+            raise IncompleteLocus(-1, [cp.point for cp in affine])
+        affine += line
 
     # line z = 0, chart y = 1: the points (t : 1 : 0)
+    points = [cp.point for cp in affine]
     u = _upoly_gcd_many(restrict(p, (0, 1, 0), (1, 0, 0)) for p in partials)
     if u is None:
         # all partials vanish identically on the chart: cannot happen for
         # a squarefree form with finite singular locus
         raise IncompleteLocus(-1, points)
+    at_infinity = []
     if u.degree() > 0:
         xroots, miss = qomega_roots(u)
         unexplained += miss
         for x0, _m in xroots:
             if all(p.eval((x0, C_ONE, C_ZERO)).is_zero() for p in partials):
-                points.append(ProjPoint((x0, C_ONE, C_ZERO)))
+                at_infinity.append(ProjPoint((x0, C_ONE, C_ZERO)))
     if all(p.eval((C_ONE, C_ZERO, C_ZERO)).is_zero() for p in partials):
-        points.append(ProjPoint((C_ONE, C_ZERO, C_ZERO)))
+        at_infinity.append(ProjPoint((C_ONE, C_ZERO, C_ZERO)))
 
-    points = list(dict.fromkeys(points))
     if unexplained:
-        raise IncompleteLocus(unexplained, points)
-    return [classify_point(g, p) for p in points]
+        raise IncompleteLocus(unexplained, points + at_infinity)
+    return affine + [classify_point(g, p) for p in at_infinity]
 
 
 def classify_point(g: MPoly, point: ProjPoint) -> ClassifiedPoint:
@@ -541,9 +620,9 @@ class CurveProfile:
         if not _squarefree(g):
             raise DomainError("curve polynomial is not squarefree")
         if points is None and self.scheme is None:
-            points = singular_points(g)
-            object.__setattr__(self, "points", points)
-        if points is not None:
+            # singular_points checks each point against the partials itself
+            object.__setattr__(self, "points", singular_points(g))
+        elif points is not None:
             grads = [g.derivative(v) for v in g.vars]
             for cp in points:
                 if not all(p.eval(cp.point.coords).is_zero() for p in grads):

@@ -35,10 +35,6 @@ ORBIT_PAIRING_LEMMA = (
     "orbit-related pairs evaluated by h*cos(a*pi/3) instead of the gcd "
     "formula, which overcounts the shared Z on such pairs"
 )
-KODAIRA_II_CLAUSE = (
-    "for A identically zero, v(disc)=2 places with v(B)=1 are accepted as "
-    "irreducible (cuspidal) fibers"
-)
 
 DOMAIN_ERRORS = (DomainError,)
 
@@ -336,8 +332,6 @@ def _cmd_weier_check(args):
     }
     if minimal:
         doc["no_reducible_fibers"] = no_reducible_fibers(w)
-        if A.is_zero():
-            doc["deviations"] = [KODAIRA_II_CLAUSE]
     return doc
 
 

@@ -28,7 +28,6 @@ from .adjunction import (
     CurveProfile,
     CuspScheme,
     IncompleteLocus,
-    _upoly_gcd_many,
     gcd_degree,
     singular_points,
 )
@@ -308,17 +307,19 @@ def _lambda_cubed_candidates(g: MPoly, q0: MPoly, cusps, g_lines):
     m* = lc(A) / lc(l^3) only marks that deg u drops.  The one square
     g - m q0^3 = s^2 it can miss is at m*, on a line that meets s only at
     infinity, where u is a nonzero constant; such a line is skipped.  The
-    gcd over several lines removes line-specific roots.  Every trial
+    gcd over at most three lines removes line-specific roots; it stops at
+    two when their squarefree gcd has degree at most 1.  A third line
+    could then only drop a root, which lies in Q(w) as the root of a
+    linear factor, and where g - m q0^3 is no square the caller's
+    poly_sqrt rejects it; every square is a root on every line.  Every trial
     line's direction (1 : beta : 0) lies on z = 0, so a conic divisible
     by z has no usable line.  g_lines is the search's cache of
     _g_on_trial_line.
     """
     if all(e[2] for e in q0.pairs):
         return None
-    lines = []
+    g_m, lines = None, 0
     for trial in range(200):
-        if len(lines) == 3:
-            break
         # direction (1 : beta : 0) off the conic, then off the curve, and
         # no cusp on the line; the conic decides first, so a line it
         # rejects never restricts g
@@ -335,10 +336,14 @@ def _lambda_cubed_candidates(g: MPoly, q0: MPoly, cusps, g_lines):
         res = resultant(u, crit, "t")
         if res.is_zero():
             continue
-        lines.append(res)
-    if not lines:
+        g_m = res if g_m is None else g_m.gcd(res)
+        lines += 1
+        if lines >= 2:
+            sf = g_m if g_m.degree() <= 0 else g_m.squarefree_part()
+            if lines == 3 or sf.degree() <= 1:
+                return sf
+    if g_m is None:
         return None
-    g_m = _upoly_gcd_many(lines)
     if g_m.degree() <= 0:
         return g_m
     return g_m.squarefree_part()

@@ -254,6 +254,20 @@ class TestFindToricSextic:
             assert result.missing == 6
         assert result.complete
 
+    def test_candidate_roots_outside_field_counted(self, monkeypatch):
+        # the candidate (m - 1)(m^2 - 2) on torus sextic 0: m = 1 carries
+        # its orbit, and the roots +-sqrt 2, outside Q(w), each count a
+        # full orbit as missing, never dropped and never fabricated
+        profile, q, c = seeded_torus_sextic(0)
+        plain = find_toric_sextic(profile)
+        cand = UPoly([Cyclo(-1), Cyclo(1)]) * UPoly([Cyclo(-2), Cyclo(0), Cyclo(1)])
+        monkeypatch.setattr(torus, "_lambda_cubed_candidates", lambda *args: cand)
+        result = find_toric_sextic(profile)
+        assert result.points == plain.points and len(result.points) == 6
+        assert result.field_exhausted and not plain.field_exhausted
+        assert result.missing == plain.missing + 2 * 6
+        assert result.complete == plain.complete
+
     def test_determinism(self):
         profile, q, c = seeded_torus_sextic(6)
         r1 = find_toric_sextic(profile)
@@ -397,7 +411,9 @@ class TestLambdaCubedCandidates:
     def test_each_trial_line_takes_seven_samples(self, monkeypatch):
         # deg_t u = 6, deg_t V <= 6 and V is free of m: the column bound
         # takes deg_t V * 1 + 6 * 0 + 1 <= 7 samples of m, each one _zw_res
-        # leaf (a discriminant took 5 * 1 + 6 * 1 + 1 = 12)
+        # leaf (a discriminant took 5 * 1 + 6 * 1 + 1 = 12); each of the ten
+        # usable conics stops after two lines, whose gcd m - 4 or m + 4 is
+        # linear
         leaves, per_call = [], []
         real_leaf, real_resultant = algebra._zw_res, torus.resultant
 
@@ -414,7 +430,7 @@ class TestLambdaCubedCandidates:
         monkeypatch.setattr(algebra, "_zw_res", leaf)
         monkeypatch.setattr(torus, "resultant", counted)
         lambda_cubed_candidates(CurveProfile(NINE_CUSP))
-        assert len(per_call) == 30
+        assert len(per_call) == 20
         assert all(n == d + 1 for n, d in per_call)
         assert max(n for n, _d in per_call) == 7
 
