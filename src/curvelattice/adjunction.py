@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import gcd as int_gcd
 
 from .algebra import (
@@ -37,7 +36,6 @@ from .algebra import (
     MPoly,
     ProjPoint,
     UPoly,
-    _root_order_key,
     monomial_values,
     monomials,
     qomega_roots,
@@ -156,61 +154,6 @@ def _with_next(cand, roots, eliminants):
     return r, roots
 
 
-# Tjurina numbers of the classified kinds; any singular point has at least 1
-_TJURINA = {"node": 1, "cusp": 2}
-
-
-def _chart_lines(g, aff, partials, yroots):
-    """({y0: (classified points on the line y = y0 of the chart z = 1, a
-    lower bound of y0's multiplicity in each chart resultant)}, the count
-    of x roots outside Q(w)) over the y roots that carry a point; the
-    points are None where the gradient vanishes on the whole line.
-
-    The bound: a resultant's order at y0 is at least the sum of the
-    intersection numbers of its two partials at the points of the line,
-    each at least the point's Tjurina number (with z = 1, the partials
-    generate the Tjurina ideal, by Euler's relation).  Where two partials
-    vanish on the whole line the bound is 1."""
-    vx, vy = g.vars[:2]
-    lines, missing = {}, 0
-    for y0, _m in yroots:
-        slices = [p.subs({vy: y0}) for p in aff]
-        upolys = [UPoly.from_mpoly(s, vx) for s in slices if not s.is_zero()]
-        if not upolys:
-            lines[y0] = None, 1
-            continue
-        ux = _upoly_gcd_many(upolys)
-        if ux.degree() <= 0:
-            continue
-        xroots, miss = qomega_roots(ux)
-        missing += miss
-        line = [
-            classify_point(g, ProjPoint((x0, y0, C_ONE)))
-            for x0, _mx in xroots
-            if all(p.eval((x0, y0, C_ONE)).is_zero() for p in partials)
-        ]
-        if line:
-            bound = sum(_TJURINA.get(cp.kind, 1) for cp in line) if len(upolys) > 1 else 1
-            lines[y0] = line, bound
-    return lines, missing
-
-
-def _order_settled(yroots, lines):
-    """Whether the y roots that carry points keep their qomega_roots order
-    for every multiplicity the full gcd of the chart resultants can give
-    them: at most their multiplicity in yroots' polynomial, which the full
-    gcd divides, and at least lines' bound (0 for the other roots).  Each
-    pair must be ordered by its keys at those extremes; a conjugate pair
-    shares its multiplicity and is ordered by sign."""
-    hi = dict(yroots)
-    lo = dict.fromkeys(hi, 0) | {y0: bound for y0, (_line, bound) in lines.items()}
-    keys = [(y0, _root_order_key(y0, lo), _root_order_key(y0, hi)) for y0 in lines]
-    return all(
-        s == r.conjugate() or r_hi < s_lo or s_hi < r_lo
-        for (r, r_lo, r_hi), (s, s_lo, s_hi) in combinations(keys, 2)
-    )
-
-
 def singular_points(g: MPoly):
     """All singular points of V(g) with coordinates in Q(w), classified.
 
@@ -221,17 +164,15 @@ def singular_points(g: MPoly):
     IncompleteLocus when an unexplained elimination factor (or an x-level
     gcd factor) has roots outside Q(w), and with unexplained = -1 when the
     elimination cannot isolate the points (every chart resultant vanishes,
-    or the gradient vanishes on a whole line).
+    or the gradient vanishes on a whole line).  The chart points come in
+    qomega_roots' order of y, then of x.
 
-    The third chart resultant is taken only when it can change the
-    answer.  The gcd of the first two has every root of the full gcd, so
+    The third chart resultant is taken only when the gcd of the first two
+    has roots outside Q(w).  That gcd has every root of the full gcd, so
     once its roots all lie in Q(w) the extra ones are sliced like the
-    rest, and no common zero of the partials lies over them.  The third
-    is still taken when the gcd of two has roots outside Q(w), and when
-    the points' order, which follows qomega_roots' multiplicity-keyed
-    order of the y roots, could differ under the full gcd
-    (_order_settled).  The first resultant is never searched alone: it
-    also vanishes at every critical point of the projection.
+    rest, and no common zero of the partials lies over them.  The first
+    resultant is never searched alone: it also vanishes at every critical
+    point of the projection.
     """
     if len(g.vars) != 3:
         raise DomainError("expected a ternary form")
@@ -260,17 +201,24 @@ def singular_points(g: MPoly):
         roots = qomega_roots(cand) if cand.degree() > 0 else ([], 0)
     if roots[1]:
         cand, roots = _with_next(cand, roots, eliminants) or (cand, roots)
-    lines, unexplained = _chart_lines(g, aff, partials, roots[0])
-    if not _order_settled(roots[0], lines):
-        cand, roots = _with_next(cand, roots, eliminants) or (cand, roots)
-    unexplained += roots[1]
+    yroots, unexplained = roots
     affine = []
-    for y0, _m in roots[0]:
-        line, _bound = lines.get(y0, ((), 0))
-        if line is None:
+    for y0, _m in yroots:
+        slices = [p.subs({vy: y0}) for p in aff]
+        upolys = [UPoly.from_mpoly(s, vx) for s in slices if not s.is_zero()]
+        if not upolys:
             # gradient vanishes identically on a whole line
             raise IncompleteLocus(-1, [cp.point for cp in affine])
-        affine += line
+        ux = _upoly_gcd_many(upolys)
+        if ux.degree() <= 0:
+            continue
+        xroots, miss = qomega_roots(ux)
+        unexplained += miss
+        affine += [
+            classify_point(g, ProjPoint((x0, y0, C_ONE)))
+            for x0, _mx in xroots
+            if all(p.eval((x0, y0, C_ONE)).is_zero() for p in partials)
+        ]
 
     # line z = 0, chart y = 1: the points (t : 1 : 0)
     points = [cp.point for cp in affine]

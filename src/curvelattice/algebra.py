@@ -1694,19 +1694,18 @@ def _zw_shortest(y, basis):
     )
 
 
-def _root_order_key(root, mults):
-    """Sort key of a root: its minimal polynomial over Q by degree, by that
-    factor's multiplicity in p * conj(p), then by its primitive integer
-    coefficients from the leading one down; of a conjugate pair the root
-    with positive w part first."""
+def _root_order_key(root):
+    """Sort key of a root, a function of the root alone: its minimal
+    polynomial over Q by degree, then by its primitive integer coefficients
+    from the leading one down; of a conjugate pair the root with positive
+    w part first."""
     p, q, d = root.p, root.q, root.d
     if q == 0:
-        return 1, 2 * mults[root], [d, -p], 0
+        return 1, [d, -p], 0
     # d^2 t^2 - (2p - q) d t + N(p + q*w), over its content
     coeffs = [d * d, (q - 2 * p) * d, p * p - p * q + q * q]
     g = math.gcd(*coeffs)
-    mult = mults[root] + mults.get(root.conjugate(), 0)
-    return 2, mult, [c // g for c in coeffs], 0 if q > 0 else 1
+    return 2, [c // g for c in coeffs], 0 if q > 0 else 1
 
 
 def qomega_roots(p: UPoly):
@@ -1728,7 +1727,9 @@ def qomega_roots(p: UPoly):
     form the ideal (q, w - r)^k, whose nonzero elements have norm >= q^k.
     Every candidate is checked by exact division, so missing is exact.
 
-    Roots are ordered by _root_order_key.
+    Roots are ordered by _root_order_key, so their order does not depend
+    on their multiplicities: p and its squarefree part list the same roots
+    in the same order.
     """
     if p.is_zero():
         raise AlgebraError("root-finding on the zero polynomial")
@@ -1758,7 +1759,7 @@ def qomega_roots(p: UPoly):
             # beta / lc(u) is a root when the primitive lc(u)*t - beta divides u
             if _zw_quotient(u, _zw_primitive([(-beta[0], -beta[1]), u[-1]])) is not None:
                 mults[Cyclo(*beta) / Cyclo(*u[-1])] = i
-    roots = sorted(mults.items(), key=lambda item: _root_order_key(item[0], mults))
+    roots = [(x, mults[x]) for x in sorted(mults, key=_root_order_key)]
     return roots, len(f) - 1 - len(roots)
 
 
@@ -1778,7 +1779,7 @@ def _exact_root(k, n):
 
 
 def cyclo_nth_roots(c: Cyclo, n: int):
-    """All x in Q(w) with x^n = c, for n = 2 or 3, in _root_order_key order.
+    """All x in Q(w) with x^n = c, for n = 2 or 3, in qomega_roots' order.
 
     x = y / d for c = (p + q*w) / d, where y^n = e = (p + q*w) d^(n-1) lies
     in Z[w], so y does too (Z[w] is integrally closed).  The norm N of y is
@@ -1810,9 +1811,7 @@ def cyclo_nth_roots(c: Cyclo, n: int):
     ys = [] if d is None else [Cyclo(3 * s + k * d, 2 * k * d, 6) for k in (1, -1)]
     for y in ys:
         if y**n == e:
-            roots = [y * u / c.d for u in units]
-            mults = dict.fromkeys(roots, 1)
-            return sorted(roots, key=lambda x: _root_order_key(x, mults))
+            return sorted((y * u / c.d for u in units), key=_root_order_key)
     return []
 
 

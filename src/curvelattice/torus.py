@@ -27,9 +27,7 @@ from itertools import combinations
 from .adjunction import (
     CurveProfile,
     CuspScheme,
-    IncompleteLocus,
     gcd_degree,
-    singular_points,
 )
 from .algebra import (
     C_ZERO,
@@ -636,13 +634,14 @@ def seeded_torus_sextic(seed: int):
             w = Cyclo(rng.randint(-3, 3))
             vec = [x + w * y for x, y in zip(vec, b)]
         c = MPoly(v, dict(zip(monos, vec)))
-        if c.is_zero() or c.degree() != 3:
+        # c vanishes at (0 : 0 : 1), a seventh point of q, exactly when q
+        # divides c (Bezout), and then g = q^2 (q + (c/q)^2) is not squarefree
+        if (0, 0, 3) not in c.pairs:
             continue
-        g = q * q * q + c * c
         try:
-            classified = singular_points(g)
-        except IncompleteLocus:
+            profile = CurveProfile(q * q * q + c * c)
+        except DomainError:  # IncompleteLocus, or g not squarefree
             continue
-        if len(classified) == 6 and all(p.kind == "cusp" for p in classified):
-            return CurveProfile(g, points=classified), q, c
+        if len(profile.points) == 6 and all(p.kind == "cusp" for p in profile.points):
+            return profile, q, c
     raise RuntimeError("no generic torus sextic found for this seed")

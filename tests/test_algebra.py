@@ -1326,7 +1326,10 @@ class TestModularGcd:
 def sympy_qomega_roots(p: UPoly):
     """The sympy-based qomega_roots that the p-adic root finder replaced,
     kept as the oracle of root order: candidates come from sympy's
-    factor_list of p * conj(p) over QQ, in sympy's factor order."""
+    factor_list of p * conj(p) over QQ, and each factor, the candidate's
+    minimal polynomial, gives its sort key: the factor's degree, then its
+    primitive integer coefficients from the leading one down; of a
+    conjugate pair the root with positive w part first."""
     sf_deg = p.squarefree_part().degree()
     if sf_deg == 0:
         return [], 0
@@ -1336,11 +1339,15 @@ def sympy_qomega_roots(p: UPoly):
         T,
         domain="QQ",
     )
-    candidates = []
+    candidates = {}
     for fac, _mult in qq.factor_list()[1]:
         cs = [Fraction(int(c.numerator), int(c.denominator)) for c in fac.all_coeffs()]
+        den = math.lcm(*(c.denominator for c in cs))
+        ints = [int(c * den) for c in cs]
+        content = math.gcd(*ints) if ints[0] > 0 else -math.gcd(*ints)
+        key = len(cs) - 1, [c // content for c in ints]
         if len(cs) == 2:
-            candidates.append(Cyclo(-cs[1] / cs[0]))
+            candidates[Cyclo(-cs[1] / cs[0])] = key + (0,)
         elif len(cs) == 3:
             u, v = cs[1] / cs[0], cs[2] / cs[0]
             disc = u * u - 4 * v
@@ -1350,10 +1357,10 @@ def sympy_qomega_roots(p: UPoly):
                 rn, rd = math.isqrt(x.numerator), math.isqrt(x.denominator)
                 if rn * rn == x.numerator and rd * rd == x.denominator:
                     s = Fraction(rn, rd)
-                    candidates.append(Cyclo((-u + s) / 2, s))
-                    candidates.append(Cyclo((-u - s) / 2, -s))
+                    candidates[Cyclo((-u + s) / 2, s)] = key + (0,)
+                    candidates[Cyclo((-u - s) / 2, -s)] = key + (1,)
     roots = []
-    for r in dict.fromkeys(candidates):
+    for r in sorted(candidates, key=candidates.get):
         mult, cur, lin = 0, p, UPoly([-r, C_ONE])
         while True:
             quo, rem = cur.divmod(lin)
@@ -1420,8 +1427,8 @@ def root_products(draw, max_roots=4, max_mult=3):
 
 class TestRootsDifferential:
     """qomega_roots against sympy: the roots and multiplicities of sympy's
-    factorisation over QQ(sqrt(-3)), and the roots in order of the sympy
-    factor_list route it replaced."""
+    factorisation over QQ(sqrt(-3)), and the roots of the sympy factor_list
+    route it replaced, ordered by their minimal polynomials."""
 
     @settings(max_examples=60, deadline=None)
     @given(root_products())
@@ -1454,6 +1461,14 @@ class TestRootsDifferential:
         assert used and used[0] > max(skipped)
         assert got == sympy_qomega_roots(p)
         assert (dict(got[0]), got[1]) == sympy_field_roots(p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(root_products())
+    @example(upoly_from_roots([1, 1, -1]))
+    def test_order_ignores_multiplicity(self, p):
+        # the order is the roots' own: p and its squarefree part agree
+        roots = [r for r, _m in qomega_roots(p)[0]]
+        assert roots == [r for r, _m in qomega_roots(p.squarefree_part())[0]]
 
     def test_conjugate_pair_order(self):
         # t^2 + t + 1: w (positive w part) before w^2 = -1 - w

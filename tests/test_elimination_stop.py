@@ -185,16 +185,16 @@ def unimodular_images(g):
 
 
 def attempt_curves(monkeypatch, seeds):
-    """Every curve the torus generator tries for these seeds, the rejected
-    attempts included."""
+    """Every curve the torus generator profiles for these seeds, the
+    rejected ones included."""
     tried = []
 
     def record(g):
         tried.append(g)
-        return singular_points(g)
+        return CurveProfile(g)
 
     with monkeypatch.context() as m:
-        m.setattr(torus, "singular_points", record)
+        m.setattr(torus, "CurveProfile", record)
         for seed in seeds:
             seeded_torus_sextic(seed)
     return tried
@@ -210,17 +210,21 @@ def irrational_sextic(rng):
 
 
 class TestChartResultants:
-    @pytest.mark.parametrize("g", [NINE_CUSP, seeded_torus_sextic(0)[0].g], ids=["nine-cusp", "torus-0"])
+    @pytest.mark.parametrize(
+        "g",
+        [NINE_CUSP] + [seeded_torus_sextic(seed)[0].g for seed in (0, 1, 2, 8)],
+        ids=["nine-cusp", "torus-0", "torus-1", "torus-2", "torus-8"],
+    )
     def test_two_chart_resultants(self, monkeypatch, g):
         got, calls = chart_resultants(monkeypatch, g)
         assert calls == 2
         assert got == outcome(singular_points_all, g)
 
-    def test_order_guard_takes_the_third(self, monkeypatch):
+    def test_order_ignores_elimination_multiplicity(self, monkeypatch):
         # nodes at (1 : 0 : 1) and (5 : -1 : 1), and a critical point of
         # the chart polynomial on y = 0: the gcd of two chart resultants
-        # has multiplicity 2 at y = 0 and would order (5 : -1 : 1) first,
-        # while the full gcd has multiplicity 1 there
+        # has multiplicity 2 at y = 0 and the full gcd 1, and the points
+        # come in the order of their y coordinates under both
         g = parse_poly(
             "-x^4 + 3*x^3*y + 3*x^3*z + 60*x^2*z^2 + x*y^3 - 37*x*y^2*z"
             " - 63*x*y*z^2 - 125*x*z^3 - y^4 - 1263*y^3*z - 1640*y^2*z^2"
@@ -228,15 +232,27 @@ class TestChartResultants:
             XYZ,
         )
         got, calls = chart_resultants(monkeypatch, g)
-        assert calls == 3
+        assert calls == 2
         assert got == outcome(singular_points_all, g)
         assert got == [(ProjPoint((1, 0, 1)), "node"), (ProjPoint((5, -1, 1)), "node")]
 
     def test_torus_generator_attempts(self, monkeypatch):
         curves = attempt_curves(monkeypatch, range(12))
-        assert len(curves) > 6  # some attempts are rejected
+        assert len(curves) > 6  # one curve per seed at least
         for g in curves:
             assert chart_resultants(monkeypatch, g)[0] == outcome(singular_points_all, g)
+
+    @pytest.mark.parametrize("line", ["2*x - 3*y - z", "x + 3*y - z", "2*x + 3*y + 2*z"])
+    def test_generator_cubics_divisible_by_q(self, monkeypatch, line):
+        # the torus generator's attempts it refuses unprofiled (seed 1's
+        # first, seed 7's first two): c = q*l, so q^3 + c^2 is singular
+        # along q and the locus cannot be isolated
+        q = parse_poly("x*z - y^2", XYZ)
+        c = q * parse_poly(line, XYZ)
+        g = q * q * q + c * c
+        got = chart_resultants(monkeypatch, g)[0]
+        assert got == outcome(singular_points_all, g)
+        assert got == (-1, [])
 
     def test_nine_cusp_images(self, monkeypatch):
         for g in unimodular_images(NINE_CUSP):

@@ -526,6 +526,21 @@ class TestSeededSextic:
         assert profile.singularity_inventory()["cusp"] == 6
         assert profile.g == q * q * q + c * c
 
+    def test_cubics_divisible_by_q_refused_unbuilt(self, monkeypatch):
+        # seed 1's first attempt and seed 7's first two draw a cubic that q
+        # divides (no z^3 term), so q^3 + c^2 is not squarefree; they are
+        # refused before a profile is built
+        built = []
+
+        def record(g, **kw):
+            built.append(g)
+            return CurveProfile(g, **kw)
+
+        monkeypatch.setattr(torus, "CurveProfile", record)
+        for seed in (1, 7):
+            seeded_torus_sextic(seed)
+        assert len(built) == 2
+
 
 def table1_by_loops(k, params):
     """The former Table-1 assembly of f and g: guarded coefficient dicts
