@@ -621,12 +621,12 @@ def restrict(p: MPoly, P, Q) -> "UPoly":
 
 
 def _cube_pencil(A: "UPoly", l: "UPoly"):
-    """(u, V, flat) for polynomials A and l in t with deg A = 3 deg l: the
-    pencil u = A - m l^3 in (t, m), its critical-value polynomial
-    V = A' l - 3 A l' up to a scalar, and whether u at m* = lc(A) / lc(l^3)
-    is a nonzero constant.  V is free of m, of degree below deg A' l (the
-    leading terms cancel), and equals u' l - 3 u l' for every m, so it
-    vanishes at every double root of u.  Built on the int pairs."""
+    """(u, V, flat, m*) for polynomials A and l in t with deg A = 3 deg l:
+    the pencil u = A - m l^3 in (t, m), its critical-value polynomial
+    V = A' l - 3 A l' up to a scalar, whether u at m* = lc(A) / lc(l^3)
+    is a nonzero constant, and m*.  V is free of m, of degree below
+    deg A' l (the leading terms cancel), and equals u' l - 3 u l' for every
+    m, so it vanishes at every double root of u.  Built on the int pairs."""
     a, b = A.pairs, l.pairs
     b3 = _zw_poly_mul(_zw_poly_mul(b, b), b)
     # lc(l^3) u(m*) over the denominators: zero where the pairs agree
@@ -637,7 +637,10 @@ def _cube_pencil(A: "UPoly", l: "UPoly"):
     dA, dl3 = A.den, l.den**3
     u = {(k, 0): (p * dl3, q * dl3) for k, (p, q) in enumerate(a)}
     u.update({(k, 1): (-p * dA, -q * dA) for k, (p, q) in enumerate(b3)})
-    return MPoly._new(tm, u), MPoly._new(tm, V), at_star[0] and not any(at_star[1:])
+    ca, cb, norm = _zw_conj_norm(*b3[-1])
+    p, q = _zw_mul(a[-1], (ca, cb))
+    flat = at_star[0] and not any(at_star[1:])
+    return MPoly._new(tm, u), MPoly._new(tm, V), flat, Cyclo(p * dl3, q * dl3, norm * dA)
 
 
 # ---------------------------------------------------------------------------
@@ -1495,7 +1498,7 @@ class UPoly:
     def is_zero(self) -> bool:
         return not self.pairs
 
-    # sums, products, monic and evaluation are MPoly's, in the one variable t
+    # sums, products and monic are MPoly's, in the one variable t
     def _in_t(self) -> MPoly:
         return self.to_mpoly("t", ("t",))
 
@@ -1532,10 +1535,16 @@ class UPoly:
         return UPoly.from_mpoly(self._in_t().monic(), "t")
 
     def eval(self, x) -> Cyclo:
-        return self._in_t().eval((x,))
+        """self at x on the pairs, over one power table of x."""
+        (row,), d = _zw_power_table((x,), (len(self.pairs),))
+        parts = [_zw_mul(ab, r) for ab, r in zip(self.pairs, row)]
+        return Cyclo(sum(a for a, _ in parts), sum(b for _, b in parts), self.den * d)
 
     def conjugate(self) -> "UPoly":
         return UPoly._new([(a - b, -b) for a, b in self.pairs], self.den)
+
+    def derivative(self) -> "UPoly":
+        return UPoly._new(_zw_derivative(self.pairs), self.den)
 
     def gcd(self, other) -> "UPoly":
         """Monic gcd of the inputs, from their Z[w] int pairs (a, b) =

@@ -11,10 +11,11 @@ pairing docstring).
 find_toric_sextic searches for the Z = constant decompositions of a
 sextic: every candidate conic through six cusps, scalar conditions
 lambda^3 = m with g - m q^3 a perfect square, all solved exactly over
-Q(w) with out-of-field solutions counted, never fabricated.  The
-polynomial in m vanishes wherever g - m q^3 has a double root on each of
-a few trial lines, a resultant in t taken by algebra.resultant, which
-returns it as a UPoly in m.
+Q(w) with out-of-field solutions counted, never fabricated.  On a trial
+line the resultant R in t (algebra.resultant, a UPoly in m) vanishes
+wherever g - m q^3 has a double root there, and every square is a root of
+multiplicity at least 3 away from the line's m*, so gcd(R, R'') on one
+line, at most three, bounds the candidates.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .algebra import (
     NOT_A_SQUARE,
     OMEGA,
     NotDivisible,
+    UPoly,
     _cube_pencil,
     cyclo_nth_roots,
     det_cyclo,
@@ -292,26 +294,37 @@ def _g_on_trial_line(g: MPoly, cusps, trial, g_lines):
 
 
 def _lambda_cubed_candidates(g: MPoly, q0: MPoly, cusps, g_lines):
-    """Squarefree univariate polynomial (in m = lambda^3) whose roots
-    contain every m with g - m q0^3 a perfect square, or None when no
-    trial line is usable.
+    """Univariate polynomial in m = lambda^3 whose roots contain every m
+    with g - m q0^3 a perfect square, or None when no trial line is usable.
 
     On a trial line let A = g|_L, l = q0|_L and u = A - m l^3.  The
     critical-value polynomial V = A' l - 3 A l' has degree at most 6 (the
     t^7 terms cancel), is free of m, and equals u' l - 3 u l' for every m,
-    so it vanishes at each double root of u.  So resultant(u, V, t), of
+    so it vanishes at each double root of u.  So R = resultant(u, V, t), of
     degree at most 6 in m, vanishes wherever u has a double root: it is
     the discriminant of u without the factor lc(u), whose root
-    m* = lc(A) / lc(l^3) only marks that deg u drops.  The one square
-    g - m q0^3 = s^2 it can miss is at m*, on a line that meets s only at
-    infinity, where u is a nonzero constant; such a line is skipped.  The
-    gcd over at most three lines removes line-specific roots; it stops at
-    two when their squarefree gcd has degree at most 1.  A third line
-    could then only drop a root, which lies in Q(w) as the root of a
-    linear factor, and where g - m q0^3 is no square the caller's
-    poly_sqrt rejects it; every square is a root on every line.  Every trial
-    line's direction (1 : beta : 0) lies on z = 0, so a conic divisible
-    by z has no usable line.  g_lines is the search's cache of
+    m* = lc(A) / lc(l^3) only marks that deg u drops.
+
+    A square g - m0 q0^3 = s^2 with m0 != m* is a root of R of multiplicity
+    at least 3.  Then deg s|_L = 3 and u = s|_L^2 - (m - m0) l^3, whose six
+    roots pair off at the roots of s|_L, each pair at a distance of order
+    sqrt(m - m0); there V = u' l vanishes to order 1/2 or more in m - m0
+    at each root (l does not vanish there, or u would have a double root
+    for every m and R = 0), so each pair adds at least 1.  So every such
+    m0 is a root of T = gcd(R, R''), R itself when R'' = 0.  A square at
+    m* is a root of R, but may be a double one only (g = q0^3 + (z h)^2
+    puts it there on every line), so T takes the factor m - m* when
+    R(m*) = 0.  The one square at m* that R can miss is on a line that
+    meets s only at infinity, where u is a nonzero constant; such a line
+    is skipped.
+
+    The search stops at the first line whose T has degree at most 1: every
+    root left is then m* or a linear factor's root, in Q(w), and where
+    g - m q0^3 is no square the caller's poly_sqrt rejects it.  Otherwise
+    it keeps the gcd of the lines' candidates, which removes line-specific
+    roots, and stops when that has degree at most 1 or after three lines.
+    Every trial line's direction (1 : beta : 0) lies on z = 0, so a conic
+    divisible by z has no usable line.  g_lines is the search's cache of
     _g_on_trial_line.
     """
     if all(e[2] for e in q0.pairs):
@@ -328,23 +341,21 @@ def _lambda_cubed_candidates(g: MPoly, q0: MPoly, cusps, g_lines):
         gl = _g_on_trial_line(g, cusps, trial, g_lines)
         if gl is None:
             continue
-        u, crit, flat = _cube_pencil(gl, ql)
+        u, crit, flat, m_star = _cube_pencil(gl, ql)
         if flat or crit.is_zero():
             continue
         res = resultant(u, crit, "t")
         if res.is_zero():
             continue
-        g_m = res if g_m is None else g_m.gcd(res)
+        cand = res.gcd(res.derivative().derivative())
+        last = cand.degree() <= 1
+        if res.eval(m_star).is_zero() and not cand.eval(m_star).is_zero():
+            cand = cand * UPoly([-m_star, 1])
+        g_m = cand if g_m is None else g_m.gcd(cand)
         lines += 1
-        if lines >= 2:
-            sf = g_m if g_m.degree() <= 0 else g_m.squarefree_part()
-            if lines == 3 or sf.degree() <= 1:
-                return sf
-    if g_m is None:
-        return None
-    if g_m.degree() <= 0:
-        return g_m
-    return g_m.squarefree_part()
+        if last or lines == 3 or g_m.degree() <= 1:
+            return g_m
+    return g_m
 
 
 def _six_subsets(rows):

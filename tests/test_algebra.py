@@ -876,6 +876,17 @@ class TestPointEvaluation:
         with pytest.raises(AlgebraError):
             monomial_values((1, 2, 3), [(1, 0, 0)], (1, 0))
 
+    @given(st.lists(cyclos, max_size=7), cyclos)
+    @settings(max_examples=80, deadline=None)
+    def test_upoly_eval_and_derivative(self, coeffs, x):
+        # on the pairs, against Horner and the termwise derivative on Cyclo
+        p = UPoly(coeffs)
+        want = C_ZERO
+        for c in reversed(coeffs):
+            want = want * x + c
+        assert p.eval(x) == want
+        assert p.derivative() == UPoly([c * k for k, c in enumerate(coeffs)][1:])
+
 
 NONZERO = cyclos.filter(lambda c: not c.is_zero())
 

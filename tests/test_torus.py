@@ -1,7 +1,7 @@
 """Tests for quasi-toric decompositions, the orbit pairing, and Table 1."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 from curvelattice import algebra, torus
 from curvelattice.adjunction import CurveProfile
 from curvelattice.algebra import (
+    NOT_A_SQUARE,
     Cyclo,
     MPoly,
     UPoly,
     monomial_values,
     monomials,
     parse_poly,
+    poly_sqrt,
+    qomega_roots,
     render,
     restrict,
     resultant,
@@ -412,8 +415,8 @@ class TestLambdaCubedCandidates:
         # deg_t u = 6, deg_t V <= 6 and V is free of m: the column bound
         # takes deg_t V * 1 + 6 * 0 + 1 <= 7 samples of m, each one _zw_res
         # leaf (a discriminant took 5 * 1 + 6 * 1 + 1 = 12); each of the ten
-        # usable conics stops after two lines, whose gcd m - 4 or m + 4 is
-        # linear
+        # usable conics stops after one line, whose gcd(R, R'') m - 4 or
+        # m + 4 is linear
         leaves, per_call = [], []
         real_leaf, real_resultant = algebra._zw_res, torus.resultant
 
@@ -430,7 +433,7 @@ class TestLambdaCubedCandidates:
         monkeypatch.setattr(algebra, "_zw_res", leaf)
         monkeypatch.setattr(torus, "resultant", counted)
         lambda_cubed_candidates(CurveProfile(NINE_CUSP))
-        assert len(per_call) == 20
+        assert len(per_call) == 10
         assert all(n == d + 1 for n, d in per_call)
         assert max(n for n, _d in per_call) == 7
 
@@ -470,6 +473,129 @@ class TestCriticalValueGuard:
         result = find_toric_sextic(CurveProfile(self.sextic(2)))
         assert result.points == [] and result.missing == 6
         assert result.complete and result.field_exhausted
+
+
+def usable_lines(g, q0, cusps):
+    """(R, m*) on each trial line _lambda_cubed_candidates can use for q0,
+    in its order: R = resultant(u, V, t) and m* = lc(g|_L) / lc(q0|_L^3)."""
+    for trial in range(200):
+        alpha, beta = torus._trial_line(trial)
+        ql = restrict(q0, (0, alpha, 1), (1, beta, 0))
+        if ql.degree() != 2:
+            continue
+        gl = torus._g_on_trial_line(g, cusps, trial, {})
+        if gl is None:
+            continue
+        u, crit, flat, m_star = torus._cube_pencil(gl, ql)
+        if flat or crit.is_zero():
+            continue
+        assert m_star == gl.coeffs[-1] / ql.coeffs[-1] ** 3
+        res = resultant(u, crit, "t")
+        if not res.is_zero():
+            yield res, m_star
+
+
+def multiplicity(res, m0):
+    """The multiplicity of m0 as a root of res, from its Yun factors."""
+    return next((i for i, a in res.squarefree_factors().items() if a.eval(m0).is_zero()), 0)
+
+
+def searched_squares(monkeypatch, profile):
+    """[(conic, m0)] for every root m0 in Q(w) of a conic's candidate
+    polynomial with g - m0 q0^3 a square times a scalar, as the search
+    takes them."""
+    seen = []
+    real = torus._lambda_cubed_candidates
+
+    def record(g, q0, cusps, g_lines):
+        cand = real(g, q0, cusps, g_lines)
+        seen.append((q0, cand))
+        return cand
+
+    with monkeypatch.context() as m:
+        m.setattr(torus, "_lambda_cubed_candidates", record)
+        find_toric_sextic(profile)
+    squares = []
+    for q0, cand in seen:
+        if cand is None or cand.degree() <= 0:
+            continue
+        for m0, _mult in qomega_roots(cand)[0]:
+            r = profile.g - (q0 * q0 * q0).scale(m0)
+            if not m0.is_zero() and poly_sqrt(r.monic()) is not NOT_A_SQUARE:
+                squares.append((q0, m0))
+    return squares
+
+
+def candidates_without_m_star(g, q0, cusps, g_lines):
+    """_lambda_cubed_candidates without the factor m - m*: gcd(R, R'') per
+    line alone."""
+    g_m = None
+    for lines, (res, _m_star) in enumerate(usable_lines(g, q0, cusps), 1):
+        cand = res.gcd(res.derivative().derivative())
+        g_m = cand if g_m is None else g_m.gcd(cand)
+        if cand.degree() <= 1 or lines == 3 or g_m.degree() <= 1:
+            break
+    return g_m
+
+
+class TestTripleRoots:
+    """Every square g - m0 q0^3 = s^2 with m0 != m* is a root of
+    multiplicity at least 3 of R on every usable line, so gcd(R, R'')
+    keeps it; a square at m* can be a double root, and the candidate
+    takes m - m* for it."""
+
+    @staticmethod
+    def profiles():
+        """Torus seeds 0-11, then the nine-cusp sextic under the identity
+        and three of the nine-cusp workload's maps (sign flips, then the
+        shear x -> x + c y)."""
+        for seed in range(12):
+            yield seeded_torus_sextic(seed)[0]
+        x, y, z = (MPoly.variable(v, XYZ) for v in XYZ)
+        for d1, d2, c in ((1, 1, 0), (-1, 1, 1), (1, -1, 1), (-1, -1, -1)):
+            g = NINE_CUSP.compose([x.scale(d1) + y.scale(c * d2), y.scale(d2), z])
+            yield CurveProfile(g)
+
+    def test_squares_are_triple_roots(self, monkeypatch):
+        checked = 0
+        for profile in self.profiles():
+            cusps = [p.point for p in profile.points if p.kind == "cusp"]
+            squares = searched_squares(monkeypatch, profile)
+            assert squares
+            for q0, m0 in squares:
+                for res, m_star in islice(usable_lines(profile.g, q0, cusps), 3):
+                    if m0 != m_star:
+                        assert multiplicity(res, m0) >= 3
+                        checked += 1
+        # 12 torus conics and 4 x 10 nine-cusp conics, three lines each,
+        # none of them at its m*
+        assert checked == 156
+
+    @staticmethod
+    def m_star_sextic():
+        # g = q^3 + (z h)^2 with h through (1 : t : 1 - t^2) on q for
+        # t = 2, 3, -2, 1/2: six rational cusps, four on h and (1 : +-1 : 0)
+        # on z; z|_L = 1 on every trial line, so deg (z h)|_L = 2 and the
+        # square g - q^3 sits at m* on each
+        q = poly("y^2 - x^2 + x*z")
+        h = poly("21*x*y - 14*x*z - 15*y^2 + 7*y*z + 2*z^2")
+        for t in (2, 3, -2, Fraction(1, 2)):
+            assert h.eval((Cyclo(1), Cyclo(t), Cyclo(1 - t * t))).is_zero()
+        zh = MPoly.variable("z", XYZ) * h
+        return CurveProfile(q * q * q + zh * zh), q
+
+    def test_square_at_m_star(self, monkeypatch):
+        profile, q = self.m_star_sextic()
+        result = find_toric_sextic(profile)
+        assert len(result.points) == 6 and result.missing == 0
+        assert result.complete and not result.field_exhausted
+        cusps = [p.point for p in profile.points if p.kind == "cusp"]
+        q0 = q.monic()
+        m0 = (q.leading_coeff() / q0.leading_coeff()) ** 3
+        for res, m_star in islice(usable_lines(profile.g, q0, cusps), 2):
+            assert m_star == m0 and multiplicity(res, m0) == 2
+        monkeypatch.setattr(torus, "_lambda_cubed_candidates", candidates_without_m_star)
+        assert find_toric_sextic(profile).points == []
 
 
 class TestSixSubsetScreen:
