@@ -15,19 +15,19 @@ the Sylvester-determinant resultant of two polynomials in the eliminated
 variable and at most one other, as a UPoly in that other, by one loop of
 evaluation at integer samples and interpolation, the univariate gcd (the
 one gcd: multivariate gcd degrees are read from it on lines, see
-adjunction.gcd_degree) from one image modulo the prime
-P = 2^61 - 1 that linalg.rank shares, certified by exact division, one
-subresultant PRS over Z[w] (_zw_prs) that is both that gcd's fallback and
-the scalar resultant at each sample of the interpolation, one squarefree
-decomposition (_zw_yun, Yun's algorithm with that gcd) behind every
-multiplicity, its first step (_zw_squarefree) behind every squarefree
-part, exact square roots of polynomials (NOT_A_SQUARE, which is None, when
-there is none), and root extraction of univariate polynomials inside Q(w)
-(a p-adic root finder whose every answer is verified exactly).  Every
-polynomial operation reads and writes the stored int pairs; a matrix or
-scalar list over Q(w) is lifted into Z[w] by the lcm of its denominators
-(_zw_lift).  UPoly.divmod has no caller in the package.  Only the
-standard library is used.
+adjunction.gcd_degree) read as fractions x + y*w from its images mod
+P = 2^61 - 1 (_wang, shared with linalg.rank), certified by exact
+division, one subresultant PRS over Z[w] (_zw_prs) that is both that
+gcd's fallback and the scalar resultant at each sample of the
+interpolation, one squarefree decomposition (_zw_yun, Yun's algorithm with
+that gcd) behind every multiplicity, its first step (_zw_squarefree)
+behind every squarefree part, exact square roots of polynomials
+(NOT_A_SQUARE, which is None, when there is none), and root extraction of
+univariate polynomials inside Q(w) (a p-adic root finder whose every
+answer is verified exactly).  Every polynomial operation reads and writes
+the stored int pairs; a matrix or scalar list over Q(w) is lifted into
+Z[w] by the lcm of its denominators (_zw_lift).  UPoly.divmod has no
+caller in the package.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -1263,22 +1263,35 @@ def resultant(p: MPoly, q: MPoly, var) -> UPoly:
 
 # ---------------------------------------------------------------------------
 # Univariate polynomials over Q(w) (internal helper representation); gcd
-# from one image mod P, certified by exact division, else by the
+# read mod P as fractions x + y*w, certified by exact division, else by the
 # fraction-free subresultant PRS over Z[w] (_zw_prs, shared with the
 # resultant's samples)
 # ---------------------------------------------------------------------------
 
 # The one prime of the modular images (UPoly.gcd here, linalg.rank's
-# elimination); P = 1 mod 3, so w has an image in F_P.
+# elimination); P = 1 mod 3, so w has two images in F_P, r and r^2.  A
+# residue has at most one fraction n/d with |n|, d <= sqrt(P/2) (_wang).
 _P = (1 << 61) - 1
+_HALF = math.isqrt(_P // 2)
+
+
+def _wang(x):
+    """(n, d), d > 0, with n/d = x mod P and |n|, d <= sqrt(P/2), by the
+    extended Euclidean algorithm stopped halfway (Wang, SYMSAC 1981), or
+    None."""
+    r0, r1, t0, t1 = _P, x, 0, 1
+    while r1 > _HALF:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > _HALF:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
 @functools.cache
 def _p_image():
-    """(r, basis): w -> r, a primitive cube root of 1 mod P, and the
-    Gauss-reduced basis of the pairs that map to 0 mod P (_gauss_basis)."""
-    r = _cube_root_of_unity(_P)
-    return r, _gauss_basis(r, _P)
+    """r, a primitive cube root of 1 mod P: the image of w."""
+    return _cube_root_of_unity(_P)
 
 
 def _zw_quotient(f, d):
@@ -1309,39 +1322,37 @@ def _zw_quotient(f, d):
 
 def _modular_gcd(f, g):
     """A gcd of f and g (int-pair lists, nonzero leading pairs) read from
-    their images mod P, w -> r, or None where it is not certified.
+    the monic gcds of their images mod P, h1 under w -> r and h2 under
+    w -> r^2 (h2 = h1 when no input has a w part), or None where it is not
+    certified.
 
-    When neither leading coefficient vanishes mod P, the images keep their
-    degrees and the image of the true gcd divides the image gcd h, so deg h
-    bounds the true degree: h = 1 certifies 1.  Otherwise each coefficient
-    of h, then of h times gamma, is read as its shortest Z[w]
-    representative (_zw_shortest).  gamma is the gcd of the leading
-    coefficients of the primitive parts of f and g (_zw_primitive), a
-    multiple of the leading coefficient of their primitive gcd that leaves
-    out the inputs' Z[w] content.  A candidate of degree deg h that divides
-    both f and g exactly is a gcd, and a primitive one: the first has the
-    leading pair _zw_shortest(1) = (1, 0), the second is made primitive.
+    Where neither leading coefficient vanishes, an image keeps the degrees
+    and the true gcd's image divides it: degree 0 certifies 1, and images
+    of unequal degree decline.  Each coefficient x + y*w of the monic gcd
+    has y = (h1 - h2) / (r - r^2) and x = h1 - y*r mod P, read as fractions
+    (_wang).  Over their common denominator and made primitive, the
+    candidate, of degree deg h1, is a primitive gcd if it divides f and g.
     """
-    r, basis = _p_image()
-    fp, gp = ([(a + b * r) % _P for a, b in u] for u in (f, g))
-    if not (fp[-1] and gp[-1]):
+    r = _p_image()
+    h = []
+    for s in (r, r * r % _P) if any(b for u in (f, g) for _, b in u) else (r,):
+        fp, gp = ([(a + b * s) % _P for a, b in u] for u in (f, g))
+        if not (fp[-1] and gp[-1]):
+            return None
+        h.append(_fp_gcd(fp, gp, _P))
+        if len(h[-1]) == 1:
+            return [(1, 0)]
+    if len(h[0]) != len(h[-1]):
         return None
-    h = _fp_gcd(fp, gp, _P)
-    if len(h) == 1:
-        return [(1, 0)]
-
-    def divides_both(d):
-        return _zw_quotient(f, d) is not None and _zw_quotient(g, d) is not None
-
-    cand = [_zw_shortest(c, basis) for c in h]
-    if divides_both(cand):
-        return cand
-    gamma = _zw_gcd(_zw_primitive(f)[-1], _zw_primitive(g)[-1])
-    if _zw_conj_norm(*gamma)[2] == 1:  # a unit: the same candidate again
+    k = pow(r - r * r, -1, _P)
+    ys = [(c1 - c2) * k % _P for c1, c2 in zip(h[0], h[-1])]
+    fracs = [_wang(v) for c, y in zip(h[0], ys) for v in ((c - y * r) % _P, y)]
+    if None in fracs:
         return None
-    s = (gamma[0] + gamma[1] * r) % _P
-    cand = _zw_primitive([_zw_shortest(c * s % _P, basis) for c in h])
-    return cand if divides_both(cand) else None
+    den = math.lcm(*(d for _, d in fracs))
+    xs = [n * (den // d) for n, d in fracs]
+    cand = _zw_primitive(list(zip(xs[::2], xs[1::2])))
+    return cand if all(_zw_quotient(u, cand) is not None for u in (f, g)) else None
 
 
 def _zw_primitive(f):
@@ -1548,10 +1559,10 @@ class UPoly:
 
     def gcd(self, other) -> "UPoly":
         """Monic gcd of the inputs, from their Z[w] int pairs (a, b) =
-        a + b*w.  The gcd is read from one image mod P and certified by
-        exact division (_modular_gcd); where that declines it is the last
-        nonzero remainder of the subresultant PRS (_zw_prs, the one the
-        resultant's samples run)."""
+        a + b*w: each coefficient x + y*w is read mod P, x and y fractions
+        of numerator and denominator at most sqrt(P/2), about 2^30, and the
+        gcd certified by exact division (_modular_gcd); where that declines,
+        the last nonzero remainder of the subresultant PRS (_zw_prs)."""
         f, g = (self, other) if self.degree() >= other.degree() else (other, self)
         if g.is_zero():
             return f.monic()

@@ -4,11 +4,13 @@ Matrices are lists of rows of Cyclo, int or Fraction values.  Determinant
 and kernel read the one fraction-free elimination over Z[w],
 algebra.echelon_zw.  The rank of a rational matrix is one Gauss-Jordan
 elimination modulo the prime p = 2^61 - 1 (algebra._P, also the prime of
-UPoly.gcd's image) on the integer rows, certified exactly by the kernel it
-reconstructs; the rank of a matrix with w parts, or where the certificate
-fails, is echelon_zw's pivot count.  Every quadratic-form
-question (positive definiteness, semidefiniteness, a diagonal form) reads
-the one congruence elimination, ldl.
+UPoly.gcd's images) on the integer rows, certified exactly by the kernel it
+reconstructs as fractions with numerator and denominator of at most
+sqrt(p/2), about 2^30, by Wang's step (algebra._wang, which UPoly.gcd
+shares); the rank of a matrix with w parts, or where the certificate
+fails, is echelon_zw's pivot count.  Every quadratic-form question
+(positive definiteness, semidefiniteness, a diagonal form) reads the one
+congruence elimination, ldl.
 """
 
 from __future__ import annotations
@@ -22,13 +24,11 @@ from .algebra import (
     AlgebraError,
     Cyclo,
     _P,
+    _wang,
     _zw_lift,
     echelon_det,
     echelon_zw,
 )
-
-# Wang's bound: a residue has at most one preimage n/d with |n|, d below it
-_HALF = math.isqrt(_P // 2)
 
 
 def rank(rows) -> int:
@@ -39,7 +39,7 @@ def rank(rows) -> int:
     into Z, which keeps the rank.  Gauss-Jordan mod p gives r pivots, so
     the rank is at least r: a minor nonzero mod p is a nonzero integer.
     For each free column the kernel vector of the reduced form mod p is
-    lifted to Q by rational reconstruction (Wang, SYMSAC 1981) and checked
+    lifted to Q by rational reconstruction (algebra._wang) and checked
     exactly on the integer rows; with 1 at its own free column and 0 at
     the others, these are independent, so the rank is at most r.  If a
     reconstruction or a check fails, the rank is echelon_zw's too.
@@ -110,28 +110,16 @@ def _kernel_checks(rows, pivots, ncols) -> bool:
         v = {f: Fraction(1)}
         for c, prow in pivots.items():
             if f in prow:
-                q = _reconstruct(-prow[f] % _P)
+                q = _wang(-prow[f] % _P)
                 if q is None:
                     return False
-                v[c] = q
+                v[c] = Fraction(*q)
         den = math.lcm(*(q.denominator for q in v.values()))
         v = {j: q.numerator * (den // q.denominator) for j, q in v.items()}
         for row in rows:
             if sum(x * v[j] for j, x in row.items() if j in v):
                 return False
     return True
-
-
-def _reconstruct(x):
-    """The fraction n/d = x mod p with |n|, d <= sqrt(p/2), by the extended
-    Euclidean algorithm stopped halfway (Wang), or None."""
-    r0, r1, t0, t1 = _P, x, 0, 1
-    while r1 > _HALF:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if abs(t1) > _HALF:
-        return None
-    return Fraction(r1, t1)
 
 
 def kernel_basis(rows):

@@ -1281,19 +1281,26 @@ class TestModularGcd:
             assert p.gcd(q) == got
 
     def test_non_unit_leading_coefficient_certified(self, monkeypatch):
-        # lc(shared) = 3 + w is no unit of Z[w]: the monic image has no
-        # short lift, gamma times it does
+        # lc(shared) = 3 + w is no unit of Z[w]: the monic gcd's coefficients
+        # are fractions x + y*w, each read from the images under w -> r and
+        # w -> r^2
         calls = self.count_prs(monkeypatch)
         shared = UPoly([Cyclo(2, -1), Cyclo(0, 5), Cyclo(3, 1)])
         p = shared * upoly_from_roots([1, Fraction(-2, 3)], lead=Fraction(5, 4))
         q = shared * upoly_from_roots([OMEGA], lead=Cyclo(6, 2))
         assert p.gcd(q) == shared.monic() and q.gcd(p) == shared.monic()
+        # the cofactors share the 76-bit leading coefficient 2^75 + 75, so
+        # gcd(lc p, lc q) is far above lc(G); the monic gcd t + 999983/1000003
+        # is read directly
+        G, lc = UPoly([999983, 1000003]), 2**75 + 75
+        p, q = G * UPoly([1, lc]), G * UPoly([2, lc])
+        assert p.gcd(q) == G.monic() and q.gcd(p) == G.monic()
         assert calls == []
 
     def test_gamma_from_primitive_parts(self, monkeypatch):
-        # both inputs carry the Z[w] content 2^40 (3 + w): gamma from their
-        # leading coefficients would carry it too and lift past P; from the
-        # primitive parts it is lc(shared) and certifies
+        # both inputs carry the Z[w] content 2^40 (3 + w), far beyond what
+        # one residue mod P holds; the monic gcd does not carry it, so its
+        # coefficients read back and the primitive candidate certifies
         calls = self.count_prs(monkeypatch)
         content = Cyclo(3, 1) * (1 << 40)
         shared = UPoly([Cyclo(2, -1), Cyclo(0, 5), Cyclo(3, 1)])
@@ -1305,6 +1312,11 @@ class TestModularGcd:
     def test_image_of_degree_0_certifies_1(self, monkeypatch):
         calls = self.count_prs(monkeypatch)
         assert KNUTH_F.gcd(KNUTH_G) == UPoly([1])
+        # pi generates the prime over P that w -> r sends to 0: t - 1 and
+        # t - 1 - pi share a root under w -> r only, and the image under
+        # w -> r^2 has degree 0
+        pi = algebra._gauss_basis(algebra._cube_root_of_unity(algebra._P), algebra._P)[0]
+        assert UPoly([-1, 1]).gcd(UPoly([-1 - Cyclo(*pi), 1])) == UPoly([1])
         assert calls == []
 
     def test_leading_coefficient_vanishing_mod_p_falls_back(self, monkeypatch):
@@ -1317,8 +1329,8 @@ class TestModularGcd:
         assert len(calls) == 1
 
     def test_coefficients_beyond_reconstruction_fall_back(self, monkeypatch):
-        # N(2^40) = 2^80 > P: the image's lift is some shorter pair, which
-        # divides neither input
+        # x = 2^40 is beyond sqrt(P/2): Wang reads its residue as 1/2^21
+        # (2^61 = 1 mod P), and the candidate divides neither input
         calls = self.count_prs(monkeypatch)
         shared = UPoly([Cyclo(1 << 40, 3), 1])
         p = shared * UPoly([1, 1])

@@ -24,6 +24,10 @@ floating point: no module calls `float(...)` or a float function of `math`
 exact integer or rational.  Polynomial division stays on the int pairs: no
 module but algebra calls a `.divmod(...)` method (`UPoly.divmod`, kept only
 for the benchmark tracer); the builtin `divmod` of two ints is fine.
+Every module stays below 2^14 tokens, comments and blank lines not
+counted: compiling algebra.py takes a step up in memory near that size
+(tracemalloc: 5.25 MiB at 15,818 tokens, 6.36 MiB at 16,458), and a run
+without a bytecode cache compiles it on every import.
 """
 
 import ast
@@ -32,6 +36,7 @@ import inspect
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -107,6 +112,14 @@ def test_no_sympy_import(path):
         elif isinstance(node, ast.ImportFrom) and node.module:
             imported.add(node.module)
     assert not {n for n in imported if n.split(".")[0] == "sympy"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_below_token_budget(path):
+    with open(path, encoding="utf-8") as fh:
+        tokens = tokenize.generate_tokens(fh.readline)
+        n = sum(t.type not in (tokenize.COMMENT, tokenize.NL) for t in tokens)
+    assert n < 2**14, f"{path.name} has {n} tokens"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -667,6 +667,32 @@ class TestSeededSextic:
             seeded_torus_sextic(seed)
         assert len(built) == 2
 
+    def test_pass_gcds_certified_without_prs(self, monkeypatch):
+        # every gcd of one pass over seeds 0-11 (generation and toric
+        # search) is read mod P and certified, among them singular_points'
+        # gcds of two chart resultants (degree 23 or 25) and of x slices
+        # (degree 5) where gcd(lc f, lc g) is far above lc of the gcd
+        inside, prs_calls = [], []
+        real_gcd, real_prs = algebra._zw_poly_gcd, algebra._zw_prs
+
+        def gcd(f, g):
+            inside.append(f)
+            try:
+                return real_gcd(f, g)
+            finally:
+                inside.pop()
+
+        def prs(f, g):
+            if inside:
+                prs_calls.append((len(f) - 1, len(g) - 1))
+            return real_prs(f, g)
+
+        monkeypatch.setattr(algebra, "_zw_poly_gcd", gcd)
+        monkeypatch.setattr(algebra, "_zw_prs", prs)
+        for seed in range(12):
+            find_toric_sextic(seeded_torus_sextic(seed)[0])
+        assert prs_calls == []
+
 
 def table1_by_loops(k, params):
     """The former Table-1 assembly of f and g: guarded coefficient dicts
